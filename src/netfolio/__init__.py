@@ -48,8 +48,10 @@ from .portfolio_sim import (
     Strategy,
     cluster_mean_returns,
     default_industry_map,
+    draw_matrix,
     portfolio_return,
     run_simulation,
+    score_period,
     select_cluster,
     select_industry,
     select_random,

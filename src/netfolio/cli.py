@@ -36,7 +36,13 @@ from .neighbor_net import (
     pair_nn_clusters,
     write_nexus,
 )
-from .portfolio_sim import IndustryMap, Strategy, default_industry_map, run_simulation
+from .portfolio_sim import (
+    IndustryMap,
+    Strategy,
+    default_industry_map,
+    draw_matrix,
+    score_period,
+)
 from .tree_cluster import (
     average_linkage_hct,
     cut_dendrogram,
@@ -121,9 +127,19 @@ def load_industry_map(path: str | Path | None) -> IndustryMap:
     return IndustryMap(groups)
 
 
-def compute_returns(cfg: dict) -> ReturnPanel:
+def check_industry_universe(industry: IndustryMap, source: str, tickers: tuple[str, ...]) -> None:
+    """Every ticker the industry map names must be in the price panel."""
+    missing = sorted(set(industry.groups) - set(tickers))
+    if missing:
+        more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
+        raise ConfigError(f"{source}: ticker {missing[0]!r} is not in the price panel{more}")
+
+
+def compute_returns(cfg: dict, periods: list[StudyPeriod] | None = None) -> ReturnPanel:
     panel, divs = ingest(cfg["prices"], cfg["dividends"])
-    return period_returns(panel, divs, load_periods(cfg["periods"]))
+    if periods is None:
+        periods = load_periods(cfg["periods"])
+    return period_returns(panel, divs, periods)
 
 
 def distance_for_period(returns: ReturnPanel, label: str) -> DistanceMatrix:
@@ -230,23 +246,37 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     sim = cfg.get("simulation", {})
     clustering = cfg.get("clustering", {})
-    returns = compute_returns(cfg)
     sizes = [int(m) for m in sim.get("sizes", [2, 4, 8])]
     if any(m not in (2, 4, 8) for m in sizes):
         raise ConfigError("simulation sizes must be within {2, 4, 8}")
+    names = sim.get("strategies", list(_STRATEGY_LABELS))
+    for name in names:
+        if name not in _STRATEGY_LABELS:
+            raise ConfigError(f"unknown strategy {name!r}")
+    periods = load_periods(cfg["periods"])
+    labels = [p.label for p in periods]
+    model_period = sim.get("model_period", labels[0])
+    test_periods = sim.get("test_periods", [model_period])
+    for key, label in [("model_period", model_period)] + [("test_periods", t) for t in test_periods]:
+        if label not in labels:
+            raise ConfigError(
+                f"{args.config}: simulation {key} names {label!r}, "
+                f"which is not a period in {cfg['periods']}"
+            )
     reps = int(sim.get("reps", 1000))
     seed = int(args.seed if args.seed is not None else sim.get("seed", 0))
-    names = sim.get("strategies", list(_STRATEGY_LABELS))
-    model_period = sim.get("model_period", returns.periods[0].label)
-    test_periods = sim.get("test_periods", [model_period])
     rf_table = {**reference.RISK_FREE_PCT, **sim.get("risk_free", {})}
-    industry = load_industry_map(cfg.get("industry_map"))
+    returns = compute_returns(cfg, periods)
+    industry_source = cfg.get("industry_map")
+    industry = load_industry_map(industry_source)
+    if "industry" in names:
+        check_industry_universe(
+            industry, industry_source or "built-in Dow 30 industry map", returns.tickers
+        )
     dist = distance_for_period(returns, model_period)
 
     strategies: list[Strategy] = []
     for name in names:
-        if name not in _STRATEGY_LABELS:
-            raise ConfigError(f"unknown strategy {name!r}")
         label = _STRATEGY_LABELS[name]
         if name == "random":
             strategies.append(Strategy(label, "random", universe=returns.tickers))
@@ -260,17 +290,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 Strategy(label, "cluster", assignment=assignment, pairing=pairing)
             )
 
+    # Replication streams depend on (seed, rep) only: draw each (m, strategy)
+    # portfolio matrix once and score it on every test period.
+    draws = [
+        (strat.name, draw_matrix(strat, returns, m, reps, seed))
+        for m in sizes
+        for strat in strategies
+    ]
     out = Path(args.out_dir)
     for test_period in test_periods:
-        runs = []
-        for m in sizes:
-            for strat in strategies:
-                runs.append(
-                    run_simulation(
-                        strat, returns, test_period, m, reps=reps, seed=seed,
-                        workers=args.workers,
-                    )
-                )
+        runs = [score_period(name, columns, returns, test_period, seed)
+                for name, columns in draws]
         rf = float(rf_table.get(test_period, 0.0))
         report = summarize(
             runs,
@@ -343,7 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out-dir", default="out")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--workers", type=int, default=1)
+    p_sim.add_argument("--workers", type=int, default=1,
+                       help="accepted for compatibility; the engine is single-threaded")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("report", help="render a report CSV as a table")

@@ -8,6 +8,7 @@ from paired clusters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -35,11 +36,18 @@ class ClusterAssignment:
     def k(self) -> int:
         return max(self.assignment.values())
 
+    @cached_property
+    def _clusters(self) -> dict[int, tuple[str, ...]]:
+        out: dict[int, list[str]] = {c: [] for c in range(1, self.k + 1)}
+        for t, c in sorted(self.assignment.items()):
+            out[c].append(t)
+        return {c: tuple(ms) for c, ms in out.items()}
+
     def members(self, cluster_id: int) -> tuple[str, ...]:
-        return tuple(sorted(t for t, c in self.assignment.items() if c == cluster_id))
+        return self._clusters.get(cluster_id, ())
 
     def clusters(self) -> dict[int, tuple[str, ...]]:
-        return {c: self.members(c) for c in range(1, self.k + 1)}
+        return dict(self._clusters)
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(self.members(c)) for c in range(1, self.k + 1))

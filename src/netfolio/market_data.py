@@ -12,6 +12,7 @@ import csv
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,11 @@ class ReturnPanel:
             if p.label == label:
                 return i
         raise DataError(f"unknown period {label!r}")
+
+    @cached_property
+    def column(self) -> dict[str, int]:
+        """Ticker -> column of total_return and weekly_returns."""
+        return {t: j for j, t in enumerate(self.tickers)}
 
     def returns_for(self, label: str) -> np.ndarray:
         """Total returns (%) of all tickers for one period."""

@@ -7,6 +7,7 @@ from datetime import date, timedelta
 
 import pytest
 
+from netfolio import cli
 from netfolio.cli import main
 from netfolio.market_data import BlockModelSpec, synthesize_panel
 
@@ -187,3 +188,43 @@ class TestConfigValidation:
         assert main(["simulate", "--config", str(workspace / "config.json"),
                      "--out-dir", str(out)]) == 2
         assert "ticker,group" in capsys.readouterr().err
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("ran past the input checks")
+
+
+class TestSimulateInputChecks:
+    def simulate(self, config, out):
+        return main(["simulate", "--config", str(config), "--out-dir", str(out)])
+
+    def test_industry_ticker_missing_from_panel(self, workspace, monkeypatch, capsys):
+        with open(workspace / "industry.csv", "a") as fh:
+            fh.write("ZZZ,2\n")
+        monkeypatch.setattr(cli, "build_clusters", _forbidden)
+        monkeypatch.setattr(cli, "draw_matrix", _forbidden)
+        assert self.simulate(workspace / "config.json", workspace / "out") == 2
+        err = capsys.readouterr().err
+        assert "industry.csv" in err and "'ZZZ'" in err and "price panel" in err
+        assert not (workspace / "out").exists()
+
+    def test_industry_map_unchecked_without_industry_strategy(self, workspace, capsys):
+        with open(workspace / "industry.csv", "a") as fh:
+            fh.write("ZZZ,2\n")
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["simulation"]["strategies"] = ["random", "hct"]
+        (workspace / "no_industry.json").write_text(json.dumps(cfg))
+        assert self.simulate(workspace / "no_industry.json", workspace / "out") == 0
+
+    @pytest.mark.parametrize("key,value", [
+        ("model_period", "P9"), ("test_periods", ["P2", "P9"]),
+    ])
+    def test_unknown_period_label(self, workspace, monkeypatch, capsys, key, value):
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["simulation"][key] = value
+        (workspace / "bad_period.json").write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "ingest", _forbidden)
+        assert self.simulate(workspace / "bad_period.json", workspace / "out") == 2
+        err = capsys.readouterr().err
+        assert "bad_period.json" in err and "'P9'" in err and key in err
+        assert not (workspace / "out").exists()

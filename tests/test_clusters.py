@@ -91,3 +91,11 @@ class TestPairByDistance:
         a = renumber([("A", "B"), ("C", "D")], "mst")
         # Cross distances: AC=0.4, AD=0.6, BC=0.8, BD=1.0 -> mean 0.7.
         assert mean_intercluster_distance(a, dist, 1, 2) == pytest.approx(0.7)
+
+
+class TestCachedMembership:
+    def test_clusters_is_a_copy(self):
+        a = ClusterAssignment({"A": 1, "B": 2, "C": 1}, method="hct")
+        a.clusters()[1] = ("Z",)
+        assert a.clusters() == {1: ("A", "C"), 2: ("B",)}
+        assert a.members(1) == ("A", "C") and a.members(3) == ()

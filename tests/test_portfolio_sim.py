@@ -19,6 +19,7 @@ from netfolio.portfolio_sim import (
     Strategy,
     cluster_mean_returns,
     default_industry_map,
+    draw_matrix,
     portfolio_return,
     replication_rng,
     run_simulation,
@@ -231,3 +232,58 @@ class TestRunSimulation:
         assignment = renumber([("A", "B"), ("C", "D")], "hct")
         rows = cluster_mean_returns(assignment, panel, "P1")
         assert rows == [(1, 2.0, 2), (2, 6.0, 2)]
+
+
+class TestDrawMatrix:
+    """The index matrix against the per-draw loop it replaces."""
+
+    TICKERS = ("D2", "A1", "C1", "B2", "A2", "D1", "B1", "C2")
+
+    def panel(self):
+        values = np.random.default_rng(3).normal(5.0, 20.0, size=len(self.TICKERS))
+        return toy_panel(self.TICKERS, values)
+
+    def strategies(self):
+        four = renumber([("A1", "B1"), ("A2", "C2"), ("B2", "D1"), ("C1", "D2")], "hct")
+        two = renumber([("A1", "A2", "B1", "B2"), ("C1", "C2", "D1", "D2")], "mst")
+        return [
+            Strategy("Random", "random", universe=self.TICKERS),
+            Strategy("Industry", "industry", industry=FOUR_GROUPS),
+            Strategy("Paired", "cluster", assignment=four, pairing=ClusterPairing(((1, 3), (2, 4)))),
+            Strategy("Unpaired", "cluster", assignment=four),
+            Strategy("Two", "cluster", assignment=two),
+        ]
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_rows_are_the_drawn_portfolios(self, m):
+        panel = self.panel()
+        for strategy in self.strategies():
+            columns = draw_matrix(strategy, panel, m, reps=60, seed=12)
+            draws = [strategy.draw(m, replication_rng(12, rep), rep) for rep in range(60)]
+            expected = [[panel.column[t] for t in d.tickers] for d in draws]
+            assert columns.tolist() == expected, strategy.name
+            run = run_simulation(strategy, panel, "P1", m, reps=60, seed=12)
+            loop = np.array([portfolio_return(d, panel, "P1") for d in draws])
+            np.testing.assert_array_equal(run.returns, loop)
+
+    def test_ticker_outside_panel(self):
+        panel = toy_panel(["A1", "B1", "C1"], [1.0, 2.0, 3.0])
+        strategy = Strategy("Industry", "industry", industry=FOUR_GROUPS)
+        with pytest.raises(SimulationError, match="unknown ticker 'A2'"):
+            draw_matrix(strategy, panel, 2, reps=5)
+
+    def test_size_checked_before_drawing(self):
+        strategy = Strategy("Industry", "industry", industry=FOUR_GROUPS)
+        with pytest.raises(SimulationError, match="m <= 4 or m = 8"):
+            draw_matrix(strategy, self.panel(), 6, reps=5)
+
+    def test_unknown_kind(self):
+        with pytest.raises(SimulationError, match="unknown strategy kind"):
+            draw_matrix(Strategy("X", "lottery"), self.panel(), 2, reps=5)
+
+
+class TestCachedMembership:
+    def test_group_members_is_a_copy(self):
+        industry = IndustryMap({"A": 1, "B": 2, "C": 1})
+        industry.group_members()[1] = ("Z",)
+        assert industry.group_members() == {1: ("A", "C"), 2: ("B",)}
