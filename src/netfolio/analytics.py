@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .portfolio_sim import SimulationRun
 
@@ -38,6 +37,8 @@ class LeveneResult:
 
 def f_tail(W: float, df1: int, df2: int) -> float:
     """Upper tail P(F(df1, df2) > W) via the regularized incomplete beta."""
+    from scipy import special  # imported here so commands without Levene tests skip scipy
+
     if W <= 0:
         return 1.0
     x = df2 / (df2 + df1 * W)

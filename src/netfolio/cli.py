@@ -28,7 +28,7 @@ from .analytics import (
 )
 from .clusters import ClusterAssignment, ClusterPairing, pair_by_distance, pair_by_size
 from .correlation import DistanceMatrix, pearson_correlation, ultrametric_distance
-from .market_data import DataError, ReturnPanel, StudyPeriod, ingest, period_returns
+from .market_data import DataError, ReturnPanel, StudyPeriod, _parse_date, ingest, period_returns
 from .neighbor_net import (
     fit_split_weights,
     neighbornet_ordering,
@@ -93,22 +93,17 @@ def load_periods(path: str | Path) -> list[StudyPeriod]:
     periods = []
     for entry in raw:
         try:
+            where = f"{path}: period {entry['label']!r}"
             periods.append(
                 StudyPeriod(
                     entry["label"],
-                    _date(entry["start"]),
-                    _date(entry["end"]),
+                    _parse_date(entry["start"], f"{where} start"),
+                    _parse_date(entry["end"], f"{where} end"),
                 )
             )
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: bad period entry {entry!r}: {exc}") from None
     return periods
-
-
-def _date(text: str):
-    from datetime import datetime
-
-    return datetime.strptime(text, "%Y-%m-%d").date()
 
 
 def load_industry_map(path: str | Path | None) -> IndustryMap:
@@ -120,10 +115,13 @@ def load_industry_map(path: str | Path | None) -> IndustryMap:
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["ticker", "group"]:
             raise ConfigError(f"{path}: expected header 'ticker,group'")
-        for row in reader:
+        for lineno, row in enumerate(reader, start=2):
             if len(row) != 2:
-                raise ConfigError(f"{path}: bad row {row!r}")
-            groups[row[0].strip()] = int(row[1])
+                raise ConfigError(f"{path}:{lineno}: bad row {row!r}")
+            try:
+                groups[row[0].strip()] = int(row[1])
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: invalid group {row[1]!r}") from None
     return IndustryMap(groups)
 
 

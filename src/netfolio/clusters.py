@@ -7,6 +7,7 @@ from paired clusters.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -90,30 +91,36 @@ def mean_intercluster_distance(assignment: ClusterAssignment, dist: DistanceMatr
     return float(np.mean(dist.d[np.ix_(ia, ib)]))
 
 
-def pair_by_distance(assignment: ClusterAssignment, dist: DistanceMatrix) -> ClusterPairing:
-    """Perfect matching of clusters maximizing total mean inter-cluster distance."""
-    if assignment.k % 2 != 0:
-        raise ClusterError("distance pairing requires an even cluster count")
-    ids = list(range(1, assignment.k + 1))
-    gap = {
-        (a, b): mean_intercluster_distance(assignment, dist, a, b)
-        for a, b in combinations(ids, 2)
-    }
+def best_matching(k: int, score: Callable[[int, int], float]) -> tuple[tuple[int, int], ...]:
+    """Perfect matching of clusters 1..k (k even) maximizing the summed pair score.
 
-    best_pairs: tuple[tuple[int, int], ...] | None = None
+    Matchings are enumerated by pairing the smallest remaining id with each
+    larger one in turn; the first matching found keeps a tie.
+    """
+    best: tuple[tuple[int, int], ...] = ()
     best_total = -np.inf
 
-    def matchings(remaining: list[int], chosen: list[tuple[int, int]], total: float) -> None:
-        nonlocal best_pairs, best_total
+    def search(remaining: list[int], chosen: list[tuple[int, int]], total: float) -> None:
+        nonlocal best, best_total
         if not remaining:
             if total > best_total:
-                best_total, best_pairs = total, tuple(sorted(chosen))
+                best_total, best = total, tuple(chosen)
             return
         first = remaining[0]
         for other in remaining[1:]:
             rest = [c for c in remaining if c not in (first, other)]
-            matchings(rest, chosen + [(first, other)], total + gap[(first, other)])
+            search(rest, chosen + [(first, other)], total + score(first, other))
 
-    matchings(ids, [], 0.0)
-    assert best_pairs is not None
-    return ClusterPairing(best_pairs)
+    search(list(range(1, k + 1)), [], 0.0)
+    return best
+
+
+def pair_by_distance(assignment: ClusterAssignment, dist: DistanceMatrix) -> ClusterPairing:
+    """Perfect matching of clusters maximizing total mean inter-cluster distance."""
+    if assignment.k % 2 != 0:
+        raise ClusterError("distance pairing requires an even cluster count")
+    gap = {
+        (a, b): mean_intercluster_distance(assignment, dist, a, b)
+        for a, b in combinations(range(1, assignment.k + 1), 2)
+    }
+    return ClusterPairing(best_matching(assignment.k, lambda a, b: gap[a, b]))

@@ -25,7 +25,7 @@ class DataError(ValueError):
 def _parse_date(text: str, where: str) -> date:
     try:
         return datetime.strptime(text.strip(), "%Y-%m-%d").date()
-    except ValueError:
+    except (AttributeError, ValueError):  # AttributeError: not a string
         raise DataError(f"{where}: invalid ISO-8601 date {text!r}") from None
 
 
@@ -121,6 +121,13 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
     """
     price_file, dividend_file = Path(price_file), Path(dividend_file)
     cells: dict[tuple[date, str], float] = {}
+    parsed: dict[str, date] = {}  # raw date text -> date; every ticker repeats each date
+
+    def parse_date(text: str, where: str) -> date:
+        if text not in parsed:
+            parsed[text] = _parse_date(text, where)
+        return parsed[text]
+
     with open(price_file, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -131,7 +138,7 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
                 continue
             if len(row) != 3:
                 raise DataError(f"{price_file}:{lineno}: expected 3 fields, got {len(row)}")
-            d = _parse_date(row[0], f"{price_file}:{lineno}")
+            d = parse_date(row[0], f"{price_file}:{lineno}")
             ticker = row[1].strip()
             if not ticker:
                 raise DataError(f"{price_file}:{lineno}: empty ticker")
@@ -173,7 +180,7 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
             ticker = row[0].strip()
             if ticker not in panel.tickers:
                 raise DataError(f"{dividend_file}:{lineno}: dividend for unknown ticker {ticker!r}")
-            d = _parse_date(row[1], f"{dividend_file}:{lineno}")
+            d = parse_date(row[1], f"{dividend_file}:{lineno}")
             if not (dates[0] <= d <= dates[-1]):
                 raise DataError(
                     f"{dividend_file}:{lineno}: payment date {d.isoformat()} outside panel range"

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .clusters import ClusterAssignment, ClusterError, ClusterPairing, renumber
+from .clusters import ClusterAssignment, ClusterError, ClusterPairing, best_matching, renumber
 from .correlation import DistanceMatrix
 from .nnls import nnls
 
@@ -262,40 +262,18 @@ def pair_nn_clusters(assignment: ClusterAssignment, ordering: tuple[str, ...]) -
     pos = {t: i for i, t in enumerate(ordering)}
     midpoints: dict[int, float] = {}
     for cid, members in assignment.clusters().items():
-        ps = sorted(pos[t] for t in members)
-        # Rotate to make the arc contiguous before taking its midpoint.
-        offset = 0
-        for r in range(len(ps)):
-            rot = sorted((p - ps[r]) % n for p in ps)
-            if rot == list(range(len(ps))):
-                offset = ps[r]
-                break
-        else:
+        ps = {pos[t] for t in members}
+        # A contiguous arc has exactly one member whose predecessor is outside it.
+        starts = [p for p in ps if (p - 1) % n not in ps]
+        if len(starts) != 1:
             raise ClusterError(f"cluster {cid} is not a contiguous arc of the ordering")
-        midpoints[cid] = (offset + (len(ps) - 1) / 2.0) % n
+        midpoints[cid] = (starts[0] + (len(ps) - 1) / 2.0) % n
 
     def separation(a: int, b: int) -> float:
         diff = abs(midpoints[a] - midpoints[b])
         return min(diff, n - diff)
 
-    ids = list(range(1, assignment.k + 1))
-    best: tuple[tuple[int, int], ...] | None = None
-    best_total = -1.0
-
-    def matchings(remaining: list[int], chosen: list[tuple[int, int]], total: float) -> None:
-        nonlocal best, best_total
-        if not remaining:
-            if total > best_total:
-                best_total, best = total, tuple(sorted(chosen))
-            return
-        first = remaining[0]
-        for other in remaining[1:]:
-            rest = [c for c in remaining if c not in (first, other)]
-            matchings(rest, chosen + [(first, other)], total + separation(first, other))
-
-    matchings(ids, [], 0.0)
-    assert best is not None
-    return ClusterPairing(best)
+    return ClusterPairing(best_matching(assignment.k, separation))
 
 
 def write_nexus(dist: DistanceMatrix, system: CircularSplitSystem | None = None) -> str:

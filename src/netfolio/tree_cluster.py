@@ -48,11 +48,15 @@ class Dendrogram:
         return len(self.tickers)
 
     def leaves_under(self, node: int) -> tuple[str, ...]:
-        n = self.n
-        if node < n:
-            return (self.tickers[node],)
-        m = self.merges[node - n]
-        return tuple(sorted(self.leaves_under(m.left) + self.leaves_under(m.right)))
+        # Iterative: a chained dendrogram is as deep as it has leaves.
+        n, stack, leaves = self.n, [node], []
+        while stack:
+            x = stack.pop()
+            if x < n:
+                leaves.append(self.tickers[x])
+            else:
+                stack += (self.merges[x - n].left, self.merges[x - n].right)
+        return tuple(sorted(leaves))
 
 
 @dataclass(frozen=True)
@@ -126,21 +130,18 @@ def cut_dendrogram(tree: Dendrogram, k: int) -> ClusterAssignment:
     n = tree.n
     if not 1 <= k <= n:
         raise ClusterError(f"k must be in [1, {n}]")
-    parent: dict[int, int] = {}
+    merged = n - k
+    children = {c for m in tree.merges[:merged] for c in (m.left, m.right)}
+    roots = [r for r in range(n + merged) if r not in children]
+    return renumber([tree.leaves_under(r) for r in roots], "HCT")
 
-    def find(x: int) -> int:
-        while x in parent:
-            x = parent[x]
-        return x
 
-    for i, m in enumerate(tree.merges[: n - k]):
-        root = n + i
-        parent[find(m.left)] = root
-        parent[find(m.right)] = root
-    groups: dict[int, list[str]] = {}
-    for leaf in range(n):
-        groups.setdefault(find(leaf), []).append(tree.tickers[leaf])
-    return renumber([tuple(g) for g in groups.values()], "HCT")
+def _find(root: dict[str, str], x: str) -> str:
+    """Union-find root of x, halving the path on the way up."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
 
 
 def minimum_spanning_tree(dist: DistanceMatrix) -> SpanningTree:
@@ -154,16 +155,9 @@ def minimum_spanning_tree(dist: DistanceMatrix) -> SpanningTree:
         for j in range(i + 1, n)
     )
     root = {t: t for t in dist.tickers}
-
-    def find(t: str) -> str:
-        while root[t] != t:
-            root[t] = root[root[t]]
-            t = root[t]
-        return t
-
     edges: list[tuple[str, str, float]] = []
     for w, a, b in candidates:
-        ra, rb = find(a), find(b)
+        ra, rb = _find(root, a), _find(root, b)
         if ra != rb:
             root[ra] = rb
             edges.append((min(a, b), max(a, b), w))
@@ -173,26 +167,13 @@ def minimum_spanning_tree(dist: DistanceMatrix) -> SpanningTree:
 
 
 def _components(tickers: tuple[str, ...], edges: list[tuple[str, str]]) -> list[tuple[str, ...]]:
-    adj: dict[str, list[str]] = {t: [] for t in tickers}
+    root = {t: t for t in tickers}
     for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen: set[str] = set()
-    comps: list[tuple[str, ...]] = []
+        root[_find(root, a)] = _find(root, b)
+    comps: dict[str, list[str]] = {}
     for t in tickers:
-        if t in seen:
-            continue
-        stack, comp = [t], []
-        seen.add(t)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(tuple(sorted(comp)))
-    return comps
+        comps.setdefault(_find(root, t), []).append(t)
+    return [tuple(sorted(c)) for c in comps.values()]
 
 
 def _assign_by_nearest(

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
+import netfolio
 from netfolio import cli
 from netfolio.cli import main
 from netfolio.market_data import BlockModelSpec, synthesize_panel
@@ -182,6 +187,29 @@ class TestConfigValidation:
         assert main(["returns", "--config", str(workspace / "config.json")]) == 2
         assert "bad period entry" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("start", ["2001-13-40", 20010102])
+    def test_bad_period_date_located(self, workspace, capsys, start):
+        periods = json.loads((workspace / "periods.json").read_text())
+        periods[1]["start"] = start
+        (workspace / "periods.json").write_text(json.dumps(periods))
+        assert main(["returns", "--config", str(workspace / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert "periods.json: period 'P2' start: invalid ISO-8601 date" in err
+        assert str(start) in err
+
+    @pytest.mark.parametrize("row,message", [
+        ("S02,x", "industry.csv:4: invalid group 'x'"),
+        ("S02,1,9", "industry.csv:4: bad row"),
+    ])
+    def test_bad_industry_row_located(self, workspace, capsys, row, message):
+        lines = (workspace / "industry.csv").read_text().splitlines()
+        lines[3] = row
+        (workspace / "industry.csv").write_text("\n".join(lines) + "\n")
+        out = workspace / "out"
+        assert main(["simulate", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_industry_header(self, workspace, capsys):
         (workspace / "industry.csv").write_text("symbol,grp\nA,1\n")
         out = workspace / "out"
@@ -228,3 +256,12 @@ class TestSimulateInputChecks:
         err = capsys.readouterr().err
         assert "bad_period.json" in err and "'P9'" in err and key in err
         assert not (workspace / "out").exists()
+
+
+def test_cli_import_skips_scipy():
+    # scipy is imported only for Levene p-values, so commands that never
+    # run a Levene test do not pay for it.
+    src = Path(netfolio.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import netfolio.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

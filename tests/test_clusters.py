@@ -10,6 +10,7 @@ import pytest
 from netfolio.clusters import (
     ClusterAssignment,
     ClusterError,
+    best_matching,
     mean_intercluster_distance,
     pair_by_distance,
     pair_by_size,
@@ -91,6 +92,12 @@ class TestPairByDistance:
         a = renumber([("A", "B"), ("C", "D")], "mst")
         # Cross distances: AC=0.4, AD=0.6, BC=0.8, BD=1.0 -> mean 0.7.
         assert mean_intercluster_distance(a, dist, 1, 2) == pytest.approx(0.7)
+
+
+class TestBestMatching:
+    def test_first_matching_wins_ties(self):
+        assert best_matching(4, lambda a, b: 1.0) == ((1, 2), (3, 4))
+        assert best_matching(6, lambda a, b: 0.0) == ((1, 2), (3, 4), (5, 6))
 
 
 class TestCachedMembership:

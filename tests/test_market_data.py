@@ -75,6 +75,15 @@ class TestIngest:
         with pytest.raises(DataError, match=r":3"):
             ingest(p, d)
 
+    def test_malformed_date_names_line(self, tmp_path):
+        p, d = write_csvs(
+            tmp_path,
+            [f"{WEEK1},AAA,10", f"{WEEK2},AAA,11", f"{WEEK2},BBB,11", "2001-02-30,AAA,12"],
+            [],
+        )
+        with pytest.raises(DataError, match=r"prices\.csv:5: invalid ISO-8601 date '2001-02-30'"):
+            ingest(p, d)
+
     def test_dividend_outside_range(self, tmp_path):
         p, d = write_csvs(
             tmp_path,

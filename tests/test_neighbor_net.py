@@ -8,7 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from netfolio.clusters import ClusterError
+from netfolio.clusters import ClusterError, renumber
 from netfolio.correlation import DistanceMatrix
 from netfolio.neighbor_net import (
     NeighborNetError,
@@ -231,6 +231,19 @@ class TestArcPairing:
         assignment = nn_clusters(system, dist, 3, manual_breaks=[0, 2, 4])
         with pytest.raises(ClusterError):
             pair_nn_clusters(assignment, system.ordering)
+
+    def test_wrapping_arc_midpoint(self):
+        # On a circle of 7 the arc G,A starts at G: midpoints are {G,A} 6.5,
+        # {B,C,D} 2, {E} 4, {F} 5, so (1,3)+(2,4) separates 2.5+3 and beats
+        # the other two matchings at 3.5 each.
+        assignment = renumber([("A", "G"), ("B", "C", "D"), ("E",), ("F",)], "NN")
+        pairing = pair_nn_clusters(assignment, ("A", "B", "C", "D", "E", "F", "G"))
+        assert pairing.pairs == ((1, 3), (2, 4))
+
+    def test_non_contiguous_cluster_rejected(self):
+        assignment = renumber([("A", "C"), ("B", "D"), ("E",), ("F",)], "NN")
+        with pytest.raises(ClusterError, match="cluster 1 is not a contiguous arc"):
+            pair_nn_clusters(assignment, ("A", "B", "C", "D", "E", "F"))
 
 
 class TestNexus:

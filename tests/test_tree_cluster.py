@@ -7,10 +7,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import fcluster, linkage
+from scipy.spatial.distance import squareform
 
 from netfolio.clusters import ClusterError
 from netfolio.correlation import DistanceMatrix
 from netfolio.tree_cluster import (
+    Dendrogram,
+    Merge,
     average_linkage_hct,
     cut_dendrogram,
     edge_list_csv,
@@ -158,6 +162,12 @@ class TestCutDendrogram:
         with pytest.raises(ClusterError):
             cut_dendrogram(self.three_leaf_tree(), 4)
 
+    def test_chained_dendrogram_deeper_than_recursion_limit(self):
+        n = 1500
+        tickers = tuple(f"T{i:04d}" for i in range(n))
+        merges = [Merge(0, 1, 0.0)] + [Merge(n + i - 1, i + 1, float(i)) for i in range(1, n - 1)]
+        assert cut_dendrogram(Dendrogram(tickers, tuple(merges)), 2).sizes() == (n - 1, 1)
+
     def test_cuts_refine(self, rng):
         dist = random_distance_matrix(rng, 9)
         tree = average_linkage_hct(dist)
@@ -242,6 +252,38 @@ class TestMstClusters:
         tree, dist = self.path_tree()
         with pytest.raises(ClusterError, match="smaller min_branch"):
             mst_clusters(tree, dist, 3, mode="hub", min_branch=2, hub="B")
+
+
+class TestScipyLinkageOracle:
+    """On tie-free distances, cutting the average-linkage dendrogram and
+    deleting the heaviest MST edges give scipy's maxclust partitions of
+    average and single linkage."""
+
+    @staticmethod
+    def scipy_partition(dist, method, k):
+        labels = fcluster(linkage(squareform(dist.d), method), k, "maxclust")
+        return {
+            frozenset(t for t, c in zip(dist.tickers, labels) if c == label)
+            for label in set(labels)
+        }
+
+    @staticmethod
+    def partition(assignment):
+        return {frozenset(c) for c in assignment.clusters().values()}
+
+    @pytest.mark.parametrize("n", range(2, 14))
+    def test_every_cut_matches_scipy(self, rng, n):
+        for _ in range(3):
+            dist = random_distance_matrix(rng, n)
+            tree = average_linkage_hct(dist)
+            mst = minimum_spanning_tree(dist)
+            for k in range(1, n + 1):
+                assert self.partition(cut_dendrogram(tree, k)) == self.scipy_partition(
+                    dist, "average", k
+                )
+                assert self.partition(mst_clusters(mst, dist, k)) == self.scipy_partition(
+                    dist, "single", k
+                )
 
 
 class TestExports:
