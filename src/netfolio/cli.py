@@ -28,7 +28,15 @@ from .analytics import (
 )
 from .clusters import ClusterAssignment, ClusterPairing, pair_by_distance, pair_by_size
 from .correlation import DistanceMatrix, pearson_correlation, ultrametric_distance
-from .market_data import DataError, ReturnPanel, StudyPeriod, _parse_date, ingest, period_returns
+from .market_data import (
+    DataError,
+    ReturnPanel,
+    StudyPeriod,
+    _blank,
+    _parse_date,
+    ingest,
+    period_returns,
+)
 from .neighbor_net import (
     fit_split_weights,
     neighbornet_ordering,
@@ -116,6 +124,8 @@ def load_industry_map(path: str | Path | None) -> IndustryMap:
         if header is None or [h.strip() for h in header] != ["ticker", "group"]:
             raise ConfigError(f"{path}: expected header 'ticker,group'")
         for lineno, row in enumerate(reader, start=2):
+            if _blank(row):
+                continue
             if len(row) != 2:
                 raise ConfigError(f"{path}:{lineno}: bad row {row!r}")
             try:

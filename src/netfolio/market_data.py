@@ -9,6 +9,7 @@ resulting total-return index between two panel dates.
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
@@ -27,6 +28,19 @@ def _parse_date(text: str, where: str) -> date:
         return datetime.strptime(text.strip(), "%Y-%m-%d").date()
     except (AttributeError, ValueError):  # AttributeError: not a string
         raise DataError(f"{where}: invalid ISO-8601 date {text!r}") from None
+
+
+def _blank(row: list[str]) -> bool:
+    """A CSV row with no fields or one empty field; readers skip it."""
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def _number(text: str) -> float:
+    """The float a CSV field spells, or nan when it spells none."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
 
 
 @dataclass(frozen=True)
@@ -134,7 +148,7 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
         if header is None or [h.strip() for h in header] != ["date", "ticker", "close"]:
             raise DataError(f"{price_file}: expected header 'date,ticker,close'")
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
+            if _blank(row):
                 continue
             if len(row) != 3:
                 raise DataError(f"{price_file}:{lineno}: expected 3 fields, got {len(row)}")
@@ -142,10 +156,9 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
             ticker = row[1].strip()
             if not ticker:
                 raise DataError(f"{price_file}:{lineno}: empty ticker")
-            try:
-                close = float(row[2])
-            except ValueError:
-                raise DataError(f"{price_file}:{lineno}: invalid price {row[2]!r}") from None
+            close = _number(row[2])
+            if not math.isfinite(close):
+                raise DataError(f"{price_file}:{lineno}: invalid price {row[2]!r}")
             if close <= 0:
                 raise DataError(
                     f"{price_file}:{lineno}: non-positive price for ({d.isoformat()}, {ticker})"
@@ -173,7 +186,7 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
         if header is None or [h.strip() for h in header] != ["ticker", "payment_date", "amount"]:
             raise DataError(f"{dividend_file}: expected header 'ticker,payment_date,amount'")
         for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
+            if _blank(row):
                 continue
             if len(row) != 3:
                 raise DataError(f"{dividend_file}:{lineno}: expected 3 fields, got {len(row)}")
@@ -185,10 +198,9 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
                 raise DataError(
                     f"{dividend_file}:{lineno}: payment date {d.isoformat()} outside panel range"
                 )
-            try:
-                amount = float(row[2])
-            except ValueError:
-                raise DataError(f"{dividend_file}:{lineno}: invalid amount {row[2]!r}") from None
+            amount = _number(row[2])
+            if not math.isfinite(amount):
+                raise DataError(f"{dividend_file}:{lineno}: invalid amount {row[2]!r}")
             if amount < 0:
                 raise DataError(f"{dividend_file}:{lineno}: negative dividend amount")
             entries.append(Dividend(ticker, d, amount))

@@ -11,13 +11,12 @@ splits of the ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .clusters import ClusterAssignment, ClusterError, ClusterPairing, best_matching, renumber
 from .correlation import DistanceMatrix
-from .nnls import nnls
+from .nnls import nnls_gram
 
 
 class NeighborNetError(ValueError):
@@ -60,50 +59,48 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
     reductions: list[tuple[int, int, int, int, int]] = []  # (u, v, x, y, z)
     next_id = n
 
-    def unit_dist(x: int, unit: list[int]) -> float:
-        return float(np.mean([D[x, u] for u in unit]))
-
-    def comp_dist(A: list[int], B: list[int]) -> float:
-        return float(np.mean([[D[a, b] for b in B] for a in A]))
-
-    def comp_label(A: list[int]) -> str:
-        return min(labels[a] for a in A)
-
+    # Each value below comes from the same floating-point operations, in the
+    # same order, as np.mean over the member distances (a left-to-right sum
+    # divided by the count) and Python's sum over the other components, so
+    # every tie-break, and with it the ordering, is exact.
     while len(components) > 1:
         m = len(components)
-        cd = {}
-        for i, j in combinations(range(m), 2):
-            cd[(i, j)] = cd[(j, i)] = comp_dist(components[i], components[j])
-        row = [sum(cd[(i, j)] for j in range(m) if j != i) for i in range(m)]
-
-        best_pair: tuple[int, int] | None = None
-        best_key: tuple = ()
-        for i, j in combinations(range(m), 2):
-            q = (m - 2) * cd[(i, j)] - row[i] - row[j]
-            key = (q, tuple(sorted((comp_label(components[i]), comp_label(components[j])))))
-            if best_pair is None or key < best_key:
-                best_pair, best_key = (i, j), key
-        i, j = best_pair
+        first, last = np.array([(c[0], c[-1]) for c in components]).T
+        two = first != last
+        size = two + 1.0
+        # Component distances of the upper triangle (row component first), mirrored.
+        cd = D[np.ix_(first, first)] + np.where(two, D[np.ix_(first, last)], 0.0)
+        cd = cd + np.where(two[:, None], D[np.ix_(last, first)], 0.0)
+        cd = cd + np.where(two[:, None] & two, D[np.ix_(last, last)], 0.0)
+        cd = np.triu(cd / np.outer(size, size), 1)
+        cd = cd + cd.T
+        row = np.array([sum(r) for r in cd.tolist()])
+        q = (m - 2) * cd - row[:, None] - row
+        iu = np.triu_indices(m, 1)
+        tied = np.flatnonzero(q[iu] == q[iu].min())
+        comp_labels = [min(labels[a] for a in comp) for comp in components]
+        i, j = min(
+            ((int(iu[0][t]), int(iu[1][t])) for t in tied),
+            key=lambda ij: sorted((comp_labels[ij[0]], comp_labels[ij[1]])),
+        )
         A, B = components[i], components[j]
 
         # Secondary selection: endpoints of A against endpoints of B, with the
         # nodes of A and B treated as singleton units beside the other components.
-        units = [components[t] for t in range(m) if t not in (i, j)]
-        units += [[a] for a in A] + [[b] for b in B]
-        m_hat = len(units)
-        ends_a = [A[0]] if len(A) == 1 else [A[0], A[-1]]
-        ends_b = [B[0]] if len(B) == 1 else [B[0], B[-1]]
-        best_nodes: tuple[int, int] | None = None
-        best_nkey: tuple = ()
-        for x in ends_a:
-            for y in ends_b:
-                q = (m_hat - 2) * D[x, y]
-                q -= sum(unit_dist(x, u) for u in units if u != [x])
-                q -= sum(unit_dist(y, u) for u in units if u != [y])
-                key = (q, tuple(sorted((labels[x], labels[y]))))
-                if best_nodes is None or key < best_nkey:
-                    best_nodes, best_nkey = (x, y), key
-        x, y = best_nodes
+        others = [t for t in range(m) if t not in (i, j)]
+        m_hat = len(others) + len(A) + len(B)
+        o_first, o_last, o_two, o_size = first[others], last[others], two[others], size[others]
+
+        def unit_sum(x: int) -> float:
+            units = (D[x, o_first] + np.where(o_two, D[x, o_last], 0.0)) / o_size
+            return sum(units.tolist() + D[x, [u for u in A + B if u != x]].tolist())
+
+        def node_key(xy: tuple[int, int]) -> tuple:
+            q_xy = (m_hat - 2) * D[xy] - unit_sum(xy[0]) - unit_sum(xy[1])
+            return q_xy, sorted(labels[v] for v in xy)
+
+        ends_a, ends_b = (A[0], A[-1])[: len(A)], (B[0], B[-1])[: len(B)]
+        x, y = min(((x, y) for x in ends_a for y in ends_b), key=node_key)  # first of ties
 
         chain_a = A if A[-1] == x else A[::-1]
         chain_b = B if B[0] == y else B[::-1]
@@ -119,9 +116,8 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
                 raise NeighborNetError("node capacity exceeded")
             active = [node for comp in components for node in comp if comp not in (A, B)]
             active += [node for node in chain if node not in (cx, cy, cz)]
-            for a in active:
-                D[a, u] = D[u, a] = (2.0 * D[a, cx] + D[a, cy]) / 3.0
-                D[a, v] = D[v, a] = (D[a, cy] + 2.0 * D[a, cz]) / 3.0
+            D[active, u] = D[u, active] = (2.0 * D[active, cx] + D[active, cy]) / 3.0
+            D[active, v] = D[v, active] = (D[active, cy] + 2.0 * D[active, cz]) / 3.0
             D[u, v] = D[v, u] = (D[cx, cy] + D[cx, cz] + D[cy, cz]) / 3.0
             labels.append(min(labels[cx], labels[cy]))
             labels.append(min(labels[cy], labels[cz]))
@@ -152,28 +148,23 @@ def all_arc_splits(n: int) -> list[tuple[int, int]]:
 
 def split_design_matrix(n: int) -> np.ndarray:
     """Indicator matrix: rows = position pairs (p<q), cols = arc splits."""
-    arcs = all_arc_splits(n)
-    pairs = list(combinations(range(n), 2))
-    mat = np.zeros((len(pairs), len(arcs)))
-    for col, (s, length) in enumerate(arcs):
-        for rowi, (p, q) in enumerate(pairs):
-            inside_p = s <= p < s + length
-            inside_q = s <= q < s + length
-            if inside_p != inside_q:
-                mat[rowi, col] = 1.0
-    return mat
+    starts, lengths = np.array(all_arc_splits(n)).T
+    return _separates(n, starts, lengths).astype(float)
+
+
+def _separates(n: int, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Bool (pairs x arcs): does arc [start, start+length) separate pair p<q?"""
+    p, q = (v[:, None] for v in np.triu_indices(n, 1))
+    ends = starts + lengths
+    return ((starts <= p) & (p < ends)) != ((starts <= q) & (q < ends))
 
 
 def circular_metric_matrix(n: int, splits: list[tuple[int, int, float]]) -> np.ndarray:
     """Raw position-indexed distance matrix induced by weighted arc splits."""
-    d = np.zeros((n, n))
-    for s, length, w in splits:
-        arc = set(range(s, s + length))
-        for p in range(n):
-            for q in range(p + 1, n):
-                if (p in arc) != (q in arc):
-                    d[p, q] += w
-                    d[q, p] += w
+    d, pos = np.zeros((n, n)), np.arange(n)
+    for s, length, w in splits:  # one split at a time: the same sums as pair by pair
+        inside = (s <= pos) & (pos < s + length)
+        d += w * (inside[:, None] != inside)
     return d
 
 
@@ -199,12 +190,30 @@ def fit_split_weights(
     if sorted(ordering) != sorted(dist.tickers):
         raise NeighborNetError("ordering must be a permutation of the distance tickers")
     arcs = all_arc_splits(n)
-    A = split_design_matrix(n)
-    idx = [dist.ticker_index(t) for t in ordering]
-    b = np.array([dist.d[idx[p], idx[q]] for p, q in combinations(range(n), 2)])
+    starts, lengths = np.array(arcs).T
+    ends = starts + lengths
+    pos = np.array([dist.ticker_index(t) for t in ordering])
+    p, q = np.triu_indices(n, 1)
+    b = dist.d[pos[p], pos[q]]
+    # Aᵀb without A: an arc's entry sums b over the pairs with one end in it,
+    # i.e. its rows' sums minus its square block, read off 2-D prefix sums.
+    cum = np.zeros((n + 1, n + 1))
+    cum[p + 1, q + 1] = cum[q + 1, p + 1] = b
+    cum = cum.cumsum(axis=0).cumsum(axis=1)
+    rows = cum[ends, n] - cum[starts, n]
+    atb = rows - (cum[ends, ends] - cum[starts, ends] - cum[ends, starts] + cum[starts, starts])
+
+    def gram_column(j: int) -> np.ndarray:
+        # Pairs split by both arcs: a*d + b*c for a = |S1∩S2|, b = |S1∖S2|,
+        # c = |S2∖S1|, d = n-a-b-c, which expands to the line below.
+        a = np.maximum(np.minimum(ends, ends[j]) - np.maximum(starts, starts[j]), 0)
+        return a * (n - 2 * (lengths + lengths[j]) + 2 * a) + lengths * lengths[j]
+
     if max_iter is None:
         max_iter = 10 * n * n
-    w, residual = nnls(A, b, max_iter=max_iter)
+    w, residual = nnls_gram(
+        gram_column, atb, b, lambda cols: _separates(n, starts[cols], lengths[cols]), max_iter
+    )
     splits = tuple(
         Split(s, length, float(weight))
         for (s, length), weight in zip(arcs, w)

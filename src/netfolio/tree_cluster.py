@@ -37,10 +37,12 @@ class Dendrogram:
         if any(b < a - 1e-12 for a, b in zip(heights, heights[1:])):
             raise ClusterError("average-linkage merge heights must be non-decreasing")
         seen: set[int] = set()
-        for m in self.merges:
+        for k, m in enumerate(self.merges):
             for node in (m.left, m.right):
-                if node < n and node in seen:
-                    raise ClusterError("leaf used twice in merges")
+                if not 0 <= node < n + k:
+                    raise ClusterError(f"merge {k} uses node {node} before it exists")
+                if node in seen:
+                    raise ClusterError(f"node {node} used twice in merges")
                 seen.add(node)
 
     @property
@@ -254,17 +256,14 @@ def to_newick(tree: Dendrogram) -> str:
     def height(node: int) -> float:
         return 0.0 if node < tree.n else tree.merges[node - tree.n].height
 
-    def render(node: int) -> str:
-        if node < tree.n:
-            return tree.tickers[node]
-        m = tree.merges[node - tree.n]
-        parts = []
-        for child in (m.left, m.right):
-            bl = (m.height - height(child)) / 2.0
-            parts.append(f"{render(child)}:{bl:.6f}")
-        return "(" + ",".join(parts) + ")"
-
-    return render(tree.n + len(tree.merges) - 1) + ";"
+    # Merge order is a post-order (a merge only joins earlier nodes), so no
+    # recursion: a chained dendrogram is as deep as it has leaves.
+    text = list(tree.tickers)
+    for m in tree.merges:
+        parts = [f"{text[c]}:{(m.height - height(c)) / 2.0:.6f}" for c in (m.left, m.right)]
+        text[m.left] = text[m.right] = ""  # each node joins one merge; free its text
+        text.append("(" + ",".join(parts) + ")")
+    return text[-1] + ";"
 
 
 def to_dot(tree: SpanningTree, name: str = "mst") -> str:

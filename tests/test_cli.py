@@ -210,6 +210,28 @@ class TestConfigValidation:
                      "--out-dir", str(out)]) == 2
         assert message in capsys.readouterr().err
 
+    def test_blank_industry_rows_skipped(self, workspace):
+        path = workspace / "industry.csv"
+        want = cli.load_industry_map(path).groups
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
+        assert cli.load_industry_map(path).groups == want
+
+    @pytest.mark.parametrize("name,value,message", [
+        ("prices.csv", "inf", "prices.csv:5: invalid price 'inf'"),
+        ("prices.csv", "nan", "prices.csv:5: invalid price 'nan'"),
+        ("dividends.csv", "nan", "dividends.csv:5: invalid amount 'nan'"),
+        ("dividends.csv", "inf", "dividends.csv:5: invalid amount 'inf'"),
+    ])
+    def test_non_finite_input_located(self, workspace, capsys, name, value, message):
+        lines = (workspace / name).read_text().splitlines()
+        lines[4] = lines[4].rsplit(",", 1)[0] + "," + value
+        (workspace / name).write_text("\n".join(lines) + "\n")
+        assert main(["returns", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(workspace / "out")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (workspace / "out").exists()
+
     def test_bad_industry_header(self, workspace, capsys):
         (workspace / "industry.csv").write_text("symbol,grp\nA,1\n")
         out = workspace / "out"

@@ -1,14 +1,21 @@
-"""Golden outputs of the simulation engine, compared byte for byte.
+"""Golden outputs of the simulation engine and of Neighbor-Net.
 
-Two goldens live under tests/data/:
+Three goldens live under tests/data/:
 
 - ``simulate_seed9/``: the report, Levene and markdown files that
-  ``simulate --seed 9`` writes on the criterion-9 fixture;
+  ``simulate --seed 9`` writes on the criterion-9 fixture, compared byte
+  for byte;
 - ``draws_seed9.json``: the first 50 portfolios each selection rule draws
-  for m in {2, 4, 8} from the replication streams of seed 9.
+  for m in {2, 4, 8} from the replication streams of seed 9, compared byte
+  for byte;
+- ``neighbornet_cases.json``: the circular ordering, fitted splits and
+  residual of ``neighbornet_ordering`` + ``fit_split_weights`` on 40 seeded
+  distance matrices (n = 4..48, a third of them rounded to two decimals so
+  the tie-breaks run); orderings and split sets must match exactly, weights
+  within 1e-9 and the residual within 1e-9 relative.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py --write``, and
-only for an intended change of simulation output.
+only for an intended change of output.
 """
 
 from __future__ import annotations
@@ -18,8 +25,13 @@ import sys
 from pathlib import Path
 
 from netfolio.cli import main
+import numpy as np
+import pytest
+
 from netfolio.clusters import pair_by_size, renumber
+from netfolio.correlation import DistanceMatrix
 from netfolio.market_data import BlockModelSpec
+from netfolio.neighbor_net import fit_split_weights, neighbornet_ordering
 from netfolio.portfolio_sim import Strategy, default_industry_map, replication_rng
 from test_cli import write_panel_csvs
 
@@ -27,8 +39,10 @@ DATA = Path(__file__).parent / "data"
 SIM_DIR = DATA / "simulate_seed9"
 DRAWS_FILE = DATA / "draws_seed9.json"
 SIM_FILES = ("report_P1_P2.csv", "levene_P1_P2.csv", "report_P1_P2.md")
+NN_FILE = DATA / "neighbornet_cases.json"
 SEED = 9
 DRAWS = 50
+NN_CASES = 40
 
 
 def simulate_outputs(tmp_path: Path) -> dict[str, bytes]:
@@ -95,6 +109,60 @@ def drawn_tickers() -> str:
     return json.dumps({"seed": SEED, "draws": table}, indent=1) + "\n"
 
 
+def nn_distance(case: int) -> DistanceMatrix:
+    """Seeded distance matrix of golden case ``case``: n runs 4..48; kind 0 is
+    uniform noise, kind 1 a correlation distance of block-factor returns and
+    kind 2 the same correlation distance rounded to two decimals (ties)."""
+    n = 4 + case * 44 // (NN_CASES - 1)
+    kind = case % 3
+    rng = np.random.default_rng(7000 + case)
+    if kind == 0:
+        d = rng.uniform(0.05, 2.0, size=(n, n))
+        d = (d + d.T) / 2.0
+    else:
+        blocks = rng.integers(0, max(2, n // 6), size=n)
+        factors = rng.normal(size=(60, int(blocks.max()) + 1))
+        returns = 0.8 * factors[:, blocks] + rng.normal(size=(60, n))
+        d = np.sqrt(np.maximum(2.0 * (1.0 - np.corrcoef(returns, rowvar=False)), 0.0))
+        d = (d + d.T) / 2.0
+        if kind == 2:
+            d = np.round(d, 2)
+    np.fill_diagonal(d, 0.0)
+    return DistanceMatrix(tuple(f"S{i:02d}" for i in range(n)), d)
+
+
+def nn_case(case: int) -> dict:
+    """Ordering, splits (start, length, weight) and residual of one case."""
+    dist = nn_distance(case)
+    system = fit_split_weights(dist, neighbornet_ordering(dist))
+    return {
+        "case": case,
+        "cycle": list(system.ordering),
+        "splits": [[s.start, s.length, s.weight] for s in system.splits],
+        "residual": system.residual,
+    }
+
+
+def nn_golden_text() -> str:
+    return json.dumps({"cases": [nn_case(c) for c in range(NN_CASES)]}) + "\n"
+
+
+@pytest.fixture(scope="module")
+def nn_golden() -> list[dict]:
+    return json.loads(NN_FILE.read_text())["cases"]
+
+
+@pytest.mark.parametrize("case", range(NN_CASES))
+def test_neighbornet_matches_golden(case, nn_golden):
+    want, got = nn_golden[case], nn_case(case)
+    assert got["cycle"] == want["cycle"]
+    assert [s[:2] for s in got["splits"]] == [s[:2] for s in want["splits"]]
+    np.testing.assert_allclose(
+        [s[2] for s in got["splits"]], [s[2] for s in want["splits"]], rtol=0, atol=1e-9
+    )
+    assert got["residual"] == pytest.approx(want["residual"], rel=1e-9, abs=1e-12)
+
+
 def test_simulate_matches_golden(tmp_path):
     got = simulate_outputs(tmp_path)
     for name in SIM_FILES:
@@ -115,3 +183,4 @@ if __name__ == "__main__":
         for name, data in simulate_outputs(Path(tmp)).items():
             (SIM_DIR / name).write_bytes(data)
     DRAWS_FILE.write_text(drawn_tickers())
+    NN_FILE.write_text(nn_golden_text())

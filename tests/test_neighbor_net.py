@@ -28,6 +28,7 @@ from conftest import (
     random_distance_matrix,
     split_weight_table,
 )
+from nn_reference import loop_design_matrix, loop_ordering
 
 
 def matrix(tickers, entries):
@@ -146,6 +147,26 @@ class TestSplitFitting:
         dist = random_distance_matrix(rng, 5)
         with pytest.raises(NeighborNetError):
             fit_split_weights(dist, ("X", "Y", "Z", "W", "V"))
+
+
+class TestLoopReferences:
+    """The vectorized design matrix and ordering against their loop forms."""
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_design_matrix_equals_loop(self, n):
+        got, want = split_design_matrix(n), loop_design_matrix(n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("trial", range(30))
+    def test_ordering_equals_loop(self, trial):
+        # Coarse grids make many exactly tied criteria, so the tie-breaks run.
+        rng = np.random.default_rng(4100 + trial)
+        n = int(rng.integers(3, 31))
+        step = (0.5, 0.1, 0.01)[trial % 3]
+        d = np.triu(np.round(rng.uniform(0.0, 2.0, size=(n, n)) / step) * step, 1)
+        tickers = tuple(f"Q{i:02d}" for i in rng.permutation(n))
+        dist = DistanceMatrix(tickers, d + d.T)
+        assert neighbornet_ordering(dist) == loop_ordering(dist)
 
 
 class TestArcClusters:

@@ -295,6 +295,29 @@ class TestExports:
         for t in ("A", "B", "C"):
             assert t in text
 
+    def test_newick_text(self):
+        dist = matrix(["A", "B", "C"], {("A", "B"): 0.2, ("A", "C"): 0.8, ("B", "C"): 0.6})
+        text = to_newick(average_linkage_hct(dist))
+        assert text == "((A:0.100000,B:0.100000):0.250000,C:0.350000);"
+
+    def test_chained_newick_deeper_than_recursion_limit(self):
+        n = 1100
+        tickers = tuple(f"T{i:04d}" for i in range(n))
+        merges = [Merge(0, 1, 0.0)] + [Merge(n + i - 1, i + 1, float(i)) for i in range(1, n - 1)]
+        text = to_newick(Dendrogram(tickers, tuple(merges)))
+        assert text.startswith("(" * (n - 1) + "T0000:0.000000,T0001:0.000000):0.500000,T0002:")
+        assert text.endswith(f"):0.500000,T{n - 1:04d}:{(n - 2) / 2:.6f});")
+        assert text.count("(") == n - 1
+
+    @pytest.mark.parametrize("merges,message", [
+        ((Merge(0, 4, 0.1), Merge(1, 2, 0.2)), "merge 0 uses node 4 before it exists"),
+        ((Merge(0, 1, 0.1), Merge(3, 1, 0.2)), "node 1 used twice"),
+        ((Merge(0, 1, 0.1), Merge(3, 3, 0.2)), "node 3 used twice"),
+    ])
+    def test_merges_must_join_fresh_earlier_nodes(self, merges, message):
+        with pytest.raises(ClusterError, match=message):
+            Dendrogram(("A", "B", "C"), merges)
+
     def test_dot_and_csv(self):
         dist = matrix(["A", "B"], {("A", "B"): 0.7})
         tree = minimum_spanning_tree(dist)
