@@ -48,6 +48,7 @@ from .portfolio_sim import (
     Strategy,
     cluster_mean_returns,
     default_industry_map,
+    draw_matrices,
     draw_matrix,
     portfolio_return,
     run_simulation,

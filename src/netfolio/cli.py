@@ -48,7 +48,8 @@ from .portfolio_sim import (
     IndustryMap,
     Strategy,
     default_industry_map,
-    draw_matrix,
+    draw_matrices,
+    draw_matrix,  # noqa: F401  re-exported; tests patch cli.draw_matrix
     score_period,
 )
 from .tree_cluster import (
@@ -85,9 +86,19 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config file {path} does not exist")
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
     for key in ("prices", "dividends", "periods"):
-        if key not in cfg:
+        if cfg.get(key) is None:
             raise ConfigError(f"config missing required key {key!r}")
+    # Input paths are relative to the config file, wherever the command runs.
+    for key in ("prices", "dividends", "periods", "industry_map"):
+        if cfg.get(key) is None:
+            continue
+        if not isinstance(cfg[key], str):
+            raise ConfigError(f"{path}: {key} must be a path string, not {cfg[key]!r}")
+        cfg[key] = str(path.parent / cfg[key])
+    for key in ("prices", "dividends", "periods"):
         if not Path(cfg[key]).exists():
             raise ConfigError(f"config {key} file {cfg[key]} does not exist")
     return cfg
@@ -136,11 +147,14 @@ def load_industry_map(path: str | Path | None) -> IndustryMap:
 
 
 def check_industry_universe(industry: IndustryMap, source: str, tickers: tuple[str, ...]) -> None:
-    """Every ticker the industry map names must be in the price panel."""
-    missing = sorted(set(industry.groups) - set(tickers))
-    if missing:
-        more = f" (and {len(missing) - 1} more)" if len(missing) > 1 else ""
-        raise ConfigError(f"{source}: ticker {missing[0]!r} is not in the price panel{more}")
+    """The industry map and the price panel must name the same tickers."""
+    mapped, panel = set(industry.groups), set(tickers)
+    for missing, problem in ((mapped - panel, "ticker {!r} is not in the price panel"),
+                             (panel - mapped, "price panel ticker {!r} is not in the map")):
+        if missing:
+            first, *rest = sorted(missing)
+            more = f" (and {len(rest)} more)" if rest else ""
+            raise ConfigError(f"{source}: {problem.format(first)}{more}")
 
 
 def compute_returns(cfg: dict, periods: list[StudyPeriod] | None = None) -> ReturnPanel:
@@ -298,13 +312,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 Strategy(label, "cluster", assignment=assignment, pairing=pairing)
             )
 
-    # Replication streams depend on (seed, rep) only: draw each (m, strategy)
-    # portfolio matrix once and score it on every test period.
-    draws = [
-        (strat.name, draw_matrix(strat, returns, m, reps, seed))
-        for m in sizes
-        for strat in strategies
-    ]
+    # Replication streams depend on (seed, rep) only: read each stream once,
+    # draw each (m, strategy) portfolio matrix once and score it on every
+    # test period.
+    matrices = draw_matrices(strategies, returns, sizes, reps, seed)
+    draws = list(zip([strat.name for m in sizes for strat in strategies], matrices))
     out = Path(args.out_dir)
     for test_period in test_periods:
         runs = [score_period(name, columns, returns, test_period, seed)

@@ -5,12 +5,19 @@ clusters from each network method. Portfolios are equal-weight buy-and-hold;
 a draw's return is the arithmetic mean of its constituents' period returns.
 
 Each strategy resolves once to a DrawPlan: its candidate tickers laid out
-group after group. One draw core turns a plan and a replication stream into
-the positions of one portfolio; ``draw_matrix`` stacks the portfolios of all
-replications into a (reps x m) matrix of ReturnPanel columns, drawn once and
-scored on every test period with one gather and mean (``score_period``).
-The engine is single-threaded; replication rng streams derive from
-(seed, replication index) alone, so the output depends only on the seed.
+group after group. The scalar draw core (``_draw_row``) turns a plan and a
+replication stream into the positions of one portfolio. Replication streams
+derive from (seed, replication index) alone, so the output depends only on
+the seed, and every bounded draw ``_draw_row`` makes is numpy's Lemire step
+on the stream's 32-bit words. ``draw_matrices`` therefore reads each
+replication's first few words once into a (reps x K) word matrix and hands
+it to every (strategy, m) block; the batched core (``_draw_rows``) replays
+numpy's draws on it column by column, with a cursor per row, and yields the
+same (reps x m) positions as ``_draw_row`` would. Rows that hit a Lemire
+rejection or run past K words, and plans too large for numpy's Floyd branch,
+are drawn by the scalar core instead. Each block becomes a (reps x m) matrix
+of ReturnPanel columns, drawn once and scored on every test period with one
+gather and mean (``score_period``). The engine is single-threaded.
 """
 
 from __future__ import annotations
@@ -159,6 +166,93 @@ def _draw_row(plan: DrawPlan, m: int, rng: np.random.Generator) -> list[int]:
             for k in rng.choice(sizes[g], size=per, replace=False).tolist()]
 
 
+# numpy's choice(n, m, replace=False) runs Floyd's algorithm for n up to this.
+_FLOYD_MAX = 10_000
+
+
+class _Words:
+    """Per-row cursors into a (reps x K) matrix of uint32 stream words."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+        self.rows = np.arange(len(words))
+        self.cursor = np.zeros(len(words), dtype=np.intp)
+        self.redo = np.zeros(len(words), dtype=bool)
+
+    def below(self, bound) -> np.ndarray:
+        """One draw in [0, bound) per row, as ``rng.integers(bound)`` makes it:
+        Lemire's multiply-shift on the row's next word. ``bound`` is a scalar
+        or one bound per row; a bound of 1 reads no word. Rows whose word
+        numpy would reject, or that have no word left, are flagged in
+        ``redo`` and their value is meaningless."""
+        bound = np.asarray(bound, dtype=np.uint64)
+        used = bound > 1
+        k = self.words.shape[1]
+        self.redo |= used & (self.cursor >= k)
+        product = self.words[self.rows, np.minimum(self.cursor, k - 1)] * bound
+        self.redo |= (product & 0xFFFFFFFF) < (2**32 - bound) % bound
+        self.cursor += used
+        return (product >> 32).astype(np.intp)
+
+    def sample(self, n: int, m: int) -> np.ndarray:
+        """(rows x m) draws of ``rng.choice(n, m, replace=False)``, n <= 10,000:
+        Floyd's algorithm (a value already taken becomes j), then a shuffle."""
+        out = np.empty((len(self.rows), m), dtype=np.intp)
+        for t, j in enumerate(range(n - m, n)):
+            val = self.below(j + 1)
+            taken = (out[:, :t] == val[:, None]).any(axis=1)
+            out[:, t] = np.where(taken, j, val)
+        for i in range(m - 1, 0, -1):
+            k = self.below(i + 1)
+            swap = out[self.rows, k]
+            out[self.rows, k] = out[:, i]
+            out[:, i] = swap
+        return out
+
+
+def _draw_rows(plan: DrawPlan, m: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched ``_draw_row``: row r draws from the uint32 words of replication
+    r (see ``_replication_words``). Returns the (reps x m) positions and the
+    rows to redraw with ``_draw_row``; every other row equals its draw. The
+    caller has run ``plan.check(m)`` and ``_batchable(plan)``."""
+    w = _Words(words)
+    if plan.rule == "random":
+        return w.sample(plan.sizes[0], m), w.redo
+    sizes, starts = np.array(plan.sizes), np.array(plan.starts)
+    c = len(sizes)
+    if m <= 4 and m <= c:
+        if m == 2 and c > 2 and plan.pairs:
+            chosen = np.array(plan.pairs)[w.below(len(plan.pairs))]
+        else:
+            chosen = w.sample(c, m)
+        positions = np.empty_like(chosen)
+        for t in range(m):
+            g = chosen[:, t]
+            positions[:, t] = starts[g] + w.below(sizes[g])
+        return positions, w.redo
+    positions = np.hstack([start + w.sample(size, m // c)
+                           for start, size in zip(plan.starts, plan.sizes)])
+    return positions, w.redo
+
+
+def _batchable(plan: DrawPlan) -> bool:
+    """Whether every ``rng.choice`` the plan makes takes numpy's Floyd branch."""
+    return max(len(plan.sizes), *plan.sizes) <= _FLOYD_MAX
+
+
+def _replication_words(seed: int, reps: int, k: int) -> np.ndarray:
+    """(reps x 2k) uint32 words of every replication stream, from its first k
+    64-bit outputs, low half first: the order numpy's bounded draws read a
+    fresh PCG64 stream in. Held as uint64, so a word times a bound is exact."""
+    raw = np.empty((reps, k), dtype=np.uint64)
+    for rep in range(reps):
+        raw[rep] = replication_rng(seed, rep).bit_generator.random_raw(k)
+    words = np.empty((reps, 2 * k), dtype=np.uint64)
+    words[:, 0::2] = raw & 0xFFFFFFFF
+    words[:, 1::2] = raw >> 32
+    return words
+
+
 def _random_plan(universe: tuple[str, ...]) -> DrawPlan:
     if len(set(universe)) != len(universe):
         raise SimulationError("universe tickers must be distinct")
@@ -242,17 +336,42 @@ class Strategy:
         return self.plan.draw(m, rng, replication)
 
 
+def draw_matrices(strategies: list[Strategy], returns: ReturnPanel, sizes: list[int],
+                  reps: int = 1000, seed: int = 0) -> list[np.ndarray]:
+    """``draw_matrix`` of every block, m-major: the list holds
+    ``draw_matrix(s, returns, m, reps, seed) for m in sizes for s in strategies``.
+
+    Every block is checked before any is drawn. Each replication's stream
+    is read once, into a word matrix that all blocks share; at most 3m
+    uint32 words make one draw without rejections, so K covers the largest m.
+    """
+    blocks = []
+    for m in sizes:
+        for strategy in strategies:
+            plan = strategy.plan
+            plan.check(m)
+            blocks.append((plan, m, _columns(returns, plan.labels)))
+    batched = [m for plan, m, _ in blocks if _batchable(plan)]
+    words = _replication_words(seed, reps, (3 * max(batched) + 1) // 2) if batched else None
+    matrices = []
+    for plan, m, columns in blocks:
+        if _batchable(plan):
+            positions, redo = _draw_rows(plan, m, words)
+            reps_left = np.flatnonzero(redo).tolist()
+        else:
+            positions = np.empty((reps, m), dtype=np.intp)
+            reps_left = range(reps)
+        for rep in reps_left:
+            positions[rep] = _draw_row(plan, m, replication_rng(seed, rep))
+        matrices.append(columns[positions])
+    return matrices
+
+
 def draw_matrix(strategy: Strategy, returns: ReturnPanel, m: int, reps: int = 1000,
                 seed: int = 0) -> np.ndarray:
     """(reps x m) ReturnPanel columns: row r is the portfolio that
     ``strategy.draw(m, replication_rng(seed, r), r)`` draws, in drawn order."""
-    plan = strategy.plan
-    plan.check(m)
-    columns = _columns(returns, plan.labels)
-    positions = np.empty((reps, m), dtype=np.intp)
-    for rep in range(reps):
-        positions[rep] = _draw_row(plan, m, replication_rng(seed, rep))
-    return columns[positions]
+    return draw_matrices([strategy], returns, [m], reps, seed)[0]
 
 
 def score_period(strategy: str, columns: np.ndarray, returns: ReturnPanel, period: str,

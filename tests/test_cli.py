@@ -266,6 +266,20 @@ class TestSimulateInputChecks:
         (workspace / "no_industry.json").write_text(json.dumps(cfg))
         assert self.simulate(workspace / "no_industry.json", workspace / "out") == 0
 
+    @pytest.mark.parametrize("dropped,more", [
+        (("S05",), ""), (("S07", "S02", "S11"), " (and 2 more)"),
+    ])
+    def test_panel_ticker_missing_from_industry_map(self, workspace, monkeypatch, capsys,
+                                                    dropped, more):
+        path = workspace / "industry.csv"
+        kept = [l for l in path.read_text().splitlines() if l.split(",")[0] not in dropped]
+        path.write_text("\n".join(kept) + "\n")
+        monkeypatch.setattr(cli, "build_clusters", _forbidden)
+        assert self.simulate(workspace / "config.json", workspace / "out") == 2
+        err = capsys.readouterr().err
+        assert f"industry.csv: price panel ticker {min(dropped)!r} is not in the map{more}\n" in err
+        assert not (workspace / "out").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("model_period", "P9"), ("test_periods", ["P2", "P9"]),
     ])
@@ -278,6 +292,47 @@ class TestSimulateInputChecks:
         err = capsys.readouterr().err
         assert "bad_period.json" in err and "'P9'" in err and key in err
         assert not (workspace / "out").exists()
+
+
+class TestRelativeConfigPaths:
+    def relative_config(self, workspace, **override):
+        cfg = json.loads((workspace / "config.json").read_text())
+        for key in ("prices", "dividends", "periods", "industry_map"):
+            cfg[key] = Path(cfg[key]).name
+        cfg.update(override)
+        (workspace / "relative.json").write_text(json.dumps(cfg))
+        return f"{workspace.name}/relative.json"
+
+    def test_inputs_resolve_against_config_directory(self, workspace, monkeypatch, capsys):
+        config = self.relative_config(workspace)
+        monkeypatch.chdir(workspace.parent)
+        out = workspace / "out"
+        for argv in (["returns"], ["simulate", "--seed", "3"]):
+            assert main(argv + ["--config", config, "--out-dir", str(out)]) == 0
+        assert (out / "returns_P2.csv").exists()
+        assert (out / "report_P1_P2.csv").exists()
+
+    def test_missing_relative_input_names_its_path(self, workspace, monkeypatch, capsys):
+        config = self.relative_config(workspace, prices="missing.csv")
+        monkeypatch.chdir(workspace.parent)
+        assert main(["returns", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert f"config prices file {workspace.name}/missing.csv does not exist" in err
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("prices", 5, "relative.json: prices must be a path string, not 5"),
+        ("industry_map", ["x.csv"], "relative.json: industry_map must be a path string, not ['x.csv']"),
+        ("prices", None, "config missing required key 'prices'"),
+    ])
+    def test_bad_path_value_located(self, workspace, capsys, key, value, message):
+        self.relative_config(workspace, **{key: value})
+        assert main(["returns", "--config", str(workspace / "relative.json")]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_must_be_an_object(self, workspace, capsys):
+        (workspace / "list.json").write_text("[1, 2]")
+        assert main(["returns", "--config", str(workspace / "list.json")]) == 2
+        assert "list.json: config must be a JSON object" in capsys.readouterr().err
 
 
 def test_cli_import_skips_scipy():

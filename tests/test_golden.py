@@ -7,7 +7,7 @@ Three goldens live under tests/data/:
   for byte;
 - ``draws_seed9.json``: the first 50 portfolios each selection rule draws
   for m in {2, 4, 8} from the replication streams of seed 9, compared byte
-  for byte;
+  for byte, and checked through ``draw_matrix`` and ``draw_matrices`` too;
 - ``neighbornet_cases.json``: the circular ordering, fitted splits and
   residual of ``neighbornet_ordering`` + ``fit_split_weights`` on 40 seeded
   distance matrices (n = 4..48, a third of them rounded to two decimals so
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import sys
+from datetime import date
 from pathlib import Path
 
 from netfolio.cli import main
@@ -30,9 +31,15 @@ import pytest
 
 from netfolio.clusters import pair_by_size, renumber
 from netfolio.correlation import DistanceMatrix
-from netfolio.market_data import BlockModelSpec
+from netfolio.market_data import BlockModelSpec, ReturnPanel, StudyPeriod
 from netfolio.neighbor_net import fit_split_weights, neighbornet_ordering
-from netfolio.portfolio_sim import Strategy, default_industry_map, replication_rng
+from netfolio.portfolio_sim import (
+    Strategy,
+    default_industry_map,
+    draw_matrices,
+    draw_matrix,
+    replication_rng,
+)
 from test_cli import write_panel_csvs
 
 DATA = Path(__file__).parent / "data"
@@ -171,6 +178,24 @@ def test_simulate_matches_golden(tmp_path):
 
 def test_drawn_tickers_match_golden():
     assert drawn_tickers() == DRAWS_FILE.read_text()
+
+
+def test_draw_matrix_matches_golden():
+    """The batched draws, one block at a time and all blocks sharing one
+    word matrix, give the golden portfolios."""
+    want = json.loads(DRAWS_FILE.read_text())["draws"]
+    strategies = golden_strategies()
+    tickers = strategies[0].universe
+    period = StudyPeriod("P1", date(2001, 1, 2), date(2004, 1, 6))
+    panel = ReturnPanel(tickers, (period,), np.zeros((1, len(tickers))),
+                        (np.zeros((3, len(tickers))),))
+    sizes = (2, 4, 8)
+    matrices = iter(draw_matrices(strategies, panel, sizes, DRAWS, SEED))
+    for m in sizes:
+        for s in strategies:
+            for columns in (draw_matrix(s, panel, m, DRAWS, SEED), next(matrices)):
+                got = [" ".join(tickers[c] for c in row) for row in columns.tolist()]
+                assert got == want[s.name][str(m)], (s.name, m)
 
 
 if __name__ == "__main__":

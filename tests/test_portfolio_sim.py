@@ -10,15 +10,22 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from netfolio import portfolio_sim
 from netfolio.clusters import ClusterPairing, renumber
 from netfolio.market_data import ReturnPanel, StudyPeriod
 from netfolio.portfolio_sim import (
+    DrawPlan,
     IndustryMap,
     PortfolioDraw,
     SimulationError,
     Strategy,
+    _draw_row,
+    _draw_rows,
+    _grouped_plan,
+    _replication_words,
     cluster_mean_returns,
     default_industry_map,
+    draw_matrices,
     draw_matrix,
     portfolio_return,
     replication_rng,
@@ -280,6 +287,107 @@ class TestDrawMatrix:
     def test_unknown_kind(self):
         with pytest.raises(SimulationError, match="unknown strategy kind"):
             draw_matrix(Strategy("X", "lottery"), self.panel(), 2, reps=5)
+
+
+def seeded_plans(seed: int) -> list[DrawPlan]:
+    """Random plans over 2..59 tickers (m = n among the sizes drawn), and 2-
+    to 5-group plans of 1..11 members each, with singletons, paired and
+    unpaired."""
+    meta = np.random.default_rng(seed)
+    plans = []
+    for _ in range(12):
+        n = int(meta.integers(2, 60))
+        plans.append(DrawPlan("random", tuple(f"T{i}" for i in range(n)), (n,)))
+    for c in (2, 3, 4, 4, 4, 5) * 3:
+        groups = {g: tuple(f"G{g}_{i}" for i in range(int(meta.integers(1, 12))))
+                  for g in range(1, c + 1)}
+        pairing = ClusterPairing(((1, 3), (2, 4))) if c == 4 and meta.random() < 0.5 else None
+        plans.append(_grouped_plan("cluster" if c in (2, 4) else "industry", groups, pairing))
+    groups = {1: ("A",), 2: ("B",), 3: ("C1", "C2", "C3"), 4: ("D",)}
+    plans.append(_grouped_plan("cluster", groups, ClusterPairing(((1, 2), (3, 4)))))
+    plans.append(_grouped_plan("cluster", groups))
+    return plans
+
+
+def drawable(plan: DrawPlan, m: int) -> bool:
+    try:
+        plan.check(m)
+    except SimulationError:
+        return False
+    return True
+
+
+class TestBatchedDraws:
+    """The batched core against the scalar core it replays, row for row."""
+
+    REPS = 40
+
+    @pytest.mark.parametrize("seed", [0, 9, 12345, 2**40 + 7])
+    def test_rows_equal_scalar_draws(self, seed):
+        blocks = 0
+        for plan in seeded_plans(seed):
+            for m in sorted({1, 2, 3, 4, 8, len(plan.labels)}):
+                if not drawable(plan, m):
+                    continue
+                words = _replication_words(seed, self.REPS, (3 * m + 1) // 2)
+                positions, redo = _draw_rows(plan, m, words)
+                assert not redo.any()
+                expected = [_draw_row(plan, m, replication_rng(seed, rep))
+                            for rep in range(self.REPS)]
+                assert positions.tolist() == expected, (plan, m)
+                blocks += 1
+        assert blocks > 100
+
+    def test_draw_matrices_reads_each_stream_once(self, monkeypatch):
+        panel = TestDrawMatrix().panel()
+        strategies = TestDrawMatrix().strategies()
+        calls = []
+
+        def counted(seed, reps, k):
+            calls.append((seed, reps, k))
+            return _replication_words(seed, reps, k)
+
+        monkeypatch.setattr(portfolio_sim, "_replication_words", counted)
+        matrices = draw_matrices(strategies, panel, [2, 4, 8], reps=30, seed=5)
+        assert calls == [(5, 30, 12)]
+        blocks = [(m, s) for m in (2, 4, 8) for s in strategies]
+        assert len(matrices) == len(blocks)
+        for (m, strategy), columns in zip(blocks, matrices):
+            draws = [strategy.draw(m, replication_rng(5, rep), rep) for rep in range(30)]
+            assert columns.tolist() == [[panel.column[t] for t in d.tickers] for d in draws]
+
+    def test_rejected_word_falls_back_to_scalar_core(self, monkeypatch):
+        strategy = Strategy("Random", "random", universe=("A", "B", "C", "D"))
+        panel = toy_panel(["A", "B", "C", "D"], [1.0, 2.0, 3.0, 4.0])
+
+        def crafted(seed, reps, k):
+            # Row 3's first draw is Floyd's j = 2, bound 3: a zero word leaves
+            # 0 < (2**32 - 3) % 3 = 1, which numpy rejects and redraws.
+            words = _replication_words(seed, reps, k)
+            words[3, 0] = 0
+            return words
+
+        positions, redo = _draw_rows(strategy.plan, 2, crafted(0, 8, 3))
+        assert redo.tolist() == [rep == 3 for rep in range(8)]
+        scalar = [_draw_row(strategy.plan, 2, replication_rng(0, rep)) for rep in range(8)]
+        assert positions[3].tolist() != scalar[3]
+        monkeypatch.setattr(portfolio_sim, "_replication_words", crafted)
+        columns = draw_matrix(strategy, panel, 2, reps=8, seed=0)
+        assert columns.tolist() == scalar
+
+    def test_rows_past_the_last_word_are_flagged(self):
+        plan = Strategy("Industry", "industry", industry=FOUR_GROUPS).plan
+        _, redo = _draw_rows(plan, 8, _replication_words(0, 6, 1))
+        assert redo.all()
+
+    @pytest.mark.parametrize("n", [10_000, 10_001])
+    def test_floyd_limit(self, n):
+        tickers = tuple(f"T{i:05d}" for i in range(n))
+        strategy = Strategy("Random", "random", universe=tickers)
+        panel = toy_panel(tickers, np.zeros(n))
+        columns = draw_matrix(strategy, panel, 8, reps=5, seed=3)
+        draws = [strategy.draw(8, replication_rng(3, rep), rep) for rep in range(5)]
+        assert columns.tolist() == [[panel.column[t] for t in d.tickers] for d in draws]
 
 
 class TestCachedMembership:
