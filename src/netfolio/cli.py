@@ -49,7 +49,6 @@ from .portfolio_sim import (
     Strategy,
     default_industry_map,
     draw_matrices,
-    draw_matrix,  # noqa: F401  re-exported; tests patch cli.draw_matrix
     score_period,
 )
 from .tree_cluster import (
@@ -78,6 +77,10 @@ def _atomic_write(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def load_config(path: str | Path) -> dict:
@@ -129,21 +132,30 @@ def load_industry_map(path: str | Path | None) -> IndustryMap:
     if path is None:
         return default_industry_map()
     groups: dict[str, int] = {}
+    for lineno, row in read_table(path, ("ticker", "group")):
+        try:
+            groups[row["ticker"].strip()] = int(row["group"])
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: invalid group {row['group']!r}") from None
+    return IndustryMap(groups)
+
+
+def read_table(path: str | Path, columns: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
+    """(line number, row) of each non-blank row of a CSV file whose header
+    must be exactly ``columns``."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["ticker", "group"]:
-            raise ConfigError(f"{path}: expected header 'ticker,group'")
+        if header is None or [h.strip() for h in header] != list(columns):
+            raise ConfigError(f"{path}: expected header '{','.join(columns)}'")
+        rows = []
         for lineno, row in enumerate(reader, start=2):
             if _blank(row):
                 continue
-            if len(row) != 2:
+            if len(row) != len(columns):
                 raise ConfigError(f"{path}:{lineno}: bad row {row!r}")
-            try:
-                groups[row[0].strip()] = int(row[1])
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: invalid group {row[1]!r}") from None
-    return IndustryMap(groups)
+            rows.append((lineno, dict(zip(columns, row))))
+    return rows
 
 
 def check_industry_universe(industry: IndustryMap, source: str, tickers: tuple[str, ...]) -> None:
@@ -275,6 +287,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for name in names:
         if name not in _STRATEGY_LABELS:
             raise ConfigError(f"unknown strategy {name!r}")
+    reps = sim.get("reps", 1000)
+    if not _is_int(reps) or reps < 2:
+        raise ConfigError(f"{args.config}: simulation.reps must be an integer >= 2, not {reps!r}")
+    k = clustering.get("k", 4)
+    if any(name in ("hct", "mst", "nnet") for name in names) and not (_is_int(k) and k in (2, 4)):
+        raise ConfigError(
+            f"{args.config}: clustering.k must be 2 or 4 for the hct, mst and nnet "
+            f"strategies, not {k!r}"
+        )
     periods = load_periods(cfg["periods"])
     labels = [p.label for p in periods]
     model_period = sim.get("model_period", labels[0])
@@ -285,7 +306,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"{args.config}: simulation {key} names {label!r}, "
                 f"which is not a period in {cfg['periods']}"
             )
-    reps = int(sim.get("reps", 1000))
     seed = int(args.seed if args.seed is not None else sim.get("seed", 0))
     rf_table = {**reference.RISK_FREE_PCT, **sim.get("risk_free", {})}
     returns = compute_returns(cfg, periods)
@@ -336,34 +356,36 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+REPORT_COLUMNS = ("strategy", "size", "mean", "sd", "sharpe", "best_flag")
+LEVENE_COLUMNS = ("size", "strategies", "W", "df1", "df2", "p")
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     stats: list[StrategyStats] = []
-    with open(args.report_csv, newline="") as fh:
-        for row in csv.DictReader(fh):
-            stats.append(
-                StrategyStats(
-                    row["strategy"],
-                    int(row["size"]),
-                    float(row["mean"]),
-                    float(row["sd"]),
-                    float(row["sharpe"]) if row["sharpe"] else None,
-                    row["best_flag"] == "1",
-                )
+    for _, row in read_table(args.report_csv, REPORT_COLUMNS):
+        stats.append(
+            StrategyStats(
+                row["strategy"],
+                int(row["size"]),
+                float(row["mean"]),
+                float(row["sd"]),
+                float(row["sharpe"]) if row["sharpe"] else None,
+                row["best_flag"] == "1",
             )
+        )
     levene: list[tuple[int, tuple[str, ...], LeveneResult]] = []
     if args.levene_csv:
-        with open(args.levene_csv, newline="") as fh:
-            for row in csv.DictReader(fh):
-                levene.append(
-                    (
-                        int(row["size"]),
-                        tuple(row["strategies"].split("+")),
-                        LeveneResult(
-                            float(row["W"]), int(row["df1"]), int(row["df2"]),
-                            float(row["p"]), "median",
-                        ),
-                    )
+        for _, row in read_table(args.levene_csv, LEVENE_COLUMNS):
+            levene.append(
+                (
+                    int(row["size"]),
+                    tuple(row["strategies"].split("+")),
+                    LeveneResult(
+                        float(row["W"]), int(row["df1"]), int(row["df2"]),
+                        float(row["p"]), "median",
+                    ),
                 )
+            )
     report = SimulationReport("", 0.0, tuple(stats), tuple(levene))
     sys.stdout.write(render_report(report, args.format))
     return 0

@@ -147,7 +147,8 @@ def all_arc_splits(n: int) -> list[tuple[int, int]]:
 
 
 def split_design_matrix(n: int) -> np.ndarray:
-    """Indicator matrix: rows = position pairs (p<q), cols = arc splits."""
+    """Indicator matrix: rows = position pairs (p<q), cols = arc splits. The
+    fit never builds it; ``SplitOperators`` gives its products."""
     starts, lengths = np.array(all_arc_splits(n)).T
     return _separates(n, starts, lengths).astype(float)
 
@@ -157,6 +158,61 @@ def _separates(n: int, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     p, q = (v[:, None] for v in np.triu_indices(n, 1))
     ends = starts + lengths
     return ((starts <= p) & (p < ends)) != ((starts <= q) & (q < ends))
+
+
+class SplitOperators:
+    """Products with the circular split matrix A of n positions in O(n²),
+    without A (Bryant & Huson 2023).
+
+    Rows of A are the position pairs p<q and columns the arcs [s, e) in
+    ``all_arc_splits`` order; both orders are the row-major strict upper
+    triangle of an n x n grid. A product writes its input onto an
+    (n + 2) x (n + 2) grid, takes 2-D prefix sums P[a, c] (the sum of the
+    cells (i, j) with i <= a and j <= c) and reads
+    2P[i, j] - P[i, i] - P[j, j] + P[j, n + 1] - P[i, n + 1] for every i < j
+    of the triangle. For A·x the grid holds arc [s, e) at (s + 1, e + 1), and
+    i, j are p + 1, q + 1; for Aᵀ·y it holds pair p<q at (p + 1, q + 1), and
+    i, j are s, e.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.starts, self.lengths = np.array(all_arc_splits(n)).T
+        self.ends = self.starts + self.lengths
+        self.p, self.q = np.triu_indices(n, 1)
+        self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        self._grid = np.empty((n + 2, n + 2))
+        self._out = np.empty((n, n))
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A·x, the circular metric of arc weights x: arc [s, e) separates
+        p<q when s <= p < e <= q or p < s <= q < e."""
+        return self._prefix_read(x, 2)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """Aᵀ·y: an arc's entry sums y over the pairs with one end in it."""
+        return self._prefix_read(y, 1)
+
+    def _prefix_read(self, values: np.ndarray, offset: int) -> np.ndarray:
+        n, grid, out = self.n, self._grid, self._out
+        grid.fill(0.0)
+        grid[offset : offset + n, offset : offset + n][self._upper] = values
+        np.cumsum(grid, axis=0, out=grid)
+        np.cumsum(grid, axis=1, out=grid)
+        diag, last = grid.diagonal()[1 : n + 1], grid[1 : n + 1, n + 1]
+        np.multiply(grid[1 : n + 1, 1 : n + 1], 2.0, out=out)
+        out += last - diag
+        out -= (last + diag)[:, None]
+        return out[self._upper]
+
+    def gram(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """(AᵀA)[rows][:, cols]. Pairs split by both arcs: a*d + b*c for
+        a = |S1∩S2|, b = |S1∖S2|, c = |S2∖S1|, d = n-a-b-c, which expands to
+        the closed form below."""
+        r = np.asarray(rows)[:, None]
+        starts, ends, lengths = self.starts, self.ends, self.lengths
+        a = np.maximum(np.minimum(ends[r], ends[cols]) - np.maximum(starts[r], starts[cols]), 0)
+        return a * (self.n - 2 * (lengths[r] + lengths[cols]) + 2 * a) + lengths[r] * lengths[cols]
 
 
 def circular_metric_matrix(n: int, splits: list[tuple[int, int, float]]) -> np.ndarray:
@@ -189,34 +245,15 @@ def fit_split_weights(
     n = dist.n
     if sorted(ordering) != sorted(dist.tickers):
         raise NeighborNetError("ordering must be a permutation of the distance tickers")
-    arcs = all_arc_splits(n)
-    starts, lengths = np.array(arcs).T
-    ends = starts + lengths
+    ops = SplitOperators(n)
     pos = np.array([dist.ticker_index(t) for t in ordering])
-    p, q = np.triu_indices(n, 1)
-    b = dist.d[pos[p], pos[q]]
-    # Aᵀb without A: an arc's entry sums b over the pairs with one end in it,
-    # i.e. its rows' sums minus its square block, read off 2-D prefix sums.
-    cum = np.zeros((n + 1, n + 1))
-    cum[p + 1, q + 1] = cum[q + 1, p + 1] = b
-    cum = cum.cumsum(axis=0).cumsum(axis=1)
-    rows = cum[ends, n] - cum[starts, n]
-    atb = rows - (cum[ends, ends] - cum[starts, ends] - cum[ends, starts] + cum[starts, starts])
-
-    def gram_column(j: int) -> np.ndarray:
-        # Pairs split by both arcs: a*d + b*c for a = |S1∩S2|, b = |S1∖S2|,
-        # c = |S2∖S1|, d = n-a-b-c, which expands to the line below.
-        a = np.maximum(np.minimum(ends, ends[j]) - np.maximum(starts, starts[j]), 0)
-        return a * (n - 2 * (lengths + lengths[j]) + 2 * a) + lengths * lengths[j]
-
+    b = dist.d[pos[ops.p], pos[ops.q]]
     if max_iter is None:
         max_iter = 10 * n * n
-    w, residual = nnls_gram(
-        gram_column, atb, b, lambda cols: _separates(n, starts[cols], lengths[cols]), max_iter
-    )
+    w, residual = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b, max_iter)
     splits = tuple(
         Split(s, length, float(weight))
-        for (s, length), weight in zip(arcs, w)
+        for s, length, weight in zip(ops.starts.tolist(), ops.lengths.tolist(), w)
         if weight >= prune
     )
     return CircularSplitSystem(tuple(ordering), splits, residual)

@@ -1,13 +1,26 @@
-"""Non-negative least squares by the Lawson-Hanson active-set method on the
-normal equations (Bro & De Jong 1997): it reads Aᵀb and the AᵀA columns of
-entering variables only. That squares cond(A), so it is accurate while
-cond(A) stays well below 1/sqrt(eps) ~ 1e8."""
+"""Non-negative least squares by the Lawson-Hanson active-set method, driven
+through operators instead of a stored design matrix.
+
+The core ``nnls_gram`` reads A only through three callbacks: the product
+A·x, the product Aᵀ·y and entries of the Gram matrix AᵀA. Each outer step
+takes the gradient w = Aᵀ(b − A·x) from the two products, and each passive
+solve uses an inverse Cholesky factor of the passive Gram block (scaled to
+unit diagonal) that is bordered when a variable enters and updated by
+Givens rotations when one leaves, so a step costs two products plus O(k²)
+for k passive variables. The block is the normal-equations one (Bro & De
+Jong 1997), which squares cond(A): the solve is accurate while cond(A)
+stays well below 1/sqrt(eps) ~ 1e8. ``nnls`` is the same core on a dense A.
+"""
 
 from __future__ import annotations
 
 from typing import Callable
 
 import numpy as np
+
+# A squared Cholesky pivot at or below this (of a unit-diagonal block) marks
+# the entering column as dependent on the passive ones.
+DEPENDENT = 1e3 * np.finfo(float).eps
 
 
 class NNLSConvergenceError(RuntimeError):
@@ -25,79 +38,172 @@ def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> tuple[np.
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     gram = A.T @ A
-    return nnls_gram(lambda j: gram[:, j], A.T @ b, b, lambda cols: A[:, cols], max_iter)
+    return nnls_gram(
+        lambda rows, cols: gram[np.ix_(rows, cols)], lambda x: A @ x, lambda y: A.T @ y, b, max_iter
+    )
 
 
 def nnls_gram(
-    gram_column: Callable[[int], np.ndarray],
-    atb: np.ndarray,
+    gram: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    matvec: Callable[[np.ndarray], np.ndarray],
+    rmatvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
-    design: Callable[[np.ndarray], np.ndarray],
     max_iter: int | None = None,
 ) -> tuple[np.ndarray, float]:
-    """``nnls`` given column j of AᵀA as ``gram_column(j)``, Aᵀb, b, and the
-    columns of A as ``design(cols)`` (read only for the residual)."""
+    """``nnls`` given the block (AᵀA)[rows][:, cols] as ``gram(rows, cols)``,
+    A·x as ``matvec(x)`` and Aᵀ·y as ``rmatvec(y)``."""
+    b = np.asarray(b, dtype=float)
+    atb = np.asarray(rmatvec(b), dtype=float)
     m, n = b.size, atb.size
     if max_iter is None:
         max_iter = 10 * n * n
     tol = 10.0 * np.finfo(float).eps * max(m, n) * max(1.0, float(np.abs(b).max(initial=1.0)))
 
     def residual(x: np.ndarray) -> float:
-        cols = np.flatnonzero(x)
-        return float(np.linalg.norm(design(cols) @ x[cols] - b))
+        return float(np.linalg.norm(matvec(x) - b))
 
-    x = np.zeros(n)
+    x = np.zeros(n)  # nonzero only on the passive set
     passive = np.zeros(n, dtype=bool)
-    columns: dict[int, np.ndarray] = {}
-    w = np.array(atb, dtype=float)
+    factor = PassiveFactor()
+    w = atb.copy()
     iters = 0
     while True:
-        free = ~passive
-        if not free.any() or np.max(w[free]) <= tol:
+        j = int(np.argmax(np.where(passive, -np.inf, w)))  # first free maximum
+        if passive[j] or w[j] <= tol:
             break
-        j = int(np.flatnonzero(free)[np.argmax(w[free])])
         passive[j] = True
-        if j not in columns:
-            columns[j] = gram_column(j)
         entering = True
         while True:
             iters += 1
             if iters > max_iter:
                 message = f"active-set iteration cap {max_iter} exceeded"
                 raise NNLSConvergenceError(message, residual(x))
-            cols = np.flatnonzero(passive)
-            rows = np.array([columns[k] for k in cols])
-            z = np.zeros(n)
-            z[cols], singular = _solve(rows[:, cols], atb[cols])
-            if entering and (singular or z[j] <= tol):
+            if entering and not factor.border(j, gram(np.append(factor.cols, j), [j])[:, 0]):
+                z = None  # j depends on the passive columns
+            elif factor.singular():  # least-norm solution of the passive block
+                cols, scale = factor.cols, factor.scale
+                block = gram(cols, cols) * scale[:, None] * scale
+                z = np.linalg.lstsq(block, atb[cols] * scale, rcond=None)[0] * scale
+            else:
+                z = factor.solve(atb[factor.cols])
+            if entering and (z is None or z[-1] <= tol):
                 # Lawson & Hanson: an entering column that is dependent or not
                 # positive waits until w changes. Only it could have x == z (both
                 # 0); every other shrinking coordinate has x > tol >= z.
+                if z is not None:
+                    factor.delete(factor.k - 1)  # j, bordered last
                 passive[j], w[j] = False, 0.0
                 break
+            cols = factor.cols
             entering = False
-            if np.all(z[cols] > tol):
-                x = z
-                w = atb - rows.T @ x[cols]
+            if np.all(z > tol):
+                x[cols] = z
+                w = rmatvec(b - matvec(x))
                 break
             # Step toward z until the first passive coordinate hits zero.
-            shrink = cols[z[cols] <= tol]
-            alpha = np.min(x[shrink] / (x[shrink] - z[shrink]))
-            x = x + alpha * (z - x)
-            passive[np.flatnonzero(passive)[x[passive] <= tol]] = False
-            x[~passive] = 0.0
+            xp = x[cols]
+            shrink = z <= tol
+            alpha = np.min(xp[shrink] / (xp[shrink] - z[shrink]))
+            xp = xp + alpha * (z - xp)
+            leaving = np.flatnonzero(xp <= tol)
+            xp[leaving] = 0.0
+            x[cols] = xp
+            passive[cols[leaving]] = False
+            for i in leaving[::-1]:
+                factor.delete(int(i))
     return x, residual(x)
 
 
-def _solve(gram: np.ndarray, atb: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve a passive block scaled to unit diagonal; (z, singular). A squared
-    Cholesky pivot at rounding level marks the block singular, and a singular
-    block gets the least-norm solution."""
-    scale = 1.0 / np.sqrt(np.diag(gram))
-    scaled, rhs = gram * scale[:, None] * scale, atb * scale
-    try:
-        singular = bool(np.diag(np.linalg.cholesky(scaled)).min() ** 2 <= 1e3 * np.finfo(float).eps)
-    except np.linalg.LinAlgError:
-        singular = True
-    y = np.linalg.lstsq(scaled, rhs, rcond=None)[0] if singular else np.linalg.solve(scaled, rhs)
-    return y * scale, singular
+class PassiveFactor:
+    """Inverse Cholesky factor of the passive Gram block, in entry order.
+
+    With s = 1/sqrt(diag G) and S G S = L Lᵀ for the passive block G, it
+    holds M = L⁻¹ (lower triangular), so (S G S)⁻¹ = Mᵀ M and a solve is two
+    products with M. Bordering a new variable and deleting one both cost
+    O(k²) for k passive variables.
+    """
+
+    def __init__(self, capacity: int = 64):
+        self.k = 0
+        self._cols = np.empty(capacity, dtype=np.intp)
+        self._scale = np.empty(capacity)
+        self._m = np.zeros((capacity, capacity))
+
+    @property
+    def cols(self) -> np.ndarray:
+        """The passive variables, in factor order."""
+        return self._cols[: self.k]
+
+    @property
+    def scale(self) -> np.ndarray:
+        return self._scale[: self.k]
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """M = L⁻¹ for the scaled block S G S = L Lᵀ."""
+        return self._m[: self.k, : self.k]
+
+    def singular(self) -> bool:
+        """Is some squared pivot of L (1/M_rr²) at rounding level?"""
+        return self.k > 0 and 1.0 / float(self._m.diagonal()[: self.k].max()) ** 2 <= DEPENDENT
+
+    def border(self, j: int, column: np.ndarray) -> bool:
+        """Append variable j given its Gram entries against ``cols`` and, last,
+        its own. Returns False, and leaves the factor as it was, when j is
+        dependent: its squared pivot is at most ``DEPENDENT``."""
+        k = self.k
+        diagonal = float(column[k])
+        if not diagonal > 0.0:
+            return False
+        s = 1.0 / np.sqrt(diagonal)
+        M = self._m[:k, :k]
+        l = M @ (column[:k] * self.scale * s)
+        pivot2 = 1.0 - float(l @ l)
+        if pivot2 <= DEPENDENT:
+            return False
+        if k == self._m.shape[0]:
+            self._grow()
+            M = self._m[:k, :k]
+        p = np.sqrt(pivot2)
+        self._m[k, :k] = (l @ M) / -p
+        self._m[k, k] = 1.0 / p
+        self._m[:k, k] = 0.0
+        self._cols[k], self._scale[k] = j, s
+        self.k = k + 1
+        return True
+
+    def delete(self, i: int) -> None:
+        """Drop the variable at factor position i.
+
+        Rotating row i of M against each later row r in turn (Givens) zeroes
+        M[r, i] and keeps every later row lower triangular, so deleting row
+        and column i afterwards leaves the factor of the smaller block. The
+        rotations run as cumulative sums: after rotation r, row i equals
+        Σ_{t=i..r} M[t,i]·M[t] / ρ_r with ρ_r² = Σ_{t=i..r} M[t,i]².
+        """
+        k = self.k
+        M = self._m[:k, :k]
+        if i < k - 1:
+            m = M[i:, i].copy()
+            rho = np.sqrt(np.cumsum(m * m))
+            rows = np.cumsum(m[:-1, None] * M[i:-1], axis=0) / rho[:-1, None]
+            # Rotated rows i+1.. move up one row, then columns i+1.. move left.
+            M[i:-1] = (rho[:-1, None] * M[i + 1 :] - m[1:, None] * rows) / rho[1:, None]
+            M[:-1, i:-1] = M[:-1, i + 1 :]
+            self._cols[i : k - 1] = self._cols[i + 1 : k]
+            self._scale[i : k - 1] = self._scale[i + 1 : k]
+        self.k = k - 1
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """G⁻¹ rhs for the unscaled passive block G."""
+        M, scale = self.inverse, self.scale
+        return (M.T @ (M @ (rhs * scale))) * scale
+
+    def _grow(self) -> None:
+        k = self.k
+        cap = max(2 * k, 1)
+        m = np.zeros((cap, cap))
+        m[:k, :k] = self._m
+        self._m = m
+        self._cols = np.concatenate([self._cols, np.empty(cap - k, dtype=np.intp)])
+        self._scale = np.concatenate([self._scale, np.empty(cap - k)])

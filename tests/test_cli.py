@@ -180,6 +180,42 @@ class TestReportCommand:
         assert "Sharpe ratio (2-stock)" in text
         assert "Levene p-value" in text
 
+    @pytest.mark.parametrize("text", [
+        "name,size,mean\nRandom,2,1.0\n",  # columns missing
+        "a,b,c,d,e,f\n",  # header only, wrong columns
+        "",
+    ], ids=["missing-columns", "wrong-header-only", "empty"])
+    def test_report_header_checked(self, tmp_path, capsys, text):
+        path = tmp_path / "report.csv"
+        path.write_text(text)
+        assert main(["report", "--report-csv", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: expected header 'strategy,size,mean,sd,sharpe,best_flag'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", [
+        "size,strategies,W\n2,Random+NN,1.5\n",
+        "size,strategy,W,df1,df2,p\n",
+    ], ids=["missing-columns", "wrong-header-only"])
+    def test_levene_header_checked(self, workspace, capsys, text):
+        out = workspace / "out"
+        main(["simulate", "--config", str(workspace / "config.json"),
+              "--out-dir", str(out), "--seed", "3"])
+        path = workspace / "levene.csv"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["report", "--report-csv", str(out / "report_P1_P2.csv"),
+                     "--levene-csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert f"{path}: expected header 'size,strategies,W,df1,df2,p'" in captured.err
+        assert captured.out == ""
+
+    def test_short_report_row_located(self, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        path.write_text("strategy,size,mean,sd,sharpe,best_flag\nRandom,2,1.0\n")
+        assert main(["report", "--report-csv", str(path)]) == 2
+        assert f"{path}:2: bad row" in capsys.readouterr().err
+
 
 class TestConfigValidation:
     def test_bad_period_entry(self, workspace, capsys):
@@ -252,7 +288,7 @@ class TestSimulateInputChecks:
         with open(workspace / "industry.csv", "a") as fh:
             fh.write("ZZZ,2\n")
         monkeypatch.setattr(cli, "build_clusters", _forbidden)
-        monkeypatch.setattr(cli, "draw_matrix", _forbidden)
+        monkeypatch.setattr(cli, "draw_matrices", _forbidden)
         assert self.simulate(workspace / "config.json", workspace / "out") == 2
         err = capsys.readouterr().err
         assert "industry.csv" in err and "'ZZZ'" in err and "price panel" in err
@@ -292,6 +328,46 @@ class TestSimulateInputChecks:
         err = capsys.readouterr().err
         assert "bad_period.json" in err and "'P9'" in err and key in err
         assert not (workspace / "out").exists()
+
+
+    @pytest.mark.parametrize("reps", [1, 0, -5, 2.5, "40", True, None])
+    def test_bad_reps_rejected_before_any_data(self, workspace, monkeypatch, capsys, reps):
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["simulation"]["reps"] = reps
+        (workspace / "bad_reps.json").write_text(json.dumps(cfg))
+        for name in ("ingest", "build_clusters", "draw_matrices"):
+            monkeypatch.setattr(cli, name, _forbidden)
+        assert self.simulate(workspace / "bad_reps.json", workspace / "out") == 2
+        err = capsys.readouterr().err
+        assert f"bad_reps.json: simulation.reps must be an integer >= 2, not {reps!r}" in err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("k", [3, 1, 8, 4.0, "4"])
+    def test_bad_cluster_count_rejected_before_any_data(self, workspace, monkeypatch, capsys, k):
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["clustering"]["k"] = k
+        cfg["simulation"]["strategies"] = ["random", "mst"]
+        (workspace / "bad_k.json").write_text(json.dumps(cfg))
+        for name in ("ingest", "build_clusters", "draw_matrices"):
+            monkeypatch.setattr(cli, name, _forbidden)
+        assert self.simulate(workspace / "bad_k.json", workspace / "out") == 2
+        err = capsys.readouterr().err
+        assert "bad_k.json: clustering.k must be 2 or 4" in err and f"not {k!r}" in err
+        assert not (workspace / "out").exists()
+
+    def test_cluster_count_free_without_cluster_strategy(self, workspace, capsys):
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["clustering"]["k"] = 3
+        cfg["simulation"]["strategies"] = ["random", "industry"]
+        (workspace / "k3.json").write_text(json.dumps(cfg))
+        assert self.simulate(workspace / "k3.json", workspace / "out") == 0
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_two_or_four_clusters_accepted(self, workspace, capsys, k):
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["clustering"]["k"] = k
+        (workspace / "k.json").write_text(json.dumps(cfg))
+        assert self.simulate(workspace / "k.json", workspace / "out") == 0
 
 
 class TestRelativeConfigPaths:

@@ -12,7 +12,10 @@ Three goldens live under tests/data/:
   residual of ``neighbornet_ordering`` + ``fit_split_weights`` on 40 seeded
   distance matrices (n = 4..48, a third of them rounded to two decimals so
   the tie-breaks run); orderings and split sets must match exactly, weights
-  within 1e-9 and the residual within 1e-9 relative.
+  within 1e-9 and the residual within 1e-9 relative;
+- ``neighbornet_large.json``: the same record for two seeded block-factor
+  distance matrices at n = 64 and n = 100, the sizes where the split fit
+  runs hundreds of active-set steps, checked with the same tolerances.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py --write``, and
 only for an intended change of output.
@@ -47,6 +50,8 @@ SIM_DIR = DATA / "simulate_seed9"
 DRAWS_FILE = DATA / "draws_seed9.json"
 SIM_FILES = ("report_P1_P2.csv", "levene_P1_P2.csv", "report_P1_P2.md")
 NN_FILE = DATA / "neighbornet_cases.json"
+NN_LARGE_FILE = DATA / "neighbornet_large.json"
+NN_LARGE_SIZES = (64, 100)
 SEED = 9
 DRAWS = 50
 NN_CASES = 40
@@ -138,9 +143,21 @@ def nn_distance(case: int) -> DistanceMatrix:
     return DistanceMatrix(tuple(f"S{i:02d}" for i in range(n)), d)
 
 
-def nn_case(case: int) -> dict:
+def nn_large_distance(n: int) -> DistanceMatrix:
+    """Seeded correlation distance of 200 weeks of 6-block factor returns."""
+    rng = np.random.default_rng(8000 + n)
+    blocks = rng.integers(0, 6, size=n)
+    returns = 0.8 * rng.normal(size=(200, 6))[:, blocks] + rng.normal(size=(200, n))
+    d = np.sqrt(np.maximum(2.0 * (1.0 - np.corrcoef(returns, rowvar=False)), 0.0))
+    d = (d + d.T) / 2.0
+    np.fill_diagonal(d, 0.0)
+    return DistanceMatrix(tuple(f"S{i:03d}" for i in range(n)), d)
+
+
+def nn_case(case: int, dist: DistanceMatrix | None = None) -> dict:
     """Ordering, splits (start, length, weight) and residual of one case."""
-    dist = nn_distance(case)
+    if dist is None:
+        dist = nn_distance(case)
     system = fit_split_weights(dist, neighbornet_ordering(dist))
     return {
         "case": case,
@@ -154,20 +171,36 @@ def nn_golden_text() -> str:
     return json.dumps({"cases": [nn_case(c) for c in range(NN_CASES)]}) + "\n"
 
 
+def nn_large_golden_text() -> str:
+    cases = [nn_case(n, nn_large_distance(n)) for n in NN_LARGE_SIZES]
+    return json.dumps({"cases": cases}) + "\n"
+
+
 @pytest.fixture(scope="module")
 def nn_golden() -> list[dict]:
     return json.loads(NN_FILE.read_text())["cases"]
 
 
-@pytest.mark.parametrize("case", range(NN_CASES))
-def test_neighbornet_matches_golden(case, nn_golden):
-    want, got = nn_golden[case], nn_case(case)
+def assert_nn_case_matches(got: dict, want: dict) -> None:
     assert got["cycle"] == want["cycle"]
     assert [s[:2] for s in got["splits"]] == [s[:2] for s in want["splits"]]
     np.testing.assert_allclose(
         [s[2] for s in got["splits"]], [s[2] for s in want["splits"]], rtol=0, atol=1e-9
     )
     assert got["residual"] == pytest.approx(want["residual"], rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", range(NN_CASES))
+def test_neighbornet_matches_golden(case, nn_golden):
+    assert_nn_case_matches(nn_case(case), nn_golden[case])
+
+
+@pytest.mark.parametrize("index", range(len(NN_LARGE_SIZES)))
+def test_neighbornet_large_matches_golden(index):
+    n = NN_LARGE_SIZES[index]
+    want = json.loads(NN_LARGE_FILE.read_text())["cases"][index]
+    assert want["case"] == n
+    assert_nn_case_matches(nn_case(n, nn_large_distance(n)), want)
 
 
 def test_simulate_matches_golden(tmp_path):
@@ -209,3 +242,4 @@ if __name__ == "__main__":
             (SIM_DIR / name).write_bytes(data)
     DRAWS_FILE.write_text(drawn_tickers())
     NN_FILE.write_text(nn_golden_text())
+    NN_LARGE_FILE.write_text(nn_large_golden_text())

@@ -10,8 +10,10 @@ import pytest
 
 from netfolio.clusters import ClusterError, renumber
 from netfolio.correlation import DistanceMatrix
+import netfolio.neighbor_net as neighbor_net
 from netfolio.neighbor_net import (
     NeighborNetError,
+    SplitOperators,
     all_arc_splits,
     adjacent_gaps,
     circular_metric,
@@ -147,6 +149,36 @@ class TestSplitFitting:
         dist = random_distance_matrix(rng, 5)
         with pytest.raises(NeighborNetError):
             fit_split_weights(dist, ("X", "Y", "Z", "W", "V"))
+
+
+class TestSplitOperators:
+    """The prefix-sum products and the closed-form Gram block against the
+    design matrix they stand for."""
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_products_and_gram_equal_design_matrix(self, n):
+        rng = np.random.default_rng(4300 + n)
+        A, ops = split_design_matrix(n), SplitOperators(n)
+        size = A.shape[1]
+        x = np.where(rng.random(size) < 0.1, rng.uniform(0.0, 2.0, size), 0.0)
+        y = rng.normal(size=size)
+        np.testing.assert_allclose(ops.matvec(x), A @ x, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ops.rmatvec(y), A.T @ y, rtol=1e-12, atol=1e-11)
+        gram = A.T @ A
+        cols = rng.choice(size, size=min(size, 25), replace=False)
+        rows = rng.choice(size, size=min(size, 7), replace=False)
+        assert np.array_equal(ops.gram(cols, cols), gram[np.ix_(cols, cols)])
+        assert np.array_equal(ops.gram(rows, cols), gram[np.ix_(rows, cols)])
+
+    def test_fit_builds_no_design_matrix(self, monkeypatch, rng):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the fit built the design matrix")
+
+        monkeypatch.setattr(neighbor_net, "_separates", forbidden)
+        monkeypatch.setattr(neighbor_net, "split_design_matrix", forbidden)
+        dist = random_distance_matrix(rng, 12)
+        system = fit_split_weights(dist, neighbornet_ordering(dist))
+        assert system.splits and system.residual > 0.0
 
 
 class TestLoopReferences:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from netfolio.nnls import NNLSConvergenceError, nnls
+from netfolio.nnls import NNLSConvergenceError, PassiveFactor, nnls
 
 
 def kkt_violation(A, b, x):
@@ -119,3 +119,76 @@ class TestDegenerateFuzz:
         x, res = nnls(np.column_stack([a, a]), 2.0 * a)
         np.testing.assert_allclose(x, [2.0, 0.0])
         assert res < 1e-12
+
+
+class TestPassiveFactor:
+    """The bordered and column-deleted inverse factor against a fresh
+    Cholesky factor of the same scaled passive block."""
+
+    @staticmethod
+    def assert_fresh(factor, gram, solve=True):
+        block = gram[np.ix_(factor.cols, factor.cols)]
+        scale = 1.0 / np.sqrt(np.diag(block))
+        np.testing.assert_array_equal(factor.scale, scale)
+        if factor.k:
+            chol = np.linalg.cholesky(block * scale[:, None] * scale)
+            np.testing.assert_allclose(np.linalg.inv(factor.inverse), chol, rtol=0, atol=1e-10)
+        if factor.k and solve:
+            rhs = np.arange(1.0, factor.k + 1)
+            np.testing.assert_allclose(factor.solve(rhs), np.linalg.solve(block, rhs),
+                                       rtol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_border_and_delete_match_cholesky(self, seed):
+        rng = np.random.default_rng(1700 + seed)
+        n = 40
+        A = rng.normal(size=(80, n)) * rng.uniform(0.05, 20.0, size=n)
+        gram = A.T @ A
+        factor = PassiveFactor(capacity=2)  # grows while bordering
+        for _ in range(150):
+            if factor.k and (factor.k == n or rng.random() < 0.4):
+                factor.delete(int(rng.integers(factor.k)))
+            else:
+                j = int(rng.choice(np.setdiff1d(np.arange(n), factor.cols)))
+                assert factor.border(j, gram[np.append(factor.cols, j), j])
+            self.assert_fresh(factor, gram)
+
+    @pytest.mark.parametrize("delta,dependent", [(0.0, True), (1e-7, True), (1e-5, False)])
+    def test_dependent_column_not_bordered(self, delta, dependent):
+        # c = 2a - b + delta * (a x b): its squared pivot after a and b is
+        # 27/62 delta², so 1e-7 falls below 1e3 eps ~ 2.2e-13 and 1e-5 does not.
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1.0])
+        A = np.column_stack([a, b, 2.0 * a - b + delta * np.cross(a, b), np.zeros(3)])
+        gram = A.T @ A
+        factor = PassiveFactor()
+        for j in (0, 1):
+            assert factor.border(j, gram[np.append(factor.cols, j), j])
+        before = factor.inverse.copy()
+        assert not factor.border(3, gram[np.append(factor.cols, 3), 3])  # a zero column
+        assert factor.border(2, gram[np.append(factor.cols, 2), 2]) is not dependent
+        assert factor.cols.tolist() == ([0, 1] if dependent else [0, 1, 2])
+        if dependent:
+            np.testing.assert_array_equal(factor.inverse, before)
+        else:  # cond ~ 1e11: the factor matches, a solve need not to 1e-9
+            self.assert_fresh(factor, gram, solve=False)
+
+
+def test_two_columns_leave_in_one_step():
+    # Columns 0 and 1 mirror each other, so both reach zero at the same step
+    # once column 2 enters, and both leave the passive factor together.
+    A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 3.0, 1.0], [3.0, 1.0, 1.0]])
+    b = np.array([6.0, 6.0, 4.0, 4.0])
+    x, res = nnls(A, b)
+    np.testing.assert_allclose(x, [0.0, 0.0, 5.0], atol=1e-12)
+    assert res == pytest.approx(2.0)
+
+
+def test_least_norm_fallback_solves_the_passive_block(monkeypatch):
+    # Every passive block goes through the singular-block fallback.
+    monkeypatch.setattr(PassiveFactor, "singular", lambda self: True)
+    rng = np.random.default_rng(31)
+    A, b = rng.normal(size=(20, 8)), rng.normal(size=20)
+    x, res = nnls(A, b)
+    x_ref, res_ref = scipy.optimize.nnls(A, b)
+    np.testing.assert_allclose(x, x_ref, atol=1e-8)
+    assert res == pytest.approx(res_ref, abs=1e-8)
