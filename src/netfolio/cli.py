@@ -360,29 +360,44 @@ REPORT_COLUMNS = ("strategy", "size", "mean", "sd", "sharpe", "best_flag")
 LEVENE_COLUMNS = ("size", "strategies", "W", "df1", "df2", "p")
 
 
+def _cell(path: str, lineno: int, row: dict[str, str], column: str, kind: type = float):
+    """The int or finite float a report or Levene CSV cell spells."""
+    try:
+        value = kind(row[column])
+        if kind is float and not np.isfinite(value):
+            raise ValueError
+    except ValueError:
+        raise ConfigError(f"{path}:{lineno}: invalid {column} {row[column]!r}") from None
+    return value
+
+
 def cmd_report(args: argparse.Namespace) -> int:
+    path = args.report_csv
     stats: list[StrategyStats] = []
-    for _, row in read_table(args.report_csv, REPORT_COLUMNS):
+    for lineno, row in read_table(path, REPORT_COLUMNS):
         stats.append(
             StrategyStats(
                 row["strategy"],
-                int(row["size"]),
-                float(row["mean"]),
-                float(row["sd"]),
-                float(row["sharpe"]) if row["sharpe"] else None,
+                _cell(path, lineno, row, "size", int),
+                _cell(path, lineno, row, "mean"),
+                _cell(path, lineno, row, "sd"),
+                _cell(path, lineno, row, "sharpe") if row["sharpe"] else None,
                 row["best_flag"] == "1",
             )
         )
     levene: list[tuple[int, tuple[str, ...], LeveneResult]] = []
     if args.levene_csv:
-        for _, row in read_table(args.levene_csv, LEVENE_COLUMNS):
+        path = args.levene_csv
+        for lineno, row in read_table(path, LEVENE_COLUMNS):
             levene.append(
                 (
-                    int(row["size"]),
+                    _cell(path, lineno, row, "size", int),
                     tuple(row["strategies"].split("+")),
                     LeveneResult(
-                        float(row["W"]), int(row["df1"]), int(row["df2"]),
-                        float(row["p"]), "median",
+                        _cell(path, lineno, row, "W"),
+                        _cell(path, lineno, row, "df1", int),
+                        _cell(path, lineno, row, "df2", int),
+                        _cell(path, lineno, row, "p"),
                     ),
                 )
             )

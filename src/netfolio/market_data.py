@@ -126,14 +126,111 @@ class ReturnPanel:
         return self.total_return[self.period_index(label)]
 
 
+PRICE_HEADER = ["date", "ticker", "close"]
+DIVIDEND_HEADER = ["ticker", "payment_date", "amount"]
+
+
 def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePanel, DividendTable]:
     """Read price and dividend CSVs, validating the schemas strictly.
 
     Price CSV: header ``date,ticker,close``; dividend CSV: header
     ``ticker,payment_date,amount``. Any missing (date, ticker) price cell,
     malformed row, or out-of-range dividend fails with a located error.
+
+    Each file is read once into columns and checked with array operations;
+    only when a check fails does the row-by-row reader run again, to raise
+    the error of the first bad line.
     """
     price_file, dividend_file = Path(price_file), Path(dividend_file)
+    read = _ingest_columns(price_file, dividend_file)
+    return read if read is not None else _ingest_rows(price_file, dividend_file)
+
+
+def _columns(path: Path, header: list[str]) -> tuple[list[str], list[str], list[str]] | None:
+    """The three text columns of a CSV file with this header, blank rows
+    skipped; None when the header, a row's field count or the text is bad."""
+    columns: tuple[list[str], list[str], list[str]] = ([], [], [])
+    first, second, third = (column.append for column in columns)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            head = next(reader, None)
+            if head is None or [h.strip() for h in head] != header:
+                return None
+            # Each row is dropped as soon as it is split: holding every row
+            # list at once costs more in garbage collection than the parse.
+            for row in reader:
+                if len(row) == 3:
+                    first(row[0])
+                    second(row[1])
+                    third(row[2])
+                elif not _blank(row):
+                    return None
+    except (ValueError, csv.Error):  # undecodable bytes, an oversized field
+        return None
+    return columns
+
+
+def _ingest_columns(price_file: Path, dividend_file: Path) -> tuple[PricePanel, DividendTable] | None:
+    """``ingest`` of well-formed files from their columns; None when any check
+    fails. The checks are those of ``_ingest_rows``."""
+    columns = _columns(price_file, PRICE_HEADER)
+    if columns is None or not columns[0]:
+        return None
+    date_text, ticker_text, close_text = columns
+    parsed: dict[str, date] = {}  # raw date text -> date
+    try:
+        for text in set(date_text):
+            parsed[text] = _parse_date(text, "")
+        close = np.fromiter(map(float, close_text), float, len(close_text))
+    except ValueError:
+        return None
+    stripped = {text: text.strip() for text in set(ticker_text)}
+    if "" in stripped.values() or not (np.isfinite(close).all() and (close > 0).all()):
+        return None
+    dates = tuple(sorted(set(parsed.values())))
+    tickers = tuple(sorted(set(stripped.values())))
+    # Two texts of one date, or of one stripped ticker, share an index, so
+    # they collide as a duplicate cell.
+    date_pos = {d: i for i, d in enumerate(dates)}
+    date_of = {text: date_pos[d] for text, d in parsed.items()}
+    ticker_pos = {t: j for j, t in enumerate(tickers)}
+    ticker_of = {text: ticker_pos[t] for text, t in stripped.items()}
+    n = len(close_text)
+    cell = np.fromiter(map(date_of.__getitem__, date_text), np.intp, n) * len(tickers)
+    cell += np.fromiter(map(ticker_of.__getitem__, ticker_text), np.intp, n)
+    size = len(dates) * len(tickers)
+    # As many rows as cells and no cell twice: no cell is missing either.
+    if n != size or np.bincount(cell, minlength=size).max() != 1:
+        return None
+    grid = np.empty(size)
+    grid[cell] = close
+    panel = PricePanel(tickers, dates, grid.reshape(len(dates), len(tickers)))
+
+    columns = _columns(dividend_file, DIVIDEND_HEADER)
+    if columns is None:
+        return None
+    payer_text, paid_text, amount_text = columns
+    payer = {text: text.strip() for text in set(payer_text)}
+    if not set(payer.values()) <= set(tickers):
+        return None
+    try:
+        for text in set(paid_text) - parsed.keys():
+            parsed[text] = _parse_date(text, "")
+        amounts = list(map(float, amount_text))
+    except ValueError:
+        return None
+    paid = list(map(parsed.__getitem__, paid_text))
+    if paid and not (dates[0] <= min(paid) and max(paid) <= dates[-1]):
+        return None
+    if not all(map(math.isfinite, amounts)) or (amounts and min(amounts) < 0):
+        return None
+    entries = tuple(map(Dividend, map(payer.__getitem__, payer_text), paid, amounts))
+    return panel, DividendTable(entries)
+
+
+def _ingest_rows(price_file: Path, dividend_file: Path) -> tuple[PricePanel, DividendTable]:
+    """``ingest`` one row at a time, raising at the first bad line."""
     cells: dict[tuple[date, str], float] = {}
     parsed: dict[str, date] = {}  # raw date text -> date; every ticker repeats each date
 
@@ -145,7 +242,7 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
     with open(price_file, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["date", "ticker", "close"]:
+        if header is None or [h.strip() for h in header] != PRICE_HEADER:
             raise DataError(f"{price_file}: expected header 'date,ticker,close'")
         for lineno, row in enumerate(reader, start=2):
             if _blank(row):
@@ -183,7 +280,7 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
     with open(dividend_file, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["ticker", "payment_date", "amount"]:
+        if header is None or [h.strip() for h in header] != DIVIDEND_HEADER:
             raise DataError(f"{dividend_file}: expected header 'ticker,payment_date,amount'")
         for lineno, row in enumerate(reader, start=2):
             if _blank(row):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from netfolio.analytics import (
     AnalyticsError,
@@ -40,6 +40,35 @@ class TestFTail:
         # Independent oracle: numerically integrate the F density upper tail.
         tail, _ = integrate.quad(lambda x: stats.f.pdf(x, df1, df2), W, np.inf)
         assert f_tail(W, df1, df2) == pytest.approx(tail, abs=1e-8)
+
+
+class TestFTailOracle:
+    """The in-house incomplete beta against scipy's at the same x, over the
+    degrees of freedom a Levene test of up to 11 strategies and 10,000
+    replications produces (df2 = 3996 is the paper's)."""
+
+    DF2 = (2, 3, 5, 10, 30, 100, 300, 1000, 1196, 3996, 10000, 20000)
+
+    @pytest.mark.parametrize("df2", DF2)
+    def test_matches_scipy_betainc(self, df2):
+        for df1 in range(1, 11):
+            for W in np.geomspace(1e-4, 1e3, 60):
+                W = float(W)
+                x = df2 / (df2 + df1 * W)
+                ref = float(special.betainc(df2 / 2.0, df1 / 2.0, x))
+                got = f_tail(W, df1, df2)
+                where = f"W={W!r}, df1={df1}, df2={df2}"
+                if ref >= 1e-290:
+                    assert abs(got - ref) <= 2e-12 * ref, where
+                    # The Levene CSV prints p as %.6g, the report as %.3g.
+                    assert f"{got:.6g}" == f"{ref:.6g}", where
+                    assert f"{got:.3g}" == f"{ref:.3g}", where
+                else:
+                    assert abs(got - ref) <= 1e-300, where
+
+    @pytest.mark.parametrize("W", [0.0, -0.0, -1e-300, -2.5])
+    def test_non_positive_w(self, W):
+        assert f_tail(W, 3, 3996) == 1.0
 
 
 class TestLevene:

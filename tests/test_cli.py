@@ -210,6 +210,37 @@ class TestReportCommand:
         assert f"{path}: expected header 'size,strategies,W,df1,df2,p'" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("column,value", [
+        ("mean", "abc"), ("mean", "-inf"), ("sd", "inf"), ("sd", "nan"), ("sharpe", "nan"),
+        ("sharpe", "x1"), ("size", "2.5"), ("size", "two"),
+    ])
+    def test_bad_report_cell_located(self, tmp_path, capsys, column, value):
+        good = dict(zip(cli.REPORT_COLUMNS, ("Random", "2", "1.5", "2.0", "0.25", "1")))
+        bad = {**good, "strategy": "NN", column: value}
+        path = tmp_path / "report.csv"
+        path.write_text("".join(",".join(r) + "\n" for r in (cli.REPORT_COLUMNS, good.values(),
+                                                           bad.values())))
+        assert main(["report", "--report-csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:3: invalid {column} {value!r}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("column,value", [
+        ("W", "abc"), ("W", "inf"), ("p", "nan"), ("p", "-inf"), ("df1", "1.0"), ("df2", ""),
+        ("size", "x"),
+    ])
+    def test_bad_levene_cell_located(self, tmp_path, capsys, column, value):
+        report = tmp_path / "report.csv"
+        report.write_text("strategy,size,mean,sd,sharpe,best_flag\nRandom,2,1.5,2.0,,0\n")
+        row = {**dict(zip(cli.LEVENE_COLUMNS, ("2", "Random+NN", "1.5", "1", "1998", "0.22"))),
+               column: value}
+        path = tmp_path / "levene.csv"
+        path.write_text(",".join(cli.LEVENE_COLUMNS) + "\n" + ",".join(row.values()) + "\n")
+        assert main(["report", "--report-csv", str(report), "--levene-csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:2: invalid {column} {value!r}\n"
+        assert captured.out == ""
+
     def test_short_report_row_located(self, tmp_path, capsys):
         path = tmp_path / "report.csv"
         path.write_text("strategy,size,mean,sd,sharpe,best_flag\nRandom,2,1.0\n")
@@ -411,10 +442,16 @@ class TestRelativeConfigPaths:
         assert "list.json: config must be a JSON object" in capsys.readouterr().err
 
 
-def test_cli_import_skips_scipy():
-    # scipy is imported only for Levene p-values, so commands that never
-    # run a Levene test do not pay for it.
+def test_cli_import_skips_scipy(workspace):
+    # No command imports scipy, not even simulate, whose Levene p-values use
+    # the in-house incomplete beta.
     src = Path(netfolio.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import netfolio.cli, sys; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    code = (
+        "import sys; from netfolio.cli import main; "
+        "assert main(['simulate', '--config', sys.argv[1], '--out-dir', sys.argv[2]]) == 0; "
+        "assert 'scipy' not in sys.modules"
+    )
+    subprocess.run([sys.executable, "-c", code, str(workspace / "config.json"),
+                    str(workspace / "out")], env=env, check=True)
+    assert (workspace / "out" / "levene_P1_P2.csv").exists()

@@ -24,6 +24,8 @@ only for an intended change of output.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from datetime import date
 from pathlib import Path
@@ -57,8 +59,8 @@ DRAWS = 50
 NN_CASES = 40
 
 
-def simulate_outputs(tmp_path: Path) -> dict[str, bytes]:
-    """Run ``simulate --seed 9`` on the criterion-9 fixture; file name -> bytes."""
+def write_simulate_inputs(tmp_path: Path) -> Path:
+    """Write the criterion-9 fixture; returns its config file."""
     spec = BlockModelSpec(
         block_sizes=(3, 3, 3, 3),
         loadings=(0.9, 0.9, 0.9, 0.9),
@@ -86,9 +88,14 @@ def simulate_outputs(tmp_path: Path) -> dict[str, bytes]:
         "simulation": {"reps": 250, "sizes": [2, 4], "model_period": "P1",
                        "test_periods": ["P2"], "risk_free": {"P2": 1.0}},
     }))
+    return tmp_path / "config.json"
+
+
+def simulate_outputs(tmp_path: Path) -> dict[str, bytes]:
+    """Run ``simulate --seed 9`` on the criterion-9 fixture; file name -> bytes."""
+    config = write_simulate_inputs(tmp_path)
     out = tmp_path / "out"
-    code = main(["simulate", "--config", str(tmp_path / "config.json"),
-                 "--out-dir", str(out), "--seed", str(SEED)])
+    code = main(["simulate", "--config", str(config), "--out-dir", str(out), "--seed", str(SEED)])
     assert code == 0
     return {name: (out / name).read_bytes() for name in SIM_FILES}
 
@@ -207,6 +214,50 @@ def test_simulate_matches_golden(tmp_path):
     got = simulate_outputs(tmp_path)
     for name in SIM_FILES:
         assert got[name] == (SIM_DIR / name).read_bytes(), name
+
+
+# Runs every command, in one interpreter, with a finder that fails every
+# import of scipy, as on an install without the test extra.
+WITHOUT_SCIPY = """
+import json, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ModuleNotFoundError:
+    pass
+else:
+    sys.exit("scipy imported despite the finder")
+from netfolio.cli import main
+
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} failed")
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    config, out = str(write_simulate_inputs(tmp_path)), tmp_path / "out"
+    common = ["--config", config, "--out-dir", str(out)]
+    commands = [["returns", *common]]
+    commands += [["network", "--method", method, *common] for method in ("hct", "mst", "nnet")]
+    commands += [
+        ["simulate", *common, "--seed", str(SEED)],
+        ["report", "--report-csv", str(out / "report_P1_P2.csv"),
+         "--levene-csv", str(out / "levene_P1_P2.csv")],
+    ]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(commands)],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    for name in SIM_FILES:
+        assert (out / name).read_bytes() == (SIM_DIR / name).read_bytes(), name
+    assert (out / "nnet_P2.nex").exists()
 
 
 def test_drawn_tickers_match_golden():

@@ -2,11 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import tempfile
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netfolio.cli import main
 from netfolio.market_data import (
     BlockModelSpec,
     DataError,
@@ -14,6 +22,8 @@ from netfolio.market_data import (
     DividendTable,
     PricePanel,
     StudyPeriod,
+    _ingest_columns,
+    _ingest_rows,
     ingest,
     period_returns,
     synthesize_panel,
@@ -230,3 +240,160 @@ class TestSynthesizePanel:
         )
         _, divs = synthesize_panel(spec, seed=1)
         assert len(divs.entries) == 4  # 2 payments x 2 stocks
+
+
+# --- Columnar ingest against the row-by-row reader ---------------------------
+
+TICKER_CHARS = "ABXYZ.,"  # ',' forces a quoted field
+
+
+def encode(text: str, quote: bool) -> str:
+    """One CSV field spelling ``text``: quoted when asked or when it must be."""
+    if quote or "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def spelled_date(draw, d: date) -> str:
+    text = draw(st.sampled_from([d.isoformat(), f"{d.year}-{d.month}-{d.day}"]))
+    return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", " "]))
+
+
+@st.composite
+def spelled_number(draw, value: float) -> str:
+    return draw(st.sampled_from([repr(value), f"{value:.6e}", f" {value!r} "]))
+
+
+@st.composite
+def valid_inputs(draw):
+    """A valid price and dividend file pair as lists of CSV rows (lists of
+    encoded fields), and the panel's (dates, tickers) shape. Rows come in any
+    order; dates and tickers are spelled in several ways that read as the
+    same value."""
+    tickers = draw(st.lists(st.text(TICKER_CHARS, min_size=1, max_size=4), min_size=1,
+                            max_size=4, unique=True))
+    offsets = draw(st.lists(st.integers(0, 3000), min_size=1, max_size=5, unique=True))
+    dates = [date(2001, 1, 2) + timedelta(days=o) for o in offsets]
+    prices = []
+    for d in dates:
+        for t in tickers:
+            close = draw(st.floats(1e-3, 1e6))
+            prices.append([
+                encode(draw(spelled_date(d)), draw(st.booleans())),
+                encode(draw(st.sampled_from(["", " "])) + t + draw(st.sampled_from(["", "  "])),
+                       draw(st.booleans())),
+                encode(draw(spelled_number(close)), draw(st.booleans())),
+            ])
+    prices = draw(st.permutations(prices))
+    first, last = min(dates), max(dates)
+    dividends = []
+    for _ in range(draw(st.integers(0, 4))):
+        paid = first + timedelta(days=draw(st.integers(0, (last - first).days)))
+        amount = draw(st.floats(0.0, 10.0))
+        dividends.append([
+            encode(" " + draw(st.sampled_from(tickers)), draw(st.booleans())),
+            encode(draw(spelled_date(paid)), draw(st.booleans())),
+            encode(draw(spelled_number(amount)), draw(st.booleans())),
+        ])
+    return prices, dividends, (len(dates), len(tickers))
+
+
+@st.composite
+def csv_text(draw, header: str, rows: list[list[str]]) -> str:
+    """The file text: rows joined by one line ending, blank and
+    whitespace-only lines anywhere after the header."""
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   "])))
+    return newline.join([header] + lines) + newline
+
+
+def write_inputs(folder: Path, draw, prices, dividends) -> tuple[Path, Path]:
+    price_file, dividend_file = folder / "prices.csv", folder / "dividends.csv"
+    price_file.write_text(draw(csv_text("date,ticker,close", prices)), newline="")
+    dividend_file.write_text(draw(csv_text("ticker,payment_date,amount", dividends)), newline="")
+    return price_file, dividend_file
+
+
+def corrupt(draw, prices: list[list[str]], dividends: list[list[str]], shape) -> None:
+    """Make one cell, row or line of the inputs invalid, in place."""
+    kinds = ["close", "date", "ticker", "duplicate", "fields", "drop",
+             "payer", "paid", "amount"]
+    if len(prices) > 1 and min(shape) == 1:
+        kinds.remove("drop")  # the panel would just lose a date or a ticker
+    kind = draw(st.sampled_from(kinds))
+    bad_dividend = {
+        "payer": (0, ["ZZZ", ""]),
+        "paid": (1, ["1990-01-01", "2031-1-1", "2001-02-30", "x"]),
+        "amount": (2, ["-0.5", "nan", "inf", "abc", ""]),
+    }
+    if kind in bad_dividend:
+        if not dividends:  # a row for the first price row's ticker and date
+            dividends.append([prices[0][1], prices[0][0], "1.0"])
+        column, values = bad_dividend[kind]
+        draw(st.sampled_from(dividends))[column] = draw(st.sampled_from(values))
+        return
+    i = draw(st.integers(0, len(prices) - 1))
+    row = prices[i]
+    if kind == "close":
+        row[2] = draw(st.sampled_from(["abc", "-1", "0", "nan", "-inf", "1e999", ""]))
+    elif kind == "date":
+        row[0] = draw(st.sampled_from(["2001-02-30", "01/02/2001", ""]))
+    elif kind == "ticker":
+        row[1] = draw(st.sampled_from(["", "  "]))
+    elif kind == "duplicate":  # a second row for a cell, leaving another one empty
+        j = draw(st.integers(0, len(prices) - 1).filter(lambda j: j != i)) if len(prices) > 1 else i
+        prices[i] = list(prices[j])
+        if i == j:
+            prices.append(list(row))
+    elif kind == "fields":
+        prices[i] = row + ["1"] if draw(st.booleans()) else row[:2]
+    else:
+        del prices[i]
+
+
+class TestColumnarIngest:
+    """``ingest`` reads columns and checks them as arrays; the row-by-row
+    reader is its reference and produces every error message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_inputs(), st.data())
+    def test_same_panel_as_row_reader(self, inputs, data):
+        with tempfile.TemporaryDirectory() as folder:
+            files = write_inputs(Path(folder), data.draw, *inputs[:2])
+            fast = _ingest_columns(*files)
+            assert fast is not None, "a valid input fell back to the row reader"
+            (panel, divs), (ref_panel, ref_divs) = fast, _ingest_rows(*files)
+        assert panel.tickers == ref_panel.tickers and panel.dates == ref_panel.dates
+        assert np.array_equal(panel.close, ref_panel.close)
+        assert divs == ref_divs
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_inputs(), st.data())
+    def test_corruption_gives_row_reader_message(self, inputs, data):
+        prices, dividends, shape = inputs
+        corrupt(data.draw, prices, dividends, shape)
+        with tempfile.TemporaryDirectory() as folder:
+            folder = Path(folder)
+            files = write_inputs(folder, data.draw, prices, dividends)
+            with pytest.raises(DataError) as expected:
+                _ingest_rows(*files)
+            with pytest.raises(DataError) as got:
+                ingest(*files)
+            assert str(got.value) == str(expected.value)
+            (folder / "periods.json").write_text("[]")
+            (folder / "config.json").write_text(json.dumps(
+                {"prices": "prices.csv", "dividends": "dividends.csv", "periods": "periods.json"}))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = main(["returns", "--config", str(folder / "config.json"),
+                             "--out-dir", str(folder / "out")])
+        assert code == 2
+        assert stderr.getvalue() == f"error: {expected.value}\n"
+
+    def test_two_spellings_of_a_date_are_a_duplicate(self, tmp_path):
+        p, d = write_csvs(tmp_path, [f"{WEEK1},AAA,10", "2001-1-2,AAA,11"], [])
+        with pytest.raises(DataError, match=r"prices\.csv:3: duplicate row for \(2001-01-02, AAA\)"):
+            ingest(p, d)
