@@ -43,19 +43,14 @@ from .neighbor_net import (
 )
 from .portfolio_sim import (
     IndustryMap,
-    PortfolioDraw,
     SimulationRun,
     Strategy,
-    cluster_mean_returns,
+    cluster_plan,
     default_industry_map,
     draw_matrices,
-    draw_matrix,
-    portfolio_return,
+    random_plan,
     run_simulation,
     score_period,
-    select_cluster,
-    select_industry,
-    select_random,
 )
 from .tree_cluster import (
     Dendrogram,

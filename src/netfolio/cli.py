@@ -47,8 +47,10 @@ from .neighbor_net import (
 from .portfolio_sim import (
     IndustryMap,
     Strategy,
+    cluster_plan,
     default_industry_map,
     draw_matrices,
+    random_plan,
     score_period,
 )
 from .tree_cluster import (
@@ -83,12 +85,21 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _load_json(path: str | Path) -> object:
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from None
+
+
 def load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
-    with open(path) as fh:
-        cfg = json.load(fh)
+    cfg = _load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
     for key in ("prices", "dividends", "periods"):
@@ -108,8 +119,7 @@ def load_config(path: str | Path) -> dict:
 
 
 def load_periods(path: str | Path) -> list[StudyPeriod]:
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = _load_json(path)
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}: periods config must be a non-empty JSON array")
     periods = []
@@ -319,18 +329,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     strategies: list[Strategy] = []
     for name in names:
-        label = _STRATEGY_LABELS[name]
         if name == "random":
-            strategies.append(Strategy(label, "random", universe=returns.tickers))
+            plan = random_plan(returns.tickers)
         elif name == "industry":
-            strategies.append(Strategy(label, "industry", industry=industry))
+            plan = industry.plan
         else:
             assignment, pairing, _ = build_clusters(name, dist, clustering)
-            if not sim.get("pair_m2", True):
-                pairing = None
-            strategies.append(
-                Strategy(label, "cluster", assignment=assignment, pairing=pairing)
-            )
+            plan = cluster_plan(assignment, pairing if sim.get("pair_m2", True) else None)
+        strategies.append(Strategy(_STRATEGY_LABELS[name], plan))
 
     # Replication streams depend on (seed, rep) only: read each stream once,
     # draw each (m, strategy) portfolio matrix once and score it on every
@@ -339,8 +345,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     draws = list(zip([strat.name for m in sizes for strat in strategies], matrices))
     out = Path(args.out_dir)
     for test_period in test_periods:
-        runs = [score_period(name, columns, returns, test_period, seed)
-                for name, columns in draws]
+        runs = [score_period(name, columns, returns, test_period) for name, columns in draws]
         rf = float(rf_table.get(test_period, 0.0))
         report = summarize(
             runs,
@@ -360,8 +365,14 @@ REPORT_COLUMNS = ("strategy", "size", "mean", "sd", "sharpe", "best_flag")
 LEVENE_COLUMNS = ("size", "strategies", "W", "df1", "df2", "p")
 
 
-def _cell(path: str, lineno: int, row: dict[str, str], column: str, kind: type = float):
-    """The int or finite float a report or Levene CSV cell spells."""
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(text)
+    return text == "1"
+
+
+def _cell(path: str, lineno: int, row: dict[str, str], column: str, kind=float):
+    """The int, finite float or 0/1 flag a report or Levene CSV cell spells."""
     try:
         value = kind(row[column])
         if kind is float and not np.isfinite(value):
@@ -382,7 +393,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 _cell(path, lineno, row, "mean"),
                 _cell(path, lineno, row, "sd"),
                 _cell(path, lineno, row, "sharpe") if row["sharpe"] else None,
-                row["best_flag"] == "1",
+                _cell(path, lineno, row, "best_flag", _flag),
             )
         )
     levene: list[tuple[int, tuple[str, ...], LeveneResult]] = []
@@ -431,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out-dir", default="out")
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--workers", type=int, default=1,
-                       help="accepted for compatibility; the engine is single-threaded")
+                       help="ignored: the engine is single-threaded")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("report", help="render a report CSV as a table")

@@ -396,14 +396,6 @@ class BlockModelSpec:
         drift = self.block_drift or (0.0,) * len(self.block_sizes)
         return np.repeat(drift, self.block_sizes)
 
-    def block_of(self, stock_index: int) -> int:
-        row = 0
-        for b, size in enumerate(self.block_sizes):
-            row += size
-            if stock_index < row:
-                return b
-        raise IndexError(stock_index)
-
 
 def panel_from_loadings(
     loadings: np.ndarray,

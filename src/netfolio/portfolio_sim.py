@@ -4,20 +4,22 @@ Five strategies: uniform random, industry super-groups, and correlation
 clusters from each network method. Portfolios are equal-weight buy-and-hold;
 a draw's return is the arithmetic mean of its constituents' period returns.
 
-Each strategy resolves once to a DrawPlan: its candidate tickers laid out
-group after group. The scalar draw core (``_draw_row``) turns a plan and a
-replication stream into the positions of one portfolio. Replication streams
-derive from (seed, replication index) alone, so the output depends only on
-the seed, and every bounded draw ``_draw_row`` makes is numpy's Lemire step
-on the stream's 32-bit words. ``draw_matrices`` therefore reads each
-replication's first few words once into a (reps x K) word matrix and hands
-it to every (strategy, m) block; the batched core (``_draw_rows``) replays
-numpy's draws on it column by column, with a cursor per row, and yields the
-same (reps x m) positions as ``_draw_row`` would. Rows that hit a Lemire
-rejection or run past K words, and plans too large for numpy's Floyd branch,
-are drawn by the scalar core instead. Each block becomes a (reps x m) matrix
-of ReturnPanel columns, drawn once and scored on every test period with one
-gather and mean (``score_period``). The engine is single-threaded.
+A Strategy is a report name and a DrawPlan: its candidate tickers laid out
+group after group (``random_plan``, ``IndustryMap.plan``, ``cluster_plan``).
+The scalar draw core (``_draw_row``) turns a plan and a replication stream
+into the positions of one portfolio. Replication streams derive from (seed,
+replication index) alone, so the output depends only on the seed, and every
+bounded draw ``_draw_row`` makes is numpy's Lemire step on the stream's
+32-bit words. ``draw_matrices`` therefore reads each replication's first few
+words once into a (reps x K) word matrix and hands it to every (strategy, m)
+block; the batched core (``_draw_rows``) replays numpy's draws on it column
+by column, with a cursor per row, and yields the same (reps x m) positions as
+``_draw_row`` would. Rows that hit a Lemire rejection or run past K words,
+and plans too large for numpy's Floyd branch, are drawn by the scalar core
+instead. Each block becomes a (reps x m) matrix of ReturnPanel columns, drawn
+once and scored on every test period with one gather and mean
+(``score_period``); ``run_simulation`` does both for one block. The engine is
+single-threaded.
 """
 
 from __future__ import annotations
@@ -46,18 +48,12 @@ class IndustryMap:
             raise SimulationError("need at least 2 industry groups")
 
     @cached_property
-    def _members(self) -> dict[int, tuple[str, ...]]:
-        out: dict[int, list[str]] = {}
-        for t, g in sorted(self.groups.items()):
-            out.setdefault(g, []).append(t)
-        return {g: tuple(ms) for g, ms in sorted(out.items())}
-
-    def group_members(self) -> dict[int, tuple[str, ...]]:
-        return dict(self._members)
-
-    @cached_property
     def plan(self) -> DrawPlan:
-        return _grouped_plan("industry", self._members)
+        """Uniform group-stratified draws over the super-groups."""
+        members: dict[int, list[str]] = {}
+        for t, g in sorted(self.groups.items()):
+            members.setdefault(g, []).append(t)
+        return _grouped_plan("industry", {g: tuple(ms) for g, ms in members.items()})
 
 
 def default_industry_map() -> IndustryMap:
@@ -65,24 +61,9 @@ def default_industry_map() -> IndustryMap:
 
 
 @dataclass(frozen=True)
-class PortfolioDraw:
-    replication: int
-    tickers: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.tickers)) != len(self.tickers):
-            raise SimulationError("portfolio tickers must be distinct")
-
-    @property
-    def m(self) -> int:
-        return len(self.tickers)
-
-
-@dataclass(frozen=True)
 class SimulationRun:
     strategy: str
     m: int
-    seed: int
     period: str
     returns: np.ndarray  # per-replication portfolio returns, percent
 
@@ -134,10 +115,6 @@ class DrawPlan:
                     )
             return
         raise SimulationError(f"portfolio size {m} incompatible with {c} groups")
-
-    def draw(self, m: int, rng: np.random.Generator, replication: int = 0) -> PortfolioDraw:
-        self.check(m)
-        return PortfolioDraw(replication, tuple(self.labels[p] for p in _draw_row(self, m, rng)))
 
 
 def _draw_row(plan: DrawPlan, m: int, rng: np.random.Generator) -> list[int]:
@@ -253,10 +230,20 @@ def _replication_words(seed: int, reps: int, k: int) -> np.ndarray:
     return words
 
 
-def _random_plan(universe: tuple[str, ...]) -> DrawPlan:
+def random_plan(universe: tuple[str, ...]) -> DrawPlan:
+    """m distinct tickers, uniform without replacement."""
     if len(set(universe)) != len(universe):
         raise SimulationError("universe tickers must be distinct")
     return DrawPlan("random", tuple(sorted(universe)), (len(universe),))
+
+
+def cluster_plan(assignment: ClusterAssignment, pairing: ClusterPairing | None = None) -> DrawPlan:
+    """Industry-style stratified draws over correlation clusters.
+
+    With more clusters than stocks wanted (m=2, c=4) the two clusters come
+    from one uniformly chosen entry of the pairing when one is given.
+    """
+    return _grouped_plan("cluster", assignment.clusters(), pairing)
 
 
 def _grouped_plan(rule: str, groups: dict[int, tuple[str, ...]],
@@ -268,40 +255,12 @@ def _grouped_plan(rule: str, groups: dict[int, tuple[str, ...]],
     return DrawPlan(rule, labels, tuple(len(groups[g]) for g in ids), ids, pairs)
 
 
-def select_random(universe: tuple[str, ...], m: int, rng: np.random.Generator,
-                  replication: int = 0) -> PortfolioDraw:
-    """m distinct tickers, uniform without replacement."""
-    return _random_plan(universe).draw(m, rng, replication)
-
-
-def select_industry(industry: IndustryMap, m: int, rng: np.random.Generator,
-                    replication: int = 0) -> PortfolioDraw:
-    """Uniform group-stratified draw over the industry super-groups."""
-    return industry.plan.draw(m, rng, replication)
-
-
-def select_cluster(assignment: ClusterAssignment, pairing: ClusterPairing | None,
-                   m: int, rng: np.random.Generator, replication: int = 0) -> PortfolioDraw:
-    """Industry-style stratified draw over correlation clusters.
-
-    With more clusters than stocks wanted (m=2, c=4) the two clusters come
-    from one uniformly chosen entry of the pairing when one is given.
-    """
-    return _grouped_plan("cluster", assignment.clusters(), pairing).draw(m, rng, replication)
-
-
 def _columns(returns: ReturnPanel, tickers: tuple[str, ...]) -> np.ndarray:
     column = returns.column
     try:
         return np.array([column[t] for t in tickers], dtype=np.intp)
     except KeyError as exc:
         raise SimulationError(f"unknown ticker {exc.args[0]!r} in draw") from None
-
-
-def portfolio_return(draw: PortfolioDraw, returns: ReturnPanel, period: str) -> float:
-    """Equal-weight buy-and-hold period return (%), exact for simple returns."""
-    row = returns.returns_for(period)
-    return float(np.mean(row[_columns(returns, draw.tickers)]))
 
 
 def replication_rng(seed: int, replication: int) -> np.random.Generator:
@@ -311,35 +270,17 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class Strategy:
-    """A named selection rule bound to its inputs."""
+    """A selection rule: the name its report rows carry and the plan it draws."""
 
     name: str
-    kind: str  # random | industry | cluster
-    universe: tuple[str, ...] = ()
-    industry: IndustryMap | None = None
-    assignment: ClusterAssignment | None = None
-    pairing: ClusterPairing | None = None
-
-    @cached_property
-    def plan(self) -> DrawPlan:
-        if self.kind == "random":
-            return _random_plan(self.universe)
-        if self.kind == "industry":
-            assert self.industry is not None
-            return self.industry.plan
-        if self.kind == "cluster":
-            assert self.assignment is not None
-            return _grouped_plan("cluster", self.assignment.clusters(), self.pairing)
-        raise SimulationError(f"unknown strategy kind {self.kind!r}")
-
-    def draw(self, m: int, rng: np.random.Generator, replication: int = 0) -> PortfolioDraw:
-        return self.plan.draw(m, rng, replication)
+    plan: DrawPlan
 
 
 def draw_matrices(strategies: list[Strategy], returns: ReturnPanel, sizes: list[int],
                   reps: int = 1000, seed: int = 0) -> list[np.ndarray]:
-    """``draw_matrix`` of every block, m-major: the list holds
-    ``draw_matrix(s, returns, m, reps, seed) for m in sizes for s in strategies``.
+    """(reps x m) ReturnPanel columns of every block, m-major: one matrix
+    for each m in sizes and each strategy. Row r of a block is the portfolio
+    ``_draw_row`` draws from ``replication_rng(seed, r)``, in drawn order.
 
     Every block is checked before any is drawn. Each replication's stream
     is read once, into a word matrix that all blocks share; at most 3m
@@ -367,44 +308,16 @@ def draw_matrices(strategies: list[Strategy], returns: ReturnPanel, sizes: list[
     return matrices
 
 
-def draw_matrix(strategy: Strategy, returns: ReturnPanel, m: int, reps: int = 1000,
-                seed: int = 0) -> np.ndarray:
-    """(reps x m) ReturnPanel columns: row r is the portfolio that
-    ``strategy.draw(m, replication_rng(seed, r), r)`` draws, in drawn order."""
-    return draw_matrices([strategy], returns, [m], reps, seed)[0]
-
-
-def score_period(strategy: str, columns: np.ndarray, returns: ReturnPanel, period: str,
-                 seed: int) -> SimulationRun:
-    """Score a draw_matrix on one period: each row's mean return (%)."""
+def score_period(strategy: str, columns: np.ndarray, returns: ReturnPanel,
+                 period: str) -> SimulationRun:
+    """Score one draw_matrices block on one period: each row's mean return (%)."""
     row = returns.returns_for(period)
-    return SimulationRun(strategy, columns.shape[1], seed, period, row[columns].mean(axis=1))
+    return SimulationRun(strategy, columns.shape[1], period, row[columns].mean(axis=1))
 
 
-def run_simulation(
-    strategy: Strategy,
-    returns: ReturnPanel,
-    period: str,
-    m: int,
-    reps: int = 1000,
-    seed: int = 0,
-    workers: int = 1,
-) -> SimulationRun:
-    """reps independent draws scored by their mean period return.
-
-    Deterministic for fixed (seed, strategy, m). ``workers`` is accepted for
-    compatibility and has no effect.
-    """
-    columns = draw_matrix(strategy, returns, m, reps, seed)
-    return score_period(strategy.name, columns, returns, period, seed)
-
-
-def cluster_mean_returns(
-    assignment: ClusterAssignment, returns: ReturnPanel, period: str
-) -> list[tuple[int, float, int]]:
-    """Per-cluster (id, mean member return %, size)."""
-    row = returns.returns_for(period)
-    return [
-        (cid, float(np.mean(row[_columns(returns, members)])), len(members))
-        for cid, members in assignment.clusters().items()
-    ]
+def run_simulation(strategy: Strategy, returns: ReturnPanel, period: str, m: int,
+                   reps: int = 1000, seed: int = 0) -> SimulationRun:
+    """reps independent draws scored by their mean period return;
+    deterministic for fixed (seed, strategy, m)."""
+    columns = draw_matrices([strategy], returns, [m], reps, seed)[0]
+    return score_period(strategy.name, columns, returns, period)

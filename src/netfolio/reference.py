@@ -1,49 +1,10 @@
 """Built-in reference data for the 30-stock Dow Jones universe.
 
-Tickers, industry groups, the four industry super-groups used by the
-industry selection strategy, the four study periods, and the per-period
-risk-free returns used in Sharpe ratios.
+The four industry super-groups used by the industry selection strategy and
+the per-period risk-free returns used in Sharpe ratios.
 """
 
 from __future__ import annotations
-
-from datetime import date
-
-# Ticker -> industry group, alphabetical by company name.
-INDUSTRY_GROUPS: dict[str, str] = {
-    "MMM": "Diversified Industrials",
-    "AA": "Aluminium",
-    "AXP": "Insurance and Finance",
-    "T": "Telecom",
-    "BOA": "Insurance and Finance",
-    "BA": "Aerospace",
-    "CAT": "Commercial Vehicles & Trucks",
-    "CVX": "Integrated Oil & Gas",
-    "CRJ": "Telecom",
-    "CCE": "Soft Drinks",
-    "DD": "Commodity Chemicals",
-    "XOM": "Integrated Oil & Gas",
-    "GE": "Diversified Industrials",
-    "HPQ": "Computer Hardware",
-    "HD": "Home Improvement Retailers",
-    "INTC": "Computer Hardware",
-    "IBM": "Computer Services",
-    "JNJ": "Healthcare",
-    "JPM": "Insurance and Finance",
-    "MCD": "Restaurants & Bars",
-    "MRK": "Pharmaceuticals",
-    "MSFT": "Technology",
-    "PFE": "Pharmaceuticals",
-    "PG": "Nondurable Household Products",
-    "TRV": "Insurance and Finance",
-    "UTX": "Aerospace",
-    "UNH": "Healthcare",
-    "VZWI": "Telecom",
-    "WMT": "Retailers",
-    "DIS": "Broadcasting and Entertainment",
-}
-
-DJ30_TICKERS: tuple[str, ...] = tuple(sorted(INDUSTRY_GROUPS))
 
 # The four super-groups (sizes 8, 5, 9, 8) used for industry selection.
 SUPER_GROUPS: dict[str, int] = {
@@ -56,14 +17,6 @@ SUPER_GROUPS: dict[str, int] = {
     # technology / telecom
     "T": 4, "CRJ": 4, "HPQ": 4, "INTC": 4, "IBM": 4, "MSFT": 4, "PG": 4, "VZWI": 4,
 }
-
-# Four study periods (weekly close boundaries).
-STUDY_PERIOD_DATES: tuple[tuple[str, date, date], ...] = (
-    ("P1", date(2001, 1, 2), date(2004, 1, 6)),
-    ("P2", date(2004, 1, 6), date(2007, 1, 2)),
-    ("P3", date(2007, 1, 2), date(2010, 1, 5)),
-    ("P4", date(2010, 1, 5), date(2013, 5, 14)),
-)
 
 # Risk-free period returns (%) for the Sharpe ratios, by period label.
 RISK_FREE_PCT: dict[str, float] = {"P1": 3.0, "P2": 2.2, "P3": 4.4, "P4": 1.7}

@@ -21,6 +21,7 @@ from netfolio.analytics import f_tail, levene_test, sharpe_ratio
 from netfolio.correlation import pearson_correlation, ultrametric_distance
 from netfolio.market_data import (
     BlockModelSpec,
+    ReturnPanel,
     StudyPeriod,
     panel_from_loadings,
     period_returns,
@@ -35,10 +36,11 @@ from netfolio.neighbor_net import (
 from netfolio.portfolio_sim import (
     IndustryMap,
     Strategy,
+    cluster_plan,
     default_industry_map,
-    replication_rng,
+    draw_matrices,
+    random_plan,
     run_simulation,
-    select_industry,
 )
 from netfolio.tree_cluster import (
     average_linkage_hct,
@@ -236,28 +238,42 @@ def test_criterion_07_random_selection_calibration():
     period = StudyPeriod("P1", panel.dates[0], panel.dates[-1])
     returns = period_returns(panel, divs, [period])
     universe_mean = float(np.mean(returns.returns_for("P1")))
-    strategy = Strategy("Random", "random", universe=returns.tickers)
+    strategy = Strategy("Random", random_plan(returns.tickers))
     for m in (2, 4, 8):
         run = run_simulation(strategy, returns, "P1", m, reps=1000, seed=7)
         se = float(np.std(run.returns, ddof=1)) / np.sqrt(run.replications)
         assert abs(float(np.mean(run.returns)) - universe_mean) < 3 * se, m
 
 
+def industry_draws(industry: IndustryMap, m: int, reps: int,
+                   seed: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """The map's tickers, as panel columns, and the (reps x m) block of
+    columns ``draw_matrices`` draws with the industry rule."""
+    tickers = tuple(sorted(industry.groups))
+    period = StudyPeriod("P1", date(2001, 1, 2), date(2004, 1, 6))
+    panel = ReturnPanel(tickers, (period,), np.zeros((1, len(tickers))),
+                        (np.zeros((3, len(tickers))),))
+    (columns,) = draw_matrices([Strategy("Industry", industry.plan)], panel, [m], reps, seed)
+    return tickers, columns
+
+
 def test_criterion_08_selection_rule_exactness():
     industry = default_industry_map()
-    groups = industry.groups
-    for rep in range(100_000):
-        draw = select_industry(industry, 8, replication_rng(8, rep))
-        counts = Counter(groups[t] for t in draw.tickers)
-        assert sorted(counts.values()) == [2, 2, 2, 2], rep
-    for rep in range(100_000):
-        a, b = select_industry(industry, 2, replication_rng(80, rep)).tickers
-        assert groups[a] != groups[b], rep
+    tickers, m8 = industry_draws(industry, 8, 100_000, 8)
+    group_of = np.array([industry.groups[t] for t in tickers])
+    ids = np.unique(group_of)
+    counts = (group_of[m8][:, :, None] == ids).sum(axis=1)
+    assert len(ids) == 4 and (counts == 2).all(), np.flatnonzero((counts != 2).any(axis=1))[:10]
+    _, m2 = industry_draws(industry, 2, 100_000, 80)
+    a, b = group_of[m2].T
+    assert (a != b).all(), np.flatnonzero(a == b)[:10]
 
     # Exact rational enumeration on a 6-stock toy universe: pick 2 of the 4
     # groups uniformly, then one stock uniformly within each.
     toy = IndustryMap({"A1": 1, "A2": 1, "B1": 2, "C1": 3, "C2": 3, "D1": 4})
-    members = toy.group_members()
+    members: dict[int, list[str]] = {}
+    for t, g in toy.groups.items():
+        members.setdefault(g, []).append(t)
     expected: dict[frozenset, Fraction] = {}
     for ga, gb in combinations(sorted(members), 2):
         for a, b in product(members[ga], members[gb]):
@@ -266,9 +282,8 @@ def test_criterion_08_selection_rule_exactness():
             expected[key] = expected.get(key, Fraction(0)) + p
     assert sum(expected.values()) == 1
     reps = 60_000
-    observed: Counter = Counter()
-    for rep in range(reps):
-        observed[frozenset(select_industry(toy, 2, replication_rng(88, rep)).tickers)] += 1
+    toy_tickers, toy_draws = industry_draws(toy, 2, reps, 88)
+    observed = Counter(frozenset(toy_tickers[c] for c in row) for row in toy_draws.tolist())
     assert set(observed) <= set(expected)
     for key, p in expected.items():
         se = np.sqrt(reps * float(p) * (1 - float(p)))
@@ -386,13 +401,13 @@ def test_criterion_11_end_to_end_block_recovery():
         assert got == planted, assignment.method
 
     random_run = run_simulation(
-        Strategy("Random", "random", universe=returns.tickers),
+        Strategy("Random", random_plan(returns.tickers)),
         returns, "P1", 4, reps=1000, seed=11,
     )
     sd_random = float(np.std(random_run.returns, ddof=1))
     for assignment in (hct, mst, nnet):
         run = run_simulation(
-            Strategy(assignment.method, "cluster", assignment=assignment),
+            Strategy(assignment.method, cluster_plan(assignment)),
             returns, "P1", 4, reps=1000, seed=11,
         )
         sd_cluster = float(np.std(run.returns, ddof=1))

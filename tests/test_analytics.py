@@ -19,7 +19,7 @@ from netfolio.portfolio_sim import SimulationRun
 
 
 def run(strategy, m, values, period="P1"):
-    return SimulationRun(strategy, m, 0, period, np.asarray(values, dtype=float))
+    return SimulationRun(strategy, m, period, np.asarray(values, dtype=float))
 
 
 class TestSharpe:

@@ -212,7 +212,8 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("column,value", [
         ("mean", "abc"), ("mean", "-inf"), ("sd", "inf"), ("sd", "nan"), ("sharpe", "nan"),
-        ("sharpe", "x1"), ("size", "2.5"), ("size", "two"),
+        ("sharpe", "x1"), ("size", "2.5"), ("size", "two"), ("best_flag", "yes"),
+        ("best_flag", ""),
     ])
     def test_bad_report_cell_located(self, tmp_path, capsys, column, value):
         good = dict(zip(cli.REPORT_COLUMNS, ("Random", "2", "1.5", "2.0", "0.25", "1")))
@@ -305,6 +306,24 @@ class TestConfigValidation:
         assert main(["simulate", "--config", str(workspace / "config.json"),
                      "--out-dir", str(out)]) == 2
         assert "ticker,group" in capsys.readouterr().err
+
+    def test_invalid_config_json_located(self, workspace, capsys):
+        path = workspace / "broken.json"
+        path.write_text("{bad")
+        assert main(["returns", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid JSON at line 1 column 2: "
+            "Expecting property name enclosed in double quotes\n"
+        )
+
+    def test_invalid_periods_json_located(self, workspace, capsys):
+        path = workspace / "periods.json"
+        path.write_text('[\n  {"label": "P1",}\n]\n')
+        assert main(["returns", "--config", str(workspace / "config.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid JSON at line 2 column 18: "
+            "Expecting property name enclosed in double quotes\n"
+        )
 
 
 def _forbidden(*args, **kwargs):

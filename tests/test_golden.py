@@ -6,8 +6,9 @@ Three goldens live under tests/data/:
   ``simulate --seed 9`` writes on the criterion-9 fixture, compared byte
   for byte;
 - ``draws_seed9.json``: the first 50 portfolios each selection rule draws
-  for m in {2, 4, 8} from the replication streams of seed 9, compared byte
-  for byte, and checked through ``draw_matrix`` and ``draw_matrices`` too;
+  for m in {2, 4, 8} from the replication streams of seed 9, written by the
+  scalar ``_draw_row`` and compared byte for byte, and checked row by row
+  against ``_draw_row`` and ``draw_matrices``;
 - ``neighbornet_cases.json``: the circular ordering, fitted splits and
   residual of ``neighbornet_ordering`` + ``fit_split_weights`` on 40 seeded
   distance matrices (n = 4..48, a third of them rounded to two decimals so
@@ -40,9 +41,11 @@ from netfolio.market_data import BlockModelSpec, ReturnPanel, StudyPeriod
 from netfolio.neighbor_net import fit_split_weights, neighbornet_ordering
 from netfolio.portfolio_sim import (
     Strategy,
+    _draw_row,
+    cluster_plan,
     default_industry_map,
     draw_matrices,
-    draw_matrix,
+    random_plan,
     replication_rng,
 )
 from test_cli import write_panel_csvs
@@ -107,24 +110,25 @@ def golden_strategies() -> list[Strategy]:
     four = renumber([tickers[:3], tickers[3:8], tickers[8:18], tickers[18:]], "HCT")
     two = renumber([tickers[:11], tickers[11:]], "MST")
     return [
-        Strategy("Random", "random", universe=tickers),
-        Strategy("Industry", "industry", industry=industry),
-        Strategy("Cluster paired", "cluster", assignment=four, pairing=pair_by_size(four)),
-        Strategy("Cluster unpaired", "cluster", assignment=four),
-        Strategy("Cluster two", "cluster", assignment=two, pairing=pair_by_size(two)),
+        Strategy("Random", random_plan(tickers)),
+        Strategy("Industry", industry.plan),
+        Strategy("Cluster paired", cluster_plan(four, pair_by_size(four))),
+        Strategy("Cluster unpaired", cluster_plan(four)),
+        Strategy("Cluster two", cluster_plan(two, pair_by_size(two))),
     ]
+
+
+def scalar_draws(strategy: Strategy, m: int) -> list[str]:
+    """The space-joined tickers ``_draw_row`` draws in replications 0..49."""
+    plan = strategy.plan
+    plan.check(m)
+    return [" ".join(plan.labels[p] for p in _draw_row(plan, m, replication_rng(SEED, rep)))
+            for rep in range(DRAWS)]
 
 
 def drawn_tickers() -> str:
     """JSON text: strategy -> m -> the space-joined tickers of replications 0..49."""
-    table = {
-        s.name: {
-            str(m): [" ".join(s.draw(m, replication_rng(SEED, rep), rep).tickers)
-                     for rep in range(DRAWS)]
-            for m in (2, 4, 8)
-        }
-        for s in golden_strategies()
-    }
+    table = {s.name: {str(m): scalar_draws(s, m) for m in (2, 4, 8)} for s in golden_strategies()}
     return json.dumps({"seed": SEED, "draws": table}, indent=1) + "\n"
 
 
@@ -265,11 +269,11 @@ def test_drawn_tickers_match_golden():
 
 
 def test_draw_matrix_matches_golden():
-    """The batched draws, one block at a time and all blocks sharing one
-    word matrix, give the golden portfolios."""
+    """The scalar draws, replication by replication, and the batched draws,
+    all blocks sharing one word matrix, give the golden portfolios."""
     want = json.loads(DRAWS_FILE.read_text())["draws"]
     strategies = golden_strategies()
-    tickers = strategies[0].universe
+    tickers = strategies[0].plan.labels
     period = StudyPeriod("P1", date(2001, 1, 2), date(2004, 1, 6))
     panel = ReturnPanel(tickers, (period,), np.zeros((1, len(tickers))),
                         (np.zeros((3, len(tickers))),))
@@ -277,9 +281,9 @@ def test_draw_matrix_matches_golden():
     matrices = iter(draw_matrices(strategies, panel, sizes, DRAWS, SEED))
     for m in sizes:
         for s in strategies:
-            for columns in (draw_matrix(s, panel, m, DRAWS, SEED), next(matrices)):
-                got = [" ".join(tickers[c] for c in row) for row in columns.tolist()]
-                assert got == want[s.name][str(m)], (s.name, m)
+            assert scalar_draws(s, m) == want[s.name][str(m)], (s.name, m)
+            got = [" ".join(tickers[c] for c in row) for row in next(matrices).tolist()]
+            assert got == want[s.name][str(m)], (s.name, m)
 
 
 if __name__ == "__main__":

@@ -16,23 +16,19 @@ from netfolio.market_data import ReturnPanel, StudyPeriod
 from netfolio.portfolio_sim import (
     DrawPlan,
     IndustryMap,
-    PortfolioDraw,
     SimulationError,
     Strategy,
     _draw_row,
     _draw_rows,
     _grouped_plan,
     _replication_words,
-    cluster_mean_returns,
+    cluster_plan,
     default_industry_map,
     draw_matrices,
-    draw_matrix,
-    portfolio_return,
+    random_plan,
     replication_rng,
     run_simulation,
-    select_cluster,
-    select_industry,
-    select_random,
+    score_period,
 )
 
 
@@ -51,38 +47,37 @@ FOUR_GROUPS = IndustryMap(
 )
 
 
-class TestPortfolioDraw:
-    def test_rejects_duplicates(self):
-        with pytest.raises(SimulationError):
-            PortfolioDraw(0, ("A", "A"))
+def drawn(plan: DrawPlan, m: int, reps: int = 1, seed: int = 0) -> list[tuple[str, ...]]:
+    """The tickers of each row of the ``draw_matrices`` block of ``plan``."""
+    tickers = tuple(sorted(plan.labels))
+    panel = toy_panel(tickers, np.zeros(len(tickers)))
+    columns = draw_matrices([Strategy("S", plan)], panel, [m], reps, seed)[0]
+    return [tuple(tickers[c] for c in row) for row in columns.tolist()]
 
-    def test_return_is_mean_of_members(self):
-        panel = toy_panel(["A", "B", "C"], [10.0, 20.0, 60.0])
-        assert portfolio_return(PortfolioDraw(0, ("A", "C")), panel, "P1") == pytest.approx(35.0)
 
-    def test_unknown_ticker(self):
-        panel = toy_panel(["A"], [1.0])
-        with pytest.raises(SimulationError):
-            portfolio_return(PortfolioDraw(0, ("Z",)), panel, "P1")
+def scalar_columns(plan: DrawPlan, panel: ReturnPanel, m: int, reps: int,
+                   seed: int) -> list[list[int]]:
+    """The panel columns ``_draw_row`` draws, one replication at a time."""
+    return [[panel.column[plan.labels[p]] for p in _draw_row(plan, m, replication_rng(seed, rep))]
+            for rep in range(reps)]
 
 
 class TestSelectRandom:
     def test_distinct_and_from_universe(self):
-        rng = replication_rng(0, 0)
-        draw = select_random(("A", "B", "C", "D"), 3, rng)
-        assert len(set(draw.tickers)) == 3
-        assert set(draw.tickers) <= {"A", "B", "C", "D"}
+        (draw,) = drawn(random_plan(("A", "B", "C", "D")), 3)
+        assert len(set(draw)) == 3
+        assert set(draw) <= {"A", "B", "C", "D"}
 
     def test_oversized_request(self):
         with pytest.raises(SimulationError):
-            select_random(("A", "B"), 3, replication_rng(0, 0))
+            drawn(random_plan(("A", "B")), 3)
 
     def test_inclusion_frequency_uniform(self):
         universe = tuple(f"T{i}" for i in range(10))
         counts = Counter()
         reps = 4000
-        for rep in range(reps):
-            counts.update(select_random(universe, 4, replication_rng(7, rep)).tickers)
+        for draw in drawn(random_plan(universe), 4, reps, seed=7):
+            counts.update(draw)
         # Each ticker appears with probability m/n = 0.4; three sigma binomial.
         sigma = np.sqrt(reps * 0.4 * 0.6)
         for t in universe:
@@ -91,40 +86,36 @@ class TestSelectRandom:
 
 class TestSelectIndustry:
     def test_m4_one_per_group(self):
-        draw = select_industry(FOUR_GROUPS, 4, replication_rng(0, 0))
-        groups = sorted(FOUR_GROUPS.groups[t] for t in draw.tickers)
+        (draw,) = drawn(FOUR_GROUPS.plan, 4)
+        groups = sorted(FOUR_GROUPS.groups[t] for t in draw)
         assert groups == [1, 2, 3, 4]
 
     def test_m2_distinct_groups(self):
-        for rep in range(200):
-            draw = select_industry(FOUR_GROUPS, 2, replication_rng(3, rep))
-            g = [FOUR_GROUPS.groups[t] for t in draw.tickers]
+        for draw in drawn(FOUR_GROUPS.plan, 2, reps=200, seed=3):
+            g = [FOUR_GROUPS.groups[t] for t in draw]
             assert g[0] != g[1]
 
     def test_m8_two_per_group(self):
-        draw = select_industry(FOUR_GROUPS, 8, replication_rng(0, 0))
-        counts = Counter(FOUR_GROUPS.groups[t] for t in draw.tickers)
+        (draw,) = drawn(FOUR_GROUPS.plan, 8)
+        counts = Counter(FOUR_GROUPS.groups[t] for t in draw)
         assert sorted(counts.values()) == [2, 2, 2, 2]
 
     def test_m8_needs_four_groups(self):
         two = IndustryMap({"A": 1, "B": 1, "C": 2, "D": 2})
         with pytest.raises(SimulationError):
-            select_industry(two, 8, replication_rng(0, 0))
+            drawn(two.plan, 8)
 
     def test_unsupported_m(self):
         with pytest.raises(SimulationError):
-            select_industry(FOUR_GROUPS, 6, replication_rng(0, 0))
+            drawn(FOUR_GROUPS.plan, 6)
 
     def test_default_map_covers_dow(self):
-        default = default_industry_map()
-        sizes = sorted(len(ms) for ms in default.group_members().values())
-        assert sum(sizes) == 30
-        assert len(sizes) == 4
+        assert sorted(default_industry_map().plan.sizes) == [5, 8, 8, 9]
 
     def test_group_too_small_for_per_group_quota(self):
         small = IndustryMap({"A": 1, "B": 2, "C": 3, "D": 4})
         with pytest.raises(SimulationError):
-            select_industry(small, 8, replication_rng(0, 0))
+            drawn(small.plan, 8)
 
 
 class TestSelectCluster:
@@ -135,32 +126,30 @@ class TestSelectCluster:
         assignment = self.assignment()
         pairing = ClusterPairing(((1, 3), (2, 4)))
         seen_pairs = set()
-        for rep in range(200):
-            draw = select_cluster(assignment, pairing, 2, replication_rng(11, rep))
+        for draw in drawn(cluster_plan(assignment, pairing), 2, reps=200, seed=11):
             cluster_of = assignment.assignment
-            pair = tuple(sorted(cluster_of[t] for t in draw.tickers))
+            pair = tuple(sorted(cluster_of[t] for t in draw))
             seen_pairs.add(pair)
         assert seen_pairs == {(1, 3), (2, 4)}
 
     def test_m2_without_pairing_any_groups(self):
         assignment = self.assignment()
         seen = set()
-        for rep in range(400):
-            draw = select_cluster(assignment, None, 2, replication_rng(5, rep))
-            seen.add(tuple(sorted(assignment.assignment[t] for t in draw.tickers)))
+        for draw in drawn(cluster_plan(assignment), 2, reps=400, seed=5):
+            seen.add(tuple(sorted(assignment.assignment[t] for t in draw)))
         assert seen == {p for p in map(tuple, map(sorted, combinations((1, 2, 3, 4), 2)))}
 
     def test_m4_and_m8(self):
         assignment = self.assignment()
-        d4 = select_cluster(assignment, None, 4, replication_rng(0, 0))
-        assert sorted(assignment.assignment[t] for t in d4.tickers) == [1, 2, 3, 4]
-        d8 = select_cluster(assignment, None, 8, replication_rng(0, 0))
-        assert sorted(d8.tickers) == sorted(assignment.assignment)
+        (d4,) = drawn(cluster_plan(assignment), 4)
+        assert sorted(assignment.assignment[t] for t in d4) == [1, 2, 3, 4]
+        (d8,) = drawn(cluster_plan(assignment), 8)
+        assert sorted(d8) == sorted(assignment.assignment)
 
     def test_needs_two_or_four_clusters(self):
         three = renumber([("A",), ("B",), ("C",)], "hct")
         with pytest.raises(SimulationError):
-            select_cluster(three, None, 2, replication_rng(0, 0))
+            drawn(cluster_plan(three), 2)
 
 
 class TestExactDistribution:
@@ -168,7 +157,9 @@ class TestExactDistribution:
 
     def test_industry_m2_matches_rational_enumeration(self):
         groups = IndustryMap({"A1": 1, "A2": 1, "B1": 2, "C1": 3, "C2": 3, "D1": 4})
-        members = groups.group_members()
+        members: dict[int, list[str]] = {}
+        for t, g in groups.groups.items():
+            members.setdefault(g, []).append(t)
         # Exact law: choose 2 of 4 groups uniformly, then one stock uniformly
         # within each.
         expected: dict[frozenset, Fraction] = {}
@@ -180,9 +171,7 @@ class TestExactDistribution:
                 expected[key] = expected.get(key, Fraction(0)) + p
         assert sum(expected.values()) == 1
         reps = 30000
-        counts: Counter = Counter()
-        for rep in range(reps):
-            counts[frozenset(select_industry(groups, 2, replication_rng(17, rep)).tickers)] += 1
+        counts = Counter(frozenset(draw) for draw in drawn(groups.plan, 2, reps, seed=17))
         assert set(counts) <= set(expected)
         for key, p in expected.items():
             se = float(np.sqrt(reps * float(p) * (1 - float(p))))
@@ -190,10 +179,7 @@ class TestExactDistribution:
 
     def test_support_is_exactly_the_enumerated_set(self):
         groups = IndustryMap({"A": 1, "B": 2, "C": 3, "D": 4})
-        draws = {
-            frozenset(select_industry(groups, 2, replication_rng(1, rep)).tickers)
-            for rep in range(500)
-        }
+        draws = {frozenset(draw) for draw in drawn(groups.plan, 2, reps=500, seed=1)}
         assert draws == {frozenset(p) for p in combinations("ABCD", 2)}
 
 
@@ -211,7 +197,7 @@ class TestReplicationStreams:
 
 class TestRunSimulation:
     def strategy(self):
-        return Strategy("Random", "random", universe=("A", "B", "C", "D", "E"))
+        return Strategy("Random", random_plan(("A", "B", "C", "D", "E")))
 
     def panel(self):
         return toy_panel(["A", "B", "C", "D", "E"], [1.0, 2.0, 4.0, 8.0, 16.0])
@@ -221,28 +207,19 @@ class TestRunSimulation:
         assert run.replications == 50
         assert run.strategy == "Random" and run.m == 2 and run.period == "P1"
 
-    def test_deterministic_across_worker_counts(self):
-        runs = [
-            run_simulation(self.strategy(), self.panel(), "P1", 2, reps=200, seed=4, workers=w)
-            for w in (1, 4, 8)
-        ]
-        np.testing.assert_array_equal(runs[0].returns, runs[1].returns)
-        np.testing.assert_array_equal(runs[0].returns, runs[2].returns)
-
     def test_values_are_pair_means(self):
         run = run_simulation(self.strategy(), self.panel(), "P1", 2, reps=100, seed=0)
         valid = {np.mean(pair) for pair in combinations([1.0, 2.0, 4.0, 8.0, 16.0], 2)}
         assert set(np.round(run.returns, 12)) <= valid
 
-    def test_cluster_mean_returns(self):
-        panel = toy_panel(["A", "B", "C", "D"], [1.0, 3.0, 5.0, 7.0])
-        assignment = renumber([("A", "B"), ("C", "D")], "hct")
-        rows = cluster_mean_returns(assignment, panel, "P1")
-        assert rows == [(1, 2.0, 2), (2, 6.0, 2)]
+    def test_return_is_mean_of_members(self):
+        panel = toy_panel(["A", "B", "C"], [10.0, 20.0, 60.0])
+        run = score_period("X", np.array([[0, 2], [1, 2]]), panel, "P1")
+        assert run.returns.tolist() == pytest.approx([35.0, 40.0])
 
 
 class TestDrawMatrix:
-    """The index matrix against the per-draw loop it replaces."""
+    """Each draw_matrices block against the scalar draws it replays."""
 
     TICKERS = ("D2", "A1", "C1", "B2", "A2", "D1", "B1", "C2")
 
@@ -254,39 +231,34 @@ class TestDrawMatrix:
         four = renumber([("A1", "B1"), ("A2", "C2"), ("B2", "D1"), ("C1", "D2")], "hct")
         two = renumber([("A1", "A2", "B1", "B2"), ("C1", "C2", "D1", "D2")], "mst")
         return [
-            Strategy("Random", "random", universe=self.TICKERS),
-            Strategy("Industry", "industry", industry=FOUR_GROUPS),
-            Strategy("Paired", "cluster", assignment=four, pairing=ClusterPairing(((1, 3), (2, 4)))),
-            Strategy("Unpaired", "cluster", assignment=four),
-            Strategy("Two", "cluster", assignment=two),
+            Strategy("Random", random_plan(self.TICKERS)),
+            Strategy("Industry", FOUR_GROUPS.plan),
+            Strategy("Paired", cluster_plan(four, ClusterPairing(((1, 3), (2, 4))))),
+            Strategy("Unpaired", cluster_plan(four)),
+            Strategy("Two", cluster_plan(two)),
         ]
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_rows_are_the_drawn_portfolios(self, m):
         panel = self.panel()
         for strategy in self.strategies():
-            columns = draw_matrix(strategy, panel, m, reps=60, seed=12)
-            draws = [strategy.draw(m, replication_rng(12, rep), rep) for rep in range(60)]
-            expected = [[panel.column[t] for t in d.tickers] for d in draws]
+            (columns,) = draw_matrices([strategy], panel, [m], reps=60, seed=12)
+            expected = scalar_columns(strategy.plan, panel, m, 60, 12)
             assert columns.tolist() == expected, strategy.name
             run = run_simulation(strategy, panel, "P1", m, reps=60, seed=12)
-            loop = np.array([portfolio_return(d, panel, "P1") for d in draws])
+            loop = np.array([np.mean(panel.returns_for("P1")[row]) for row in expected])
             np.testing.assert_array_equal(run.returns, loop)
 
     def test_ticker_outside_panel(self):
         panel = toy_panel(["A1", "B1", "C1"], [1.0, 2.0, 3.0])
-        strategy = Strategy("Industry", "industry", industry=FOUR_GROUPS)
+        strategy = Strategy("Industry", FOUR_GROUPS.plan)
         with pytest.raises(SimulationError, match="unknown ticker 'A2'"):
-            draw_matrix(strategy, panel, 2, reps=5)
+            draw_matrices([strategy], panel, [2], reps=5)
 
     def test_size_checked_before_drawing(self):
-        strategy = Strategy("Industry", "industry", industry=FOUR_GROUPS)
+        strategy = Strategy("Industry", FOUR_GROUPS.plan)
         with pytest.raises(SimulationError, match="m <= 4 or m = 8"):
-            draw_matrix(strategy, self.panel(), 6, reps=5)
-
-    def test_unknown_kind(self):
-        with pytest.raises(SimulationError, match="unknown strategy kind"):
-            draw_matrix(Strategy("X", "lottery"), self.panel(), 2, reps=5)
+            draw_matrices([strategy], self.panel(), [6], reps=5)
 
 
 def seeded_plans(seed: int) -> list[DrawPlan]:
@@ -338,6 +310,16 @@ class TestBatchedDraws:
                 blocks += 1
         assert blocks > 100
 
+    def test_rows_have_distinct_columns(self):
+        for seed in (0, 9, 12345, 2**40 + 7):
+            for plan in seeded_plans(seed):
+                tickers = tuple(sorted(plan.labels))
+                panel = toy_panel(tickers, np.zeros(len(tickers)))
+                sizes = [m for m in sorted({1, 2, 3, 4, 8, len(tickers)}) if drawable(plan, m)]
+                for columns in draw_matrices([Strategy("S", plan)], panel, sizes, self.REPS, seed):
+                    ordered = np.sort(columns, axis=1)
+                    assert (ordered[:, 1:] != ordered[:, :-1]).all(), (plan, columns.shape[1])
+
     def test_draw_matrices_reads_each_stream_once(self, monkeypatch):
         panel = TestDrawMatrix().panel()
         strategies = TestDrawMatrix().strategies()
@@ -353,11 +335,10 @@ class TestBatchedDraws:
         blocks = [(m, s) for m in (2, 4, 8) for s in strategies]
         assert len(matrices) == len(blocks)
         for (m, strategy), columns in zip(blocks, matrices):
-            draws = [strategy.draw(m, replication_rng(5, rep), rep) for rep in range(30)]
-            assert columns.tolist() == [[panel.column[t] for t in d.tickers] for d in draws]
+            assert columns.tolist() == scalar_columns(strategy.plan, panel, m, 30, 5)
 
     def test_rejected_word_falls_back_to_scalar_core(self, monkeypatch):
-        strategy = Strategy("Random", "random", universe=("A", "B", "C", "D"))
+        strategy = Strategy("Random", random_plan(("A", "B", "C", "D")))
         panel = toy_panel(["A", "B", "C", "D"], [1.0, 2.0, 3.0, 4.0])
 
         def crafted(seed, reps, k):
@@ -372,26 +353,17 @@ class TestBatchedDraws:
         scalar = [_draw_row(strategy.plan, 2, replication_rng(0, rep)) for rep in range(8)]
         assert positions[3].tolist() != scalar[3]
         monkeypatch.setattr(portfolio_sim, "_replication_words", crafted)
-        columns = draw_matrix(strategy, panel, 2, reps=8, seed=0)
+        (columns,) = draw_matrices([strategy], panel, [2], reps=8, seed=0)
         assert columns.tolist() == scalar
 
     def test_rows_past_the_last_word_are_flagged(self):
-        plan = Strategy("Industry", "industry", industry=FOUR_GROUPS).plan
-        _, redo = _draw_rows(plan, 8, _replication_words(0, 6, 1))
+        _, redo = _draw_rows(FOUR_GROUPS.plan, 8, _replication_words(0, 6, 1))
         assert redo.all()
 
     @pytest.mark.parametrize("n", [10_000, 10_001])
     def test_floyd_limit(self, n):
         tickers = tuple(f"T{i:05d}" for i in range(n))
-        strategy = Strategy("Random", "random", universe=tickers)
+        strategy = Strategy("Random", random_plan(tickers))
         panel = toy_panel(tickers, np.zeros(n))
-        columns = draw_matrix(strategy, panel, 8, reps=5, seed=3)
-        draws = [strategy.draw(8, replication_rng(3, rep), rep) for rep in range(5)]
-        assert columns.tolist() == [[panel.column[t] for t in d.tickers] for d in draws]
-
-
-class TestCachedMembership:
-    def test_group_members_is_a_copy(self):
-        industry = IndustryMap({"A": 1, "B": 2, "C": 1})
-        industry.group_members()[1] = ("Z",)
-        assert industry.group_members() == {1: ("A", "C"), 2: ("B",)}
+        (columns,) = draw_matrices([strategy], panel, [8], reps=5, seed=3)
+        assert columns.tolist() == scalar_columns(strategy.plan, panel, 8, 5, 3)
