@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -85,6 +86,61 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_finite(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _distinct_array(value: object, item=lambda _: True) -> bool:
+    """A JSON array whose entries all pass ``item`` and none repeats."""
+    return (isinstance(value, list) and all(map(item, value))
+            and all(v not in value[:i] for i, v in enumerate(value)))
+
+
+_STRATEGY_LABELS = {
+    "random": "Random",
+    "industry": "Industry",
+    "hct": "HCT",
+    "mst": "MST",
+    "nnet": "NN",
+}
+
+# key -> (check, what a valid value is); a key that is absent takes its default.
+CLUSTERING_RULES = {
+    "k": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "mst_mode": (lambda v: v in ("gap", "hub"), "'gap' or 'hub'"),
+    "min_branch": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "hub": (lambda v: isinstance(v, str), "a ticker string"),
+    "prune": (_is_finite, "a finite number"),
+    "manual_breaks": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                      "a JSON array of integers"),
+}
+SIMULATION_RULES = {
+    "reps": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "sizes": (lambda v: _distinct_array(v, lambda m: _is_int(m) and m in (2, 4, 8)),
+              "a JSON array of distinct integers from {2, 4, 8}"),
+    "strategies": (lambda v: _distinct_array(v, lambda s: s in tuple(_STRATEGY_LABELS)),
+                   f"a JSON array of distinct names from {', '.join(_STRATEGY_LABELS)}"),
+    "test_periods": (_distinct_array, "a JSON array of distinct period labels"),
+    "levene_exclude": (_distinct_array, "a JSON array of distinct strategy labels"),
+    "seed": (_is_int, "an integer"),
+    "risk_free": (lambda v: isinstance(v, dict) and all(map(_is_finite, v.values())),
+                  "a JSON object of finite numbers"),
+    "levene_center": (lambda v: v in ("mean", "median"), "'mean' or 'median'"),
+    "pair_m2": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def check_section(path: str | Path, cfg: dict, section: str, rules: dict) -> dict:
+    """The config's ``section`` object, every key in ``rules`` checked."""
+    values = cfg.get(section, {})
+    if not isinstance(values, dict):
+        raise ConfigError(f"{path}: {section} must be a JSON object, not {values!r}")
+    for key, (ok, what) in rules.items():
+        if key in values and not ok(values[key]):
+            raise ConfigError(f"{path}: {section}.{key} must be {what}, not {values[key]!r}")
+    return values
+
+
 def _load_json(path: str | Path) -> object:
     with open(path) as fh:
         try:
@@ -122,10 +178,12 @@ def load_periods(path: str | Path) -> list[StudyPeriod]:
     raw = _load_json(path)
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}: periods config must be a non-empty JSON array")
-    periods = []
+    periods: list[StudyPeriod] = []
     for entry in raw:
         try:
             where = f"{path}: period {entry['label']!r}"
+            if any(p.label == entry["label"] for p in periods):
+                raise ConfigError(f"{where} listed twice")
             periods.append(
                 StudyPeriod(
                     entry["label"],
@@ -195,7 +253,7 @@ def build_clusters(
     method: str, dist: DistanceMatrix, clustering: dict
 ) -> tuple[ClusterAssignment, ClusterPairing | None, object | None]:
     """Returns (assignment, pairing, structure) for one network method."""
-    k = int(clustering.get("k", 4))
+    k = clustering.get("k", 4)
     if method == "hct":
         tree = average_linkage_hct(dist)
         assignment = cut_dendrogram(tree, k)
@@ -208,7 +266,7 @@ def build_clusters(
             dist,
             k,
             mode=clustering.get("mst_mode", "gap"),
-            min_branch=int(clustering.get("min_branch", 5)),
+            min_branch=clustering.get("min_branch", 5),
             hub=clustering.get("hub"),
         )
         pairing = pair_by_distance(assignment, dist) if k % 2 == 0 else None
@@ -254,7 +312,7 @@ def cmd_returns(args: argparse.Namespace) -> int:
 
 def cmd_network(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    clustering = cfg.get("clustering", {})
+    clustering = check_section(args.config, cfg, "clustering", CLUSTERING_RULES)
     returns = compute_returns(cfg)
     out = Path(args.out_dir)
     for p in returns.periods:
@@ -277,35 +335,17 @@ def cmd_network(args: argparse.Namespace) -> int:
     return 0
 
 
-_STRATEGY_LABELS = {
-    "random": "Random",
-    "industry": "Industry",
-    "hct": "HCT",
-    "mst": "MST",
-    "nnet": "NN",
-}
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    sim = cfg.get("simulation", {})
-    clustering = cfg.get("clustering", {})
-    sizes = [int(m) for m in sim.get("sizes", [2, 4, 8])]
-    if any(m not in (2, 4, 8) for m in sizes):
-        raise ConfigError("simulation sizes must be within {2, 4, 8}")
+    sim = check_section(args.config, cfg, "simulation", SIMULATION_RULES)
+    sizes = sim.get("sizes", [2, 4, 8])
     names = sim.get("strategies", list(_STRATEGY_LABELS))
-    for name in names:
-        if name not in _STRATEGY_LABELS:
-            raise ConfigError(f"unknown strategy {name!r}")
     reps = sim.get("reps", 1000)
-    if not _is_int(reps) or reps < 2:
-        raise ConfigError(f"{args.config}: simulation.reps must be an integer >= 2, not {reps!r}")
-    k = clustering.get("k", 4)
-    if any(name in ("hct", "mst", "nnet") for name in names) and not (_is_int(k) and k in (2, 4)):
-        raise ConfigError(
-            f"{args.config}: clustering.k must be 2 or 4 for the hct, mst and nnet "
-            f"strategies, not {k!r}"
-        )
+    rules = CLUSTERING_RULES
+    if any(name in ("hct", "mst", "nnet") for name in names):
+        rules = {**rules, "k": (lambda v: _is_int(v) and v in (2, 4),
+                                "2 or 4 for the hct, mst and nnet strategies")}
+    clustering = check_section(args.config, cfg, "clustering", rules)
     periods = load_periods(cfg["periods"])
     labels = [p.label for p in periods]
     model_period = sim.get("model_period", labels[0])
@@ -316,7 +356,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"{args.config}: simulation {key} names {label!r}, "
                 f"which is not a period in {cfg['periods']}"
             )
-    seed = int(args.seed if args.seed is not None else sim.get("seed", 0))
+    seed = args.seed if args.seed is not None else sim.get("seed", 0)
     rf_table = {**reference.RISK_FREE_PCT, **sim.get("risk_free", {})}
     returns = compute_returns(cfg, periods)
     industry_source = cfg.get("industry_map")

@@ -91,39 +91,26 @@ def average_linkage_hct(dist: DistanceMatrix) -> Dendrogram:
     n = dist.n
     if n < 2:
         raise ClusterError("need at least 2 tickers")
-    # active cluster id -> (size, smallest member ticker)
-    size = {i: 1 for i in range(n)}
-    label = {i: dist.tickers[i] for i in range(n)}
-    d: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[(i, j)] = float(dist.d[i, j])
-    active = set(range(n))
+    # Rows in ticker order, so a cluster lives in the row of its smallest
+    # member and the first minimum in row-major order has the smallest
+    # (label, label) pair. Each pair's distance is read above the diagonal.
+    d = np.array(dist.d, dtype=float)
+    i, j = np.triu_indices(n, 1)
+    d[j, i] = d[i, j]
+    order = sorted(range(n), key=dist.tickers.__getitem__)
+    d = d[np.ix_(order, order)]
+    np.fill_diagonal(d, np.inf)
+    node, size = order, [1] * n
     merges: list[Merge] = []
-    next_id = n
-    while len(active) > 1:
-        best: tuple[float, tuple[str, str], int, int] | None = None
-        for i in sorted(active):
-            for j in sorted(active):
-                if j <= i:
-                    continue
-                key = (d[(i, j)], tuple(sorted((label[i], label[j]))), i, j)
-                if best is None or key < best:
-                    best = key
-        _, _, a, b = best
-        if label[a] > label[b]:
-            a, b = b, a
-        merged_size = size[a] + size[b]
-        for c in sorted(active - {a, b}):
-            da = d[tuple(sorted((a, c)))]
-            db = d[tuple(sorted((b, c)))]
-            d[tuple(sorted((next_id, c)))] = (size[a] * da + size[b] * db) / merged_size
-        merges.append(Merge(a, b, d[tuple(sorted((a, b)))]))
-        active -= {a, b}
-        active.add(next_id)
-        size[next_id] = merged_size
-        label[next_id] = min(label[a], label[b])
-        next_id += 1
+    for step in range(n - 1):
+        a, b = divmod(int(np.argmin(d)), n)
+        merges.append(Merge(node[a], node[b], float(d[a, b])))
+        merged = size[a] + size[b]
+        row = (size[a] * d[a] + size[b] * d[b]) / merged
+        row[a] = np.inf
+        d[a], d[:, a] = row, row
+        d[b], d[:, b] = np.inf, np.inf
+        node[a], size[a] = n + step, merged
     return Dendrogram(dist.tickers, tuple(merges))
 
 
@@ -184,20 +171,18 @@ def _assign_by_nearest(
     """Iteratively attach each unassigned stock to the cluster holding its
     nearest already-assigned neighbor, always taking the globally smallest
     (distance, stock, neighbor) candidate first."""
-    clusters = [list(s) for s in seeds]
-    pending = sorted(unassigned)
-    while pending:
-        best: tuple[float, str, str, int] | None = None
-        for u in pending:
-            for ci, members in enumerate(clusters):
-                for a in members:
-                    key = (dist.between(u, a), u, a, ci)
-                    if best is None or key < best:
-                        best = key
-        _, u, _, ci = best
-        clusters[ci].append(u)
-        pending.remove(u)
-    return [tuple(sorted(c)) for c in clusters]
+    cluster_of = {t: ci for ci, s in enumerate(seeds) for t in s}
+    # Rows and columns in ticker order: the first minimum of the (pending x
+    # assigned) block in row-major order is the smallest candidate.
+    names = sorted([*cluster_of, *unassigned])
+    at = [dist.ticker_index(t) for t in names]
+    d = dist.d[np.ix_(at, at)]
+    label = np.array([cluster_of.get(t, -1) for t in names])
+    for _ in unassigned:
+        pending, assigned = np.flatnonzero(label < 0), np.flatnonzero(label >= 0)
+        r, c = divmod(int(np.argmin(d[np.ix_(pending, assigned)])), assigned.size)
+        label[pending[r]] = label[assigned[c]]
+    return [tuple(t for t, ci in zip(names, label) if ci == k) for k in range(len(seeds))]
 
 
 def mst_clusters(

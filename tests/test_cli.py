@@ -316,6 +316,46 @@ class TestConfigValidation:
             "Expecting property name enclosed in double quotes\n"
         )
 
+    def test_repeated_period_label_rejected(self, workspace, capsys):
+        path = workspace / "periods.json"
+        periods = json.loads(path.read_text())
+        path.write_text(json.dumps(periods + [periods[0]]))
+        assert main(["returns", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(workspace / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: period 'P1' listed twice\n"
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("k", "x"), ("k", 0), ("k", 2.0), ("mst_mode", "tree"), ("min_branch", 0),
+        ("min_branch", "5"), ("hub", 5), ("prune", "abc"), ("prune", float("inf")),
+        ("manual_breaks", 3), ("manual_breaks", [0, 1.5]),
+    ])
+    @pytest.mark.parametrize("command", [["network", "--method", "mst"], ["simulate"]])
+    def test_bad_clustering_value_rejected_before_any_data(self, workspace, monkeypatch,
+                                                           capsys, command, key, value):
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["clustering"][key] = value
+        if command == ["simulate"]:
+            cfg["simulation"]["strategies"] = ["random"]
+        (workspace / "bad_clustering.json").write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "ingest", _forbidden)
+        assert main(command + ["--config", str(workspace / "bad_clustering.json"),
+                               "--out-dir", str(workspace / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"bad_clustering.json: clustering.{key} must be " in err
+        assert err.endswith(f", not {value!r}\n") and "Traceback" not in err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("section", ["clustering", "simulation"])
+    def test_section_must_be_an_object(self, workspace, monkeypatch, capsys, section):
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg[section] = [4]
+        (workspace / "bad_section.json").write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "ingest", _forbidden)
+        assert main(["simulate", "--config", str(workspace / "bad_section.json")]) == 2
+        assert f"bad_section.json: {section} must be a JSON object, not [4]" in (
+            capsys.readouterr().err)
+
     def test_invalid_periods_json_located(self, workspace, capsys):
         path = workspace / "periods.json"
         path.write_text('[\n  {"label": "P1",}\n]\n')
@@ -403,6 +443,29 @@ class TestSimulateInputChecks:
         assert self.simulate(workspace / "bad_k.json", workspace / "out") == 2
         err = capsys.readouterr().err
         assert "bad_k.json: clustering.k must be 2 or 4" in err and f"not {k!r}" in err
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("sizes", 2), ("sizes", [2.7]), ("sizes", "48"), ("sizes", [2, 2]), ("sizes", [True]),
+        ("sizes", [3]), ("strategies", "random"), ("strategies", ["random", "random"]),
+        ("strategies", ["random", "index"]), ("strategies", [["random"]]),
+        ("test_periods", "P2"), ("test_periods", ["P2", "P2"]),
+        ("levene_exclude", "HCT"), ("levene_exclude", ["HCT", "HCT"]),
+        ("seed", "abc"), ("seed", 1.5), ("seed", True),
+        ("risk_free", [1]), ("risk_free", {"P2": "1"}), ("risk_free", {"P2": float("nan")}),
+        ("levene_center", "mode"), ("pair_m2", "yes"), ("pair_m2", 1),
+    ])
+    def test_bad_simulation_value_rejected_before_any_data(self, workspace, monkeypatch,
+                                                           capsys, key, value):
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["simulation"][key] = value
+        (workspace / "bad_sim.json").write_text(json.dumps(cfg))
+        for name in ("ingest", "build_clusters", "draw_matrices"):
+            monkeypatch.setattr(cli, name, _forbidden)
+        assert self.simulate(workspace / "bad_sim.json", workspace / "out") == 2
+        err = capsys.readouterr().err
+        assert f"bad_sim.json: simulation.{key} must be " in err
+        assert err.endswith(f", not {value!r}\n") and "Traceback" not in err
         assert not (workspace / "out").exists()
 
     def test_cluster_count_free_without_cluster_strategy(self, workspace, capsys):

@@ -1,6 +1,6 @@
 """Golden outputs of the simulation engine and of Neighbor-Net.
 
-Three goldens live under tests/data/:
+Five goldens live under tests/data/:
 
 - ``simulate_seed9/``: the report, Levene and markdown files that
   ``simulate --seed 9`` writes on the criterion-9 fixture, compared byte
@@ -16,7 +16,13 @@ Three goldens live under tests/data/:
   within 1e-9 and the residual within 1e-9 relative;
 - ``neighbornet_large.json``: the same record for two seeded block-factor
   distance matrices at n = 64 and n = 100, the sizes where the split fit
-  runs hundreds of active-set steps, checked with the same tolerances.
+  runs hundreds of active-set steps, checked with the same tolerances;
+- ``clusters_ties.json``: the average-linkage merges (heights as ``repr``)
+  and the hub-mode MST clusters for k in {2, 4} on 32 seeded distance
+  matrices (n = 5..60) rounded to steps of 1/2, 1/4, 1/10 or 1/50, so most
+  merges and nearest-neighbour attachments are decided by tie-breaks; some
+  cases list their tickers out of order and some perturb the lower triangle
+  below the symmetry tolerance. Compared exactly.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py --write``, and
 only for an intended change of output.
@@ -35,7 +41,7 @@ from netfolio.cli import main
 import numpy as np
 import pytest
 
-from netfolio.clusters import pair_by_size, renumber
+from netfolio.clusters import ClusterError, pair_by_size, renumber
 from netfolio.correlation import DistanceMatrix
 from netfolio.market_data import BlockModelSpec, ReturnPanel, StudyPeriod
 from netfolio.neighbor_net import fit_split_weights, neighbornet_ordering
@@ -48,6 +54,7 @@ from netfolio.portfolio_sim import (
     random_plan,
     replication_rng,
 )
+from netfolio.tree_cluster import average_linkage_hct, minimum_spanning_tree, mst_clusters
 from test_cli import write_panel_csvs
 
 DATA = Path(__file__).parent / "data"
@@ -57,6 +64,9 @@ SIM_FILES = ("report_P1_P2.csv", "levene_P1_P2.csv", "report_P1_P2.md")
 NN_FILE = DATA / "neighbornet_cases.json"
 NN_LARGE_FILE = DATA / "neighbornet_large.json"
 NN_LARGE_SIZES = (64, 100)
+TIES_FILE = DATA / "clusters_ties.json"
+TIE_CASES = 32
+TIE_STEPS = (2, 4, 10, 50)
 SEED = 9
 DRAWS = 50
 NN_CASES = 40
@@ -187,6 +197,65 @@ def nn_large_golden_text() -> str:
     return json.dumps({"cases": cases}) + "\n"
 
 
+def tie_distance(case: int) -> DistanceMatrix:
+    """Seeded distance matrix of tie case ``case``: n runs 5..60; even cases are
+    uniform noise, odd ones a block-factor correlation distance, all rounded to
+    steps of 1/2, 1/4, 1/10 or 1/50. Every third case names its rows out of
+    ticker order; every fourth adds noise below 1e-12 to the lower triangle."""
+    n = 5 + case * 55 // (TIE_CASES - 1)
+    rng = np.random.default_rng(9000 + case)
+    if case % 2 == 0:
+        d = rng.uniform(0.05, 2.0, size=(n, n))
+    else:
+        blocks = rng.integers(0, max(2, n // 6), size=n)
+        returns = 0.8 * rng.normal(size=(60, int(blocks.max()) + 1))[:, blocks]
+        d = np.sqrt(np.maximum(2.0 * (1.0 - np.corrcoef(returns + rng.normal(size=(60, n)),
+                                                       rowvar=False)), 0.0))
+    step = TIE_STEPS[case % len(TIE_STEPS)]
+    d = np.minimum(np.round((d + d.T) / 2.0 * step) / step, 2.0)
+    if case % 4 == 3:
+        d += np.tril(rng.uniform(0.0, 1e-12, size=(n, n)), -1)
+    np.fill_diagonal(d, 0.0)
+    names = [f"S{i:02d}" for i in range(n)]
+    if case % 3 == 2:
+        names = [names[p] for p in rng.permutation(n)]
+    return DistanceMatrix(tuple(names), d)
+
+
+def tie_case(case: int) -> dict:
+    """HCT merges and, for k in {2, 4}, the hub-mode MST clusters at the largest
+    min_branch in 5..1 that succeeds (null when none does)."""
+    dist = tie_distance(case)
+    tree = average_linkage_hct(dist)
+    mst = minimum_spanning_tree(dist)
+    hub = {}
+    for k in (2, 4):
+        hub[str(k)] = None
+        for min_branch in range(5, 0, -1):
+            try:
+                got = mst_clusters(mst, dist, k, mode="hub", min_branch=min_branch)
+            except ClusterError:
+                continue
+            clusters = [list(c) for _, c in sorted(got.clusters().items())]
+            hub[str(k)] = {"min_branch": min_branch, "clusters": clusters}
+            break
+    return {
+        "case": case,
+        "tickers": list(dist.tickers),
+        "merges": [[m.left, m.right, repr(m.height)] for m in tree.merges],
+        "hub": hub,
+    }
+
+
+def ties_golden_text() -> str:
+    return json.dumps({"cases": [tie_case(c) for c in range(TIE_CASES)]}) + "\n"
+
+
+@pytest.mark.parametrize("case", range(TIE_CASES))
+def test_clusters_on_tied_distances_match_golden(case):
+    assert tie_case(case) == json.loads(TIES_FILE.read_text())["cases"][case]
+
+
 @pytest.fixture(scope="module")
 def nn_golden() -> list[dict]:
     return json.loads(NN_FILE.read_text())["cases"]
@@ -298,3 +367,4 @@ if __name__ == "__main__":
     DRAWS_FILE.write_text(drawn_tickers())
     NN_FILE.write_text(nn_golden_text())
     NN_LARGE_FILE.write_text(nn_large_golden_text())
+    TIES_FILE.write_text(ties_golden_text())

@@ -271,7 +271,7 @@ class TestScipyLinkageOracle:
     def partition(assignment):
         return {frozenset(c) for c in assignment.clusters().values()}
 
-    @pytest.mark.parametrize("n", range(2, 14))
+    @pytest.mark.parametrize("n", [*range(2, 14), 40, 100])
     def test_every_cut_matches_scipy(self, rng, n):
         for _ in range(3):
             dist = random_distance_matrix(rng, n)
