@@ -184,13 +184,11 @@ def load_periods(path: str | Path) -> list[StudyPeriod]:
             where = f"{path}: period {entry['label']!r}"
             if any(p.label == entry["label"] for p in periods):
                 raise ConfigError(f"{where} listed twice")
-            periods.append(
-                StudyPeriod(
-                    entry["label"],
-                    _parse_date(entry["start"], f"{where} start"),
-                    _parse_date(entry["end"], f"{where} end"),
-                )
-            )
+            start = _parse_date(entry["start"], f"{where} start")
+            end = _parse_date(entry["end"], f"{where} end")
+            if start >= end:
+                raise ConfigError(f"{where}: start must precede end")
+            periods.append(StudyPeriod(entry["label"], start, end))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: bad period entry {entry!r}: {exc}") from None
     return periods
@@ -201,8 +199,11 @@ def load_industry_map(path: str | Path | None) -> IndustryMap:
         return default_industry_map()
     groups: dict[str, int] = {}
     for lineno, row in read_table(path, ("ticker", "group")):
+        ticker = row["ticker"].strip()
+        if ticker in groups:
+            raise ConfigError(f"{path}:{lineno}: ticker {ticker!r} listed twice")
         try:
-            groups[row["ticker"].strip()] = int(row["group"])
+            groups[ticker] = int(row["group"])
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: invalid group {row['group']!r}") from None
     return IndustryMap(groups)
@@ -237,10 +238,8 @@ def check_industry_universe(industry: IndustryMap, source: str, tickers: tuple[s
             raise ConfigError(f"{source}: {problem.format(first)}{more}")
 
 
-def compute_returns(cfg: dict, periods: list[StudyPeriod] | None = None) -> ReturnPanel:
+def compute_returns(cfg: dict, periods: list[StudyPeriod]) -> ReturnPanel:
     panel, divs = ingest(cfg["prices"], cfg["dividends"])
-    if periods is None:
-        periods = load_periods(cfg["periods"])
     return period_returns(panel, divs, periods)
 
 
@@ -298,7 +297,7 @@ def matrix_csv(tickers: tuple[str, ...], mat: np.ndarray) -> str:
 
 def cmd_returns(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    returns = compute_returns(cfg)
+    returns = compute_returns(cfg, load_periods(cfg["periods"]))
     out = Path(args.out_dir)
     for p in returns.periods:
         lines = ["ticker,total_return_pct"]
@@ -313,7 +312,7 @@ def cmd_returns(args: argparse.Namespace) -> int:
 def cmd_network(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     clustering = check_section(args.config, cfg, "clustering", CLUSTERING_RULES)
-    returns = compute_returns(cfg)
+    returns = compute_returns(cfg, load_periods(cfg["periods"]))
     out = Path(args.out_dir)
     for p in returns.periods:
         weekly = returns.weekly_returns[returns.period_index(p.label)]
@@ -358,9 +357,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
     seed = args.seed if args.seed is not None else sim.get("seed", 0)
     rf_table = {**reference.RISK_FREE_PCT, **sim.get("risk_free", {})}
-    returns = compute_returns(cfg, periods)
     industry_source = cfg.get("industry_map")
     industry = load_industry_map(industry_source)
+    returns = compute_returns(cfg, periods)
     if "industry" in names:
         check_industry_universe(
             industry, industry_source or "built-in Dow 30 industry map", returns.tickers

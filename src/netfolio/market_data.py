@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import cached_property
@@ -62,12 +61,6 @@ class PricePanel:
                 f"non-positive price for ({self.dates[d].isoformat()}, {self.tickers[t]})"
             )
 
-    def ticker_index(self, ticker: str) -> int:
-        try:
-            return self.tickers.index(ticker)
-        except ValueError:
-            raise DataError(f"unknown ticker {ticker!r}") from None
-
     def date_index(self, d: date) -> int:
         try:
             return self.dates.index(d)
@@ -85,9 +78,6 @@ class Dividend:
 @dataclass(frozen=True)
 class DividendTable:
     entries: tuple[Dividend, ...]
-
-    def for_ticker(self, ticker: str) -> list[Dividend]:
-        return [e for e in self.entries if e.ticker == ticker]
 
 
 @dataclass(frozen=True)
@@ -304,27 +294,32 @@ def _ingest_rows(price_file: Path, dividend_file: Path) -> tuple[PricePanel, Div
     return panel, DividendTable(tuple(entries))
 
 
-def total_return_index(panel: PricePanel, divs: DividendTable, ticker: str) -> np.ndarray:
-    """Dividend-reinvested index for one ticker over all panel dates.
+def total_return_index(panel: PricePanel, divs: DividendTable) -> np.ndarray:
+    """Dividend-reinvested index of every ticker, shape (n_dates, n_tickers).
 
     Shares start at 1. A dividend paid on (or rolled forward to) date t buys
     amount/close_t extra shares; the index is shares * close. With no
-    dividends the index equals the raw price path exactly.
+    dividends the index equals the raw price path exactly. Dividends of
+    tickers outside the panel are ignored.
     """
-    j = panel.ticker_index(ticker)
-    prices = panel.close[:, j]
-    # Dividend per panel date, payment dates rolled forward to the next close.
-    per_date = np.zeros(len(panel.dates))
-    for entry in divs.for_ticker(ticker):
-        i = bisect_left(panel.dates, entry.payment_date)
-        if i >= len(panel.dates):
-            raise DataError(
-                f"dividend for {ticker} on {entry.payment_date.isoformat()} "
-                "has no close date at or after it"
-            )
-        per_date[i] += entry.amount
-    shares = np.cumprod(1.0 + per_date / prices)
-    return shares * prices
+    column = {t: j for j, t in enumerate(panel.tickers)}
+    paid = [e for e in divs.entries if e.ticker in column]
+    cols = np.array([column[e.ticker] for e in paid], dtype=np.intp)
+    # Payment dates rolled forward to the next close.
+    rows = np.searchsorted(
+        [d.toordinal() for d in panel.dates], [e.payment_date.toordinal() for e in paid]
+    )
+    late = np.flatnonzero(rows == len(panel.dates))
+    if late.size:
+        entry = paid[late[np.argmin(cols[late])]]  # first panel ticker, then table order
+        raise DataError(
+            f"dividend for {entry.ticker} on {entry.payment_date.isoformat()} "
+            "has no close date at or after it"
+        )
+    per_date = np.zeros(panel.close.shape)
+    # Unbuffered: one cell's amounts are added in table order.
+    np.add.at(per_date, (rows, cols), [e.amount for e in paid])
+    return np.cumprod(1.0 + per_date / panel.close, axis=0) * panel.close
 
 
 def period_returns(
@@ -337,14 +332,11 @@ def period_returns(
     index inside each period (dividend-inclusive).
     """
     periods = tuple(periods)
-    tri = np.column_stack([total_return_index(panel, divs, t) for t in panel.tickers])
+    tri = total_return_index(panel, divs)
     total = np.empty((len(periods), len(panel.tickers)))
     weekly: list[np.ndarray] = []
     for k, p in enumerate(periods):
-        i0, i1 = panel.date_index(p.start), panel.date_index(p.end)
-        if i1 <= i0:
-            raise DataError(f"period {p.label}: end does not follow start in the panel")
-        seg = tri[i0 : i1 + 1]
+        seg = tri[panel.date_index(p.start) : panel.date_index(p.end) + 1]
         total[k] = 100.0 * (seg[-1] / seg[0] - 1.0)
         weekly.append(seg[1:] / seg[:-1] - 1.0)
     return ReturnPanel(panel.tickers, periods, total, tuple(weekly))

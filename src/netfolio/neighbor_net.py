@@ -35,7 +35,6 @@ class CircularSplitSystem:
     ordering: tuple[str, ...]
     splits: tuple[Split, ...]
     residual: float
-    fit_note: str = "ordinary least squares with non-negativity"
 
     @property
     def n(self) -> int:
@@ -239,7 +238,6 @@ def fit_split_weights(
     ordering: tuple[str, ...],
     *,
     prune: float = 1e-9,
-    max_iter: int | None = None,
 ) -> CircularSplitSystem:
     """Non-negative least squares fit of all contiguous-arc split weights."""
     n = dist.n
@@ -248,9 +246,7 @@ def fit_split_weights(
     ops = SplitOperators(n)
     pos = np.array([dist.ticker_index(t) for t in ordering])
     b = dist.d[pos[ops.p], pos[ops.q]]
-    if max_iter is None:
-        max_iter = 10 * n * n
-    w, residual = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b, max_iter)
+    w, residual = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b, 10 * n * n)
     splits = tuple(
         Split(s, length, float(weight))
         for s, length, weight in zip(ops.starts.tolist(), ops.lengths.tolist(), w)
@@ -340,7 +336,7 @@ def write_nexus(dist: DistanceMatrix, system: CircularSplitSystem | None = None)
         out += ["", "BEGIN Splits;",
                 f"DIMENSIONS ntax={n} nsplits={len(system.splits)};",
                 "FORMAT labels=no weights=yes confidences=no intervals=no;",
-                f"[fit: {system.fit_note}; residual {system.residual:.6g}]",
+                f"[fit: ordinary least squares with non-negativity; residual {system.residual:.6g}]",
                 f"CYCLE {cycle};", "MATRIX"]
         for idx, split in enumerate(system.splits, start=1):
             members = " ".join(str(taxon_no[t]) for t in system.arc_members(split))

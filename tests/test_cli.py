@@ -356,6 +356,34 @@ class TestConfigValidation:
         assert f"bad_section.json: {section} must be a JSON object, not [4]" in (
             capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", [["returns"], ["network", "--method", "hct"], ["simulate"]],
+                             ids=["returns", "network", "simulate"])
+    def test_period_order_rejected_before_any_data(self, workspace, monkeypatch, capsys, command):
+        path = workspace / "periods.json"
+        periods = json.loads(path.read_text())
+        periods[1]["end"] = periods[1]["start"]
+        path.write_text(json.dumps(periods))
+        monkeypatch.setattr(cli, "ingest", _forbidden)
+        assert main(command + ["--config", str(workspace / "config.json"),
+                               "--out-dir", str(workspace / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: period 'P2': start must precede end\n"
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("row,message", [
+        ("S00,4", "industry.csv:14: ticker 'S00' listed twice"),
+        ("ZZZ,x", "industry.csv:14: invalid group 'x'"),
+    ], ids=["repeated", "bad_group"])
+    def test_industry_map_rejected_before_any_data(self, workspace, monkeypatch, capsys,
+                                                   row, message):
+        path = workspace / "industry.csv"
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        monkeypatch.setattr(cli, "ingest", _forbidden)
+        assert main(["simulate", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(workspace / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {workspace / message}\n"
+        assert not (workspace / "out").exists()
+
     def test_invalid_periods_json_located(self, workspace, capsys):
         path = workspace / "periods.json"
         path.write_text('[\n  {"label": "P1",}\n]\n')

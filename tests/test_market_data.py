@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import tempfile
+from bisect import bisect_left
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -112,44 +113,117 @@ class TestIngest:
 class TestTotalReturnIndex:
     def test_constant_price_no_dividends(self):
         panel, divs = simple_panel()
-        tri = total_return_index(panel, divs, "AAA")
+        tri = total_return_index(panel, divs)[:, 0]
         assert np.array_equal(tri, [10.0, 10.0, 10.0])
 
     def test_price_doubling(self):
         panel, divs = simple_panel(prices=(10.0, 20.0))
-        tri = total_return_index(panel, divs, "AAA")
+        tri = total_return_index(panel, divs)[:, 0]
         assert tri[-1] / tri[0] - 1.0 == 1.0
 
     def test_dividend_reinvestment_plus_ten_percent(self):
         panel, divs = simple_panel(dividends=((1, 1.0),))
-        tri = total_return_index(panel, divs, "AAA")
+        tri = total_return_index(panel, divs)[:, 0]
         assert tri[-1] == pytest.approx(11.0, abs=0)
         assert tri[-1] / tri[0] - 1.0 == pytest.approx(0.10, rel=1e-14)
 
     def test_zero_dividends_equals_price_path(self, rng):
         prices = tuple(rng.uniform(5, 50, size=20))
         panel, divs = simple_panel(prices=prices)
-        assert np.array_equal(total_return_index(panel, divs, "AAA"), prices)
+        assert np.array_equal(total_return_index(panel, divs)[:, 0], prices)
 
     def test_two_dividends_multiplicative(self):
         panel, divs = simple_panel(prices=(10.0, 20.0, 40.0), dividends=((1, 2.0), (2, 4.0)))
-        tri = total_return_index(panel, divs, "AAA")
+        tri = total_return_index(panel, divs)[:, 0]
         assert tri[-1] == pytest.approx((1 + 2.0 / 20.0) * (1 + 4.0 / 40.0) * 40.0)
 
     def test_payment_date_rolls_forward(self):
         panel, _ = simple_panel(prices=(10.0, 20.0, 40.0))
         divs = DividendTable((Dividend("AAA", panel.dates[1] - timedelta(days=3), 2.0),))
-        rolled = total_return_index(panel, divs, "AAA")
+        rolled = total_return_index(panel, divs)[:, 0]
         at_close = total_return_index(
-            panel, DividendTable((Dividend("AAA", panel.dates[1], 2.0),)), "AAA"
-        )
+            panel, DividendTable((Dividend("AAA", panel.dates[1], 2.0),))
+        )[:, 0]
         assert np.array_equal(rolled, at_close)
 
     def test_other_tickers_unaffected(self):
         dates = tuple(date(2001, 1, 2) + timedelta(weeks=w) for w in range(3))
         panel = PricePanel(("AAA", "BBB"), dates, np.full((3, 2), 10.0))
         divs = DividendTable((Dividend("BBB", dates[1], 5.0),))
-        assert np.array_equal(total_return_index(panel, divs, "AAA"), [10.0, 10.0, 10.0])
+        assert np.array_equal(total_return_index(panel, divs)[:, 0], [10.0, 10.0, 10.0])
+
+    def test_late_dividend_named(self):
+        panel, _ = simple_panel()
+        late = panel.dates[-1] + timedelta(days=1)
+        divs = DividendTable((Dividend("AAA", panel.dates[0], 1.0), Dividend("AAA", late, 2.0)))
+        with pytest.raises(
+            DataError, match=r"^dividend for AAA on 2001-01-17 has no close date at or after it$"
+        ):
+            total_return_index(panel, divs)
+
+
+def reference_index(panel: PricePanel, divs: DividendTable) -> np.ndarray:
+    """The per-ticker formula: each payment rolled forward with
+    ``bisect_left`` and added in table order, then a 1-D cumprod."""
+    columns = []
+    for j, ticker in enumerate(panel.tickers):
+        prices = panel.close[:, j]
+        per_date = np.zeros(len(panel.dates))
+        for entry in divs.entries:
+            if entry.ticker != ticker:
+                continue
+            i = bisect_left(panel.dates, entry.payment_date)
+            if i >= len(panel.dates):
+                raise DataError(
+                    f"dividend for {ticker} on {entry.payment_date.isoformat()} "
+                    "has no close date at or after it"
+                )
+            per_date[i] += entry.amount
+        columns.append(np.cumprod(1.0 + per_date / prices) * prices)
+    return np.column_stack(columns)
+
+
+def hand_built_table(seed: int) -> tuple[PricePanel, DividendTable]:
+    """Irregular closes and a shuffled dividend table with same-date
+    payments, payments between closes, tickers outside the panel and, in
+    every fifth table, payment dates up to five days past the last close."""
+    rng = np.random.default_rng(seed)
+    n_dates, n_tickers = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+    tickers = tuple(f"T{j}" for j in range(n_tickers))
+    dates = tuple(date(2001, 1, 2) + timedelta(days=int(x))
+                  for x in np.cumsum(rng.integers(1, 10, size=n_dates)))
+    close = rng.uniform(1.0, 100.0, size=(n_dates, n_tickers)).round(int(rng.integers(0, 4)))
+    days = (dates[-1] - dates[0]).days + (5 if seed % 5 == 0 else 0)
+    entries = [
+        Dividend(
+            str(rng.choice(tickers + ("ZZZ", "T9"))),
+            dates[0] + timedelta(days=int(rng.integers(-3, days + 1))),
+            float(rng.choice([0.1, 0.2, 0.3, 1e-9, 7.0, rng.uniform(0, 5)])),
+        )
+        for _ in range(int(rng.integers(0, 60)))
+    ]
+    # Same-date payments: repeat some entries, then shuffle the table.
+    entries += [entries[i] for i in rng.integers(0, len(entries), size=len(entries) // 3)]
+    rng.shuffle(entries)
+    return PricePanel(tickers, dates, close), DividendTable(tuple(entries))
+
+
+class TestIndexAgainstPerTickerFormula:
+    def test_bitwise_equal_or_same_error(self):
+        raised = 0
+        for seed in range(300):
+            panel, divs = hand_built_table(seed)
+            try:
+                want = reference_index(panel, divs)
+            except DataError as exc:
+                raised += 1
+                with pytest.raises(DataError) as got:
+                    total_return_index(panel, divs)
+                assert str(got.value) == str(exc), seed
+                continue
+            got = total_return_index(panel, divs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
+        assert 0 < raised < 100
 
 
 class TestPeriodReturns:
@@ -383,7 +457,8 @@ class TestColumnarIngest:
             with pytest.raises(DataError) as got:
                 ingest(*files)
             assert str(got.value) == str(expected.value)
-            (folder / "periods.json").write_text("[]")
+            (folder / "periods.json").write_text(
+                '[{"label": "P1", "start": "2001-01-02", "end": "2001-01-09"}]')
             (folder / "config.json").write_text(json.dumps(
                 {"prices": "prices.csv", "dividends": "dividends.csv", "periods": "periods.json"}))
             stderr = io.StringIO()
