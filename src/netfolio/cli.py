@@ -8,12 +8,12 @@ nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -33,10 +33,10 @@ from .market_data import (
     DataError,
     ReturnPanel,
     StudyPeriod,
-    _blank,
     _parse_date,
     ingest,
     period_returns,
+    read_table,
 )
 from .neighbor_net import (
     fit_split_weights,
@@ -47,6 +47,7 @@ from .neighbor_net import (
 )
 from .portfolio_sim import (
     IndustryMap,
+    SimulationError,
     Strategy,
     cluster_plan,
     default_industry_map,
@@ -184,6 +185,12 @@ def load_periods(path: str | Path) -> list[StudyPeriod]:
             where = f"{path}: period {entry['label']!r}"
             if any(p.label == entry["label"] for p in periods):
                 raise ConfigError(f"{where} listed twice")
+            # The label is part of output file names, so it must not leave --out-dir.
+            label = entry["label"]
+            if not (isinstance(label, str) and label) or any(
+                    part in label for part in ("/", "\\", "..")):
+                raise ConfigError(
+                    f"{where}: label must be a non-empty string, without '/', '\\' or '..'")
             start = _parse_date(entry["start"], f"{where} start")
             end = _parse_date(entry["end"], f"{where} end")
             if start >= end:
@@ -198,7 +205,7 @@ def load_industry_map(path: str | Path | None) -> IndustryMap:
     if path is None:
         return default_industry_map()
     groups: dict[str, int] = {}
-    for lineno, row in read_table(path, ("ticker", "group")):
+    for lineno, row in _rows(path, ("ticker", "group")):
         ticker = row["ticker"].strip()
         if ticker in groups:
             raise ConfigError(f"{path}:{lineno}: ticker {ticker!r} listed twice")
@@ -209,22 +216,14 @@ def load_industry_map(path: str | Path | None) -> IndustryMap:
     return IndustryMap(groups)
 
 
-def read_table(path: str | Path, columns: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
-    """(line number, row) of each non-blank row of a CSV file whose header
-    must be exactly ``columns``."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(columns):
-            raise ConfigError(f"{path}: expected header '{','.join(columns)}'")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if _blank(row):
-                continue
-            if len(row) != len(columns):
-                raise ConfigError(f"{path}:{lineno}: bad row {row!r}")
-            rows.append((lineno, dict(zip(columns, row))))
-    return rows
+def _rows(path: str | Path, columns: tuple[str, ...]) -> Iterator[tuple[int, dict[str, str]]]:
+    """(line, fields by column) of each row of a CSV file with this header;
+    then the error that ended the read early, if any, is raised."""
+    lines, texts, stop = read_table(path, columns)
+    for lineno, values in zip(lines, zip(*texts)):
+        yield lineno, dict(zip(columns, values))
+    if stop is not None:
+        raise stop
 
 
 def check_industry_universe(industry: IndustryMap, source: str, tickers: tuple[str, ...]) -> None:
@@ -357,13 +356,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
     seed = args.seed if args.seed is not None else sim.get("seed", 0)
     rf_table = {**reference.RISK_FREE_PCT, **sim.get("risk_free", {})}
-    industry_source = cfg.get("industry_map")
-    industry = load_industry_map(industry_source)
+    industry_source = cfg.get("industry_map") or "built-in Dow 30 industry map"
+    industry = load_industry_map(cfg.get("industry_map"))
+    if "industry" in names:
+        for m in sizes:
+            try:
+                industry.plan.check(m)
+            except SimulationError as exc:
+                raise ConfigError(f"{industry_source}: {exc}") from None
     returns = compute_returns(cfg, periods)
     if "industry" in names:
-        check_industry_universe(
-            industry, industry_source or "built-in Dow 30 industry map", returns.tickers
-        )
+        check_industry_universe(industry, industry_source, returns.tickers)
     dist = distance_for_period(returns, model_period)
 
     strategies: list[Strategy] = []
@@ -424,7 +427,7 @@ def _cell(path: str, lineno: int, row: dict[str, str], column: str, kind=float):
 def cmd_report(args: argparse.Namespace) -> int:
     path = args.report_csv
     stats: list[StrategyStats] = []
-    for lineno, row in read_table(path, REPORT_COLUMNS):
+    for lineno, row in _rows(path, REPORT_COLUMNS):
         stats.append(
             StrategyStats(
                 row["strategy"],
@@ -438,7 +441,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     levene: list[tuple[int, tuple[str, ...], LeveneResult]] = []
     if args.levene_csv:
         path = args.levene_csv
-        for lineno, row in read_table(path, LEVENE_COLUMNS):
+        for lineno, row in _rows(path, LEVENE_COLUMNS):
             levene.append(
                 (
                     _cell(path, lineno, row, "size", int),

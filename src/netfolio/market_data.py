@@ -9,7 +9,9 @@ resulting total-return index between two panel dates.
 from __future__ import annotations
 
 import csv
+import io
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import cached_property
@@ -22,11 +24,23 @@ class DataError(ValueError):
     """Raised for malformed or inconsistent market data inputs."""
 
 
-def _parse_date(text: str, where: str) -> date:
+def _date(text: str) -> date | None:
+    """The ISO-8601 date a text spells, or None when it spells none."""
     try:
         return datetime.strptime(text.strip(), "%Y-%m-%d").date()
     except (AttributeError, ValueError):  # AttributeError: not a string
-        raise DataError(f"{where}: invalid ISO-8601 date {text!r}") from None
+        return None
+
+
+def _invalid_date(text: str) -> str:
+    return f"invalid ISO-8601 date {text!r}"
+
+
+def _parse_date(text: str, where: str) -> date:
+    parsed = _date(text)
+    if parsed is None:
+        raise DataError(f"{where}: {_invalid_date(text)}")
+    return parsed
 
 
 def _blank(row: list[str]) -> bool:
@@ -116,8 +130,91 @@ class ReturnPanel:
         return self.total_return[self.period_index(label)]
 
 
-PRICE_HEADER = ["date", "ticker", "close"]
-DIVIDEND_HEADER = ["ticker", "payment_date", "amount"]
+def read_table(path: str | Path, header: tuple[str, ...]
+               ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
+    """Read a UTF-8 CSV file whose header must be ``header``, in one pass.
+
+    Returns the file line of each row, one text list per header field, and
+    the located error of the line that ended the read early, if one did: a
+    row of the wrong width, an undecodable byte or a malformed field (such
+    as one longer than ``csv.field_size_limit()``). Blank rows are skipped;
+    a wrong header raises at once.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            return _read_rows(path, fh, header, None)
+        except UnicodeDecodeError:
+            # The text layer decodes ahead of the rows, so the bad byte's
+            # line is found in the bytes, and the rows before it read again.
+            fh.buffer.seek(0)
+            data = fh.buffer.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        cut = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, cut) + 1
+        stop = DataError(f"{path}:{line}: cannot decode byte 0x{data[exc.start]:02x} as UTF-8 "
+                         f"({exc.reason})")
+    if not cut:
+        raise stop
+    return _read_rows(path, io.StringIO(data[:cut].decode("utf-8"), newline=""), header, stop)
+
+
+def _read_rows(path: str | Path, text: Iterable[str], header: tuple[str, ...],
+               stop: DataError | None
+               ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
+    """``read_table`` of these lines of the file; ``stop`` ends the read
+    unless a line does first."""
+    width, flat, blank = len(header), [], set()
+    reader = csv.reader(text)
+    try:
+        head = next(reader, None)
+        if head is None or tuple(h.strip() for h in head) != header:
+            raise DataError(f"{path}: expected header '{','.join(header)}'")
+        # One flat list, sliced into columns at the end, costs less than an
+        # append per field.
+        extend = flat.extend
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) == width:
+                extend(row)
+            elif _blank(row):
+                blank.add(lineno)
+            else:
+                stop = DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                break
+    except csv.Error as exc:
+        stop = DataError(f"{path}:{reader.line_num}: {exc}")
+    n = len(flat) // width
+    lines = range(2, n + 2) if not blank else [
+        k for k in range(2, n + 2 + len(blank)) if k not in blank]
+    return lines, tuple(flat[k::width] for k in range(width)), stop
+
+
+def _numbers(texts: list[str]) -> np.ndarray:
+    """The float each text spells, nan where it spells none."""
+    try:
+        return np.fromiter(map(float, texts), float, len(texts))
+    except ValueError:
+        return np.fromiter(map(_number, texts), float, len(texts))
+
+
+def _member(texts: list[str], bad: set[str]) -> np.ndarray | None:
+    """Mask of the texts in ``bad``; None when it is empty."""
+    return np.fromiter(map(bad.__contains__, texts), bool, len(texts)) if bad else None
+
+
+def _raise_first(path: Path, lines: Sequence[int], stop: DataError | None, checks: list) -> None:
+    """Raise the error of the first row of a ``read_table`` read that fails a
+    check, a row's checks taken in list order; without one, raise ``stop``.
+
+    Each check is a (row mask or None, message of a row) pair."""
+    failed = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks)
+              if mask is not None and mask.any()]
+    if failed:
+        row, k = min(failed)
+        raise DataError(f"{path}:{lines[row]}: {checks[k][1](row)}")
+    if stop is not None:
+        raise stop
 
 
 def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePanel, DividendTable]:
@@ -125,172 +222,74 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
 
     Price CSV: header ``date,ticker,close``; dividend CSV: header
     ``ticker,payment_date,amount``. Any missing (date, ticker) price cell,
-    malformed row, or out-of-range dividend fails with a located error.
-
-    Each file is read once into columns and checked with array operations;
-    only when a check fails does the row-by-row reader run again, to raise
-    the error of the first bad line.
+    malformed row, or out-of-range dividend fails with a located error: that
+    of the first bad line, each check run once over all rows as a mask.
     """
     price_file, dividend_file = Path(price_file), Path(dividend_file)
-    read = _ingest_columns(price_file, dividend_file)
-    return read if read is not None else _ingest_rows(price_file, dividend_file)
-
-
-def _columns(path: Path, header: list[str]) -> tuple[list[str], list[str], list[str]] | None:
-    """The three text columns of a CSV file with this header, blank rows
-    skipped; None when the header, a row's field count or the text is bad."""
-    columns: tuple[list[str], list[str], list[str]] = ([], [], [])
-    first, second, third = (column.append for column in columns)
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            head = next(reader, None)
-            if head is None or [h.strip() for h in head] != header:
-                return None
-            # Each row is dropped as soon as it is split: holding every row
-            # list at once costs more in garbage collection than the parse.
-            for row in reader:
-                if len(row) == 3:
-                    first(row[0])
-                    second(row[1])
-                    third(row[2])
-                elif not _blank(row):
-                    return None
-    except (ValueError, csv.Error):  # undecodable bytes, an oversized field
-        return None
-    return columns
-
-
-def _ingest_columns(price_file: Path, dividend_file: Path) -> tuple[PricePanel, DividendTable] | None:
-    """``ingest`` of well-formed files from their columns; None when any check
-    fails. The checks are those of ``_ingest_rows``."""
-    columns = _columns(price_file, PRICE_HEADER)
-    if columns is None or not columns[0]:
-        return None
-    date_text, ticker_text, close_text = columns
-    parsed: dict[str, date] = {}  # raw date text -> date
-    try:
-        for text in set(date_text):
-            parsed[text] = _parse_date(text, "")
-        close = np.fromiter(map(float, close_text), float, len(close_text))
-    except ValueError:
-        return None
+    lines, (date_text, ticker_text, close_text), stop = read_table(
+        price_file, ("date", "ticker", "close"))
+    parsed: dict[str, date | None] = {text: _date(text) for text in set(date_text)}
     stripped = {text: text.strip() for text in set(ticker_text)}
-    if "" in stripped.values() or not (np.isfinite(close).all() and (close > 0).all()):
-        return None
-    dates = tuple(sorted(set(parsed.values())))
-    tickers = tuple(sorted(set(stripped.values())))
-    # Two texts of one date, or of one stripped ticker, share an index, so
-    # they collide as a duplicate cell.
+    close = _numbers(close_text)
+    dates = tuple(sorted({d for d in parsed.values() if d is not None}))
+    tickers = tuple(sorted(set(stripped.values()) - {""}))
+    # Cells of a (dates + 1) x (tickers + 1) grid: a bad date takes the last
+    # row and an empty ticker the last column, so they collide only with rows
+    # that fail the same earlier check. Two texts of one date, or of one
+    # stripped ticker, share an index, so they collide as a duplicate cell.
     date_pos = {d: i for i, d in enumerate(dates)}
-    date_of = {text: date_pos[d] for text, d in parsed.items()}
+    date_of = {text: date_pos.get(d, len(dates)) for text, d in parsed.items()}
     ticker_pos = {t: j for j, t in enumerate(tickers)}
-    ticker_of = {text: ticker_pos[t] for text, t in stripped.items()}
+    ticker_of = {text: ticker_pos.get(t, len(tickers)) for text, t in stripped.items()}
+    grid = np.empty((len(dates) + 1, len(tickers) + 1))
     n = len(close_text)
-    cell = np.fromiter(map(date_of.__getitem__, date_text), np.intp, n) * len(tickers)
+    cell = np.fromiter(map(date_of.__getitem__, date_text), np.intp, n) * grid.shape[1]
     cell += np.fromiter(map(ticker_of.__getitem__, ticker_text), np.intp, n)
-    size = len(dates) * len(tickers)
-    # As many rows as cells and no cell twice: no cell is missing either.
-    if n != size or np.bincount(cell, minlength=size).max() != 1:
-        return None
-    grid = np.empty(size)
-    grid[cell] = close
-    panel = PricePanel(tickers, dates, grid.reshape(len(dates), len(tickers)))
+    count = np.bincount(cell, minlength=grid.size)
+    duplicate = None
+    if n and count.max() > 1:
+        duplicate = np.ones(n, bool)
+        duplicate[np.unique(cell, return_index=True)[1]] = False
 
-    columns = _columns(dividend_file, DIVIDEND_HEADER)
-    if columns is None:
-        return None
-    payer_text, paid_text, amount_text = columns
-    payer = {text: text.strip() for text in set(payer_text)}
-    if not set(payer.values()) <= set(tickers):
-        return None
-    try:
-        for text in set(paid_text) - parsed.keys():
-            parsed[text] = _parse_date(text, "")
-        amounts = list(map(float, amount_text))
-    except ValueError:
-        return None
-    paid = list(map(parsed.__getitem__, paid_text))
-    if paid and not (dates[0] <= min(paid) and max(paid) <= dates[-1]):
-        return None
-    if not all(map(math.isfinite, amounts)) or (amounts and min(amounts) < 0):
-        return None
-    entries = tuple(map(Dividend, map(payer.__getitem__, payer_text), paid, amounts))
-    return panel, DividendTable(entries)
+    def cell_name(row: int) -> str:
+        return f"({parsed[date_text[row]].isoformat()}, {stripped[ticker_text[row]]})"
 
-
-def _ingest_rows(price_file: Path, dividend_file: Path) -> tuple[PricePanel, DividendTable]:
-    """``ingest`` one row at a time, raising at the first bad line."""
-    cells: dict[tuple[date, str], float] = {}
-    parsed: dict[str, date] = {}  # raw date text -> date; every ticker repeats each date
-
-    def parse_date(text: str, where: str) -> date:
-        if text not in parsed:
-            parsed[text] = _parse_date(text, where)
-        return parsed[text]
-
-    with open(price_file, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != PRICE_HEADER:
-            raise DataError(f"{price_file}: expected header 'date,ticker,close'")
-        for lineno, row in enumerate(reader, start=2):
-            if _blank(row):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{price_file}:{lineno}: expected 3 fields, got {len(row)}")
-            d = parse_date(row[0], f"{price_file}:{lineno}")
-            ticker = row[1].strip()
-            if not ticker:
-                raise DataError(f"{price_file}:{lineno}: empty ticker")
-            close = _number(row[2])
-            if not math.isfinite(close):
-                raise DataError(f"{price_file}:{lineno}: invalid price {row[2]!r}")
-            if close <= 0:
-                raise DataError(
-                    f"{price_file}:{lineno}: non-positive price for ({d.isoformat()}, {ticker})"
-                )
-            if (d, ticker) in cells:
-                raise DataError(f"{price_file}:{lineno}: duplicate row for ({d.isoformat()}, {ticker})")
-            cells[(d, ticker)] = close
-    if not cells:
+    _raise_first(price_file, lines, stop, [
+        (_member(date_text, {text for text, d in parsed.items() if d is None}),
+         lambda row: _invalid_date(date_text[row])),
+        (_member(ticker_text, {text for text, t in stripped.items() if not t}),
+         lambda row: "empty ticker"),
+        (~np.isfinite(close), lambda row: f"invalid price {close_text[row]!r}"),
+        (close <= 0, lambda row: f"non-positive price for {cell_name(row)}"),
+        (duplicate, lambda row: f"duplicate row for {cell_name(row)}"),
+    ])
+    if not n:
         raise DataError(f"{price_file}: no price rows")
+    missing = np.flatnonzero(count.reshape(grid.shape)[:-1, :-1] == 0)
+    if missing.size:
+        i, j = divmod(int(missing[0]), len(tickers))
+        raise DataError(f"{price_file}: missing price cell ({dates[i].isoformat()}, {tickers[j]})")
+    grid.reshape(-1)[cell] = close
+    panel = PricePanel(tickers, dates, grid[:-1, :-1].copy())
 
-    tickers = tuple(sorted({t for _, t in cells}))
-    dates = tuple(sorted({d for d, _ in cells}))
-    close = np.empty((len(dates), len(tickers)))
-    for i, d in enumerate(dates):
-        for j, t in enumerate(tickers):
-            if (d, t) not in cells:
-                raise DataError(f"{price_file}: missing price cell ({d.isoformat()}, {t})")
-            close[i, j] = cells[(d, t)]
-    panel = PricePanel(tickers, dates, close)
-
-    entries: list[Dividend] = []
-    with open(dividend_file, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != DIVIDEND_HEADER:
-            raise DataError(f"{dividend_file}: expected header 'ticker,payment_date,amount'")
-        for lineno, row in enumerate(reader, start=2):
-            if _blank(row):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{dividend_file}:{lineno}: expected 3 fields, got {len(row)}")
-            ticker = row[0].strip()
-            if ticker not in panel.tickers:
-                raise DataError(f"{dividend_file}:{lineno}: dividend for unknown ticker {ticker!r}")
-            d = parse_date(row[1], f"{dividend_file}:{lineno}")
-            if not (dates[0] <= d <= dates[-1]):
-                raise DataError(
-                    f"{dividend_file}:{lineno}: payment date {d.isoformat()} outside panel range"
-                )
-            amount = _number(row[2])
-            if not math.isfinite(amount):
-                raise DataError(f"{dividend_file}:{lineno}: invalid amount {row[2]!r}")
-            if amount < 0:
-                raise DataError(f"{dividend_file}:{lineno}: negative dividend amount")
-            entries.append(Dividend(ticker, d, amount))
+    lines, (payer_text, paid_text, amount_text), stop = read_table(
+        dividend_file, ("ticker", "payment_date", "amount"))
+    payer = {text: text.strip() for text in set(payer_text)}
+    paid = {text: parsed.get(text) or _date(text) for text in set(paid_text)}
+    amount = _numbers(amount_text)
+    _raise_first(dividend_file, lines, stop, [
+        (_member(payer_text, {text for text, t in payer.items() if t not in ticker_pos}),
+         lambda row: f"dividend for unknown ticker {payer[payer_text[row]]!r}"),
+        (_member(paid_text, {text for text, d in paid.items() if d is None}),
+         lambda row: _invalid_date(paid_text[row])),
+        (_member(paid_text, {text for text, d in paid.items()
+                             if d is not None and not dates[0] <= d <= dates[-1]}),
+         lambda row: f"payment date {paid[paid_text[row]].isoformat()} outside panel range"),
+        (~np.isfinite(amount), lambda row: f"invalid amount {amount_text[row]!r}"),
+        (amount < 0, lambda row: "negative dividend amount"),
+    ])
+    entries = map(Dividend, map(payer.__getitem__, payer_text), map(paid.__getitem__, paid_text),
+                  amount.tolist())
     return panel, DividendTable(tuple(entries))
 
 

@@ -1,0 +1,99 @@
+"""The row-by-row ingest: the reference that ``market_data.ingest`` must
+match, panel for panel and error message for error message."""
+
+from __future__ import annotations
+
+import csv
+import math
+from datetime import date
+from pathlib import Path
+
+import numpy as np
+
+from netfolio.market_data import (
+    DataError,
+    Dividend,
+    DividendTable,
+    PricePanel,
+    _blank,
+    _number,
+    _parse_date,
+)
+
+PRICE_HEADER = ["date", "ticker", "close"]
+DIVIDEND_HEADER = ["ticker", "payment_date", "amount"]
+
+
+def _ingest_rows(price_file: Path, dividend_file: Path) -> tuple[PricePanel, DividendTable]:
+    """``ingest`` one row at a time, raising at the first bad line."""
+    cells: dict[tuple[date, str], float] = {}
+    parsed: dict[str, date] = {}  # raw date text -> date; every ticker repeats each date
+
+    def parse_date(text: str, where: str) -> date:
+        if text not in parsed:
+            parsed[text] = _parse_date(text, where)
+        return parsed[text]
+
+    with open(price_file, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != PRICE_HEADER:
+            raise DataError(f"{price_file}: expected header 'date,ticker,close'")
+        for lineno, row in enumerate(reader, start=2):
+            if _blank(row):
+                continue
+            if len(row) != 3:
+                raise DataError(f"{price_file}:{lineno}: expected 3 fields, got {len(row)}")
+            d = parse_date(row[0], f"{price_file}:{lineno}")
+            ticker = row[1].strip()
+            if not ticker:
+                raise DataError(f"{price_file}:{lineno}: empty ticker")
+            close = _number(row[2])
+            if not math.isfinite(close):
+                raise DataError(f"{price_file}:{lineno}: invalid price {row[2]!r}")
+            if close <= 0:
+                raise DataError(
+                    f"{price_file}:{lineno}: non-positive price for ({d.isoformat()}, {ticker})"
+                )
+            if (d, ticker) in cells:
+                raise DataError(f"{price_file}:{lineno}: duplicate row for ({d.isoformat()}, {ticker})")
+            cells[(d, ticker)] = close
+    if not cells:
+        raise DataError(f"{price_file}: no price rows")
+
+    tickers = tuple(sorted({t for _, t in cells}))
+    dates = tuple(sorted({d for d, _ in cells}))
+    close = np.empty((len(dates), len(tickers)))
+    for i, d in enumerate(dates):
+        for j, t in enumerate(tickers):
+            if (d, t) not in cells:
+                raise DataError(f"{price_file}: missing price cell ({d.isoformat()}, {t})")
+            close[i, j] = cells[(d, t)]
+    panel = PricePanel(tickers, dates, close)
+
+    entries: list[Dividend] = []
+    with open(dividend_file, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != DIVIDEND_HEADER:
+            raise DataError(f"{dividend_file}: expected header 'ticker,payment_date,amount'")
+        for lineno, row in enumerate(reader, start=2):
+            if _blank(row):
+                continue
+            if len(row) != 3:
+                raise DataError(f"{dividend_file}:{lineno}: expected 3 fields, got {len(row)}")
+            ticker = row[0].strip()
+            if ticker not in panel.tickers:
+                raise DataError(f"{dividend_file}:{lineno}: dividend for unknown ticker {ticker!r}")
+            d = parse_date(row[1], f"{dividend_file}:{lineno}")
+            if not (dates[0] <= d <= dates[-1]):
+                raise DataError(
+                    f"{dividend_file}:{lineno}: payment date {d.isoformat()} outside panel range"
+                )
+            amount = _number(row[2])
+            if not math.isfinite(amount):
+                raise DataError(f"{dividend_file}:{lineno}: invalid amount {row[2]!r}")
+            if amount < 0:
+                raise DataError(f"{dividend_file}:{lineno}: negative dividend amount")
+            entries.append(Dividend(ticker, d, amount))
+    return panel, DividendTable(tuple(entries))

@@ -246,7 +246,7 @@ class TestReportCommand:
         path = tmp_path / "report.csv"
         path.write_text("strategy,size,mean,sd,sharpe,best_flag\nRandom,2,1.0\n")
         assert main(["report", "--report-csv", str(path)]) == 2
-        assert f"{path}:2: bad row" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}:2: expected 6 fields, got 3\n"
 
 
 class TestConfigValidation:
@@ -267,7 +267,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("row,message", [
         ("S02,x", "industry.csv:4: invalid group 'x'"),
-        ("S02,1,9", "industry.csv:4: bad row"),
+        ("S02,1,9", "industry.csv:4: expected 2 fields, got 3"),
     ])
     def test_bad_industry_row_located(self, workspace, capsys, row, message):
         lines = (workspace / "industry.csv").read_text().splitlines()
@@ -384,6 +384,38 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"error: {workspace / message}\n"
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("label", ["", "P/1", "P\\1", "../escaped", 2],
+                             ids=["empty", "slash", "backslash", "dot-dot", "number"])
+    def test_period_label_must_be_a_file_name(self, workspace, monkeypatch, capsys, label):
+        path = workspace / "periods.json"
+        periods = json.loads(path.read_text())
+        periods[1]["label"] = label
+        path.write_text(json.dumps(periods))
+        monkeypatch.setattr(cli, "ingest", _forbidden)
+        out = workspace / "out" / "deep"
+        assert main(["returns", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: period {label!r}: label must be a non-empty string, "
+            "without '/', '\\' or '..'\n"
+        )
+        assert not (workspace / "out").exists()
+
+    def test_industry_rule_checked_before_any_data(self, workspace, monkeypatch, capsys):
+        path = workspace / "industry.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + [f"{l.split(',')[0]},{j // 2 + 1}"
+                                              for j, l in enumerate(lines[1:])]) + "\n")
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["simulation"]["sizes"] = [2, 8]
+        (workspace / "m8.json").write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "ingest", _forbidden)
+        assert main(["simulate", "--config", str(workspace / "m8.json"),
+                     "--out-dir", str(workspace / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: m=8 industry selection needs exactly 4 groups\n")
+        assert not (workspace / "out").exists()
+
     def test_invalid_periods_json_located(self, workspace, capsys):
         path = workspace / "periods.json"
         path.write_text('[\n  {"label": "P1",}\n]\n')
@@ -392,6 +424,49 @@ class TestConfigValidation:
             f"error: {path}: invalid JSON at line 2 column 18: "
             "Expecting property name enclosed in double quotes\n"
         )
+
+
+class TestUnreadableInput:
+    """A field longer than ``csv.field_size_limit()`` or a byte that is not
+    UTF-8 fails as a located error, in every CSV a command reads."""
+
+    REPORT = "strategy,size,mean,sd,sharpe,best_flag\nRandom,2,1.5,2.0,,0\nNN,2,1.6,2.1,,1\n"
+    LEVENE = "size,strategies,W,df1,df2,p\n2,Random+NN,1.5,1,78,0.22\n"
+
+    @pytest.mark.parametrize("payload,problem", [
+        (b"9" * 131_073, "field larger than field limit (131072)"),
+        (b"1\xff", "cannot decode byte 0xff as UTF-8 (invalid start byte)"),
+    ], ids=["oversized-field", "bad-byte"])
+    @pytest.mark.parametrize("name,line", [
+        ("prices.csv", 1000), ("dividends.csv", 7), ("industry.csv", 5), ("report.csv", 3),
+        ("levene.csv", 2),
+    ])
+    def test_located(self, workspace, monkeypatch, capsys, name, line, payload, problem):
+        (workspace / "report.csv").write_text(self.REPORT)
+        (workspace / "levene.csv").write_text(self.LEVENE)
+        path = workspace / name
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1].rpartition(b",")[0] + b"," + payload
+        path.write_bytes(b"\n".join(lines))
+        if name == "prices.csv":
+            assert len(b"\n".join(lines[:line - 1])) > 8192  # past the first decoded chunk
+        out = workspace / "out"
+        argv = {
+            "prices.csv": ["returns", "--config", str(workspace / "config.json")],
+            "dividends.csv": ["returns", "--config", str(workspace / "config.json")],
+            "industry.csv": ["simulate", "--config", str(workspace / "config.json")],
+            "report.csv": ["report", "--report-csv", str(path)],
+            "levene.csv": ["report", "--report-csv", str(workspace / "report.csv"),
+                           "--levene-csv", str(path)],
+        }[name]
+        if name == "industry.csv":
+            monkeypatch.setattr(cli, "ingest", _forbidden)
+        if argv[0] != "report":
+            argv += ["--out-dir", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:{line}: {problem}\n"
+        assert captured.out == "" and not out.exists()
 
 
 def _forbidden(*args, **kwargs):
