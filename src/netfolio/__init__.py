@@ -17,7 +17,6 @@ from .clusters import ClusterAssignment, ClusterPairing, pair_by_distance, pair_
 from .correlation import (
     CorrelationMatrix,
     DistanceMatrix,
-    nearest_neighbors,
     pearson_correlation,
     ultrametric_distance,
 )

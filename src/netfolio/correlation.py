@@ -88,12 +88,3 @@ def ultrametric_distance(corr: CorrelationMatrix) -> DistanceMatrix:
     np.fill_diagonal(d, 0.0)
     return DistanceMatrix(corr.tickers, d)
 
-
-def nearest_neighbors(dist: DistanceMatrix, ticker: str, m: int) -> list[tuple[str, float]]:
-    """The m closest other tickers, ascending by distance, ties by ticker."""
-    i = dist.ticker_index(ticker)
-    if not 1 <= m <= dist.n - 1:
-        raise CorrelationError(f"m must be in [1, {dist.n - 1}]")
-    others = [(float(dist.d[i, j]), t) for j, t in enumerate(dist.tickers) if j != i]
-    others.sort()
-    return [(t, d) for d, t in others[:m]]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta
 from functools import cached_property
@@ -131,14 +131,14 @@ class ReturnPanel:
 
 
 def read_table(path: str | Path, header: tuple[str, ...]
-               ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
+               ) -> tuple[list[int], tuple[list[str], ...], DataError | None]:
     """Read a UTF-8 CSV file whose header must be ``header``, in one pass.
 
-    Returns the file line of each row, one text list per header field, and
-    the located error of the line that ended the read early, if one did: a
-    row of the wrong width, an undecodable byte or a malformed field (such
-    as one longer than ``csv.field_size_limit()``). Blank rows are skipped;
-    a wrong header raises at once.
+    Returns the file line each row starts on, one text list per header
+    field, and the located error of the line that ended the read early, if
+    one did: a row of the wrong width, an undecodable byte or a malformed
+    field (such as one longer than ``csv.field_size_limit()``). Blank rows
+    are skipped; a wrong header raises at once.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -162,31 +162,30 @@ def read_table(path: str | Path, header: tuple[str, ...]
 
 def _read_rows(path: str | Path, text: Iterable[str], header: tuple[str, ...],
                stop: DataError | None
-               ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
+               ) -> tuple[list[int], tuple[list[str], ...], DataError | None]:
     """``read_table`` of these lines of the file; ``stop`` ends the read
     unless a line does first."""
-    width, flat, blank = len(header), [], set()
+    width, flat, lines = len(header), [], []
     reader = csv.reader(text)
     try:
         head = next(reader, None)
         if head is None or tuple(h.strip() for h in head) != header:
             raise DataError(f"{path}: expected header '{','.join(header)}'")
         # One flat list, sliced into columns at the end, costs less than an
-        # append per field.
-        extend = flat.extend
-        for lineno, row in enumerate(reader, start=2):
+        # append per field. A row is named by the line its record starts on:
+        # a quoted field may hold line breaks.
+        extend, add = flat.extend, lines.append
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if len(row) == width:
                 extend(row)
-            elif _blank(row):
-                blank.add(lineno)
-            else:
+                add(lineno)
+            elif not _blank(row):
                 stop = DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
                 break
     except csv.Error as exc:
         stop = DataError(f"{path}:{reader.line_num}: {exc}")
-    n = len(flat) // width
-    lines = range(2, n + 2) if not blank else [
-        k for k in range(2, n + 2 + len(blank)) if k not in blank]
     return lines, tuple(flat[k::width] for k in range(width)), stop
 
 
@@ -203,7 +202,7 @@ def _member(texts: list[str], bad: set[str]) -> np.ndarray | None:
     return np.fromiter(map(bad.__contains__, texts), bool, len(texts)) if bad else None
 
 
-def _raise_first(path: Path, lines: Sequence[int], stop: DataError | None, checks: list) -> None:
+def _raise_first(path: Path, lines: list[int], stop: DataError | None, checks: list) -> None:
     """Raise the error of the first row of a ``read_table`` read that fails a
     check, a row's checks taken in list order; without one, raise ``stop``.
 

@@ -50,8 +50,9 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
     if n < 3:
         raise NeighborNetError("neighbor-Net needs at least 3 tickers")
 
-    cap = 6 * n + 8
-    D = np.zeros((cap, cap))
+    # A reduction turns three linked nodes into two, and the last chain has
+    # two nodes: n - 2 reductions make 2(n - 2) synthetic nodes.
+    D = np.zeros((3 * n - 4, 3 * n - 4))
     D[:n, :n] = dist.d
     labels: list[str] = list(dist.tickers)
     components: list[list[int]] = [[i] for i in range(n)]
@@ -111,8 +112,6 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
             cx, cy, cz = chain[0], chain[1], chain[2]
             u, v = next_id, next_id + 1
             next_id += 2
-            if next_id > cap:
-                raise NeighborNetError("node capacity exceeded")
             active = [node for comp in components for node in comp if comp not in (A, B)]
             active += [node for node in chain if node not in (cx, cy, cz)]
             D[active, u] = D[u, active] = (2.0 * D[active, cx] + D[active, cy]) / 3.0
@@ -143,20 +142,6 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
 def all_arc_splits(n: int) -> list[tuple[int, int]]:
     """All n(n-1)/2 contiguous arcs not containing position 0."""
     return [(s, length) for s in range(1, n) for length in range(1, n - s + 1)]
-
-
-def split_design_matrix(n: int) -> np.ndarray:
-    """Indicator matrix: rows = position pairs (p<q), cols = arc splits. The
-    fit never builds it; ``SplitOperators`` gives its products."""
-    starts, lengths = np.array(all_arc_splits(n)).T
-    return _separates(n, starts, lengths).astype(float)
-
-
-def _separates(n: int, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Bool (pairs x arcs): does arc [start, start+length) separate pair p<q?"""
-    p, q = (v[:, None] for v in np.triu_indices(n, 1))
-    ends = starts + lengths
-    return ((starts <= p) & (p < ends)) != ((starts <= q) & (q < ends))
 
 
 class SplitOperators:
@@ -212,25 +197,6 @@ class SplitOperators:
         starts, ends, lengths = self.starts, self.ends, self.lengths
         a = np.maximum(np.minimum(ends[r], ends[cols]) - np.maximum(starts[r], starts[cols]), 0)
         return a * (self.n - 2 * (lengths[r] + lengths[cols]) + 2 * a) + lengths[r] * lengths[cols]
-
-
-def circular_metric_matrix(n: int, splits: list[tuple[int, int, float]]) -> np.ndarray:
-    """Raw position-indexed distance matrix induced by weighted arc splits."""
-    d, pos = np.zeros((n, n)), np.arange(n)
-    for s, length, w in splits:  # one split at a time: the same sums as pair by pair
-        inside = (s <= pos) & (pos < s + length)
-        d += w * (inside[:, None] != inside)
-    return d
-
-
-def circular_metric(
-    ordering: tuple[str, ...], splits: list[tuple[int, int, float]]
-) -> DistanceMatrix:
-    """Distance matrix induced by weighted arc splits of an ordering."""
-    d = circular_metric_matrix(len(ordering), splits)
-    idx = np.argsort(np.array(ordering))
-    tickers = tuple(sorted(ordering))
-    return DistanceMatrix(tickers, d[np.ix_(idx, idx)])
 
 
 def fit_split_weights(

@@ -1,15 +1,15 @@
 """Non-negative least squares by the Lawson-Hanson active-set method, driven
 through operators instead of a stored design matrix.
 
-The core ``nnls_gram`` reads A only through three callbacks: the product
+``nnls_gram`` reads A only through three callbacks: the product
 A·x, the product Aᵀ·y and entries of the Gram matrix AᵀA. Each outer step
 takes the gradient w = Aᵀ(b − A·x) from the two products, and each passive
 solve uses an inverse Cholesky factor of the passive Gram block (scaled to
 unit diagonal) that is bordered when a variable enters and updated by
 Givens rotations when one leaves, so a step costs two products plus O(k²)
 for k passive variables. The block is the normal-equations one (Bro & De
-Jong 1997), which squares cond(A): the solve is accurate while cond(A)
-stays well below 1/sqrt(eps) ~ 1e8. ``nnls`` is the same core on a dense A.
+Jong 1997), which squares cond(A). A must have full column rank: a column
+that (nearly) depends on the passive ones raises instead of entering.
 """
 
 from __future__ import annotations
@@ -18,29 +18,16 @@ from typing import Callable
 
 import numpy as np
 
-# A squared Cholesky pivot at or below this (of a unit-diagonal block) marks
-# the entering column as dependent on the passive ones.
-DEPENDENT = 1e3 * np.finfo(float).eps
+# A squared Cholesky pivot (of the unit-diagonal block) at or below this marks
+# the entering column as dependent: 1/pivot² bounds the block's condition
+# number from below, and past sqrt(eps) a solve keeps fewer than half the digits.
+DEPENDENT = np.sqrt(np.finfo(float).eps)
 
 
-class NNLSConvergenceError(RuntimeError):
+class NNLSConvergenceError(ValueError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.6g})")
         self.residual = residual
-
-
-def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None) -> tuple[np.ndarray, float]:
-    """Solve min_x ||A x - b||_2 subject to x >= 0.
-
-    Returns (x, residual_norm). Raises NNLSConvergenceError if the active-set
-    iteration cap is exceeded.
-    """
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    gram = A.T @ A
-    return nnls_gram(
-        lambda rows, cols: gram[np.ix_(rows, cols)], lambda x: A @ x, lambda y: A.T @ y, b, max_iter
-    )
 
 
 def nnls_gram(
@@ -50,8 +37,9 @@ def nnls_gram(
     b: np.ndarray,
     max_iter: int | None = None,
 ) -> tuple[np.ndarray, float]:
-    """``nnls`` given the block (AᵀA)[rows][:, cols] as ``gram(rows, cols)``,
-    A·x as ``matvec(x)`` and Aᵀ·y as ``rmatvec(y)``."""
+    """Solve min_x ||A x - b||_2 subject to x >= 0 for A of full column rank,
+    given (AᵀA)[rows][:, cols] as ``gram(rows, cols)``, A·x as ``matvec(x)``
+    and Aᵀ·y as ``rmatvec(y)``. Returns (x, residual_norm)."""
     b = np.asarray(b, dtype=float)
     atb = np.asarray(rmatvec(b), dtype=float)
     m, n = b.size, atb.size
@@ -78,20 +66,14 @@ def nnls_gram(
             if iters > max_iter:
                 message = f"active-set iteration cap {max_iter} exceeded"
                 raise NNLSConvergenceError(message, residual(x))
-            if entering and not factor.border(j, gram(np.append(factor.cols, j), [j])[:, 0]):
-                z = None  # j depends on the passive columns
-            elif factor.singular():  # least-norm solution of the passive block
-                cols, scale = factor.cols, factor.scale
-                block = gram(cols, cols) * scale[:, None] * scale
-                z = np.linalg.lstsq(block, atb[cols] * scale, rcond=None)[0] * scale
-            else:
-                z = factor.solve(atb[factor.cols])
-            if entering and (z is None or z[-1] <= tol):
-                # Lawson & Hanson: an entering column that is dependent or not
-                # positive waits until w changes. Only it could have x == z (both
-                # 0); every other shrinking coordinate has x > tol >= z.
-                if z is not None:
-                    factor.delete(factor.k - 1)  # j, bordered last
+            if entering:
+                factor.border(j, gram(np.append(factor.cols, j), [j])[:, 0])
+            z = factor.solve(atb[factor.cols])
+            if entering and z[-1] <= tol:
+                # Lawson & Hanson: an entering column that is not positive waits
+                # until w changes. Only it could have x == z (both 0); every
+                # other shrinking coordinate has x > tol >= z.
+                factor.delete(factor.k - 1)  # j, bordered last
                 passive[j], w[j] = False, 0.0
                 break
             cols = factor.cols
@@ -143,24 +125,19 @@ class PassiveFactor:
         """M = L⁻¹ for the scaled block S G S = L Lᵀ."""
         return self._m[: self.k, : self.k]
 
-    def singular(self) -> bool:
-        """Is some squared pivot of L (1/M_rr²) at rounding level?"""
-        return self.k > 0 and 1.0 / float(self._m.diagonal()[: self.k].max()) ** 2 <= DEPENDENT
-
-    def border(self, j: int, column: np.ndarray) -> bool:
+    def border(self, j: int, column: np.ndarray) -> None:
         """Append variable j given its Gram entries against ``cols`` and, last,
-        its own. Returns False, and leaves the factor as it was, when j is
+        its own. Raises ValueError, and leaves the factor as it was, when j is
         dependent: its squared pivot is at most ``DEPENDENT``."""
         k = self.k
         diagonal = float(column[k])
-        if not diagonal > 0.0:
-            return False
-        s = 1.0 / np.sqrt(diagonal)
+        s = 1.0 / np.sqrt(diagonal) if diagonal > 0.0 else 0.0
         M = self._m[:k, :k]
         l = M @ (column[:k] * self.scale * s)
-        pivot2 = 1.0 - float(l @ l)
-        if pivot2 <= DEPENDENT:
-            return False
+        pivot2 = 1.0 - float(l @ l) if s else 0.0  # a zero column has no pivot
+        if not pivot2 > DEPENDENT:
+            raise ValueError(f"NNLS column {j} depends on the passive columns "
+                             f"(squared pivot {pivot2:.3g}): A lacks full column rank")
         if k == self._m.shape[0]:
             self._grow()
             M = self._m[:k, :k]
@@ -170,7 +147,6 @@ class PassiveFactor:
         self._m[:k, k] = 0.0
         self._cols[k], self._scale[k] = j, s
         self.k = k + 1
-        return True
 
     def delete(self, i: int) -> None:
         """Drop the variable at factor position i.

@@ -67,10 +67,6 @@ class SimulationRun:
     period: str
     returns: np.ndarray  # per-replication portfolio returns, percent
 
-    @property
-    def replications(self) -> int:
-        return len(self.returns)
-
 
 @dataclass(frozen=True)
 class DrawPlan:

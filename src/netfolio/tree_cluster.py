@@ -70,9 +70,6 @@ class SpanningTree:
         if len(self.edges) != len(self.tickers) - 1:
             raise ClusterError("a spanning tree on n vertices needs n-1 edges")
 
-    def total_weight(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
-
     def adjacency(self) -> dict[str, list[str]]:
         adj: dict[str, list[str]] = {t: [] for t in self.tickers}
         for a, b, _ in self.edges:

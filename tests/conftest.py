@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from netfolio.correlation import DistanceMatrix
-from netfolio.neighbor_net import all_arc_splits, circular_metric, circular_metric_matrix
+from netfolio.neighbor_net import all_arc_splits
+from netfolio.tree_cluster import SpanningTree
 
 
 def canonical_cycle(order: tuple[str, ...]) -> tuple[str, ...]:
@@ -26,6 +27,30 @@ def random_distance_matrix(rng: np.random.Generator, n: int) -> DistanceMatrix:
     np.fill_diagonal(d, 0.0)
     tickers = tuple(f"T{i:02d}" for i in range(n))
     return DistanceMatrix(tickers, d)
+
+
+def circular_metric_matrix(n: int, splits: list[tuple[int, int, float]]) -> np.ndarray:
+    """Raw position-indexed distance matrix induced by weighted arc splits."""
+    d, pos = np.zeros((n, n)), np.arange(n)
+    for s, length, w in splits:  # one split at a time: the same sums as pair by pair
+        inside = (s <= pos) & (pos < s + length)
+        d += w * (inside[:, None] != inside)
+    return d
+
+
+def circular_metric(
+    ordering: tuple[str, ...], splits: list[tuple[int, int, float]]
+) -> DistanceMatrix:
+    """Distance matrix induced by weighted arc splits of an ordering."""
+    d = circular_metric_matrix(len(ordering), splits)
+    idx = np.argsort(np.array(ordering))
+    tickers = tuple(sorted(ordering))
+    return DistanceMatrix(tickers, d[np.ix_(idx, idx)])
+
+
+def tree_weight(tree: SpanningTree) -> float:
+    """Total edge weight of a spanning tree."""
+    return float(sum(w for _, _, w in tree.edges))
 
 
 def planted_split_system(rng: np.random.Generator, n: int):

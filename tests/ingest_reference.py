@@ -39,7 +39,9 @@ def _ingest_rows(price_file: Path, dividend_file: Path) -> tuple[PricePanel, Div
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != PRICE_HEADER:
             raise DataError(f"{price_file}: expected header 'date,ticker,close'")
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1  # the line its record starts on
             if _blank(row):
                 continue
             if len(row) != 3:
@@ -77,7 +79,9 @@ def _ingest_rows(price_file: Path, dividend_file: Path) -> tuple[PricePanel, Div
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != DIVIDEND_HEADER:
             raise DataError(f"{dividend_file}: expected header 'ticker,payment_date,amount'")
-        for lineno, row in enumerate(reader, start=2):
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1  # the line its record starts on
             if _blank(row):
                 continue
             if len(row) != 3:

@@ -1,6 +1,7 @@
 """Loop-form references for Neighbor-Net: the ordering and the split design
 matrix as first written, one Python-level distance or entry at a time. The
-package's vectorized versions must agree with them exactly."""
+package's vectorized ordering, and the vectorized design matrix kept here as
+the oracle of the fit's matrix-free products, must agree with them exactly."""
 
 from __future__ import annotations
 
@@ -109,6 +110,20 @@ def loop_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
     if sorted(order) != list(range(n)):
         raise AssertionError("expansion did not yield a permutation of the taxa")
     return tuple(dist.tickers[i] for i in order)
+
+
+def split_design_matrix(n: int) -> np.ndarray:
+    """Indicator matrix: rows = position pairs (p<q), cols = arc splits. The
+    fit never builds it; ``SplitOperators`` gives its products."""
+    starts, lengths = np.array(all_arc_splits(n)).T
+    return _separates(n, starts, lengths).astype(float)
+
+
+def _separates(n: int, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Bool (pairs x arcs): does arc [start, start+length) separate pair p<q?"""
+    p, q = (v[:, None] for v in np.triu_indices(n, 1))
+    ends = starts + lengths
+    return ((starts <= p) & (p < ends)) != ((starts <= q) & (q < ends))
 
 
 def loop_design_matrix(n: int) -> np.ndarray:

@@ -31,7 +31,6 @@ from netfolio.neighbor_net import (
     fit_split_weights,
     neighbornet_ordering,
     nn_clusters,
-    split_design_matrix,
 )
 from netfolio.portfolio_sim import (
     IndustryMap,
@@ -49,7 +48,14 @@ from netfolio.tree_cluster import (
     mst_clusters,
 )
 from netfolio.cli import main
-from conftest import canonical_cycle, planted_split_system, random_distance_matrix, split_weight_table
+from conftest import (
+    canonical_cycle,
+    planted_split_system,
+    random_distance_matrix,
+    split_weight_table,
+    tree_weight,
+)
+from nn_reference import split_design_matrix
 from test_cli import write_panel_csvs
 from test_tree_cluster import (
     brute_force_mst_weight,
@@ -151,7 +157,7 @@ def test_criterion_02_mst_optimality_oracle():
     for _ in range(200):
         dist = random_distance_matrix(rng, int(rng.integers(3, 7)))
         tree = minimum_spanning_tree(dist)
-        assert tree.total_weight() == pytest.approx(brute_force_mst_weight(dist), rel=1e-12)
+        assert tree_weight(tree) == pytest.approx(brute_force_mst_weight(dist), rel=1e-12)
     assert time.perf_counter() - start < 10.0
 
 
@@ -241,7 +247,7 @@ def test_criterion_07_random_selection_calibration():
     strategy = Strategy("Random", random_plan(returns.tickers))
     for m in (2, 4, 8):
         run = run_simulation(strategy, returns, "P1", m, reps=1000, seed=7)
-        se = float(np.std(run.returns, ddof=1)) / np.sqrt(run.replications)
+        se = float(np.std(run.returns, ddof=1)) / np.sqrt(len(run.returns))
         assert abs(float(np.mean(run.returns)) - universe_mean) < 3 * se, m
 
 

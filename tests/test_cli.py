@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import netfolio
-from netfolio import cli
+from netfolio import cli, neighbor_net
 from netfolio.cli import main
 from netfolio.market_data import BlockModelSpec, synthesize_panel
 
@@ -132,6 +132,17 @@ class TestNetworkCommand:
             by_cluster.setdefault(c, set()).add(t)
         expected = [{f"S{3 * b + i:02d}" for i in range(3)} for b in range(4)]
         assert sorted(by_cluster.values(), key=sorted) == expected
+
+    def test_solver_error_exits_2(self, workspace, monkeypatch, capsys):
+        real = neighbor_net.nnls_gram
+        monkeypatch.setattr(neighbor_net, "nnls_gram",
+                            lambda gram, matvec, rmatvec, b, _: real(gram, matvec, rmatvec, b, 0))
+        out = workspace / "out"
+        assert main(["network", "--config", str(workspace / "config.json"),
+                     "--method", "nnet", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: active-set iteration cap 0 exceeded (residual ")
+        assert not (out / "nnet_P1.nex").exists()
 
 
 class TestSimulateCommand:
@@ -467,6 +478,30 @@ class TestUnreadableInput:
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}:{line}: {problem}\n"
         assert captured.out == "" and not out.exists()
+
+
+class TestPhysicalLines:
+    """A row is named by the physical line its record starts on, so a quoted
+    field that holds a line break does not shift the lines after it."""
+
+    @pytest.mark.parametrize("name,first,bad,problem", [
+        ("prices.csv", '{d},"A\nB",1.0', '{d},"S00\n",x', "invalid price 'x'"),
+        ("dividends.csv", '"S00\n",{d},0.1', '"S01\n",{d},x', "invalid amount 'x'"),
+        ("industry.csv", '"A\nB",1', '"S00\n",x', "invalid group 'x'"),
+    ])
+    def test_quoted_line_break(self, workspace, monkeypatch, capsys, name, first, bad, problem):
+        day = (workspace / "prices.csv").read_text().splitlines()[1].split(",")[0]
+        path = workspace / name
+        header, rest = path.read_text().split("\n", 1)
+        # Lines 2-3 hold a good record and lines 4-5 the bad one.
+        path.write_text("\n".join([header, first.format(d=day), bad.format(d=day), rest]))
+        command = "returns"
+        if name == "industry.csv":
+            command = "simulate"
+            monkeypatch.setattr(cli, "ingest", _forbidden)
+        assert main([command, "--config", str(workspace / "config.json"),
+                     "--out-dir", str(workspace / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}:4: {problem}\n"
 
 
 def _forbidden(*args, **kwargs):

@@ -1,4 +1,4 @@
-"""Pearson correlation, the ultrametric transform, nearest-neighbor tables."""
+"""Pearson correlation and the ultrametric transform."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from netfolio.correlation import (
     CorrelationError,
     CorrelationMatrix,
     DistanceMatrix,
-    nearest_neighbors,
     pearson_correlation,
     ultrametric_distance,
 )
@@ -73,44 +72,14 @@ class TestUltrametric:
         back = 1.0 - d**2 / 2.0
         assert np.allclose(back, rho, atol=1e-12)
 
+    def test_unknown_ticker_named(self):
+        dist = ultrametric_distance(CorrelationMatrix(("A", "B"), np.eye(2)))
+        with pytest.raises(CorrelationError, match="unknown ticker 'ZZZ'"):
+            dist.between("A", "ZZZ")
+
     def test_ordering_reversed(self, rng):
         rho_ab, rho_ac = 0.9, 0.2
         rho = np.array([[1.0, rho_ab, rho_ac], [rho_ab, 1.0, 0.5], [rho_ac, 0.5, 1.0]])
         d = ultrametric_distance(CorrelationMatrix(("A", "B", "C"), rho)).d
         assert d[0, 1] < d[0, 2]
 
-
-def reference_boa_matrix() -> DistanceMatrix:
-    """Small matrix embedding the BOA nearest-neighbor distances."""
-    tickers = ("AXP", "BOA", "DD", "GE", "HD", "JPM")
-    d = np.full((6, 6), 1.5)
-    np.fill_diagonal(d, 0.0)
-    boa = {"JPM": 0.779, "AXP": 0.961, "GE": 1.010, "HD": 1.045, "DD": 1.047}
-    for t, val in boa.items():
-        i, j = tickers.index("BOA"), tickers.index(t)
-        d[i, j] = d[j, i] = val
-    return DistanceMatrix(tickers, d)
-
-
-class TestNearestNeighbors:
-    def test_reference_boa_row(self):
-        top2 = nearest_neighbors(reference_boa_matrix(), "BOA", 2)
-        assert top2 == [("JPM", 0.779), ("AXP", 0.961)]
-
-    def test_full_ranking_is_permutation(self):
-        dist = reference_boa_matrix()
-        ranking = nearest_neighbors(dist, "BOA", 5)
-        assert sorted(t for t, _ in ranking) == sorted(set(dist.tickers) - {"BOA"})
-
-    def test_tie_broken_lexicographically(self):
-        d = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 0.5], [1.0, 0.5, 0.0]])
-        dist = DistanceMatrix(("C", "A", "B"), d)
-        assert nearest_neighbors(dist, "C", 2) == [("A", 1.0), ("B", 1.0)]
-
-    def test_unknown_ticker(self):
-        with pytest.raises(CorrelationError, match="unknown ticker"):
-            nearest_neighbors(reference_boa_matrix(), "ZZZ", 1)
-
-    def test_m_out_of_range(self):
-        with pytest.raises(CorrelationError, match="m must be"):
-            nearest_neighbors(reference_boa_matrix(), "BOA", 6)

@@ -10,27 +10,25 @@ import pytest
 
 from netfolio.clusters import ClusterError, renumber
 from netfolio.correlation import DistanceMatrix
-import netfolio.neighbor_net as neighbor_net
 from netfolio.neighbor_net import (
     NeighborNetError,
     SplitOperators,
     all_arc_splits,
     adjacent_gaps,
-    circular_metric,
     fit_split_weights,
     neighbornet_ordering,
     nn_clusters,
     pair_nn_clusters,
-    split_design_matrix,
     write_nexus,
 )
 from conftest import (
     canonical_cycle,
+    circular_metric,
     planted_split_system,
     random_distance_matrix,
     split_weight_table,
 )
-from nn_reference import loop_design_matrix, loop_ordering
+from nn_reference import loop_design_matrix, loop_ordering, split_design_matrix
 
 
 def matrix(tickers, entries):
@@ -169,16 +167,6 @@ class TestSplitOperators:
         rows = rng.choice(size, size=min(size, 7), replace=False)
         assert np.array_equal(ops.gram(cols, cols), gram[np.ix_(cols, cols)])
         assert np.array_equal(ops.gram(rows, cols), gram[np.ix_(rows, cols)])
-
-    def test_fit_builds_no_design_matrix(self, monkeypatch, rng):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the fit built the design matrix")
-
-        monkeypatch.setattr(neighbor_net, "_separates", forbidden)
-        monkeypatch.setattr(neighbor_net, "split_design_matrix", forbidden)
-        dist = random_distance_matrix(rng, 12)
-        system = fit_split_weights(dist, neighbornet_ordering(dist))
-        assert system.splits and system.residual > 0.0
 
 
 class TestLoopReferences:

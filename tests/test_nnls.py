@@ -1,4 +1,5 @@
-"""Active-set non-negative least squares against scipy and KKT conditions."""
+"""Active-set non-negative least squares against scipy and KKT conditions,
+driven on dense matrices through ``dense_nnls``."""
 
 from __future__ import annotations
 
@@ -6,7 +7,20 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from netfolio.nnls import NNLSConvergenceError, PassiveFactor, nnls
+from netfolio.nnls import NNLSConvergenceError, PassiveFactor, nnls_gram
+
+FULL_RANK = "depends on the passive columns"
+
+
+def dense_nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None
+               ) -> tuple[np.ndarray, float]:
+    """``nnls_gram`` on a dense A: min_x ||A x - b||_2 subject to x >= 0."""
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    gram = A.T @ A
+    return nnls_gram(
+        lambda rows, cols: gram[np.ix_(rows, cols)], lambda x: A @ x, lambda y: A.T @ y, b, max_iter
+    )
 
 
 def kkt_violation(A, b, x):
@@ -22,14 +36,14 @@ def kkt_violation(A, b, x):
 
 class TestNnls:
     def test_identity_clips_negatives(self):
-        x, res = nnls(np.eye(3), np.array([1.0, -2.0, 3.0]))
+        x, res = dense_nnls(np.eye(3), np.array([1.0, -2.0, 3.0]))
         np.testing.assert_allclose(x, [1.0, 0.0, 3.0])
         assert res == pytest.approx(2.0)
 
     def test_exact_nonnegative_solution(self, rng):
         A = rng.normal(size=(20, 6))
         x_true = rng.uniform(0.5, 2.0, size=6)
-        x, res = nnls(A, A @ x_true)
+        x, res = dense_nnls(A, A @ x_true)
         np.testing.assert_allclose(x, x_true, atol=1e-10)
         assert res < 1e-10
 
@@ -39,7 +53,7 @@ class TestNnls:
         m, n = int(rng.integers(5, 30)), int(rng.integers(2, 15))
         A = rng.normal(size=(m, n))
         b = rng.normal(size=m)
-        x, res = nnls(A, b)
+        x, res = dense_nnls(A, b)
         x_ref, res_ref = scipy.optimize.nnls(A, b)
         assert res == pytest.approx(res_ref, abs=1e-8)
         np.testing.assert_allclose(x, x_ref, atol=1e-7)
@@ -49,7 +63,7 @@ class TestNnls:
         rng = np.random.default_rng(950 + trial)
         A = rng.normal(size=(int(rng.integers(10, 40)), int(rng.integers(3, 20))))
         b = rng.normal(size=A.shape[0])
-        x, _ = nnls(A, b)
+        x, _ = dense_nnls(A, b)
         assert (x >= 0).all()
         assert kkt_violation(A, b, x) < 1e-6
 
@@ -58,11 +72,11 @@ class TestNnls:
         A = rng.normal(size=(10, 5))
         b = rng.normal(size=10)
         with pytest.raises(NNLSConvergenceError):
-            nnls(A, b, max_iter=0)
+            dense_nnls(A, b, max_iter=0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            nnls(np.eye(3), np.zeros(4))
+            dense_nnls(np.eye(3), np.zeros(4))
 
 
 def degenerate_problem(kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -86,22 +100,32 @@ def degenerate_problem(kind: str, seed: int) -> tuple[np.ndarray, np.ndarray]:
         A, b = rng.normal(size=(m, int(rng.integers(m + 1, 20)))), rng.normal(size=m)
     elif kind == "badly_scaled":
         A = A * np.logspace(-8, 8, n)
+    elif kind == "ill_conditioned":  # singular values from 1 down to 1e-4..1e-12
+        m = max(m, n)
+        u, v = np.linalg.qr(rng.normal(size=(m, n)))[0], np.linalg.qr(rng.normal(size=(n, n)))[0]
+        A, b = (u * np.logspace(0, -int(rng.integers(4, 13)), n)) @ v.T, rng.normal(size=m)
     return A, b
 
 
 DEGENERATE = ("duplicate_columns", "zero_column", "zero_b", "integer_rank_deficient",
-              "fewer_rows", "badly_scaled")
+              "fewer_rows", "badly_scaled", "ill_conditioned")
 
 
 class TestDegenerateFuzz:
-    """Rank-deficient, duplicate-column, zero and badly scaled inputs against
-    scipy: no error escapes and the residual is never worse than scipy's."""
+    """Rank-deficient, duplicate-column, zero, badly scaled and ill-conditioned
+    inputs against scipy: either a column that enters is dependent and the
+    solver raises the full-rank error, or the residual is never worse than
+    scipy's."""
 
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("kind", DEGENERATE)
     def test_no_worse_than_scipy(self, kind, seed):
         A, b = degenerate_problem(kind, seed)
-        x, res = nnls(A, b)
+        try:
+            x, res = dense_nnls(A, b)
+        except ValueError as exc:
+            assert FULL_RANK in str(exc)
+            return
         _, res_ref = scipy.optimize.nnls(A, b)
         assert np.isfinite(x).all() and (x >= 0).all()
         assert res == pytest.approx(float(np.linalg.norm(A @ x - b)), rel=1e-12, abs=1e-12)
@@ -109,16 +133,22 @@ class TestDegenerateFuzz:
 
     def test_zero_b_gives_zero(self):
         A, b = degenerate_problem("zero_b", 0)
-        x, res = nnls(A, b)
+        x, res = dense_nnls(A, b)
         assert not x.any() and res == 0.0
 
     def test_duplicate_column_gets_no_weight(self):
-        # Two copies of one column: the second copy depends on the first and
-        # never enters, so no singular passive block is solved.
+        # Two copies of one column: once the first is passive the gradient of
+        # the second is zero, so it never enters and nothing raises.
         a = np.array([1.0, 2.0, 3.0])
-        x, res = nnls(np.column_stack([a, a]), 2.0 * a)
+        x, res = dense_nnls(np.column_stack([a, a]), 2.0 * a)
         np.testing.assert_allclose(x, [2.0, 0.0])
         assert res < 1e-12
+        # A copy tilted by 5e-9·v (v ⟂ a) enters first, and column 0 then
+        # keeps a gradient above tol while its squared pivot (~5e-14) is below
+        # DEPENDENT: the solver raises, naming it.
+        v = np.array([100.0, 100.0, -100.0])
+        with pytest.raises(ValueError, match=f"NNLS column 0 {FULL_RANK}"):
+            dense_nnls(np.column_stack([a, a + 5e-9 * v]), 2.0 * a + 5e-9 * v)
 
 
 class TestPassiveFactor:
@@ -150,26 +180,31 @@ class TestPassiveFactor:
                 factor.delete(int(rng.integers(factor.k)))
             else:
                 j = int(rng.choice(np.setdiff1d(np.arange(n), factor.cols)))
-                assert factor.border(j, gram[np.append(factor.cols, j), j])
+                factor.border(j, gram[np.append(factor.cols, j), j])
             self.assert_fresh(factor, gram)
 
-    @pytest.mark.parametrize("delta,dependent", [(0.0, True), (1e-7, True), (1e-5, False)])
+    @pytest.mark.parametrize("delta,dependent",
+                             [(0.0, True), (1e-7, True), (1e-5, True), (1e-3, False)])
     def test_dependent_column_not_bordered(self, delta, dependent):
         # c = 2a - b + delta * (a x b): its squared pivot after a and b is
-        # 27/62 delta², so 1e-7 falls below 1e3 eps ~ 2.2e-13 and 1e-5 does not.
+        # 27/62 delta², so 1e-5 falls below sqrt(eps) ~ 1.5e-8 and 1e-3 does not.
         a, b = np.array([1.0, 2.0, 3.0]), np.array([0.0, 1.0, -1.0])
         A = np.column_stack([a, b, 2.0 * a - b + delta * np.cross(a, b), np.zeros(3)])
         gram = A.T @ A
         factor = PassiveFactor()
         for j in (0, 1):
-            assert factor.border(j, gram[np.append(factor.cols, j), j])
+            factor.border(j, gram[np.append(factor.cols, j), j])
         before = factor.inverse.copy()
-        assert not factor.border(3, gram[np.append(factor.cols, 3), 3])  # a zero column
-        assert factor.border(2, gram[np.append(factor.cols, 2), 2]) is not dependent
-        assert factor.cols.tolist() == ([0, 1] if dependent else [0, 1, 2])
+        with pytest.raises(ValueError, match=r"NNLS column 3 .*\(squared pivot 0\)"):
+            factor.border(3, gram[np.append(factor.cols, 3), 3])  # a zero column
         if dependent:
+            with pytest.raises(ValueError, match=f"NNLS column 2 {FULL_RANK}"):
+                factor.border(2, gram[np.append(factor.cols, 2), 2])
+            assert factor.cols.tolist() == [0, 1]
             np.testing.assert_array_equal(factor.inverse, before)
-        else:  # cond ~ 1e11: the factor matches, a solve need not to 1e-9
+        else:  # cond ~ 1e7: the factor matches, a solve need not to 1e-9
+            factor.border(2, gram[np.append(factor.cols, 2), 2])
+            assert factor.cols.tolist() == [0, 1, 2]
             self.assert_fresh(factor, gram, solve=False)
 
 
@@ -178,17 +213,7 @@ def test_two_columns_leave_in_one_step():
     # once column 2 enters, and both leave the passive factor together.
     A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 3.0, 1.0], [3.0, 1.0, 1.0]])
     b = np.array([6.0, 6.0, 4.0, 4.0])
-    x, res = nnls(A, b)
+    x, res = dense_nnls(A, b)
     np.testing.assert_allclose(x, [0.0, 0.0, 5.0], atol=1e-12)
     assert res == pytest.approx(2.0)
 
-
-def test_least_norm_fallback_solves_the_passive_block(monkeypatch):
-    # Every passive block goes through the singular-block fallback.
-    monkeypatch.setattr(PassiveFactor, "singular", lambda self: True)
-    rng = np.random.default_rng(31)
-    A, b = rng.normal(size=(20, 8)), rng.normal(size=20)
-    x, res = nnls(A, b)
-    x_ref, res_ref = scipy.optimize.nnls(A, b)
-    np.testing.assert_allclose(x, x_ref, atol=1e-8)
-    assert res == pytest.approx(res_ref, abs=1e-8)

@@ -204,7 +204,7 @@ class TestRunSimulation:
 
     def test_shape_and_metadata(self):
         run = run_simulation(self.strategy(), self.panel(), "P1", 2, reps=50, seed=4)
-        assert run.replications == 50
+        assert len(run.returns) == 50
         assert run.strategy == "Random" and run.m == 2 and run.period == "P1"
 
     def test_values_are_pair_means(self):

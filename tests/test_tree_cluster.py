@@ -23,7 +23,7 @@ from netfolio.tree_cluster import (
     to_dot,
     to_newick,
 )
-from conftest import random_distance_matrix
+from conftest import random_distance_matrix, tree_weight
 
 
 def matrix(tickers, entries):
@@ -187,14 +187,14 @@ class TestMinimumSpanningTree:
         dist = matrix(["A", "B", "C"], {("A", "B"): 0.1, ("A", "C"): 0.2, ("B", "C"): 0.3})
         tree = minimum_spanning_tree(dist)
         assert {(a, b) for a, b, _ in tree.edges} == {("A", "B"), ("A", "C")}
-        assert tree.total_weight() == pytest.approx(0.3)
+        assert tree_weight(tree) == pytest.approx(0.3)
 
     @pytest.mark.parametrize("trial", range(10))
     def test_optimal_vs_enumeration(self, trial):
         rng = np.random.default_rng(300 + trial)
         dist = random_distance_matrix(rng, 5)
         tree = minimum_spanning_tree(dist)
-        assert tree.total_weight() == pytest.approx(brute_force_mst_weight(dist), rel=1e-12)
+        assert tree_weight(tree) == pytest.approx(brute_force_mst_weight(dist), rel=1e-12)
 
     def test_edge_weights_match_matrix(self, rng):
         dist = random_distance_matrix(rng, 8)
