@@ -61,8 +61,10 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
 
     # Each value below comes from the same floating-point operations, in the
     # same order, as np.mean over the member distances (a left-to-right sum
-    # divided by the count) and Python's sum over the other components, so
-    # every tie-break, and with it the ordering, is exact.
+    # divided by the count) and a left-to-right sum over the other components,
+    # so every tie-break, and with it the ordering, is exact. The sums over
+    # components are cumsums: they add in order on every Python, where the
+    # builtin sum compensates its float additions from 3.12 on.
     while len(components) > 1:
         m = len(components)
         first, last = np.array([(c[0], c[-1]) for c in components]).T
@@ -74,7 +76,7 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
         cd = cd + np.where(two[:, None] & two, D[np.ix_(last, last)], 0.0)
         cd = np.triu(cd / np.outer(size, size), 1)
         cd = cd + cd.T
-        row = np.array([sum(r) for r in cd.tolist()])
+        row = np.cumsum(cd, axis=1)[:, -1]
         q = (m - 2) * cd - row[:, None] - row
         iu = np.triu_indices(m, 1)
         tied = np.flatnonzero(q[iu] == q[iu].min())
@@ -93,7 +95,7 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
 
         def unit_sum(x: int) -> float:
             units = (D[x, o_first] + np.where(o_two, D[x, o_last], 0.0)) / o_size
-            return sum(units.tolist() + D[x, [u for u in A + B if u != x]].tolist())
+            return np.cumsum(np.append(units, D[x, [u for u in A + B if u != x]]))[-1]
 
         def node_key(xy: tuple[int, int]) -> tuple:
             q_xy = (m_hat - 2) * D[xy] - unit_sum(xy[0]) - unit_sum(xy[1])
@@ -189,6 +191,16 @@ class SplitOperators:
         out -= (last + diag)[:, None]
         return out[self._upper]
 
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """A⁻¹·y, the arc weights whose circular metric is y (Chepoi & Fichet
+        1998): with y as the symmetric pair table d, arc [s, e) gets
+        ½(d(s−1, e−1) + d(s, e) − d(s−1, e) − d(s, e−1)), indices mod n."""
+        d = np.zeros((self.n, self.n))
+        d[self._upper] = y
+        d += d.T
+        s, e = self.starts, self.ends % self.n
+        return 0.5 * (d[s - 1, e - 1] + d[s, e] - d[s - 1, e] - d[s, e - 1])
+
     def gram(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """(AᵀA)[rows][:, cols]. Pairs split by both arcs: a*d + b*c for
         a = |S1∩S2|, b = |S1∖S2|, c = |S2∖S1|, d = n-a-b-c, which expands to
@@ -212,7 +224,14 @@ def fit_split_weights(
     ops = SplitOperators(n)
     pos = np.array([dist.ticker_index(t) for t in ordering])
     b = dist.d[pos[ops.p], pos[ops.q]]
-    w, residual = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b, 10 * n * n)
+    # The fit starts from the 2n largest positive weights of the unconstrained
+    # solution A⁻¹b; the optimum keeps about 3n splits. About half of all
+    # weights are positive, most of them outside the optimum (873 of 1,050 on
+    # the n = 64 golden, whose optimum has 200 splits).
+    free = ops.solve(b)
+    top = np.argsort(-free, kind="stable")[: 2 * n]
+    start = np.sort(top[free[top] > 0])
+    w, residual = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b, 10 * n * n, start)
     splits = tuple(
         Split(s, length, float(weight))
         for s, length, weight in zip(ops.starts.tolist(), ops.lengths.tolist(), w)

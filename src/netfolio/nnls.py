@@ -10,6 +10,14 @@ Givens rotations when one leaves, so a step costs two products plus O(k²)
 for k passive variables. The block is the normal-equations one (Bro & De
 Jong 1997), which squares cond(A). A must have full column rank: a column
 that (nearly) depends on the passive ones raises instead of entering.
+
+A caller that can guess the passive set passes it as ``start``. Its block is
+factored by one Cholesky, and columns whose passive solve is not positive
+are dropped (refactoring the rest) until it is; the outer loop then runs
+from that feasible point. With A of full column rank the optimum is unique,
+so a guess saves outer steps and changes nothing else: the split fit starts
+from the largest entries of A⁻¹b and takes about half the steps of a cold
+start.
 """
 
 from __future__ import annotations
@@ -36,10 +44,16 @@ def nnls_gram(
     rmatvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
     max_iter: int | None = None,
+    start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Solve min_x ||A x - b||_2 subject to x >= 0 for A of full column rank,
     given (AᵀA)[rows][:, cols] as ``gram(rows, cols)``, A·x as ``matvec(x)``
-    and Aᵀ·y as ``rmatvec(y)``. Returns (x, residual_norm)."""
+    and Aᵀ·y as ``rmatvec(y)``. Returns (x, residual_norm).
+
+    ``start``, distinct column indices, is a guess at the passive set: its
+    columns are factored at once and those whose passive solve is not
+    positive are dropped, repeatedly, before the first outer step. The
+    optimum is unique, so the guess changes the path, not the result."""
     b = np.asarray(b, dtype=float)
     atb = np.asarray(rmatvec(b), dtype=float)
     m, n = b.size, atb.size
@@ -55,6 +69,28 @@ def nnls_gram(
     factor = PassiveFactor()
     w = atb.copy()
     iters = 0
+
+    def check_cap() -> None:
+        if iters > max_iter:
+            message = f"active-set iteration cap {max_iter} exceeded"
+            raise NNLSConvergenceError(message, residual(x))
+
+    if start is not None and len(start):
+        cols = np.asarray(start, dtype=np.intp)
+        block = gram(cols, cols)
+        keep = np.arange(cols.size)
+        while keep.size:
+            iters += 1
+            check_cap()
+            trial = PassiveFactor.of_block(cols[keep], block[np.ix_(keep, keep)])
+            z = trial.solve(atb[trial.cols])
+            if np.all(z > tol):
+                factor = trial
+                x[factor.cols] = z
+                passive[factor.cols] = True
+                w = rmatvec(b - matvec(x))
+                break
+            keep = keep[z > tol]
     while True:
         j = int(np.argmax(np.where(passive, -np.inf, w)))  # first free maximum
         if passive[j] or w[j] <= tol:
@@ -63,9 +99,7 @@ def nnls_gram(
         entering = True
         while True:
             iters += 1
-            if iters > max_iter:
-                message = f"active-set iteration cap {max_iter} exceeded"
-                raise NNLSConvergenceError(message, residual(x))
+            check_cap()
             if entering:
                 factor.border(j, gram(np.append(factor.cols, j), [j])[:, 0])
             z = factor.solve(atb[factor.cols])
@@ -110,6 +144,28 @@ class PassiveFactor:
         self._cols = np.empty(capacity, dtype=np.intp)
         self._scale = np.empty(capacity)
         self._m = np.zeros((capacity, capacity))
+
+    @classmethod
+    def of_block(cls, cols: np.ndarray, block: np.ndarray) -> PassiveFactor:
+        """The factor of variables ``cols`` with Gram block ``block``, from one
+        Cholesky factorization. Raises as ``border`` does, naming the first
+        dependent column."""
+        k = len(cols)
+        factor = cls(2 * k)
+        diagonal = np.diag(block)
+        if np.all(diagonal > 0.0):
+            scale = 1.0 / np.sqrt(diagonal)
+            try:
+                chol = np.linalg.cholesky(block * scale[:, None] * scale)
+            except np.linalg.LinAlgError:
+                chol = None
+            if chol is not None and np.all(np.diag(chol) ** 2 > DEPENDENT):
+                factor._m[:k, :k] = np.tril(np.linalg.inv(chol))
+                factor._cols[:k], factor._scale[:k], factor.k = cols, scale, k
+                return factor
+        for i, j in enumerate(cols.tolist()):  # one at a time, to name the column
+            factor.border(j, block[: i + 1, i])
+        return factor
 
     @property
     def cols(self) -> np.ndarray:

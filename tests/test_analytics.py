@@ -44,10 +44,10 @@ class TestFTail:
 
 class TestFTailOracle:
     """The in-house incomplete beta against scipy's at the same x, over the
-    degrees of freedom a Levene test of up to 11 strategies and 10,000
+    degrees of freedom a Levene test of up to 11 strategies and 200,000
     replications produces (df2 = 3996 is the paper's)."""
 
-    DF2 = (2, 3, 5, 10, 30, 100, 300, 1000, 1196, 3996, 10000, 20000)
+    DF2 = (2, 3, 5, 10, 30, 100, 300, 1000, 1196, 3996, 10000, 20000, 49995, 100000, 10**6)
 
     @pytest.mark.parametrize("df2", DF2)
     def test_matches_scipy_betainc(self, df2):

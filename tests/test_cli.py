@@ -136,7 +136,8 @@ class TestNetworkCommand:
     def test_solver_error_exits_2(self, workspace, monkeypatch, capsys):
         real = neighbor_net.nnls_gram
         monkeypatch.setattr(neighbor_net, "nnls_gram",
-                            lambda gram, matvec, rmatvec, b, _: real(gram, matvec, rmatvec, b, 0))
+                            lambda gram, matvec, rmatvec, b, _, start:
+                            real(gram, matvec, rmatvec, b, 0, start))
         out = workspace / "out"
         assert main(["network", "--config", str(workspace / "config.json"),
                      "--method", "nnet", "--out-dir", str(out)]) == 2

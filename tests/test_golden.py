@@ -44,6 +44,7 @@ import pytest
 from netfolio.clusters import ClusterError, pair_by_size, renumber
 from netfolio.correlation import DistanceMatrix
 from netfolio.market_data import BlockModelSpec, ReturnPanel, StudyPeriod
+from netfolio import neighbor_net
 from netfolio.neighbor_net import fit_split_weights, neighbornet_ordering
 from netfolio.portfolio_sim import (
     Strategy,
@@ -281,6 +282,38 @@ def test_neighbornet_large_matches_golden(index):
     want = json.loads(NN_LARGE_FILE.read_text())["cases"][index]
     assert want["case"] == n
     assert_nn_case_matches(nn_case(n, nn_large_distance(n)), want)
+
+
+@pytest.mark.parametrize("index,cap", [(0, 303), (1, 476)])
+def test_split_fit_prefix_reads_halved(index, cap, monkeypatch):
+    # A cold Lawson-Hanson start made 606 and 952 prefix reads (A·x and Aᵀ·y)
+    # at n = 64 and 100; starting from A⁻¹b must keep at most half of them.
+    calls = []
+    for name in ("matvec", "rmatvec"):
+        real = getattr(neighbor_net.SplitOperators, name)
+        monkeypatch.setattr(neighbor_net.SplitOperators, name,
+                            lambda self, v, real=real: calls.append(1) or real(self, v))
+    cycle = json.loads(NN_LARGE_FILE.read_text())["cases"][index]["cycle"]
+    fit_split_weights(nn_large_distance(NN_LARGE_SIZES[index]), tuple(cycle))
+    assert len(calls) <= cap
+
+
+def neumaier_sum(values, start=0):
+    """The builtin ``sum`` of floats from Python 3.12 on: Neumaier-compensated."""
+    total, comp = float(start), 0.0
+    for v in values:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and np.isfinite(comp) else total
+
+
+def test_neighbornet_cycles_do_not_depend_on_builtin_sum(monkeypatch, nn_golden):
+    # requires-python admits 3.10 and 3.11, whose sum adds in order, and 3.12+,
+    # whose sum compensates: the ordering must not follow either.
+    monkeypatch.setattr(neighbor_net, "sum", neumaier_sum, raising=False)
+    for case in range(NN_CASES):
+        assert list(neighbornet_ordering(nn_distance(case))) == nn_golden[case]["cycle"], case
 
 
 def test_simulate_matches_golden(tmp_path):

@@ -168,6 +168,16 @@ class TestSplitOperators:
         assert np.array_equal(ops.gram(cols, cols), gram[np.ix_(cols, cols)])
         assert np.array_equal(ops.gram(rows, cols), gram[np.ix_(rows, cols)])
 
+    @pytest.mark.parametrize("n", range(3, 61))
+    def test_solve_inverts_design_matrix(self, n):
+        # The closed-form circular inverse against a dense solve, and A·A⁻¹b = b.
+        rng = np.random.default_rng(4400 + n)
+        ops = SplitOperators(n)
+        b = rng.uniform(0.05, 2.0, size=n * (n - 1) // 2)
+        x, want = ops.solve(b), np.linalg.solve(split_design_matrix(n), b)
+        assert np.abs(x - want).max() <= 1e-12 * np.abs(want).max()
+        np.testing.assert_allclose(ops.matvec(x), b, rtol=1e-12, atol=0)
+
 
 class TestLoopReferences:
     """The vectorized design matrix and ordering against their loop forms."""

@@ -1,26 +1,46 @@
 """Active-set non-negative least squares against scipy and KKT conditions,
-driven on dense matrices through ``dense_nnls``."""
+driven on dense matrices through ``dense_nnls`` and on the Neighbor-Net
+golden cases through the split operators, from cold and warm starts."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from netfolio.neighbor_net import SplitOperators
 from netfolio.nnls import NNLSConvergenceError, PassiveFactor, nnls_gram
+from nn_reference import split_design_matrix
+from test_golden import NN_CASES, NN_FILE, nn_distance
 
 FULL_RANK = "depends on the passive columns"
 
 
-def dense_nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None
-               ) -> tuple[np.ndarray, float]:
+def dense_nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None,
+               start: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """``nnls_gram`` on a dense A: min_x ||A x - b||_2 subject to x >= 0."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     gram = A.T @ A
-    return nnls_gram(
-        lambda rows, cols: gram[np.ix_(rows, cols)], lambda x: A @ x, lambda y: A.T @ y, b, max_iter
-    )
+    return nnls_gram(lambda rows, cols: gram[np.ix_(rows, cols)], lambda x: A @ x,
+                     lambda y: A.T @ y, b, max_iter, start)
+
+
+def warm_starts(x_cold: np.ndarray, seed: int) -> dict[str, np.ndarray]:
+    """Start sets for a problem whose cold-start optimum is ``x_cold``: none,
+    every column, a random subset, and the columns the optimum leaves at 0."""
+    n, rng = x_cold.size, np.random.default_rng([77, seed])
+    return {"empty": np.arange(0), "all": np.arange(n),
+            "random": np.flatnonzero(rng.random(n) < rng.uniform()),
+            "complement": np.flatnonzero(x_cold == 0.0)}
+
+
+def assert_no_worse_than_scipy(A, b, x, res, res_ref) -> None:
+    assert np.isfinite(x).all() and (x >= 0).all()
+    assert res == pytest.approx(float(np.linalg.norm(A @ x - b)), rel=1e-12, abs=1e-12)
+    assert res <= res_ref * (1 + 1e-6) + 1e-9 * max(1.0, float(np.linalg.norm(b)))
 
 
 def kkt_violation(A, b, x):
@@ -113,23 +133,34 @@ DEGENERATE = ("duplicate_columns", "zero_column", "zero_b", "integer_rank_defici
 
 class TestDegenerateFuzz:
     """Rank-deficient, duplicate-column, zero, badly scaled and ill-conditioned
-    inputs against scipy: either a column that enters is dependent and the
-    solver raises the full-rank error, or the residual is never worse than
-    scipy's."""
+    inputs against scipy: either a column that enters (or starts) dependent
+    and the solver raises the full-rank error, or the residual is never worse
+    than scipy's. Every warm start that returns reaches the cold start's
+    residual; where A has full column rank and cond(A) <= 1e3 the optimum is
+    unique and the normal equations hold it to ~eps·cond², so x matches too."""
 
     @pytest.mark.parametrize("seed", range(40))
     @pytest.mark.parametrize("kind", DEGENERATE)
     def test_no_worse_than_scipy(self, kind, seed):
         A, b = degenerate_problem(kind, seed)
         try:
-            x, res = dense_nnls(A, b)
+            x_cold, res_cold = dense_nnls(A, b)
         except ValueError as exc:
             assert FULL_RANK in str(exc)
             return
         _, res_ref = scipy.optimize.nnls(A, b)
-        assert np.isfinite(x).all() and (x >= 0).all()
-        assert res == pytest.approx(float(np.linalg.norm(A @ x - b)), rel=1e-12, abs=1e-12)
-        assert res <= res_ref * (1 + 1e-6) + 1e-9 * max(1.0, float(np.linalg.norm(b)))
+        assert_no_worse_than_scipy(A, b, x_cold, res_cold, res_ref)
+        unique = A.shape[0] >= A.shape[1] and np.linalg.cond(A) <= 1e3
+        for name, start in warm_starts(x_cold, seed).items():
+            try:
+                x, res = dense_nnls(A, b, start=start)
+            except ValueError as exc:  # the start holds dependent columns
+                assert FULL_RANK in str(exc) and name != "empty", name
+                continue
+            assert_no_worse_than_scipy(A, b, x, res, res_ref)
+            assert res == pytest.approx(res_cold, rel=1e-12, abs=1e-12), name
+            if unique:
+                np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-10, err_msg=name)
 
     def test_zero_b_gives_zero(self):
         A, b = degenerate_problem("zero_b", 0)
@@ -197,15 +228,57 @@ class TestPassiveFactor:
         before = factor.inverse.copy()
         with pytest.raises(ValueError, match=r"NNLS column 3 .*\(squared pivot 0\)"):
             factor.border(3, gram[np.append(factor.cols, 3), 3])  # a zero column
+        # A whole block at once names the same columns.
+        with pytest.raises(ValueError, match=r"NNLS column 3 .*\(squared pivot 0\)"):
+            PassiveFactor.of_block(np.array([0, 1, 3]), gram[np.ix_([0, 1, 3], [0, 1, 3])])
         if dependent:
             with pytest.raises(ValueError, match=f"NNLS column 2 {FULL_RANK}"):
                 factor.border(2, gram[np.append(factor.cols, 2), 2])
             assert factor.cols.tolist() == [0, 1]
             np.testing.assert_array_equal(factor.inverse, before)
+            with pytest.raises(ValueError, match=f"NNLS column 2 {FULL_RANK}"):
+                PassiveFactor.of_block(np.arange(3), gram[:3, :3])
         else:  # cond ~ 1e7: the factor matches, a solve need not to 1e-9
             factor.border(2, gram[np.append(factor.cols, 2), 2])
             assert factor.cols.tolist() == [0, 1, 2]
             self.assert_fresh(factor, gram, solve=False)
+            self.assert_fresh(PassiveFactor.of_block(np.arange(3), gram[:3, :3]), gram,
+                              solve=False)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_of_block_matches_cholesky(self, seed):
+        # One Cholesky of a whole block, then bordering and deleting go on from it.
+        rng = np.random.default_rng(1800 + seed)
+        n = 40
+        A = rng.normal(size=(80, n)) * rng.uniform(0.05, 20.0, size=n)
+        gram = A.T @ A
+        cols = rng.permutation(n)[:30]
+        factor = PassiveFactor.of_block(cols, gram[np.ix_(cols, cols)])
+        assert factor.cols.tolist() == cols.tolist()
+        self.assert_fresh(factor, gram)
+        for j in np.setdiff1d(np.arange(n), cols):
+            factor.border(int(j), gram[np.append(factor.cols, j), j])
+        for i in (0, 17, 35):
+            factor.delete(i)
+        self.assert_fresh(factor, gram)
+
+
+@pytest.mark.parametrize("case", range(NN_CASES))
+def test_split_fit_start_changes_only_the_path(case):
+    # The circular split matrix is square and invertible, so every start set
+    # must reach the one optimum: the cold x within 1e-10, inside scipy's bound.
+    dist = nn_distance(case)
+    cycle = json.loads(NN_FILE.read_text())["cases"][case]["cycle"]
+    ops = SplitOperators(dist.n)
+    pos = np.array([dist.ticker_index(t) for t in cycle])
+    b = dist.d[pos[ops.p], pos[ops.q]]
+    A = split_design_matrix(dist.n)
+    _, res_ref = scipy.optimize.nnls(A, b)
+    x_cold, _ = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b)
+    for name, start in warm_starts(x_cold, case).items():
+        x, res = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b, None, start)
+        np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-10, err_msg=name)
+        assert_no_worse_than_scipy(A, b, x, res, res_ref)
 
 
 def test_two_columns_leave_in_one_step():
