@@ -110,6 +110,16 @@ def f_tail(W: float, df1: int, df2: int) -> float:
     return betainc(df2 / 2.0, df1 / 2.0, x, 1.0 - x)
 
 
+def _median(values: np.ndarray) -> np.float64:
+    """``np.median`` of a 1-d float array without NaNs, bit for bit: the mean
+    of the middle one or two sorted values, taken with ``mean`` as numpy
+    takes it (so a median of -0.0 comes out as 0.0). It skips numpy's NaN
+    check, which imports numpy.ma."""
+    s = np.sort(values)
+    h = len(s) // 2
+    return s[h - 1 + len(s) % 2:h + 1].mean()
+
+
 def levene_test(groups: list[np.ndarray] | list[list[float]], center: str = "median") -> LeveneResult:
     """Levene's test of equal variances over k groups of observations."""
     if center not in ("mean", "median"):
@@ -118,7 +128,7 @@ def levene_test(groups: list[np.ndarray] | list[list[float]], center: str = "med
     k = len(arrays)
     if k < 2 or any(len(g) < 2 for g in arrays):
         raise AnalyticsError("need >= 2 groups with >= 2 observations each")
-    centers = [np.mean(g) if center == "mean" else np.median(g) for g in arrays]
+    centers = [np.mean(g) if center == "mean" else _median(g) for g in arrays]
     z = [np.abs(g - c) for g, c in zip(arrays, centers)]
     n = np.array([len(g) for g in arrays])
     N = int(n.sum())

@@ -123,7 +123,7 @@ SIMULATION_RULES = {
                    f"a JSON array of distinct names from {', '.join(_STRATEGY_LABELS)}"),
     "test_periods": (_distinct_array, "a JSON array of distinct period labels"),
     "levene_exclude": (_distinct_array, "a JSON array of distinct strategy labels"),
-    "seed": (_is_int, "an integer"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "risk_free": (lambda v: isinstance(v, dict) and all(map(_is_finite, v.values())),
                   "a JSON object of finite numbers"),
     "levene_center": (lambda v: v in ("mean", "median"), "'mean' or 'median'"),
@@ -336,6 +336,9 @@ def cmd_network(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     sim = check_section(args.config, cfg, "simulation", SIMULATION_RULES)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be an integer >= 0, not {args.seed}")
+    seed = args.seed if args.seed is not None else sim.get("seed", 0)
     sizes = sim.get("sizes", [2, 4, 8])
     names = sim.get("strategies", list(_STRATEGY_LABELS))
     reps = sim.get("reps", 1000)
@@ -354,7 +357,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"{args.config}: simulation {key} names {label!r}, "
                 f"which is not a period in {cfg['periods']}"
             )
-    seed = args.seed if args.seed is not None else sim.get("seed", 0)
     rf_table = {**reference.RISK_FREE_PCT, **sim.get("risk_free", {})}
     industry_source = cfg.get("industry_map") or "built-in Dow 30 industry map"
     industry = load_industry_map(cfg.get("industry_map"))

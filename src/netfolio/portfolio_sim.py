@@ -7,23 +7,28 @@ a draw's return is the arithmetic mean of its constituents' period returns.
 A Strategy is a report name and a DrawPlan: its candidate tickers laid out
 group after group (``random_plan``, ``IndustryMap.plan``, ``cluster_plan``).
 The scalar draw core (``_draw_row``) turns a plan and a replication stream
-into the positions of one portfolio. Replication streams derive from (seed,
-replication index) alone, so the output depends only on the seed, and every
-bounded draw ``_draw_row`` makes is numpy's Lemire step on the stream's
-32-bit words. ``draw_matrices`` therefore reads each replication's first few
-words once into a (reps x K) word matrix and hands it to every (strategy, m)
-block; the batched core (``_draw_rows``) replays numpy's draws on it column
-by column, with a cursor per row, and yields the same (reps x m) positions as
+into the positions of one portfolio. Replication r's stream is
+``replication_rng(seed, r)``, numpy's PCG64 seeded by
+``SeedSequence(seed, spawn_key=(r,))``, so the output depends only on the
+seed, and every bounded draw ``_draw_row`` makes is numpy's Lemire step on
+the stream's 32-bit words. ``draw_matrices`` therefore takes the first few
+words of every stream as one (reps x K) word matrix and hands it to every
+(strategy, m) block. ``_replication_words`` computes that matrix without a
+Generator: it replays the SeedSequence hash and the PCG64 seeding and steps
+in uint64 array arithmetic over all replications at once, bit for bit. The
+batched core (``_draw_rows``) replays numpy's draws on the matrix column by
+column, with a cursor per row, and yields the same (reps x m) positions as
 ``_draw_row`` would. Rows that hit a Lemire rejection or run past K words,
 and plans too large for numpy's Floyd branch, are drawn by the scalar core
-instead. Each block becomes a (reps x m) matrix of ReturnPanel columns, drawn
-once and scored on every test period with one gather and mean
-(``score_period``); ``run_simulation`` does both for one block. The engine is
-single-threaded.
+from ``replication_rng`` instead; only they load numpy.random. Each block
+becomes a (reps x m) matrix of ReturnPanel columns, drawn once and scored on
+every test period with one gather and mean (``score_period``);
+``run_simulation`` does both for one block. The engine is single-threaded.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -213,16 +218,92 @@ def _batchable(plan: DrawPlan) -> bool:
     return max(len(plan.sizes), *plan.sizes) <= _FLOYD_MAX
 
 
+# numpy's SeedSequence (O'Neill's seed_seq_fe over a pool of four uint32
+# words) and PCG64 (XSL-RR 128/64, O'Neill 2014) constants.
+_MASK32 = 0xFFFFFFFF
+_POOL_HASH = (0x43B0D7E5, 0x931E8875)  # hashmix's initial constant and multiplier
+_STATE_HASH = (0x8B51F9DD, 0x58F38DED)  # the same for generate_state
+_MIX = (0xCA01F9DD, 0x4973F715)
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # the LCG multiplier
+
+
+def _hasher(const: int, mult: int):
+    """seed_seq_fe's hashmix. Its hash constant advances on every call, the
+    same for every replication, so it stays a Python int; values are Python
+    ints or uint64 arrays of uint32 words."""
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    x = (_MIX[0] * x - _MIX[1] * y) & _MASK32
+    return x ^ x >> 16
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """One PCG64 step, state·multiplier + inc mod 2¹²⁸, on uint64 (hi, lo)
+    halves; the high half of lo·multiplier comes from four 32-bit products."""
+    l0, l1, m0, m1 = lo & _MASK32, lo >> 32, _PCG_LO & _MASK32, _PCG_LO >> 32
+    p00, p01, p10 = l0 * m0, l0 * m1, l1 * m0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = (l1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+          + lo * _PCG_HI + hi * _PCG_LO)
+    lo = lo * _PCG_LO
+    new_lo = lo + inc_lo
+    return hi + inc_hi + (new_lo < lo), new_lo
+
+
 def _replication_words(seed: int, reps: int, k: int) -> np.ndarray:
     """(reps x 2k) uint32 words of every replication stream, from its first k
     64-bit outputs, low half first: the order numpy's bounded draws read a
-    fresh PCG64 stream in. Held as uint64, so a word times a bound is exact."""
-    raw = np.empty((reps, k), dtype=np.uint64)
-    for rep in range(reps):
-        raw[rep] = replication_rng(seed, rep).bit_generator.random_raw(k)
+    fresh PCG64 stream in. Held as uint64, so a word times a bound is exact.
+
+    Row r equals ``replication_rng(seed, r).bit_generator.random_raw(k)``
+    bit for bit, computed for all rows at once: the SeedSequence pool mixes
+    the seed's uint32 words (zero-padded to four) and then the spawn word r,
+    ``generate_state(4, uint64)`` seeds PCG64 (inc = initseq << 1 | 1), and
+    k LCG steps each give one XSL-RR output.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, not {seed}")
+    if reps > 2**32:
+        raise ValueError(f"reps must be at most 2**32 (one spawn word), not {reps}")
+    entropy = [seed & _MASK32]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    entropy += [0] * (4 - len(entropy))
+    hashmix = _hasher(*_POOL_HASH)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # Only the last entropy word, the spawn key, differs between replications.
+    for word in entropy[4:] + [np.arange(reps, dtype=np.uint64)]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(*_STATE_HASH)
+    state = [hashmix(pool[i % 4]) for i in range(8)]
+    init_hi, init_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    # pcg64_set_seed: state = inc, add the initial state, step once.
+    lo = inc_lo + init_lo
+    hi, lo = _lcg_step(inc_hi + init_hi + (lo < inc_lo), lo, inc_hi, inc_lo)
     words = np.empty((reps, 2 * k), dtype=np.uint64)
-    words[:, 0::2] = raw & 0xFFFFFFFF
-    words[:, 1::2] = raw >> 32
+    for j in range(k):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        raw = x >> rot | x << (64 - rot & 63)
+        words[:, 2 * j] = raw & _MASK32
+        words[:, 2 * j + 1] = raw >> 32
     return words
 
 
@@ -278,9 +359,10 @@ def draw_matrices(strategies: list[Strategy], returns: ReturnPanel, sizes: list[
     for each m in sizes and each strategy. Row r of a block is the portfolio
     ``_draw_row`` draws from ``replication_rng(seed, r)``, in drawn order.
 
-    Every block is checked before any is drawn. Each replication's stream
-    is read once, into a word matrix that all blocks share; at most 3m
-    uint32 words make one draw without rejections, so K covers the largest m.
+    Every block is checked before any is drawn. The first K words of every
+    replication's stream are computed once, into a word matrix that all
+    blocks share; at most 3m uint32 words make one draw without rejections,
+    so K covers the largest m.
     """
     blocks = []
     for m in sizes:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from netfolio.analytics import (
     AnalyticsError,
+    _median,
     f_tail,
     levene_test,
     render_levene_csv,
@@ -100,6 +103,14 @@ class TestLevene:
         base = levene_test(groups)
         scaled = levene_test([2.0 * g for g in groups])
         assert base.W == pytest.approx(scaled.W, rel=1e-9)
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.5, -1.5, 2.0, -3.25, 1e-300, -7e12]),
+                    min_size=2, max_size=40)
+           | st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40))
+    def test_median_is_numpys_bit_for_bit(self, values):
+        # Odd and even lengths, ties, negative values and both signed zeros.
+        values = np.array(values)
+        assert np.float64(_median(values)).tobytes() == np.median(values).tobytes()
 
     def test_degenerate_equal_constants(self):
         res = levene_test([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])

@@ -590,7 +590,7 @@ class TestSimulateInputChecks:
         ("strategies", ["random", "index"]), ("strategies", [["random"]]),
         ("test_periods", "P2"), ("test_periods", ["P2", "P2"]),
         ("levene_exclude", "HCT"), ("levene_exclude", ["HCT", "HCT"]),
-        ("seed", "abc"), ("seed", 1.5), ("seed", True),
+        ("seed", "abc"), ("seed", 1.5), ("seed", True), ("seed", -1),
         ("risk_free", [1]), ("risk_free", {"P2": "1"}), ("risk_free", {"P2": float("nan")}),
         ("levene_center", "mode"), ("pair_m2", "yes"), ("pair_m2", 1),
     ])
@@ -605,6 +605,14 @@ class TestSimulateInputChecks:
         err = capsys.readouterr().err
         assert f"bad_sim.json: simulation.{key} must be " in err
         assert err.endswith(f", not {value!r}\n") and "Traceback" not in err
+        assert not (workspace / "out").exists()
+
+    def test_negative_seed_flag_rejected_before_any_data(self, workspace, monkeypatch, capsys):
+        for name in ("ingest", "load_industry_map", "build_clusters", "draw_matrices"):
+            monkeypatch.setattr(cli, name, _forbidden)
+        assert main(["simulate", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(workspace / "out"), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be an integer >= 0, not -1\n"
         assert not (workspace / "out").exists()
 
     def test_cluster_count_free_without_cluster_strategy(self, workspace, capsys):
@@ -665,13 +673,16 @@ class TestRelativeConfigPaths:
 
 def test_cli_import_skips_scipy(workspace):
     # No command imports scipy, not even simulate, whose Levene p-values use
-    # the in-house incomplete beta.
+    # the in-house incomplete beta. simulate reads its replication streams
+    # through an array kernel and takes Levene's median by sorting, so it
+    # loads neither numpy.random nor numpy.ma either.
     src = Path(netfolio.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = (
         "import sys; from netfolio.cli import main; "
         "assert main(['simulate', '--config', sys.argv[1], '--out-dir', sys.argv[2]]) == 0; "
-        "assert 'scipy' not in sys.modules"
+        "loaded = {'scipy', 'numpy.random', 'numpy.ma'} & set(sys.modules); "
+        "assert not loaded, loaded"
     )
     subprocess.run([sys.executable, "-c", code, str(workspace / "config.json"),
                     str(workspace / "out")], env=env, check=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from datetime import date
 from fractions import Fraction
@@ -193,6 +194,33 @@ class TestReplicationStreams:
         v0 = replication_rng(0, 0).integers(0, 10**12)
         assert v0 != replication_rng(0, 1).integers(0, 10**12)
         assert v0 != replication_rng(1, 0).integers(0, 10**12)
+
+
+class TestWordKernel:
+    """``_replication_words`` computes every stream at once; row r must be
+    numpy's ``random_raw`` of ``replication_rng(seed, r)``, bit for bit."""
+
+    SEEDS = [0, 1, 9, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 3, 2**128 - 1, 2**128,
+             2**130 + 7, 2**200 + 12345]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_equal_numpy_streams(self, seed):
+        for reps in (2, 300, 1000):
+            raw = np.array([replication_rng(seed, rep).bit_generator.random_raw(25)
+                            for rep in range(reps)], dtype=np.uint64)
+            for k in (1, 12, 25):
+                words = _replication_words(seed, reps, k)
+                assert words.dtype == np.uint64 and words.shape == (reps, 2 * k)
+                assert np.array_equal(words[:, 0::2], raw[:, :k] & 0xFFFFFFFF), (reps, k)
+                assert np.array_equal(words[:, 1::2], raw[:, :k] >> 32), (reps, k)
+
+    @pytest.mark.parametrize("seed,reps,message", [
+        (-1, 4, "seed must be an integer >= 0, not -1"),
+        (0, 2**32 + 1, "reps must be at most 2**32"),
+    ])
+    def test_out_of_range_rejected(self, seed, reps, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _replication_words(seed, reps, 1)
 
 
 class TestRunSimulation:
