@@ -116,12 +116,14 @@ CLUSTERING_RULES = {
                       "a JSON array of integers"),
 }
 SIMULATION_RULES = {
-    "reps": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    "sizes": (lambda v: _distinct_array(v, lambda m: _is_int(m) and m in (2, 4, 8)),
-              "a JSON array of distinct integers from {2, 4, 8}"),
-    "strategies": (lambda v: _distinct_array(v, lambda s: s in tuple(_STRATEGY_LABELS)),
-                   f"a JSON array of distinct names from {', '.join(_STRATEGY_LABELS)}"),
-    "test_periods": (_distinct_array, "a JSON array of distinct period labels"),
+    # The replication streams' spawn key is one uint32 word.
+    "reps": (lambda v: _is_int(v) and 2 <= v <= 2**32, "an integer from 2 to 2**32"),
+    "sizes": (lambda v: v != [] and _distinct_array(v, lambda m: _is_int(m) and m in (2, 4, 8)),
+              "a non-empty JSON array of distinct integers from {2, 4, 8}"),
+    "strategies": (lambda v: v != [] and _distinct_array(v, lambda s: s in tuple(_STRATEGY_LABELS)),
+                   f"a non-empty JSON array of distinct names from {', '.join(_STRATEGY_LABELS)}"),
+    "test_periods": (lambda v: v != [] and _distinct_array(v),
+                     "a non-empty JSON array of distinct period labels"),
     "levene_exclude": (_distinct_array, "a JSON array of distinct strategy labels"),
     "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "risk_free": (lambda v: isinstance(v, dict) and all(map(_is_finite, v.values())),
@@ -239,7 +241,11 @@ def check_industry_universe(industry: IndustryMap, source: str, tickers: tuple[s
 
 def compute_returns(cfg: dict, periods: list[StudyPeriod]) -> ReturnPanel:
     panel, divs = ingest(cfg["prices"], cfg["dividends"])
-    return period_returns(panel, divs, periods)
+    try:
+        return period_returns(panel, divs, periods)
+    except DataError as exc:
+        # ingest has checked every dividend date, so only a period boundary fails here.
+        raise DataError(f"{cfg['periods']}: {exc}") from None
 
 
 def distance_for_period(returns: ReturnPanel, label: str) -> DistanceMatrix:

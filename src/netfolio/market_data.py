@@ -75,11 +75,12 @@ class PricePanel:
                 f"non-positive price for ({self.dates[d].isoformat()}, {self.tickers[t]})"
             )
 
-    def date_index(self, d: date) -> int:
+    def date_index(self, d: date, what: str) -> int:
+        """The row of date ``d``; ``what`` names it in the error."""
         try:
             return self.dates.index(d)
         except ValueError:
-            raise DataError(f"date {d.isoformat()} is not a panel date") from None
+            raise DataError(f"{what} {d.isoformat()} is not a panel date") from None
 
 
 @dataclass(frozen=True)
@@ -334,7 +335,9 @@ def period_returns(
     total = np.empty((len(periods), len(panel.tickers)))
     weekly: list[np.ndarray] = []
     for k, p in enumerate(periods):
-        seg = tri[panel.date_index(p.start) : panel.date_index(p.end) + 1]
+        where = f"period {p.label!r}:"
+        seg = tri[panel.date_index(p.start, f"{where} start")
+                  : panel.date_index(p.end, f"{where} end") + 1]
         total[k] = 100.0 * (seg[-1] / seg[0] - 1.0)
         weekly.append(seg[1:] / seg[:-1] - 1.0)
     return ReturnPanel(panel.tickers, periods, total, tuple(weekly))

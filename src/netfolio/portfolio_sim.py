@@ -6,24 +6,28 @@ a draw's return is the arithmetic mean of its constituents' period returns.
 
 A Strategy is a report name and a DrawPlan: its candidate tickers laid out
 group after group (``random_plan``, ``IndustryMap.plan``, ``cluster_plan``).
-The scalar draw core (``_draw_row``) turns a plan and a replication stream
-into the positions of one portfolio. Replication r's stream is
-``replication_rng(seed, r)``, numpy's PCG64 seeded by
-``SeedSequence(seed, spawn_key=(r,))``, so the output depends only on the
-seed, and every bounded draw ``_draw_row`` makes is numpy's Lemire step on
-the stream's 32-bit words. ``draw_matrices`` therefore takes the first few
-words of every stream as one (reps x K) word matrix and hands it to every
-(strategy, m) block. ``_replication_words`` computes that matrix without a
-Generator: it replays the SeedSequence hash and the PCG64 seeding and steps
-in uint64 array arithmetic over all replications at once, bit for bit. The
-batched core (``_draw_rows``) replays numpy's draws on the matrix column by
-column, with a cursor per row, and yields the same (reps x m) positions as
-``_draw_row`` would. Rows that hit a Lemire rejection or run past K words,
-and plans too large for numpy's Floyd branch, are drawn by the scalar core
-from ``replication_rng`` instead; only they load numpy.random. Each block
-becomes a (reps x m) matrix of ReturnPanel columns, drawn once and scored on
-every test period with one gather and mean (``score_period``);
-``run_simulation`` does both for one block. The engine is single-threaded.
+Row r of every block is the portfolio numpy's Generator of replication r
+draws: PCG64 seeded by ``SeedSequence(seed, spawn_key=(r,))``, so the output
+depends only on the seed. Every bounded draw a portfolio needs
+(``rng.integers(n)``, and ``rng.choice(n, m, replace=False)``, which numpy
+runs as Floyd's algorithm plus a shuffle) is numpy's Lemire step on the
+stream's 32-bit words: the word times n, shifted down 32 bits, unless the
+product's low half falls below (2**32 - n) % n; numpy then rejects the word
+and takes the next. ``_replication_words`` computes the first K 64-bit
+outputs of every stream as one (reps x 2K) word matrix without a Generator:
+it replays the SeedSequence hash and the PCG64 seeding and steps in uint64
+array arithmetic over all replications at once, bit for bit.
+``draw_matrices`` computes that matrix once and hands it to every
+(strategy, m) block. The draw core (``_draw_rows``) replays numpy's draws
+on it column by column, with a cursor per row (``_Words``): a rejected word
+moves only that row on to its next word, and a row that reads past the last
+word doubles K, so every row equals its Generator's draw and nothing loads
+numpy.random. numpy takes Floyd's branch unless n > 10,000 and m > n // 50;
+``DrawPlan.check`` refuses that one case, a random plan over more than
+10,000 tickers, which no command reaches. Each block becomes a (reps x m)
+matrix of ReturnPanel columns, drawn once and scored on every test period
+with one gather and mean (``score_period``); ``run_simulation`` does both
+for one block. The engine is single-threaded.
 """
 
 from __future__ import annotations
@@ -73,6 +77,11 @@ class SimulationRun:
     returns: np.ndarray  # per-replication portfolio returns, percent
 
 
+# numpy's choice(n, m, replace=False) runs Floyd's algorithm unless n is over
+# this and m over n // 50.
+_FLOYD_MAX = 10_000
+
+
 @dataclass(frozen=True)
 class DrawPlan:
     """A selection rule over positions into ``labels``.
@@ -97,8 +106,13 @@ class DrawPlan:
         """Raise SimulationError unless this rule can draw a portfolio of m."""
         c = len(self.sizes)
         if self.rule == "random":
-            if m > len(self.labels):
-                raise SimulationError(f"cannot draw {m} from {len(self.labels)} tickers")
+            n = len(self.labels)
+            if m > n:
+                raise SimulationError(f"cannot draw {m} from {n} tickers")
+            # Stratified plans take at most 4 per group, always Floyd's branch.
+            if n > _FLOYD_MAX and m > n // 50:
+                raise SimulationError(f"cannot draw {m} from {n} tickers: over {_FLOYD_MAX} "
+                                      f"tickers, a random draw takes at most n // 50 = {n // 50}")
             return
         if m > 4 and m != 8:
             raise SimulationError(f"{self.rule} selection supports m <= 4 or m = 8")
@@ -118,63 +132,46 @@ class DrawPlan:
         raise SimulationError(f"portfolio size {m} incompatible with {c} groups")
 
 
-def _draw_row(plan: DrawPlan, m: int, rng: np.random.Generator) -> list[int]:
-    """Positions of one portfolio; the caller has run ``plan.check(m)``.
-
-    Random: m of the universe without replacement. Stratified: one stock
-    from each of m groups when m <= group count (for m=2 over more groups,
-    the groups of one uniformly chosen pair when the plan has pairs), else
-    m / count distinct stocks from every group. Drawing positions consumes
-    the stream exactly as drawing the tickers themselves would:
-    ``rng.choice(n, ...)`` as ``rng.choice(array_of_n, ...)`` and
-    ``rng.integers(n)`` as ``rng.choice(array_of_n)``.
-    """
-    sizes, starts = plan.sizes, plan.starts
-    if plan.rule == "random":
-        return rng.choice(sizes[0], size=m, replace=False).tolist()
-    c = len(sizes)
-    if m <= 4 and m <= c:
-        if m == 2 and c > 2 and plan.pairs:
-            chosen = plan.pairs[int(rng.integers(len(plan.pairs)))]
-        else:
-            chosen = rng.choice(c, size=m, replace=False).tolist()
-        return [starts[g] + int(rng.integers(sizes[g])) for g in chosen]
-    per = m // c
-    return [starts[g] + k for g in range(c)
-            for k in rng.choice(sizes[g], size=per, replace=False).tolist()]
-
-
-# numpy's choice(n, m, replace=False) runs Floyd's algorithm for n up to this.
-_FLOYD_MAX = 10_000
-
-
 class _Words:
-    """Per-row cursors into a (reps x K) matrix of uint32 stream words."""
+    """Per-row cursors into the uint32 words of every replication stream,
+    from the first K 64-bit outputs of each (``_replication_words``); K
+    doubles whenever a row reads past them."""
 
-    def __init__(self, words: np.ndarray) -> None:
-        self.words = words
-        self.rows = np.arange(len(words))
-        self.cursor = np.zeros(len(words), dtype=np.intp)
-        self.redo = np.zeros(len(words), dtype=bool)
+    def __init__(self, seed: int, reps: int, k: int) -> None:
+        self.seed, self.reps = seed, reps
+        self.words = _replication_words(seed, reps, k)
+        self.rows = np.arange(reps)
+        self.reset()
+
+    def reset(self) -> None:
+        """Put every row back at its stream's first word."""
+        self.cursor = np.zeros(self.reps, dtype=np.intp)
+
+    def _word(self, rows, cursor) -> np.ndarray:
+        """The words of ``rows`` under ``cursor``; K doubles until they exist."""
+        while cursor.max(initial=0) >= self.words.shape[1]:
+            self.words = _replication_words(self.seed, self.reps, self.words.shape[1])
+        return self.words[rows, cursor]
 
     def below(self, bound) -> np.ndarray:
         """One draw in [0, bound) per row, as ``rng.integers(bound)`` makes it:
-        Lemire's multiply-shift on the row's next word. ``bound`` is a scalar
-        or one bound per row; a bound of 1 reads no word. Rows whose word
-        numpy would reject, or that have no word left, are flagged in
-        ``redo`` and their value is meaningless."""
+        Lemire's multiply-shift on the row's next word, and on the word after
+        it for as long as numpy rejects the product. ``bound`` is a scalar or
+        one bound per row; a bound of 1 reads no word."""
         bound = np.asarray(bound, dtype=np.uint64)
-        used = bound > 1
-        k = self.words.shape[1]
-        self.redo |= used & (self.cursor >= k)
-        product = self.words[self.rows, np.minimum(self.cursor, k - 1)] * bound
-        self.redo |= (product & 0xFFFFFFFF) < (2**32 - bound) % bound
-        self.cursor += used
+        product = self._word(self.rows, self.cursor) * bound
+        self.cursor += bound > 1
+        for row in np.flatnonzero((product & _MASK32) < (2**32 - bound) % bound):
+            b = np.broadcast_to(bound, product.shape)[row]
+            while product[row] & _MASK32 < (2**32 - b) % b:
+                product[row] = self._word(row, self.cursor[row]) * b
+                self.cursor[row] += 1
         return (product >> 32).astype(np.intp)
 
     def sample(self, n: int, m: int) -> np.ndarray:
-        """(rows x m) draws of ``rng.choice(n, m, replace=False)``, n <= 10,000:
-        Floyd's algorithm (a value already taken becomes j), then a shuffle."""
+        """(rows x m) draws of ``rng.choice(n, m, replace=False)`` in Floyd's
+        branch: Floyd's algorithm (a value already taken becomes j), then a
+        shuffle."""
         out = np.empty((len(self.rows), m), dtype=np.intp)
         for t, j in enumerate(range(n - m, n)):
             val = self.below(j + 1)
@@ -188,14 +185,21 @@ class _Words:
         return out
 
 
-def _draw_rows(plan: DrawPlan, m: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``_draw_row``: row r draws from the uint32 words of replication
-    r (see ``_replication_words``). Returns the (reps x m) positions and the
-    rows to redraw with ``_draw_row``; every other row equals its draw. The
-    caller has run ``plan.check(m)`` and ``_batchable(plan)``."""
-    w = _Words(words)
+def _draw_rows(plan: DrawPlan, m: int, w: _Words) -> np.ndarray:
+    """(reps x m) positions into ``plan.labels``, read from the cursors of
+    ``w``: row r is the portfolio replication r's Generator draws. The
+    caller has run ``plan.check(m)``.
+
+    Random: m of the universe without replacement. Stratified: one stock
+    from each of m groups when m <= group count (for m=2 over more groups,
+    the groups of one uniformly chosen pair when the plan has pairs), else
+    m / count distinct stocks from every group. Drawing positions consumes
+    the stream exactly as drawing the tickers themselves would:
+    ``rng.choice(n, ...)`` as ``rng.choice(array_of_n, ...)`` and
+    ``rng.integers(n)`` as ``rng.choice(array_of_n)``.
+    """
     if plan.rule == "random":
-        return w.sample(plan.sizes[0], m), w.redo
+        return w.sample(plan.sizes[0], m)
     sizes, starts = np.array(plan.sizes), np.array(plan.starts)
     c = len(sizes)
     if m <= 4 and m <= c:
@@ -207,15 +211,9 @@ def _draw_rows(plan: DrawPlan, m: int, words: np.ndarray) -> tuple[np.ndarray, n
         for t in range(m):
             g = chosen[:, t]
             positions[:, t] = starts[g] + w.below(sizes[g])
-        return positions, w.redo
-    positions = np.hstack([start + w.sample(size, m // c)
-                           for start, size in zip(plan.starts, plan.sizes)])
-    return positions, w.redo
-
-
-def _batchable(plan: DrawPlan) -> bool:
-    """Whether every ``rng.choice`` the plan makes takes numpy's Floyd branch."""
-    return max(len(plan.sizes), *plan.sizes) <= _FLOYD_MAX
+        return positions
+    return np.hstack([start + w.sample(size, m // c)
+                      for start, size in zip(plan.starts, plan.sizes)])
 
 
 # numpy's SeedSequence (O'Neill's seed_seq_fe over a pool of four uint32
@@ -265,9 +263,10 @@ def _replication_words(seed: int, reps: int, k: int) -> np.ndarray:
     64-bit outputs, low half first: the order numpy's bounded draws read a
     fresh PCG64 stream in. Held as uint64, so a word times a bound is exact.
 
-    Row r equals ``replication_rng(seed, r).bit_generator.random_raw(k)``
-    bit for bit, computed for all rows at once: the SeedSequence pool mixes
-    the seed's uint32 words (zero-padded to four) and then the spawn word r,
+    Row r equals ``random_raw(k)`` of numpy's PCG64 seeded by
+    ``SeedSequence(seed, spawn_key=(r,))``, bit for bit, computed for all
+    rows at once: the SeedSequence pool mixes the seed's uint32 words
+    (zero-padded to four) and then the spawn word r,
     ``generate_state(4, uint64)`` seeds PCG64 (inc = initseq << 1 | 1), and
     k LCG steps each give one XSL-RR output.
     """
@@ -340,11 +339,6 @@ def _columns(returns: ReturnPanel, tickers: tuple[str, ...]) -> np.ndarray:
         raise SimulationError(f"unknown ticker {exc.args[0]!r} in draw") from None
 
 
-def replication_rng(seed: int, replication: int) -> np.random.Generator:
-    """Independent, order-insensitive stream for one replication."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(replication,)))
-
-
 @dataclass(frozen=True)
 class Strategy:
     """A selection rule: the name its report rows carry and the plan it draws."""
@@ -357,12 +351,13 @@ def draw_matrices(strategies: list[Strategy], returns: ReturnPanel, sizes: list[
                   reps: int = 1000, seed: int = 0) -> list[np.ndarray]:
     """(reps x m) ReturnPanel columns of every block, m-major: one matrix
     for each m in sizes and each strategy. Row r of a block is the portfolio
-    ``_draw_row`` draws from ``replication_rng(seed, r)``, in drawn order.
+    numpy's Generator of replication r draws (see ``_draw_rows``), in drawn
+    order.
 
-    Every block is checked before any is drawn. The first K words of every
+    Every block is checked before any is drawn. The words of every
     replication's stream are computed once, into a word matrix that all
     blocks share; at most 3m uint32 words make one draw without rejections,
-    so K covers the largest m.
+    so it starts with enough for the largest m.
     """
     blocks = []
     for m in sizes:
@@ -370,19 +365,11 @@ def draw_matrices(strategies: list[Strategy], returns: ReturnPanel, sizes: list[
             plan = strategy.plan
             plan.check(m)
             blocks.append((plan, m, _columns(returns, plan.labels)))
-    batched = [m for plan, m, _ in blocks if _batchable(plan)]
-    words = _replication_words(seed, reps, (3 * max(batched) + 1) // 2) if batched else None
+    words = _Words(seed, reps, (3 * max(sizes, default=1) + 1) // 2)
     matrices = []
     for plan, m, columns in blocks:
-        if _batchable(plan):
-            positions, redo = _draw_rows(plan, m, words)
-            reps_left = np.flatnonzero(redo).tolist()
-        else:
-            positions = np.empty((reps, m), dtype=np.intp)
-            reps_left = range(reps)
-        for rep in reps_left:
-            positions[rep] = _draw_row(plan, m, replication_rng(seed, rep))
-        matrices.append(columns[positions])
+        words.reset()
+        matrices.append(columns[_draw_rows(plan, m, words)])
     return matrices
 
 

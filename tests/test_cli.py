@@ -381,6 +381,21 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"error: {path}: period 'P2': start must precede end\n"
         assert not (workspace / "out").exists()
 
+    @pytest.mark.parametrize("end", ["start", "end"])
+    @pytest.mark.parametrize("command", [["returns"], ["network", "--method", "hct"], ["simulate"]],
+                             ids=["returns", "network", "simulate"])
+    def test_period_boundary_off_the_panel_located(self, workspace, capsys, command, end):
+        path = workspace / "periods.json"
+        periods = json.loads(path.read_text())
+        day = date.fromisoformat(periods[1][end]) + timedelta(days=1 if end == "start" else -1)
+        periods[1][end] = day.isoformat()
+        path.write_text(json.dumps(periods))
+        assert main(command + ["--config", str(workspace / "config.json"),
+                               "--out-dir", str(workspace / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: period 'P2': {end} {day.isoformat()} is not a panel date\n")
+        assert not (workspace / "out").exists()
+
     @pytest.mark.parametrize("row,message", [
         ("S00,4", "industry.csv:14: ticker 'S00' listed twice"),
         ("ZZZ,x", "industry.csv:14: invalid group 'x'"),
@@ -568,7 +583,7 @@ class TestSimulateInputChecks:
             monkeypatch.setattr(cli, name, _forbidden)
         assert self.simulate(workspace / "bad_reps.json", workspace / "out") == 2
         err = capsys.readouterr().err
-        assert f"bad_reps.json: simulation.reps must be an integer >= 2, not {reps!r}" in err
+        assert f"bad_reps.json: simulation.reps must be an integer from 2 to 2**32, not {reps!r}" in err
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("k", [3, 1, 8, 4.0, "4"])
@@ -586,9 +601,11 @@ class TestSimulateInputChecks:
 
     @pytest.mark.parametrize("key,value", [
         ("sizes", 2), ("sizes", [2.7]), ("sizes", "48"), ("sizes", [2, 2]), ("sizes", [True]),
-        ("sizes", [3]), ("strategies", "random"), ("strategies", ["random", "random"]),
-        ("strategies", ["random", "index"]), ("strategies", [["random"]]),
-        ("test_periods", "P2"), ("test_periods", ["P2", "P2"]),
+        ("sizes", [3]), ("sizes", []), ("strategies", "random"),
+        ("strategies", ["random", "random"]), ("strategies", ["random", "index"]),
+        ("strategies", [["random"]]), ("strategies", []),
+        ("test_periods", "P2"), ("test_periods", ["P2", "P2"]), ("test_periods", []),
+        ("reps", 2**32 + 1),
         ("levene_exclude", "HCT"), ("levene_exclude", ["HCT", "HCT"]),
         ("seed", "abc"), ("seed", 1.5), ("seed", True), ("seed", -1),
         ("risk_free", [1]), ("risk_free", {"P2": "1"}), ("risk_free", {"P2": float("nan")}),
@@ -674,16 +691,27 @@ class TestRelativeConfigPaths:
 def test_cli_import_skips_scipy(workspace):
     # No command imports scipy, not even simulate, whose Levene p-values use
     # the in-house incomplete beta. simulate reads its replication streams
-    # through an array kernel and takes Levene's median by sorting, so it
-    # loads neither numpy.random nor numpy.ma either.
+    # through an array kernel and takes Levene's median by sorting, so no
+    # command loads numpy.random or numpy.ma either. The commands run in one
+    # process, each checked as it ends, so a module that one of them loads
+    # is charged to it.
     src = Path(netfolio.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
+    config, out = str(workspace / "config.json"), str(workspace / "out")
+    common = ["--config", config, "--out-dir", out]
+    commands = [["returns", *common]]
+    commands += [["network", "--method", method, *common] for method in ("hct", "mst", "nnet")]
+    commands += [["simulate", *common],
+                 ["report", "--report-csv", str(workspace / "out" / "report_P1_P2.csv"),
+                  "--levene-csv", str(workspace / "out" / "levene_P1_P2.csv")]]
     code = (
-        "import sys; from netfolio.cli import main; "
-        "assert main(['simulate', '--config', sys.argv[1], '--out-dir', sys.argv[2]]) == 0; "
-        "loaded = {'scipy', 'numpy.random', 'numpy.ma'} & set(sys.modules); "
-        "assert not loaded, loaded"
+        "import json, sys; from netfolio.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    loaded = {'scipy', 'numpy.random', 'numpy.ma'} & set(sys.modules)\n"
+        "    assert not loaded, (argv[:3], loaded)\n"
     )
-    subprocess.run([sys.executable, "-c", code, str(workspace / "config.json"),
-                    str(workspace / "out")], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
     assert (workspace / "out" / "levene_P1_P2.csv").exists()
+    assert (workspace / "out" / "nnet_P2.nex").exists()

@@ -7,8 +7,9 @@ Five goldens live under tests/data/:
   for byte;
 - ``draws_seed9.json``: the first 50 portfolios each selection rule draws
   for m in {2, 4, 8} from the replication streams of seed 9, written by the
-  scalar ``_draw_row`` and compared byte for byte, and checked row by row
-  against ``_draw_row`` and ``draw_matrices``;
+  scalar reference ``draw_row`` (``tests/draw_reference.py``) and compared
+  byte for byte, and checked row by row against ``draw_row`` and
+  ``draw_matrices``;
 - ``neighbornet_cases.json``: the circular ordering, fitted splits and
   residual of ``neighbornet_ordering`` + ``fit_split_weights`` on 40 seeded
   distance matrices (n = 4..48, a third of them rounded to two decimals so
@@ -48,14 +49,13 @@ from netfolio import neighbor_net
 from netfolio.neighbor_net import fit_split_weights, neighbornet_ordering
 from netfolio.portfolio_sim import (
     Strategy,
-    _draw_row,
     cluster_plan,
     default_industry_map,
     draw_matrices,
     random_plan,
-    replication_rng,
 )
 from netfolio.tree_cluster import average_linkage_hct, minimum_spanning_tree, mst_clusters
+from draw_reference import draw_row, replication_rng
 from test_cli import write_panel_csvs
 
 DATA = Path(__file__).parent / "data"
@@ -130,10 +130,10 @@ def golden_strategies() -> list[Strategy]:
 
 
 def scalar_draws(strategy: Strategy, m: int) -> list[str]:
-    """The space-joined tickers ``_draw_row`` draws in replications 0..49."""
+    """The space-joined tickers ``draw_row`` draws in replications 0..49."""
     plan = strategy.plan
     plan.check(m)
-    return [" ".join(plan.labels[p] for p in _draw_row(plan, m, replication_rng(SEED, rep)))
+    return [" ".join(plan.labels[p] for p in draw_row(plan, m, replication_rng(SEED, rep)))
             for rep in range(DRAWS)]
 
 

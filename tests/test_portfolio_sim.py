@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from datetime import date
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,18 +24,18 @@ from netfolio.portfolio_sim import (
     IndustryMap,
     SimulationError,
     Strategy,
-    _draw_row,
     _draw_rows,
     _grouped_plan,
     _replication_words,
+    _Words,
     cluster_plan,
     default_industry_map,
     draw_matrices,
     random_plan,
-    replication_rng,
     run_simulation,
     score_period,
 )
+from draw_reference import draw_row, replication_rng
 
 
 def toy_panel(tickers, values):
@@ -58,8 +63,8 @@ def drawn(plan: DrawPlan, m: int, reps: int = 1, seed: int = 0) -> list[tuple[st
 
 def scalar_columns(plan: DrawPlan, panel: ReturnPanel, m: int, reps: int,
                    seed: int) -> list[list[int]]:
-    """The panel columns ``_draw_row`` draws, one replication at a time."""
-    return [[panel.column[plan.labels[p]] for p in _draw_row(plan, m, replication_rng(seed, rep))]
+    """The panel columns ``draw_row`` draws, one replication at a time."""
+    return [[panel.column[plan.labels[p]] for p in draw_row(plan, m, replication_rng(seed, rep))]
             for rep in range(reps)]
 
 
@@ -318,7 +323,7 @@ def drawable(plan: DrawPlan, m: int) -> bool:
 
 
 class TestBatchedDraws:
-    """The batched core against the scalar core it replays, row for row."""
+    """The batched core against the scalar reference it replays, row for row."""
 
     REPS = 40
 
@@ -329,10 +334,11 @@ class TestBatchedDraws:
             for m in sorted({1, 2, 3, 4, 8, len(plan.labels)}):
                 if not drawable(plan, m):
                     continue
-                words = _replication_words(seed, self.REPS, (3 * m + 1) // 2)
-                positions, redo = _draw_rows(plan, m, words)
-                assert not redo.any()
-                expected = [_draw_row(plan, m, replication_rng(seed, rep))
+                k = (3 * m + 1) // 2
+                words = _Words(seed, self.REPS, k)
+                positions = _draw_rows(plan, m, words)
+                assert words.words.shape == (self.REPS, 2 * k)  # the first K words sufficed
+                expected = [draw_row(plan, m, replication_rng(seed, rep))
                             for rep in range(self.REPS)]
                 assert positions.tolist() == expected, (plan, m)
                 blocks += 1
@@ -365,33 +371,94 @@ class TestBatchedDraws:
         for (m, strategy), columns in zip(blocks, matrices):
             assert columns.tolist() == scalar_columns(strategy.plan, panel, m, 30, 5)
 
-    def test_rejected_word_falls_back_to_scalar_core(self, monkeypatch):
+    def test_rejected_word_is_replaced_by_the_next(self, monkeypatch):
         strategy = Strategy("Random", random_plan(("A", "B", "C", "D")))
         panel = toy_panel(["A", "B", "C", "D"], [1.0, 2.0, 3.0, 4.0])
 
         def crafted(seed, reps, k):
-            # Row 3's first draw is Floyd's j = 2, bound 3: a zero word leaves
-            # 0 < (2**32 - 3) % 3 = 1, which numpy rejects and redraws.
+            # Row 3's first draw is Floyd's j = 2, bound 3: a zero word put in
+            # front of its stream leaves 0 < (2**32 - 3) % 3 = 1, which numpy
+            # rejects, so the row must read on from its stream's first word.
             words = _replication_words(seed, reps, k)
+            words[3] = np.roll(words[3], 1)
             words[3, 0] = 0
             return words
 
-        positions, redo = _draw_rows(strategy.plan, 2, crafted(0, 8, 3))
-        assert redo.tolist() == [rep == 3 for rep in range(8)]
-        scalar = [_draw_row(strategy.plan, 2, replication_rng(0, rep)) for rep in range(8)]
-        assert positions[3].tolist() != scalar[3]
         monkeypatch.setattr(portfolio_sim, "_replication_words", crafted)
+        words = _Words(0, 8, 3)
+        positions = _draw_rows(strategy.plan, 2, words)
+        scalar = [draw_row(strategy.plan, 2, replication_rng(0, rep)) for rep in range(8)]
+        assert positions.tolist() == scalar
+        assert words.cursor.tolist() == [4 if rep == 3 else 3 for rep in range(8)]
         (columns,) = draw_matrices([strategy], panel, [2], reps=8, seed=0)
         assert columns.tolist() == scalar
 
-    def test_rows_past_the_last_word_are_flagged(self):
-        _, redo = _draw_rows(FOUR_GROUPS.plan, 8, _replication_words(0, 6, 1))
-        assert redo.all()
+    @pytest.mark.parametrize("seed,rep", [(0, 39_568), (0, 45_909), (1, 32_395), (2, 45_746)])
+    def test_real_rejections_equal_numpy(self, seed, rep):
+        """Rows of a 10,000-ticker draw of 8 whose stream holds a word numpy
+        rejects: Floyd's 8 draws and the shuffle's 7 read 16 words, not 15."""
+        plan = random_plan(tuple(f"T{i:05d}" for i in range(10_000)))
+        words = _Words(seed, rep + 1, 12)
+        positions = _draw_rows(plan, 8, words)
+        assert words.cursor[rep] == 16
+        assert positions[rep].tolist() == draw_row(plan, 8, replication_rng(seed, rep))
 
-    @pytest.mark.parametrize("n", [10_000, 10_001])
-    def test_floyd_limit(self, n):
+    @pytest.mark.parametrize("plan", [FOUR_GROUPS.plan, random_plan(tuple("ABCDEFGHIJ"))],
+                             ids=["industry", "random"])
+    def test_rows_past_the_last_word_grow_the_matrix(self, plan):
+        words = _Words(0, 6, 1)
+        positions = _draw_rows(plan, 8, words)
+        assert words.words.shape[1] > 2
+        assert np.array_equal(words.words, _replication_words(0, 6, words.words.shape[1] // 2))
+        assert positions.tolist() == [draw_row(plan, 8, replication_rng(0, rep)) for rep in range(6)]
+
+    @pytest.mark.parametrize("n", [10_000, 10_001, 12_000, 20_000])
+    def test_floyd_limit(self, n, monkeypatch):
+        """numpy draws m of n by Floyd's algorithm unless n > 10,000 and
+        m > n // 50. Every Floyd draw equals numpy's; a plan past the limit
+        is refused before any block is drawn."""
         tickers = tuple(f"T{i:05d}" for i in range(n))
         strategy = Strategy("Random", random_plan(tickers))
         panel = toy_panel(tickers, np.zeros(n))
-        (columns,) = draw_matrices([strategy], panel, [8], reps=5, seed=3)
-        assert columns.tolist() == scalar_columns(strategy.plan, panel, 8, 5, 3)
+        last = n // 50 + (n <= 10_000)
+        for m in (8, last):
+            (columns,) = draw_matrices([strategy], panel, [m], reps=5, seed=3)
+            assert columns.tolist() == scalar_columns(strategy.plan, panel, m, 5, 3), m
+        if n > 10_000:
+            monkeypatch.setattr(portfolio_sim, "_replication_words", _never_called)
+            with pytest.raises(SimulationError, match=f"cannot draw {last + 1} from {n} tickers"):
+                draw_matrices([strategy], panel, [8, last + 1], reps=5, seed=3)
+
+    def test_draws_leave_numpy_random_unloaded(self):
+        """The rejection and growth cases above, run where numpy.random
+        would show in sys.modules if anything loaded it."""
+        src = Path(portfolio_sim.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run([sys.executable, "-c", NO_NUMPY_RANDOM], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        rejected, grown = json.loads(out)
+        plan = random_plan(tuple(f"T{i:05d}" for i in range(10_000)))
+        assert rejected == draw_row(plan, 8, replication_rng(0, 39_568))
+        assert grown == [draw_row(FOUR_GROUPS.plan, 8, replication_rng(0, rep)) for rep in range(6)]
+
+
+def _never_called(*args):
+    raise AssertionError("a block was drawn")
+
+
+NO_NUMPY_RANDOM = """
+import json, sys
+from datetime import date
+import numpy as np
+from netfolio.market_data import ReturnPanel, StudyPeriod
+from netfolio.portfolio_sim import IndustryMap, Strategy, _draw_rows, _Words, draw_matrices, random_plan
+tickers = tuple(f"T{i:05d}" for i in range(10_000))
+panel = ReturnPanel(tickers, (StudyPeriod("P1", date(2001, 1, 2), date(2004, 1, 6)),),
+                    np.zeros((1, 10_000)), (np.zeros((3, 10_000)),))
+(columns,) = draw_matrices([Strategy("Random", random_plan(tickers))], panel, [8], 39_569, 0)
+groups = {"A1": 1, "A2": 1, "B1": 2, "B2": 2, "C1": 3, "C2": 3, "D1": 4, "D2": 4}
+grown = _draw_rows(IndustryMap(groups).plan, 8, _Words(0, 6, 1))
+loaded = {"numpy.random"} & set(sys.modules)
+assert not loaded, loaded
+print(json.dumps([columns[-1].tolist(), grown.tolist()]))
+"""
