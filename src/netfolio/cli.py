@@ -28,7 +28,13 @@ from .analytics import (
     summarize,
 )
 from .clusters import ClusterAssignment, ClusterPairing, pair_by_distance, pair_by_size
-from .correlation import DistanceMatrix, pearson_correlation, ultrametric_distance
+from .correlation import (
+    CorrelationError,
+    CorrelationMatrix,
+    DistanceMatrix,
+    pearson_correlation,
+    ultrametric_distance,
+)
 from .market_data import (
     DataError,
     ReturnPanel,
@@ -248,9 +254,14 @@ def compute_returns(cfg: dict, periods: list[StudyPeriod]) -> ReturnPanel:
         raise DataError(f"{cfg['periods']}: {exc}") from None
 
 
-def distance_for_period(returns: ReturnPanel, label: str) -> DistanceMatrix:
+def period_correlation(cfg: dict, returns: ReturnPanel, label: str) -> CorrelationMatrix:
+    """The correlation of one period's weekly returns; a period too short, or
+    a ticker whose returns do not vary, is reported against the prices file."""
     weekly = returns.weekly_returns[returns.period_index(label)]
-    return ultrametric_distance(pearson_correlation(weekly, returns.tickers))
+    try:
+        return pearson_correlation(weekly, returns.tickers)
+    except CorrelationError as exc:
+        raise DataError(f"{cfg['prices']}: period {label!r}: {exc}") from None
 
 
 def build_clusters(
@@ -320,8 +331,7 @@ def cmd_network(args: argparse.Namespace) -> int:
     returns = compute_returns(cfg, load_periods(cfg["periods"]))
     out = Path(args.out_dir)
     for p in returns.periods:
-        weekly = returns.weekly_returns[returns.period_index(p.label)]
-        corr = pearson_correlation(weekly, returns.tickers)
+        corr = period_correlation(cfg, returns, p.label)
         dist = ultrametric_distance(corr)
         if args.dump_matrices:
             _atomic_write(out / f"corr_{p.label}.csv", matrix_csv(corr.tickers, corr.rho))
@@ -375,7 +385,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     returns = compute_returns(cfg, periods)
     if "industry" in names:
         check_industry_universe(industry, industry_source, returns.tickers)
-    dist = distance_for_period(returns, model_period)
+    dist = ultrametric_distance(period_correlation(cfg, returns, model_period))
 
     strategies: list[Strategy] = []
     for name in names:

@@ -71,11 +71,11 @@ def pearson_correlation(returns: np.ndarray, tickers: tuple[str, ...]) -> Correl
     if returns.ndim != 2 or returns.shape[1] != len(tickers):
         raise CorrelationError("returns must be (observations x tickers)")
     if returns.shape[0] < 3:
-        raise CorrelationError("need at least 3 weekly observations")
+        raise CorrelationError(f"needs at least 3 weekly returns, has {returns.shape[0]}")
     stds = returns.std(axis=0)
     if np.any(stds == 0.0):
         bad = tickers[int(np.argmin(stds))]
-        raise CorrelationError(f"zero-variance return series for {bad}")
+        raise CorrelationError(f"ticker {bad} has zero-variance returns")
     rho = np.corrcoef(returns, rowvar=False)
     rho = np.clip((rho + rho.T) / 2.0, -1.0, 1.0)
     np.fill_diagonal(rho, 1.0)

@@ -52,12 +52,19 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
 
     # A reduction turns three linked nodes into two, and the last chain has
     # two nodes: n - 2 reductions make 2(n - 2) synthetic nodes.
-    D = np.zeros((3 * n - 4, 3 * n - 4))
+    nodes = 3 * n - 4
+    D = np.zeros((nodes, nodes))
     D[:n, :n] = dist.d
-    labels: list[str] = list(dist.tickers)
-    components: list[list[int]] = [[i] for i in range(n)]
+    # Labels enter only through comparisons, so each node keeps the rank of
+    # its label among the tickers; a synthetic node takes the smaller rank.
+    rank = np.empty(nodes, dtype=np.intp)
+    rank[:n] = np.unique(np.array(dist.tickers), return_inverse=True)[1]
+    # The components, in order, as columns: first node, last node and
+    # smallest label rank of a chain of one or two linked nodes.
+    comps = np.stack([np.arange(n), np.arange(n), rank[:n]])
     reductions: list[tuple[int, int, int, int, int]] = []  # (u, v, x, y, z)
     next_id = n
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
 
     # Each value below comes from the same floating-point operations, in the
     # same order, as np.mean over the member distances (a left-to-right sum
@@ -65,44 +72,43 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
     # so every tie-break, and with it the ordering, is exact. The sums over
     # components are cumsums: they add in order on every Python, where the
     # builtin sum compensates its float additions from 3.12 on.
-    while len(components) > 1:
-        m = len(components)
-        first, last = np.array([(c[0], c[-1]) for c in components]).T
+    # The component distance matrix is kept across merges: a merge deletes
+    # the two merged components and appends the new one, so each entry keeps
+    # the lower-numbered component as its row, as when it was computed. The
+    # singletons' distances are the upper triangle of the input.
+    cd = np.triu(dist.d, 1)
+    cd = cd + cd.T
+    while cd.shape[0] > 1:
+        m = cd.shape[0]
+        first, last, low = comps
         two = first != last
         size = two + 1.0
-        # Component distances of the upper triangle (row component first), mirrored.
-        cd = D[np.ix_(first, first)] + np.where(two, D[np.ix_(first, last)], 0.0)
-        cd = cd + np.where(two[:, None], D[np.ix_(last, first)], 0.0)
-        cd = cd + np.where(two[:, None] & two, D[np.ix_(last, last)], 0.0)
-        cd = np.triu(cd / np.outer(size, size), 1)
-        cd = cd + cd.T
         row = np.cumsum(cd, axis=1)[:, -1]
-        q = (m - 2) * cd - row[:, None] - row
-        iu = np.triu_indices(m, 1)
-        tied = np.flatnonzero(q[iu] == q[iu].min())
-        comp_labels = [min(labels[a] for a in comp) for comp in components]
-        i, j = min(
-            ((int(iu[0][t]), int(iu[1][t])) for t in tied),
-            key=lambda ij: sorted((comp_labels[ij[0]], comp_labels[ij[1]])),
-        )
-        A, B = components[i], components[j]
+        q = np.where(upper[:m, :m], (m - 2) * cd - row[:, None] - row, np.inf)
+        tied = np.flatnonzero(q == q.min())  # row-major, as the upper triangle runs
+        i, j = min((divmod(int(t), m) for t in tied),
+                   key=lambda ij: sorted((low[ij[0]], low[ij[1]])))
+        A = [int(first[i]), int(last[i])][: int(size[i])]
+        B = [int(first[j]), int(last[j])][: int(size[j])]
 
         # Secondary selection: endpoints of A against endpoints of B, with the
-        # nodes of A and B treated as singleton units beside the other components.
-        others = [t for t in range(m) if t not in (i, j)]
-        m_hat = len(others) + len(A) + len(B)
-        o_first, o_last, o_two, o_size = first[others], last[others], two[others], size[others]
-
-        def unit_sum(x: int) -> float:
-            units = (D[x, o_first] + np.where(o_two, D[x, o_last], 0.0)) / o_size
-            return np.cumsum(np.append(units, D[x, [u for u in A + B if u != x]]))[-1]
+        # nodes of A and B treated as singleton units beside the other
+        # components. A and B hold only their endpoints, and each endpoint's
+        # sum over the units is taken once.
+        keep = np.ones(m, dtype=bool)
+        keep[[i, j]] = False
+        o_first, o_last, o_two, o_size = first[keep], last[keep], two[keep], size[keep]
+        m_hat = o_first.size + len(A) + len(B)
+        ends = np.array(A + B)
+        units = (D[np.ix_(ends, o_first)] + np.where(o_two, D[np.ix_(ends, o_last)], 0.0)) / o_size
+        own = D[ends[:, None], [[u for u in A + B if u != x] for x in ends.tolist()]]
+        unit_sum = dict(zip(ends.tolist(), np.cumsum(np.hstack([units, own]), axis=1)[:, -1]))
 
         def node_key(xy: tuple[int, int]) -> tuple:
-            q_xy = (m_hat - 2) * D[xy] - unit_sum(xy[0]) - unit_sum(xy[1])
-            return q_xy, sorted(labels[v] for v in xy)
+            q_xy = (m_hat - 2) * D[xy] - unit_sum[xy[0]] - unit_sum[xy[1]]
+            return q_xy, sorted(rank[v] for v in xy)
 
-        ends_a, ends_b = (A[0], A[-1])[: len(A)], (B[0], B[-1])[: len(B)]
-        x, y = min(((x, y) for x in ends_a for y in ends_b), key=node_key)  # first of ties
+        x, y = min(((x, y) for x in A for y in B), key=node_key)  # first of ties
 
         chain_a = A if A[-1] == x else A[::-1]
         chain_b = B if B[0] == y else B[::-1]
@@ -110,24 +116,36 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
 
         # Every time the chain still exceeds two nodes, contract its leading
         # three linked nodes into two synthetic ones.
+        other_nodes = np.concatenate([o_first, o_last[o_two]])
         while len(chain) > 2:
             cx, cy, cz = chain[0], chain[1], chain[2]
             u, v = next_id, next_id + 1
             next_id += 2
-            active = [node for comp in components for node in comp if comp not in (A, B)]
-            active += [node for node in chain if node not in (cx, cy, cz)]
+            active = np.concatenate([other_nodes, np.array(chain[3:], dtype=np.intp)])
             D[active, u] = D[u, active] = (2.0 * D[active, cx] + D[active, cy]) / 3.0
             D[active, v] = D[v, active] = (D[active, cy] + 2.0 * D[active, cz]) / 3.0
             D[u, v] = D[v, u] = (D[cx, cy] + D[cx, cz] + D[cy, cz]) / 3.0
-            labels.append(min(labels[cx], labels[cy]))
-            labels.append(min(labels[cy], labels[cz]))
+            rank[u], rank[v] = min(rank[cx], rank[cy]), min(rank[cy], rank[cz])
             reductions.append((u, v, cx, cy, cz))
             chain = [u, v] + chain[3:]
 
-        components = [c for t, c in enumerate(components) if t not in (i, j)]
-        components.append(chain)
+        # The new component, appended last, is a chain of two nodes f, l. Its
+        # distance to component t (the row) sums D[f_t, f], D[f_t, l],
+        # D[l_t, f] and D[l_t, l] left to right, the last two only when t has
+        # two nodes, and divides by the count of member pairs.
+        f, l = chain
+        new = D[o_first, f] + D[o_first, l]
+        new = new + np.where(o_two, D[o_last, f], 0.0)
+        new = new + np.where(o_two, D[o_last, l], 0.0)
+        new = new / (o_size * 2.0)
+        grown = np.empty((m - 1, m - 1))
+        grown[:-1, :-1] = cd[keep][:, keep]
+        grown[:-1, -1] = grown[-1, :-1] = new
+        grown[-1, -1] = 0.0
+        cd = grown
+        comps = np.column_stack([comps[:, keep], (f, l, min(rank[f], rank[l]))])
 
-    order = list(components[0])
+    order = comps[:2, 0].tolist()
     for u, v, x, y, z in reversed(reductions):
         pos = order.index(u)
         if pos + 1 < len(order) and order[pos + 1] == v:

@@ -11,17 +11,25 @@ for k passive variables. The block is the normal-equations one (Bro & De
 Jong 1997), which squares cond(A). A must have full column rank: a column
 that (nearly) depends on the passive ones raises instead of entering.
 
-A caller that can guess the passive set passes it as ``start``. Its block is
-factored by one Cholesky, and columns whose passive solve is not positive
-are dropped (refactoring the rest) until it is; the outer loop then runs
-from that feasible point. With A of full column rank the optimum is unique,
-so a guess saves outer steps and changes nothing else: the split fit starts
-from the largest entries of A⁻¹b and takes about half the steps of a cold
-start.
+A caller that can guess the passive set passes it as ``start``, and block
+principal pivoting (Portugal, Júdice & Vicente 1994; Kim & Park 2011)
+refines the guess many columns at a time. A block step factors the passive
+Gram block by one Cholesky, which also finds a dependent column, solves it
+by two triangular substitutions (no inverse is formed), takes one gradient,
+drops every passive column whose solve is not positive and enters at most
+isqrt(2N) of the N columns, those of largest positive gradient. A step with
+no infeasible column ends the solve. Once the count of infeasible columns
+has not fallen for three steps, the guess is dropped and Lawson-Hanson,
+which terminates, runs from x = 0. With A of full column rank the optimum
+is unique, so a guess changes the path, not the result. Without a guess
+(the cold path) Lawson-Hanson runs from x = 0, one column per step. The split fit starts from the largest
+entries of A⁻¹b: at n = 64 and 100 it makes 24 and 26 prefix reads where
+one split per step made 262 and 418.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -30,6 +38,11 @@ import numpy as np
 # the entering column as dependent: 1/pivot² bounds the block's condition
 # number from below, and past sqrt(eps) a solve keeps fewer than half the digits.
 DEPENDENT = np.sqrt(np.finfo(float).eps)
+
+# A warm start hands over to Lawson-Hanson once this many block steps in a
+# row have not lowered the count of infeasible columns (p = 3 of Portugal,
+# Júdice & Vicente 1994).
+STALL_STEPS = 3
 
 
 class NNLSConvergenceError(ValueError):
@@ -50,9 +63,8 @@ def nnls_gram(
     given (AᵀA)[rows][:, cols] as ``gram(rows, cols)``, A·x as ``matvec(x)``
     and Aᵀ·y as ``rmatvec(y)``. Returns (x, residual_norm).
 
-    ``start``, distinct column indices, is a guess at the passive set: its
-    columns are factored at once and those whose passive solve is not
-    positive are dropped, repeatedly, before the first outer step. The
+    ``start``, distinct column indices, is a guess at the passive set that
+    block principal pivoting refines before any Lawson-Hanson step. The
     optimum is unique, so the guess changes the path, not the result."""
     b = np.asarray(b, dtype=float)
     atb = np.asarray(rmatvec(b), dtype=float)
@@ -76,21 +88,44 @@ def nnls_gram(
             raise NNLSConvergenceError(message, residual(x))
 
     if start is not None and len(start):
+        # Block principal pivoting: solve the whole passive block, then drop
+        # every passive column whose solve is not positive and enter the free
+        # columns of largest positive gradient, at most isqrt(2n) of them.
+        # The passive columns stay in entry order, so a step computes only
+        # the Gram rows of the columns it enters.
         cols = np.asarray(start, dtype=np.intp)
         block = gram(cols, cols)
-        keep = np.arange(cols.size)
-        while keep.size:
+        passive[cols] = True
+        entry_cap = math.isqrt(2 * n)
+        fewest, stalled = n + 1, 0
+        while True:
             iters += 1
             check_cap()
-            trial = PassiveFactor.of_block(cols[keep], block[np.ix_(keep, keep)])
-            z = trial.solve(atb[trial.cols])
-            if np.all(z > tol):
-                factor = trial
-                x[factor.cols] = z
-                passive[factor.cols] = True
-                w = rmatvec(b - matvec(x))
-                break
-            keep = keep[z > tol]
+            z = solve_block(cols, block, atb[cols])
+            x[cols] = z
+            w = rmatvec(b - matvec(x))
+            leaving = z <= tol
+            entering = np.flatnonzero(~passive & (w > tol))
+            infeasible = np.count_nonzero(leaving) + entering.size
+            if not infeasible:
+                return x, residual(x)
+            if infeasible < fewest:
+                fewest, stalled = infeasible, 0
+            else:
+                stalled += 1
+                if stalled == STALL_STEPS:
+                    break
+            x[cols[leaving]] = 0.0
+            passive[cols[leaving]] = False
+            entering = entering[np.argsort(-w[entering], kind="stable")[:entry_cap]]
+            passive[entering] = True
+            kept = ~leaving
+            old = cols[kept]
+            cols = np.concatenate([old, entering])
+            rows = gram(entering, cols)
+            block = np.block([[block[np.ix_(kept, kept)], rows[:, : old.size].T], [rows]])
+        # Stalled: Lawson-Hanson, which terminates, starts over from x = 0.
+        x[:], passive[:], w = 0.0, False, atb.copy()
     while True:
         j = int(np.argmax(np.where(passive, -np.inf, w)))  # first free maximum
         if passive[j] or w[j] <= tol:
@@ -130,6 +165,53 @@ def nnls_gram(
     return x, residual(x)
 
 
+def scaled_cholesky(block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(s, L) with s = 1/sqrt(diag G) and S G S = L Lᵀ for a Gram block G, or
+    None when a squared pivot of L is at most ``DEPENDENT`` (or G is not
+    positive definite): then some column depends on the others."""
+    diagonal = np.diag(block)
+    if not np.all(diagonal > 0.0):
+        return None
+    scale = 1.0 / np.sqrt(diagonal)
+    try:
+        chol = np.linalg.cholesky(block * scale[:, None] * scale)
+    except np.linalg.LinAlgError:
+        return None
+    return (scale, chol) if np.all(np.diag(chol) ** 2 > DEPENDENT) else None
+
+
+def solve_block(cols: np.ndarray, block: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G⁻¹ rhs for the Gram block G of variables ``cols``, without forming an
+    inverse. Raises as ``PassiveFactor.border`` does, naming the first
+    dependent column."""
+    if not cols.size:
+        return np.zeros(0)
+    cholesky = scaled_cholesky(block)
+    if cholesky is None:
+        # Names the dependent column, or factors a block just past the bound.
+        return PassiveFactor.of_block(cols, block).solve(rhs)
+    scale, chol = cholesky
+    return cholesky_solve(chol, rhs * scale) * scale
+
+
+def cholesky_solve(chol: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(L Lᵀ)⁻¹ rhs for lower triangular L: forward, then back substitution,
+    32 rows at a time. numpy has no triangular solve, and a dense solve
+    would factor the block again; here each step solves one small diagonal
+    block after a product with the rows already found. (32 rows ran fastest
+    of 16 to 128 for 100 to 700 passive columns.)"""
+    k, width = rhs.size, 32
+    y = np.empty(k)
+    for s in range(0, k, width):
+        e = min(s + width, k)
+        y[s:e] = np.linalg.solve(chol[s:e, s:e], rhs[s:e] - chol[s:e, :s] @ y[:s])
+    x = np.empty(k)
+    for e in range(k, 0, -width):
+        s = max(e - width, 0)
+        x[s:e] = np.linalg.solve(chol[s:e, s:e].T, y[s:e] - chol[e:, s:e].T @ x[e:])
+    return x
+
+
 class PassiveFactor:
     """Inverse Cholesky factor of the passive Gram block, in entry order.
 
@@ -147,23 +229,11 @@ class PassiveFactor:
 
     @classmethod
     def of_block(cls, cols: np.ndarray, block: np.ndarray) -> PassiveFactor:
-        """The factor of variables ``cols`` with Gram block ``block``, from one
-        Cholesky factorization. Raises as ``border`` does, naming the first
+        """The factor of variables ``cols`` with Gram block ``block``, bordered
+        one column at a time. Raises as ``border`` does, naming the first
         dependent column."""
-        k = len(cols)
-        factor = cls(2 * k)
-        diagonal = np.diag(block)
-        if np.all(diagonal > 0.0):
-            scale = 1.0 / np.sqrt(diagonal)
-            try:
-                chol = np.linalg.cholesky(block * scale[:, None] * scale)
-            except np.linalg.LinAlgError:
-                chol = None
-            if chol is not None and np.all(np.diag(chol) ** 2 > DEPENDENT):
-                factor._m[:k, :k] = np.tril(np.linalg.inv(chol))
-                factor._cols[:k], factor._scale[:k], factor.k = cols, scale, k
-                return factor
-        for i, j in enumerate(cols.tolist()):  # one at a time, to name the column
+        factor = cls(2 * len(cols))
+        for i, j in enumerate(cols.tolist()):
             factor.border(j, block[: i + 1, i])
         return factor
 

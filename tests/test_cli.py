@@ -453,6 +453,48 @@ class TestConfigValidation:
         )
 
 
+class TestCorrelationErrorsLocated:
+    """A period whose correlation cannot be taken names the prices file and
+    the period, from ``network`` (every period) and ``simulate`` (the model
+    period, P1) alike."""
+
+    COMMANDS = [["network", "--method", "nnet"], ["simulate"]]
+
+    def run(self, workspace, command):
+        return main(command + ["--config", str(workspace / "config.json"),
+                               "--out-dir", str(workspace / "out")])
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["network", "simulate"])
+    def test_zero_variance_ticker(self, workspace, capsys, command):
+        # S04 closes at 50 every week and pays no dividend: its returns are all 0.
+        prices = workspace / "prices.csv"
+        lines = prices.read_text().splitlines()
+        lines[1:] = [l.rsplit(",", 1)[0] + ",50.000000" if ",S04," in l else l
+                     for l in lines[1:]]
+        prices.write_text("\n".join(lines) + "\n")
+        dividends = workspace / "dividends.csv"
+        dividends.write_text("".join(l for l in dividends.read_text().splitlines(True)
+                                     if not l.startswith("S04,")))
+        assert self.run(workspace, command) == 2
+        assert capsys.readouterr().err == (
+            f"error: {prices}: period 'P1': ticker S04 has zero-variance returns\n")
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["network", "simulate"])
+    def test_period_too_short(self, workspace, capsys, command):
+        # P1 runs over three weekly closes, which give two weekly returns.
+        path = workspace / "periods.json"
+        periods = json.loads(path.read_text())
+        dates = [l.split(",", 1)[0] for l in (workspace / "prices.csv").read_text().splitlines()]
+        periods[0]["end"] = sorted(set(dates[1:]))[2]
+        path.write_text(json.dumps(periods))
+        assert self.run(workspace, command) == 2
+        assert capsys.readouterr().err == (
+            f"error: {workspace / 'prices.csv'}: period 'P1': "
+            "needs at least 3 weekly returns, has 2\n")
+        assert not (workspace / "out").exists()
+
+
 class TestUnreadableInput:
     """A field longer than ``csv.field_size_limit()`` or a byte that is not
     UTF-8 fails as a located error, in every CSV a command reads."""

@@ -1,6 +1,6 @@
 """Golden outputs of the simulation engine and of Neighbor-Net.
 
-Five goldens live under tests/data/:
+Six goldens live under tests/data/:
 
 - ``simulate_seed9/``: the report, Levene and markdown files that
   ``simulate --seed 9`` writes on the criterion-9 fixture, compared byte
@@ -18,6 +18,9 @@ Five goldens live under tests/data/:
 - ``neighbornet_large.json``: the same record for two seeded block-factor
   distance matrices at n = 64 and n = 100, the sizes where the split fit
   runs hundreds of active-set steps, checked with the same tolerances;
+- ``neighbornet_scale.json``: the same record at n = 240, written by the
+  one-split-per-step fit and the per-merge re-gathered ordering; the cycle
+  and split set must match exactly, weights within 1e-6;
 - ``clusters_ties.json``: the average-linkage merges (heights as ``repr``)
   and the hub-mode MST clusters for k in {2, 4} on 32 seeded distance
   matrices (n = 5..60) rounded to steps of 1/2, 1/4, 1/10 or 1/50, so most
@@ -45,7 +48,7 @@ import pytest
 from netfolio.clusters import ClusterError, pair_by_size, renumber
 from netfolio.correlation import DistanceMatrix
 from netfolio.market_data import BlockModelSpec, ReturnPanel, StudyPeriod
-from netfolio import neighbor_net
+from netfolio import neighbor_net, nnls
 from netfolio.neighbor_net import fit_split_weights, neighbornet_ordering
 from netfolio.portfolio_sim import (
     Strategy,
@@ -65,6 +68,8 @@ SIM_FILES = ("report_P1_P2.csv", "levene_P1_P2.csv", "report_P1_P2.md")
 NN_FILE = DATA / "neighbornet_cases.json"
 NN_LARGE_FILE = DATA / "neighbornet_large.json"
 NN_LARGE_SIZES = (64, 100)
+NN_SCALE_FILE = DATA / "neighbornet_scale.json"
+NN_SCALE_SIZE = 240
 TIES_FILE = DATA / "clusters_ties.json"
 TIE_CASES = 32
 TIE_STEPS = (2, 4, 10, 50)
@@ -198,6 +203,10 @@ def nn_large_golden_text() -> str:
     return json.dumps({"cases": cases}) + "\n"
 
 
+def nn_scale_golden_text() -> str:
+    return json.dumps({"cases": [nn_case(NN_SCALE_SIZE, nn_large_distance(NN_SCALE_SIZE))]}) + "\n"
+
+
 def tie_distance(case: int) -> DistanceMatrix:
     """Seeded distance matrix of tie case ``case``: n runs 5..60; even cases are
     uniform noise, odd ones a block-factor correlation distance, all rounded to
@@ -296,6 +305,49 @@ def test_split_fit_prefix_reads_halved(index, cap, monkeypatch):
     cycle = json.loads(NN_LARGE_FILE.read_text())["cases"][index]["cycle"]
     fit_split_weights(nn_large_distance(NN_LARGE_SIZES[index]), tuple(cycle))
     assert len(calls) <= cap
+
+
+def count_fit_calls(monkeypatch) -> tuple[list, list]:
+    """Lists that grow by one per prefix read (A·x or Aᵀ·y) of the split fit
+    and per ``PassiveFactor.border`` call: the block steps never make one,
+    so only the Lawson-Hanson hand-off or a dependent column does."""
+    reads, borders = [], []
+    for name in ("matvec", "rmatvec"):
+        real = getattr(neighbor_net.SplitOperators, name)
+        monkeypatch.setattr(neighbor_net.SplitOperators, name,
+                            lambda self, v, real=real: reads.append(1) or real(self, v))
+    border = nnls.PassiveFactor.border
+    monkeypatch.setattr(nnls.PassiveFactor, "border",
+                        lambda self, j, column: borders.append(j) or border(self, j, column))
+    return reads, borders
+
+
+@pytest.mark.parametrize("index", range(len(NN_LARGE_SIZES)))
+def test_split_fit_block_steps_read_bound(index, monkeypatch):
+    # Block pivoting from A⁻¹b's largest weights reaches the optimum in 24
+    # and 26 prefix reads at n = 64 and 100, where one split per
+    # Lawson-Hanson step took 262 and 418, and never hands over.
+    reads, borders = count_fit_calls(monkeypatch)
+    cycle = json.loads(NN_LARGE_FILE.read_text())["cases"][index]["cycle"]
+    fit_split_weights(nn_large_distance(NN_LARGE_SIZES[index]), tuple(cycle))
+    assert len(reads) <= 40 and not borders
+
+
+def test_neighbornet_scale_matches_golden(monkeypatch):
+    # At n = 240 the golden was written by the one-split-per-step fit, in
+    # 1,056 prefix reads; the block steps take 34.
+    want = json.loads(NN_SCALE_FILE.read_text())["cases"][0]
+    dist = nn_large_distance(NN_SCALE_SIZE)
+    cycle = neighbornet_ordering(dist)
+    assert list(cycle) == want["cycle"]
+    reads, borders = count_fit_calls(monkeypatch)
+    system = fit_split_weights(dist, cycle)
+    assert len(reads) <= 60 and not borders
+    got = [[s.start, s.length, s.weight] for s in system.splits]
+    assert [s[:2] for s in got] == [s[:2] for s in want["splits"]]
+    np.testing.assert_allclose([s[2] for s in got], [s[2] for s in want["splits"]],
+                               rtol=0, atol=1e-6)
+    assert system.residual == pytest.approx(want["residual"], rel=1e-9)
 
 
 def neumaier_sum(values, start=0):
@@ -400,4 +452,5 @@ if __name__ == "__main__":
     DRAWS_FILE.write_text(drawn_tickers())
     NN_FILE.write_text(nn_golden_text())
     NN_LARGE_FILE.write_text(nn_large_golden_text())
+    NN_SCALE_FILE.write_text(nn_scale_golden_text())
     TIES_FILE.write_text(ties_golden_text())

@@ -11,6 +11,7 @@ import pytest
 import scipy.optimize
 
 from netfolio.neighbor_net import SplitOperators
+from netfolio import nnls
 from netfolio.nnls import NNLSConvergenceError, PassiveFactor, nnls_gram
 from nn_reference import split_design_matrix
 from test_golden import NN_CASES, NN_FILE, nn_distance
@@ -290,3 +291,20 @@ def test_two_columns_leave_in_one_step():
     np.testing.assert_allclose(x, [0.0, 0.0, 5.0], atol=1e-12)
     assert res == pytest.approx(2.0)
 
+
+def test_stalled_block_steps_hand_over_to_lawson_hanson(monkeypatch):
+    # From all four columns the block steps count 1, 3, 1 and 1 infeasible
+    # columns: the count has not fallen for three steps, so Lawson-Hanson
+    # runs from x = 0, one column per step, to scipy's optimum.
+    A = np.array([[1.0, -1.0, 1.0, 1.0], [0.0, 1.0, -2.0, -1.0], [-1.0, 3.0, 1.0, 3.0],
+                  [3.0, -3.0, 0.0, 2.0], [-3.0, 2.0, 3.0, 0.0]])
+    b = np.array([4.0, 3.0, -4.0, 2.0, 1.0])
+    entered = []
+    border = PassiveFactor.border
+    monkeypatch.setattr(nnls.PassiveFactor, "border",
+                        lambda self, j, column: entered.append(j) or border(self, j, column))
+    x, res = dense_nnls(A, b, start=np.arange(4))
+    assert entered == [0, 2]  # only the hand-off borders: it enters 0, then 2
+    x_ref, res_ref = scipy.optimize.nnls(A, b)
+    np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-12)
+    assert res == pytest.approx(res_ref, rel=1e-12)
