@@ -159,20 +159,15 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
     return tuple(dist.tickers[i] for i in order)
 
 
-def all_arc_splits(n: int) -> list[tuple[int, int]]:
-    """All n(n-1)/2 contiguous arcs not containing position 0."""
-    return [(s, length) for s in range(1, n) for length in range(1, n - s + 1)]
-
-
 class SplitOperators:
     """Products with the circular split matrix A of n positions in O(n²),
     without A (Bryant & Huson 2023).
 
-    Rows of A are the position pairs p<q and columns the arcs [s, e) in
-    ``all_arc_splits`` order; both orders are the row-major strict upper
-    triangle of an n x n grid. A product writes its input onto an
-    (n + 2) x (n + 2) grid, takes 2-D prefix sums P[a, c] (the sum of the
-    cells (i, j) with i <= a and j <= c) and reads
+    Rows of A are the position pairs p<q and columns the arcs [s, e) not
+    containing position 0, arc [p + 1, q + 1) in column p<q: both orders are
+    the row-major strict upper triangle of an n x n grid. A product writes
+    its input onto an (n + 2) x (n + 2) grid, takes 2-D prefix sums P[a, c]
+    (the sum of the cells (i, j) with i <= a and j <= c) and reads
     2P[i, j] - P[i, i] - P[j, j] + P[j, n + 1] - P[i, n + 1] for every i < j
     of the triangle. For A·x the grid holds arc [s, e) at (s + 1, e + 1), and
     i, j are p + 1, q + 1; for Aᵀ·y it holds pair p<q at (p + 1, q + 1), and
@@ -181,9 +176,9 @@ class SplitOperators:
 
     def __init__(self, n: int):
         self.n = n
-        self.starts, self.lengths = np.array(all_arc_splits(n)).T
-        self.ends = self.starts + self.lengths
         self.p, self.q = np.triu_indices(n, 1)
+        self.starts, self.lengths = self.p + 1, self.q - self.p
+        self.ends = self.starts + self.lengths
         self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
         self._grid = np.empty((n + 2, n + 2))
         self._out = np.empty((n, n))

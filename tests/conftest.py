@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from netfolio.correlation import DistanceMatrix
-from netfolio.neighbor_net import all_arc_splits
 from netfolio.tree_cluster import SpanningTree
+from nn_reference import all_arc_splits
 
 
 def canonical_cycle(order: tuple[str, ...]) -> tuple[str, ...]:

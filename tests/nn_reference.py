@@ -1,7 +1,8 @@
-"""Loop-form references for Neighbor-Net: the ordering and the split design
-matrix as first written, one Python-level distance or entry at a time. The
-package's vectorized ordering, and the vectorized design matrix kept here as
-the oracle of the fit's matrix-free products, must agree with them exactly."""
+"""Loop-form references for Neighbor-Net: the ordering, the arc list and the
+split design matrix as first written, one Python-level distance or entry at
+a time. The package's vectorized ordering and arc order, and the vectorized
+design matrix kept here as the oracle of the fit's matrix-free products, must
+agree with them exactly."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ from itertools import combinations
 import numpy as np
 
 from netfolio.correlation import DistanceMatrix
-from netfolio.neighbor_net import all_arc_splits
 
 
 def loop_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
@@ -110,6 +110,12 @@ def loop_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
     if sorted(order) != list(range(n)):
         raise AssertionError("expansion did not yield a permutation of the taxa")
     return tuple(dist.tickers[i] for i in order)
+
+
+def all_arc_splits(n: int) -> list[tuple[int, int]]:
+    """All n(n-1)/2 contiguous arcs (start, length) not containing position
+    0, in the column order of ``SplitOperators``."""
+    return [(s, length) for s in range(1, n) for length in range(1, n - s + 1)]
 
 
 def split_design_matrix(n: int) -> np.ndarray:

@@ -307,30 +307,35 @@ def test_split_fit_prefix_reads_halved(index, cap, monkeypatch):
     assert len(calls) <= cap
 
 
-def count_fit_calls(monkeypatch) -> tuple[list, list]:
-    """Lists that grow by one per prefix read (A·x or Aᵀ·y) of the split fit
-    and per ``PassiveFactor.border`` call: the block steps never make one,
-    so only the Lawson-Hanson hand-off or a dependent column does."""
-    reads, borders = [], []
+def count_fit_calls(monkeypatch, n: int) -> list:
+    """A list that grows by one per prefix read (A·x or Aᵀ·y) of the split
+    fit. The fit of n taxa runs with the backup rule out of reach
+    (``STALL_STEPS`` = n + 1) and a dependent-column search that fails, so
+    block steps alone, none deferring a column, must reach the optimum."""
+    reads = []
     for name in ("matvec", "rmatvec"):
         real = getattr(neighbor_net.SplitOperators, name)
         monkeypatch.setattr(neighbor_net.SplitOperators, name,
                             lambda self, v, real=real: reads.append(1) or real(self, v))
-    border = nnls.PassiveFactor.border
-    monkeypatch.setattr(nnls.PassiveFactor, "border",
-                        lambda self, j, column: borders.append(j) or border(self, j, column))
-    return reads, borders
+    monkeypatch.setattr(nnls, "STALL_STEPS", n + 1)
+
+    def no_dependent(block, known):
+        raise AssertionError("a passive block has a dependent column")
+
+    monkeypatch.setattr(nnls, "first_dependent", no_dependent)
+    return reads
 
 
 @pytest.mark.parametrize("index", range(len(NN_LARGE_SIZES)))
 def test_split_fit_block_steps_read_bound(index, monkeypatch):
     # Block pivoting from A⁻¹b's largest weights reaches the optimum in 24
     # and 26 prefix reads at n = 64 and 100, where one split per
-    # Lawson-Hanson step took 262 and 418, and never hands over.
-    reads, borders = count_fit_calls(monkeypatch)
+    # Lawson-Hanson step took 262 and 418.
+    n = NN_LARGE_SIZES[index]
+    reads = count_fit_calls(monkeypatch, n)
     cycle = json.loads(NN_LARGE_FILE.read_text())["cases"][index]["cycle"]
-    fit_split_weights(nn_large_distance(NN_LARGE_SIZES[index]), tuple(cycle))
-    assert len(reads) <= 40 and not borders
+    fit_split_weights(nn_large_distance(n), tuple(cycle))
+    assert len(reads) <= 40
 
 
 def test_neighbornet_scale_matches_golden(monkeypatch):
@@ -340,9 +345,9 @@ def test_neighbornet_scale_matches_golden(monkeypatch):
     dist = nn_large_distance(NN_SCALE_SIZE)
     cycle = neighbornet_ordering(dist)
     assert list(cycle) == want["cycle"]
-    reads, borders = count_fit_calls(monkeypatch)
+    reads = count_fit_calls(monkeypatch, NN_SCALE_SIZE)
     system = fit_split_weights(dist, cycle)
-    assert len(reads) <= 60 and not borders
+    assert len(reads) <= 60
     got = [[s.start, s.length, s.weight] for s in system.splits]
     assert [s[:2] for s in got] == [s[:2] for s in want["splits"]]
     np.testing.assert_allclose([s[2] for s in got], [s[2] for s in want["splits"]],

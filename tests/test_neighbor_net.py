@@ -13,7 +13,6 @@ from netfolio.correlation import DistanceMatrix
 from netfolio.neighbor_net import (
     NeighborNetError,
     SplitOperators,
-    all_arc_splits,
     adjacent_gaps,
     fit_split_weights,
     neighbornet_ordering,
@@ -28,7 +27,7 @@ from conftest import (
     random_distance_matrix,
     split_weight_table,
 )
-from nn_reference import loop_design_matrix, loop_ordering, split_design_matrix
+from nn_reference import all_arc_splits, loop_design_matrix, loop_ordering, split_design_matrix
 
 
 def matrix(tickers, entries):
@@ -152,6 +151,15 @@ class TestSplitFitting:
 class TestSplitOperators:
     """The prefix-sum products and the closed-form Gram block against the
     design matrix they stand for."""
+
+    def test_operator_arcs_follow_reference_order(self):
+        # The operators take their arcs from the pair triangle they already
+        # hold; the order must be the reference arc list's.
+        for n in range(3, 41):
+            ops = SplitOperators(n)
+            starts, lengths = np.array(all_arc_splits(n)).T
+            np.testing.assert_array_equal(ops.starts, starts)
+            np.testing.assert_array_equal(ops.lengths, lengths)
 
     @pytest.mark.parametrize("n", range(3, 41))
     def test_products_and_gram_equal_design_matrix(self, n):
