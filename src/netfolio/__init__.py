@@ -21,14 +21,12 @@ from .correlation import (
     ultrametric_distance,
 )
 from .market_data import (
-    BlockModelSpec,
     DividendTable,
     PricePanel,
     ReturnPanel,
     StudyPeriod,
     ingest,
     period_returns,
-    synthesize_panel,
     total_return_index,
 )
 from .neighbor_net import (
@@ -48,7 +46,6 @@ from .portfolio_sim import (
     default_industry_map,
     draw_matrices,
     random_plan,
-    run_simulation,
     score_period,
 )
 from .tree_cluster import (

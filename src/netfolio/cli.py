@@ -39,6 +39,7 @@ from .market_data import (
     DataError,
     ReturnPanel,
     StudyPeriod,
+    _decode,
     _parse_date,
     ingest,
     period_returns,
@@ -151,13 +152,16 @@ def check_section(path: str | Path, cfg: dict, section: str, rules: dict) -> dic
 
 
 def _load_json(path: str | Path) -> object:
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
+    with open(path, "rb") as fh:
+        text, bad = _decode(path, fh.read())
+    if bad is not None:
+        raise ConfigError(bad)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
 
 
 def load_config(path: str | Path) -> dict:

@@ -1,4 +1,4 @@
-"""Price/dividend ingestion, dividend-reinvested total returns, synthetic panels.
+"""Price/dividend ingestion and dividend-reinvested total returns.
 
 Prices are weekly closes. A dividend paid on date t is reinvested into the
 paying stock at that date's close, multiplying the share count by
@@ -11,10 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from datetime import date, datetime, timedelta
+from datetime import date, datetime
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,13 @@ class DataError(ValueError):
 def _date(text: str) -> date | None:
     """The ISO-8601 date a text spells, or None when it spells none."""
     try:
+        # ``fromisoformat`` reads exactly what ``strptime`` reads of ten ASCII
+        # characters shaped DDDD-DD-DD, and never imports ``_strptime``.
+        if (len(text) == 10 and text.isascii() and text[4] == text[7] == "-"
+                and (text[:4] + text[5:7] + text[8:]).isdigit()):
+            return date.fromisoformat(text)
         return datetime.strptime(text.strip(), "%Y-%m-%d").date()
-    except (AttributeError, ValueError):  # AttributeError: not a string
+    except (AttributeError, TypeError, ValueError):  # AttributeError, TypeError: not a string
         return None
 
 
@@ -131,8 +137,21 @@ class ReturnPanel:
         return self.total_return[self.period_index(label)]
 
 
+def _decode(path: str | Path, data: bytes) -> tuple[str, str | None]:
+    """A file's bytes as UTF-8 text, and the located message of the first
+    byte that does not decode, if one does not: then the text stops at the
+    start of that byte's line."""
+    try:
+        return data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        cut = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, cut) + 1
+        return data[:cut].decode("utf-8"), (
+            f"{path}:{line}: cannot decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})")
+
+
 def read_table(path: str | Path, header: tuple[str, ...]
-               ) -> tuple[list[int], tuple[list[str], ...], DataError | None]:
+               ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
     """Read a UTF-8 CSV file whose header must be ``header``, in one pass.
 
     Returns the file line each row starts on, one text list per header
@@ -140,38 +159,73 @@ def read_table(path: str | Path, header: tuple[str, ...]
     one did: a row of the wrong width, an undecodable byte or a malformed
     field (such as one longer than ``csv.field_size_limit()``). Blank rows
     are skipped; a wrong header raises at once.
+
+    The file is read once, and its text goes to one of two parsers. A text
+    that is one record per line (no ``"``, carriage return or NUL, every
+    line after the header of ``len(header)`` comma-separated fields, none
+    longer than ``csv.field_size_limit()``) is split with ``str.split``,
+    which reads it as ``csv.reader`` does. Any other text goes to
+    ``csv.reader``, so that alone reads quoted fields, CRLF and blank lines,
+    and locates a wrong width or an overlong field.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            return _read_rows(path, fh, header, None)
-        except UnicodeDecodeError:
-            # The text layer decodes ahead of the rows, so the bad byte's
-            # line is found in the bytes, and the rows before it read again.
-            fh.buffer.seek(0)
-            data = fh.buffer.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        cut = data.rfind(b"\n", 0, exc.start) + 1
-        line = data.count(b"\n", 0, cut) + 1
-        stop = DataError(f"{path}:{line}: cannot decode byte 0x{data[exc.start]:02x} as UTF-8 "
-                         f"({exc.reason})")
-    if not cut:
+    with open(path, "rb") as fh:
+        text, bad = _decode(path, fh.read())
+    stop = None if bad is None else DataError(bad)
+    if stop is not None and not text:
         raise stop
-    return _read_rows(path, io.StringIO(data[:cut].decode("utf-8"), newline=""), header, stop)
+    lines = _record_lines(text, len(header))
+    if lines is None:
+        return _read_rows(path, io.StringIO(text, newline=""), header, stop)
+    del text  # freed before the fields are built
+    return _split_rows(path, lines, header, stop)
+
+
+def _check_header(path: str | Path, head: list[str] | None, header: tuple[str, ...]) -> None:
+    if head is None or tuple(h.strip() for h in head) != header:
+        raise DataError(f"{path}: expected header '{','.join(header)}'")
+
+
+def _record_lines(text: str, width: int) -> list[str] | None:
+    """The lines of a CSV text that is one record per line, each line of
+    ``width`` fields; None for any other text."""
+    # A line of one field may be empty, which ``csv.reader`` skips.
+    if width < 2 or '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the final line break
+    if (set(map(str.count, lines, repeat(","))) <= {width - 1}
+            and max(map(len, lines), default=0) <= csv.field_size_limit()):
+        return lines
+    return None
+
+
+def _split_rows(path: str | Path, lines: list[str], header: tuple[str, ...],
+                stop: DataError | None
+                ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
+    """``read_table`` of a text's ``_record_lines``, which it empties: row i
+    is on line i + 2."""
+    _check_header(path, lines[0].split(",") if lines else None, header)
+    del lines[0]
+    # Every field of the file from one split; each intermediate is freed
+    # before the next is built.
+    body = ",".join(lines)
+    lines.clear()
+    flat = body.split(",") if body else []
+    del body
+    width = len(header)
+    return range(2, len(flat) // width + 2), tuple(flat[k::width] for k in range(width)), stop
 
 
 def _read_rows(path: str | Path, text: Iterable[str], header: tuple[str, ...],
                stop: DataError | None
                ) -> tuple[list[int], tuple[list[str], ...], DataError | None]:
-    """``read_table`` of these lines of the file; ``stop`` ends the read
-    unless a line does first."""
+    """``read_table`` of these lines of the file by ``csv.reader``; ``stop``
+    ends the read unless a line does first."""
     width, flat, lines = len(header), [], []
     reader = csv.reader(text)
     try:
-        head = next(reader, None)
-        if head is None or tuple(h.strip() for h in head) != header:
-            raise DataError(f"{path}: expected header '{','.join(header)}'")
+        _check_header(path, next(reader, None), header)
         # One flat list, sliced into columns at the end, costs less than an
         # append per field. A row is named by the line its record starts on:
         # a quoted field may hold line breaks.
@@ -203,7 +257,7 @@ def _member(texts: list[str], bad: set[str]) -> np.ndarray | None:
     return np.fromiter(map(bad.__contains__, texts), bool, len(texts)) if bad else None
 
 
-def _raise_first(path: Path, lines: list[int], stop: DataError | None, checks: list) -> None:
+def _raise_first(path: Path, lines: Sequence[int], stop: DataError | None, checks: list) -> None:
     """Raise the error of the first row of a ``read_table`` read that fails a
     check, a row's checks taken in list order; without one, raise ``stop``.
 
@@ -341,105 +395,3 @@ def period_returns(
         total[k] = 100.0 * (seg[-1] / seg[0] - 1.0)
         weekly.append(seg[1:] / seg[:-1] - 1.0)
     return ReturnPanel(panel.tickers, periods, total, tuple(weekly))
-
-
-@dataclass(frozen=True)
-class BlockModelSpec:
-    """Block-factor model for synthetic panels.
-
-    Stocks in the same block share a common factor scaled by that block's
-    loading; within-block correlation is loading^2*factor_vol^2 over total
-    variance, cross-block correlation is zero in expectation. ``block_drift``
-    adds a deterministic weekly mean return per block.
-    """
-
-    block_sizes: tuple[int, ...]
-    loadings: tuple[float, ...]
-    idio_vol: float
-    weeks: int
-    factor_vol: float = 0.02
-    block_drift: tuple[float, ...] = ()
-    start_price: float = 100.0
-    start: date = date(2001, 1, 2)
-    dividend_every: int = 0  # weeks between dividends; 0 disables
-    dividend_yield: float = 0.005  # per-payment fraction of price
-
-    def __post_init__(self) -> None:
-        if len(self.loadings) != len(self.block_sizes):
-            raise DataError("one loading per block required")
-        if self.block_drift and len(self.block_drift) != len(self.block_sizes):
-            raise DataError("one drift per block required")
-        if self.idio_vol <= 0 or self.factor_vol <= 0:
-            raise DataError("volatilities must be positive")
-        if self.weeks < 2 or any(s < 1 for s in self.block_sizes):
-            raise DataError("need at least 2 weeks and non-empty blocks")
-
-    @property
-    def loading_matrix(self) -> np.ndarray:
-        n = sum(self.block_sizes)
-        mat = np.zeros((n, len(self.block_sizes)))
-        row = 0
-        for b, size in enumerate(self.block_sizes):
-            mat[row : row + size, b] = self.loadings[b]
-            row += size
-        return mat
-
-    @property
-    def drift_vector(self) -> np.ndarray:
-        drift = self.block_drift or (0.0,) * len(self.block_sizes)
-        return np.repeat(drift, self.block_sizes)
-
-
-def panel_from_loadings(
-    loadings: np.ndarray,
-    idio_vol: float,
-    weeks: int,
-    seed: int,
-    *,
-    factor_vol: float = 0.02,
-    drift: np.ndarray | None = None,
-    tickers: tuple[str, ...] | None = None,
-    start: date = date(2001, 1, 2),
-    start_price: float = 100.0,
-    dividend_every: int = 0,
-    dividend_yield: float = 0.005,
-) -> tuple[PricePanel, DividendTable]:
-    """Synthesize a weekly panel from an explicit (stocks x factors) loading matrix."""
-    if idio_vol <= 0:
-        raise DataError("idiosyncratic volatility must be positive")
-    loadings = np.asarray(loadings, dtype=float)
-    n, n_factors = loadings.shape
-    if tickers is None:
-        tickers = tuple(f"S{i:02d}" for i in range(n))
-    rng = np.random.default_rng(seed)
-    factors = rng.normal(0.0, factor_vol, size=(weeks, n_factors))
-    idio = rng.normal(0.0, idio_vol, size=(weeks, n))
-    returns = factors @ loadings.T + idio
-    if drift is not None:
-        returns = returns + np.asarray(drift)[None, :]
-    returns = np.clip(returns, -0.5, None)  # keep prices positive
-    prices = start_price * np.vstack([np.ones(n), np.cumprod(1.0 + returns, axis=0)])
-    dates = tuple(start + timedelta(weeks=w) for w in range(weeks + 1))
-    panel = PricePanel(tickers, dates, prices)
-    entries: list[Dividend] = []
-    if dividend_every > 0:
-        for w in range(dividend_every, weeks + 1, dividend_every):
-            for j, t in enumerate(tickers):
-                entries.append(Dividend(t, dates[w], dividend_yield * prices[w, j]))
-    return panel, DividendTable(tuple(entries))
-
-
-def synthesize_panel(spec: BlockModelSpec, seed: int) -> tuple[PricePanel, DividendTable]:
-    """Deterministic synthetic panel from a block-factor model."""
-    return panel_from_loadings(
-        spec.loading_matrix,
-        spec.idio_vol,
-        spec.weeks,
-        seed,
-        factor_vol=spec.factor_vol,
-        drift=spec.drift_vector,
-        start=spec.start,
-        start_price=spec.start_price,
-        dividend_every=spec.dividend_every,
-        dividend_yield=spec.dividend_yield,
-    )

@@ -26,8 +26,7 @@ numpy.random. numpy takes Floyd's branch unless n > 10,000 and m > n // 50;
 ``DrawPlan.check`` refuses that one case, a random plan over more than
 10,000 tickers, which no command reaches. Each block becomes a (reps x m)
 matrix of ReturnPanel columns, drawn once and scored on every test period
-with one gather and mean (``score_period``); ``run_simulation`` does both
-for one block. The engine is single-threaded.
+with one gather and mean (``score_period``). The engine is single-threaded.
 """
 
 from __future__ import annotations
@@ -378,11 +377,3 @@ def score_period(strategy: str, columns: np.ndarray, returns: ReturnPanel,
     """Score one draw_matrices block on one period: each row's mean return (%)."""
     row = returns.returns_for(period)
     return SimulationRun(strategy, columns.shape[1], period, row[columns].mean(axis=1))
-
-
-def run_simulation(strategy: Strategy, returns: ReturnPanel, period: str, m: int,
-                   reps: int = 1000, seed: int = 0) -> SimulationRun:
-    """reps independent draws scored by their mean period return;
-    deterministic for fixed (seed, strategy, m)."""
-    columns = draw_matrices([strategy], returns, [m], reps, seed)[0]
-    return score_period(strategy.name, columns, returns, period)

@@ -19,14 +19,7 @@ from scipy import integrate, stats
 
 from netfolio.analytics import f_tail, levene_test, sharpe_ratio
 from netfolio.correlation import pearson_correlation, ultrametric_distance
-from netfolio.market_data import (
-    BlockModelSpec,
-    ReturnPanel,
-    StudyPeriod,
-    panel_from_loadings,
-    period_returns,
-    synthesize_panel,
-)
+from netfolio.market_data import ReturnPanel, StudyPeriod, period_returns
 from netfolio.neighbor_net import (
     fit_split_weights,
     neighbornet_ordering,
@@ -39,7 +32,6 @@ from netfolio.portfolio_sim import (
     default_industry_map,
     draw_matrices,
     random_plan,
-    run_simulation,
 )
 from netfolio.tree_cluster import (
     average_linkage_hct,
@@ -56,6 +48,7 @@ from conftest import (
     tree_weight,
 )
 from nn_reference import split_design_matrix
+from synthetic import BlockModelSpec, panel_from_loadings, run_simulation, synthesize_panel
 from test_cli import write_panel_csvs
 from test_tree_cluster import (
     brute_force_mst_weight,

@@ -14,7 +14,7 @@ import pytest
 import netfolio
 from netfolio import cli, neighbor_net
 from netfolio.cli import main
-from netfolio.market_data import BlockModelSpec, synthesize_panel
+from synthetic import BlockModelSpec, synthesize_panel
 
 
 def write_panel_csvs(tmp_path, spec, seed=0):
@@ -328,6 +328,14 @@ class TestConfigValidation:
             "Expecting property name enclosed in double quotes\n"
         )
 
+    def test_undecodable_config_located(self, workspace, capsys):
+        path = workspace / "config.json"
+        path.write_bytes(path.read_bytes().replace(b'"clustering"', b'"cl\xffustering"'))
+        line = path.read_bytes().split(b"\xff")[0].count(b"\n") + 1
+        assert main(["returns", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: cannot decode byte 0xff as UTF-8 (invalid start byte)\n")
+
     def test_repeated_period_label_rejected(self, workspace, capsys):
         path = workspace / "periods.json"
         periods = json.loads(path.read_text())
@@ -451,6 +459,13 @@ class TestConfigValidation:
             f"error: {path}: invalid JSON at line 2 column 18: "
             "Expecting property name enclosed in double quotes\n"
         )
+
+    def test_undecodable_periods_located(self, workspace, capsys):
+        path = workspace / "periods.json"
+        path.write_bytes(b'[\n  {"label": "P\xff1"}\n]\n')
+        assert main(["returns", "--config", str(workspace / "config.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: cannot decode byte 0xff as UTF-8 (invalid start byte)\n")
 
 
 class TestCorrelationErrorsLocated:

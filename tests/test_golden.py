@@ -47,7 +47,7 @@ import pytest
 
 from netfolio.clusters import ClusterError, pair_by_size, renumber
 from netfolio.correlation import DistanceMatrix
-from netfolio.market_data import BlockModelSpec, ReturnPanel, StudyPeriod
+from netfolio.market_data import ReturnPanel, StudyPeriod
 from netfolio import neighbor_net, nnls
 from netfolio.neighbor_net import fit_split_weights, neighbornet_ordering
 from netfolio.portfolio_sim import (
@@ -59,6 +59,7 @@ from netfolio.portfolio_sim import (
 )
 from netfolio.tree_cluster import average_linkage_hct, minimum_spanning_tree, mst_clusters
 from draw_reference import draw_row, replication_rng
+from synthetic import BlockModelSpec
 from test_cli import write_panel_csvs
 
 DATA = Path(__file__).parent / "data"

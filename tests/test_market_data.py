@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import tempfile
 from bisect import bisect_left
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +19,21 @@ from ingest_reference import _ingest_rows
 
 from netfolio.cli import main
 from netfolio.market_data import (
-    BlockModelSpec,
     DataError,
     Dividend,
     DividendTable,
     PricePanel,
     StudyPeriod,
+    _date,
+    _read_rows,
+    _record_lines,
+    _split_rows,
     ingest,
     period_returns,
-    synthesize_panel,
+    read_table,
     total_return_index,
 )
+from synthetic import BlockModelSpec, synthesize_panel
 
 
 def write_csvs(tmp_path, price_rows, div_rows):
@@ -343,8 +348,12 @@ def valid_inputs(draw):
     """A valid price and dividend file pair as lists of CSV rows (lists of
     encoded fields), and the panel's (dates, tickers) shape. Rows come in any
     order; dates and tickers are spelled in several ways that read as the
-    same value."""
-    tickers = draw(st.lists(st.text(TICKER_CHARS, min_size=1, max_size=4), min_size=1,
+    same value. A plain draw quotes no field, so that its text can be one
+    record per line."""
+    plain = draw(st.booleans())
+    quote = st.just(False) if plain else st.booleans()
+    chars = TICKER_CHARS.replace(",", "") if plain else TICKER_CHARS
+    tickers = draw(st.lists(st.text(chars, min_size=1, max_size=4), min_size=1,
                             max_size=4, unique=True))
     offsets = draw(st.lists(st.integers(0, 3000), min_size=1, max_size=5, unique=True))
     dates = [date(2001, 1, 2) + timedelta(days=o) for o in offsets]
@@ -353,10 +362,10 @@ def valid_inputs(draw):
         for t in tickers:
             close = draw(st.floats(1e-3, 1e6))
             prices.append([
-                encode(draw(spelled_date(d)), draw(st.booleans())),
+                encode(draw(spelled_date(d)), draw(quote)),
                 encode(draw(st.sampled_from(["", " "])) + t + draw(st.sampled_from(["", "  "])),
-                       draw(st.booleans())),
-                encode(draw(spelled_number(close)), draw(st.booleans())),
+                       draw(quote)),
+                encode(draw(spelled_number(close)), draw(quote)),
             ])
     prices = draw(st.permutations(prices))
     first, last = min(dates), max(dates)
@@ -365,9 +374,9 @@ def valid_inputs(draw):
         paid = first + timedelta(days=draw(st.integers(0, (last - first).days)))
         amount = draw(st.floats(0.0, 10.0))
         dividends.append([
-            encode(" " + draw(st.sampled_from(tickers)), draw(st.booleans())),
-            encode(draw(spelled_date(paid)), draw(st.booleans())),
-            encode(draw(spelled_number(amount)), draw(st.booleans())),
+            encode(" " + draw(st.sampled_from(tickers)), draw(quote)),
+            encode(draw(spelled_date(paid)), draw(quote)),
+            encode(draw(spelled_number(amount)), draw(quote)),
         ])
     return prices, dividends, (len(dates), len(tickers))
 
@@ -375,9 +384,14 @@ def valid_inputs(draw):
 @st.composite
 def csv_text(draw, header: str, rows: list[list[str]]) -> str:
     """The file text: rows joined by one line ending, blank and
-    whitespace-only lines anywhere after the header."""
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    whitespace-only lines anywhere after the header. Or, when no field is
+    quoted and the draw says so, one record per line, with or without the
+    final line break: ``read_table`` splits such a text without csv.reader
+    when every row is of the header's width."""
     lines = [",".join(row) for row in rows]
+    if draw(st.booleans()) and not any('"' in line for line in lines):
+        return "\n".join([header] + lines) + draw(st.sampled_from(["\n", ""]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "   "])))
     return newline.join([header] + lines) + newline
@@ -512,3 +526,146 @@ class TestColumnarIngest:
         p, d = write_csvs(tmp_path, [f"{WEEK1},AAA,10", "2001-1-2,AAA,11"], [])
         with pytest.raises(DataError, match=r"prices\.csv:3: duplicate row for \(2001-01-02, AAA\)"):
             ingest(p, d)
+
+
+# --- The two parsers of a CSV text, and the two of a date ---------------------
+
+HEADER = ("date", "ticker", "close")
+LIMIT = csv.field_size_limit()
+
+
+def read_outcome(read):
+    """A read's lines, columns and stop message, or the message it raised."""
+    try:
+        lines, columns, stop = read()
+    except DataError as exc:
+        return str(exc)
+    return list(lines), columns, None if stop is None else str(stop)
+
+
+def both_parsers(text: str, header: tuple[str, ...] = HEADER):
+    """What ``str.split`` reads of a text (None when ``read_table`` would not
+    split it) and what ``csv.reader`` reads of it."""
+    lines = _record_lines(text, len(header))
+    by_csv = read_outcome(lambda: _read_rows("f.csv", io.StringIO(text, newline=""), header, None))
+    if lines is None:
+        return None, by_csv
+    return read_outcome(lambda: _split_rows("f.csv", lines, header, None)), by_csv
+
+
+class TestTwoParsers:
+    """``read_table`` splits a text that is one record per line with
+    ``str.split``; on every text it splits, ``csv.reader`` reads the same
+    lines, columns and stop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_inputs(), st.booleans(), st.data())
+    def test_fuzzed_files(self, inputs, corrupted, data):
+        prices, dividends, shape = inputs
+        if corrupted:
+            corrupt(data.draw, prices, dividends, shape)
+        text = data.draw(csv_text(",".join(HEADER), prices))
+        split, by_csv = both_parsers(text)
+        assert split is None or split == by_csv
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["date,ticker,close\n", " date , ticker,close\n", ""]),
+           st.text('ab ,\n\r"\x00\x0b ', max_size=30))
+    def test_any_text(self, head, rest):
+        split, by_csv = both_parsers(head + rest)
+        assert split is None or split == by_csv
+
+    def test_fuzz_reaches_both_parsers(self):
+        split = set()
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(valid_inputs(), st.data())
+        def draw(inputs, data):
+            text = data.draw(csv_text(",".join(HEADER), inputs[0]))
+            split.add(_record_lines(text, len(HEADER)) is not None)
+
+        draw()
+        assert split == {True, False}
+
+    @pytest.mark.parametrize("text,splits", [
+        ("date,ticker,close\n", True),
+        ("date,ticker,close", True),
+        ("", True),
+        ("date,ticker,close\n2001-01-02,A,1\n2001-01-09,A,2", True),
+        ("date,ticker,close\n2001-01-02, A ,1\n2001-01-09,B,x\n", True),
+        ("date,ticker,price\n2001-01-02,A,1\n", True),
+        ("date,ticker,close\n2001-01-02,A,1\n2001-01-09,A\n", False),
+        ("date,ticker,close\n2001-01-02,A\x00,1\n", False),
+        ("date,ticker,close\n2001-01-02,A," + "9" * LIMIT + "\n", False),
+        ("date,ticker,close\n2001-01-02,A," + "9" * (LIMIT + 1) + "\n", False),
+        ("date,ticker,close\n2001-01-02,A," + "9" * (LIMIT - 13) + "\n", True),
+        ("date,ticker,close\n2001-01-02,A," + "9" * (LIMIT - 12) + "\n", False),
+        ("date,ticker,close\r2001-01-02,A,1\r2001-01-09,A,2\r", False),
+        ("date,ticker,close\r\n2001-01-02,A,1\r\n", False),
+        ("date,ticker,close\n   \n2001-01-02,A,1\n", False),
+        ("date,ticker,close\n2001-01-02,A,1\n\n", False),
+        ('date,ticker,close\n2001-01-02,"A",1\n', False),
+    ], ids=["header-only", "header-only-no-newline", "empty", "no-final-newline",
+            "padded-and-bad-fields", "wrong-header", "short-row", "nul", "field-at-limit",
+            "field-over-limit", "line-at-limit", "line-over-limit", "cr-only", "crlf", "whitespace-line",
+            "blank-last-line", "quoted"])
+    def test_edge_texts(self, tmp_path, text, splits):
+        """The same result from ``read_table`` as from ``csv.reader`` alone,
+        through the parser each text selects. (3.10's csv.reader raises at a
+        NUL byte and later versions read it; ``read_table`` does the same.)"""
+        assert (_record_lines(text, len(HEADER)) is not None) == splits
+        path = tmp_path / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        by_csv = read_outcome(
+            lambda: _read_rows(path, io.StringIO(text, newline=""), HEADER, None))
+        assert read_outcome(lambda: read_table(path, HEADER)) == by_csv
+        split, by_csv_alone = both_parsers(text)
+        assert split is None or split == by_csv_alone
+
+    @pytest.mark.parametrize("text", ["ticker\nA\n\n  \nB\n", "ticker\nA\nB\n"])
+    def test_one_column(self, tmp_path, text):
+        """A line of one field may be empty, which csv.reader skips."""
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        by_csv = read_outcome(
+            lambda: _read_rows(path, io.StringIO(text, newline=""), ("ticker",), None))
+        assert read_outcome(lambda: read_table(path, ("ticker",))) == by_csv
+
+    def test_header_only_has_no_rows(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("ticker,payment_date,amount\n")
+        lines, columns, stop = read_table(path, ("ticker", "payment_date", "amount"))
+        assert (list(lines), columns, stop) == ([], ([], [], []), None)
+
+
+def strptime_date(value: object) -> date | None:
+    """The date ``strptime`` reads from a stripped text; None for any other value."""
+    try:
+        return datetime.strptime(value.strip(), "%Y-%m-%d").date()
+    except (AttributeError, ValueError):
+        return None
+
+
+class TestDateParser:
+    """``_date`` reads ten-character ISO dates with ``date.fromisoformat`` and
+    every other value with ``strptime``; either way it reads what ``strptime``
+    reads."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.dates().map(date.isoformat),
+        st.dates().map(lambda d: f"{d.year}-{d.month}-{d.day}"),
+        st.tuples(st.sampled_from(["", " ", "\t", "\n "]), st.dates().map(date.isoformat),
+                  st.sampled_from(["", " ", "  ", "\n"])).map("".join),
+        st.sampled_from(["20010102", "2001-W01-1", "２００１-０１-０２", "2001-０１-02",
+                         "2001-02-29", "2004-02-29", "0000-01-01", "0001-01-01", "9999-12-31",
+                         "2001-00-10", "2001-13-01", "2001-01-32", "2001-01-00", "+001-01-01",
+                         "2001-01-0٣", "2001/01/02", "2001-01-02T00", ""]),
+        st.text("0123456789-+ W٣", min_size=8, max_size=12),
+        # What periods.json may hold instead of a string.
+        st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+        st.lists(st.sampled_from(["2001-01-02", 2001, None]), min_size=10, max_size=10),
+        st.dictionaries(st.text(max_size=2), st.integers(), min_size=10, max_size=10),
+    ))
+    def test_same_as_strptime(self, value):
+        assert _date(value) == strptime_date(value)

@@ -32,10 +32,10 @@ from netfolio.portfolio_sim import (
     default_industry_map,
     draw_matrices,
     random_plan,
-    run_simulation,
     score_period,
 )
 from draw_reference import draw_row, replication_rng
+from synthetic import run_simulation
 
 
 def toy_panel(tickers, values):
