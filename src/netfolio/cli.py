@@ -15,8 +15,7 @@ import sys
 import tempfile
 from collections.abc import Iterator
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import reference
 from .analytics import (
@@ -25,52 +24,20 @@ from .analytics import (
     StrategyStats,
     render_levene_csv,
     render_report,
-    summarize,
 )
-from .clusters import ClusterAssignment, ClusterPairing, pair_by_distance, pair_by_size
-from .correlation import (
-    CorrelationError,
-    CorrelationMatrix,
-    DistanceMatrix,
-    pearson_correlation,
-    ultrametric_distance,
-)
-from .market_data import (
-    DataError,
-    ReturnPanel,
-    StudyPeriod,
-    _decode,
-    _parse_date,
-    ingest,
-    period_returns,
-    read_table,
-)
-from .neighbor_net import (
-    fit_split_weights,
-    neighbornet_ordering,
-    nn_clusters,
-    pair_nn_clusters,
-    write_nexus,
-)
-from .portfolio_sim import (
-    IndustryMap,
-    SimulationError,
-    Strategy,
-    cluster_plan,
-    default_industry_map,
-    draw_matrices,
-    random_plan,
-    score_period,
-)
-from .tree_cluster import (
-    average_linkage_hct,
-    cut_dendrogram,
-    edge_list_csv,
-    minimum_spanning_tree,
-    mst_clusters,
-    to_dot,
-    to_newick,
-)
+from .inputs import DataError, StudyPeriod, _decode, _parse_date, read_table
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .clusters import ClusterAssignment, ClusterPairing
+    from .correlation import CorrelationMatrix, DistanceMatrix
+    from .market_data import ReturnPanel
+    from .portfolio_sim import IndustryMap
+
+# Each command imports the numeric modules it runs inside the function that
+# runs them, so no command loads a module it does not use (``report`` loads
+# no numpy), and a call goes through the function's home module.
 
 
 class ConfigError(ValueError):
@@ -214,6 +181,8 @@ def load_periods(path: str | Path) -> list[StudyPeriod]:
 
 
 def load_industry_map(path: str | Path | None) -> IndustryMap:
+    from .portfolio_sim import IndustryMap, default_industry_map
+
     if path is None:
         return default_industry_map()
     groups: dict[str, int] = {}
@@ -249,7 +218,22 @@ def check_industry_universe(industry: IndustryMap, source: str, tickers: tuple[s
             raise ConfigError(f"{source}: {problem.format(first)}{more}")
 
 
+def check_ticker_count(config: str, prices: str, n: int, nnet: str | None,
+                       limits: list[tuple[str, int]]) -> None:
+    """What a panel of n tickers cannot meet, checked right after ingest: a
+    Neighbor-Net (``nnet`` says where one was asked for) needs 3 tickers, and
+    the value of each (config key, value) of ``limits`` must be at most n."""
+    if nnet is not None and n < 3:
+        raise ConfigError(f"{nnet} needs at least 3 tickers, and {prices} has {n}")
+    for key, value in limits:
+        if value > n:
+            raise ConfigError(f"{config}: {key} must be at most {n}, "
+                              f"the number of tickers in {prices}, not {value}")
+
+
 def compute_returns(cfg: dict, periods: list[StudyPeriod]) -> ReturnPanel:
+    from .market_data import ingest, period_returns
+
     panel, divs = ingest(cfg["prices"], cfg["dividends"])
     try:
         return period_returns(panel, divs, periods)
@@ -261,6 +245,8 @@ def compute_returns(cfg: dict, periods: list[StudyPeriod]) -> ReturnPanel:
 def period_correlation(cfg: dict, returns: ReturnPanel, label: str) -> CorrelationMatrix:
     """The correlation of one period's weekly returns; a period too short, or
     a ticker whose returns do not vary, is reported against the prices file."""
+    from .correlation import CorrelationError, pearson_correlation
+
     weekly = returns.weekly_returns[returns.period_index(label)]
     try:
         return pearson_correlation(weekly, returns.tickers)
@@ -274,11 +260,15 @@ def build_clusters(
     """Returns (assignment, pairing, structure) for one network method."""
     k = clustering.get("k", 4)
     if method == "hct":
+        from .clusters import pair_by_size
+        from .tree_cluster import average_linkage_hct, cut_dendrogram
         tree = average_linkage_hct(dist)
         assignment = cut_dendrogram(tree, k)
         pairing = pair_by_size(assignment) if k % 2 == 0 else None
         return assignment, pairing, tree
     if method == "mst":
+        from .clusters import pair_by_distance
+        from .tree_cluster import minimum_spanning_tree, mst_clusters
         tree = minimum_spanning_tree(dist)
         assignment = mst_clusters(
             tree,
@@ -291,6 +281,12 @@ def build_clusters(
         pairing = pair_by_distance(assignment, dist) if k % 2 == 0 else None
         return assignment, pairing, tree
     if method == "nnet":
+        from .neighbor_net import (
+            fit_split_weights,
+            neighbornet_ordering,
+            nn_clusters,
+            pair_nn_clusters,
+        )
         ordering = neighbornet_ordering(dist)
         system = fit_split_weights(
             dist, ordering, prune=float(clustering.get("prune", 1e-9))
@@ -330,9 +326,14 @@ def cmd_returns(args: argparse.Namespace) -> int:
 
 
 def cmd_network(args: argparse.Namespace) -> int:
+    from .correlation import ultrametric_distance
+
     cfg = load_config(args.config)
     clustering = check_section(args.config, cfg, "clustering", CLUSTERING_RULES)
     returns = compute_returns(cfg, load_periods(cfg["periods"]))
+    check_ticker_count(args.config, cfg["prices"], len(returns.tickers),
+                       "--method nnet" if args.method == "nnet" else None,
+                       [("clustering.k", clustering.get("k", 4))])
     out = Path(args.out_dir)
     for p in returns.periods:
         corr = period_correlation(cfg, returns, p.label)
@@ -343,17 +344,31 @@ def cmd_network(args: argparse.Namespace) -> int:
         assignment, _, structure = build_clusters(args.method, dist, clustering)
         _atomic_write(out / f"clusters_{args.method}_{p.label}.csv", clusters_csv(assignment))
         if args.method == "hct":
+            from .tree_cluster import to_newick
             _atomic_write(out / f"hct_{p.label}.nwk", to_newick(structure))
         elif args.method == "mst":
+            from .tree_cluster import edge_list_csv, to_dot
             _atomic_write(out / f"mst_{p.label}.dot", to_dot(structure))
             _atomic_write(out / f"mst_{p.label}.csv", edge_list_csv(structure))
         else:
+            from .neighbor_net import write_nexus
             _atomic_write(out / f"nnet_{p.label}.nex", write_nexus(dist, structure))
     print(f"wrote {args.method} outputs for {len(returns.periods)} periods to {out}")
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .correlation import ultrametric_distance
+    from .portfolio_sim import (
+        SimulationError,
+        Strategy,
+        cluster_plan,
+        draw_matrices,
+        random_plan,
+        score_period,
+    )
+    from .summary import summarize
+
     cfg = load_config(args.config)
     sim = check_section(args.config, cfg, "simulation", SIMULATION_RULES)
     if args.seed is not None and args.seed < 0:
@@ -363,7 +378,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     names = sim.get("strategies", list(_STRATEGY_LABELS))
     reps = sim.get("reps", 1000)
     rules = CLUSTERING_RULES
-    if any(name in ("hct", "mst", "nnet") for name in names):
+    clustered = any(name in ("hct", "mst", "nnet") for name in names)
+    if clustered:
         rules = {**rules, "k": (lambda v: _is_int(v) and v in (2, 4),
                                 "2 or 4 for the hct, mst and nnet strategies")}
     clustering = check_section(args.config, cfg, "clustering", rules)
@@ -387,6 +403,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             except SimulationError as exc:
                 raise ConfigError(f"{industry_source}: {exc}") from None
     returns = compute_returns(cfg, periods)
+    nnet = f"{args.config}: simulation.strategies names 'nnet', which" if "nnet" in names else None
+    check_ticker_count(args.config, cfg["prices"], len(returns.tickers), nnet,
+                       [("clustering.k", clustering.get("k", 4))] * clustered
+                       + [("simulation.sizes", m) for m in sizes])
     if "industry" in names:
         check_industry_universe(industry, industry_source, returns.tickers)
     dist = ultrametric_distance(period_correlation(cfg, returns, model_period))
@@ -439,7 +459,7 @@ def _cell(path: str, lineno: int, row: dict[str, str], column: str, kind=float):
     """The int, finite float or 0/1 flag a report or Levene CSV cell spells."""
     try:
         value = kind(row[column])
-        if kind is float and not np.isfinite(value):
+        if kind is float and not math.isfinite(value):
             raise ValueError
     except ValueError:
         raise ConfigError(f"{path}:{lineno}: invalid {column} {row[column]!r}") from None

@@ -8,50 +8,16 @@ resulting total-return index between two panel dates.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-
-class DataError(ValueError):
-    """Raised for malformed or inconsistent market data inputs."""
-
-
-def _date(text: str) -> date | None:
-    """The ISO-8601 date a text spells, or None when it spells none."""
-    try:
-        # ``fromisoformat`` reads exactly what ``strptime`` reads of ten ASCII
-        # characters shaped DDDD-DD-DD, and never imports ``_strptime``.
-        if (len(text) == 10 and text.isascii() and text[4] == text[7] == "-"
-                and (text[:4] + text[5:7] + text[8:]).isdigit()):
-            return date.fromisoformat(text)
-        return datetime.strptime(text.strip(), "%Y-%m-%d").date()
-    except (AttributeError, TypeError, ValueError):  # AttributeError, TypeError: not a string
-        return None
-
-
-def _invalid_date(text: str) -> str:
-    return f"invalid ISO-8601 date {text!r}"
-
-
-def _parse_date(text: str, where: str) -> date:
-    parsed = _date(text)
-    if parsed is None:
-        raise DataError(f"{where}: {_invalid_date(text)}")
-    return parsed
-
-
-def _blank(row: list[str]) -> bool:
-    """A CSV row with no fields or one empty field; readers skip it."""
-    return not row or (len(row) == 1 and not row[0].strip())
+from .inputs import DataError, StudyPeriod, _date, _invalid_date, read_table
 
 
 def _number(text: str) -> float:
@@ -102,17 +68,6 @@ class DividendTable:
 
 
 @dataclass(frozen=True)
-class StudyPeriod:
-    label: str
-    start: date
-    end: date
-
-    def __post_init__(self) -> None:
-        if self.start >= self.end:
-            raise DataError(f"period {self.label}: start must precede end")
-
-
-@dataclass(frozen=True)
 class ReturnPanel:
     """Per-period total returns (%) and within-period weekly returns."""
 
@@ -135,113 +90,6 @@ class ReturnPanel:
     def returns_for(self, label: str) -> np.ndarray:
         """Total returns (%) of all tickers for one period."""
         return self.total_return[self.period_index(label)]
-
-
-def _decode(path: str | Path, data: bytes) -> tuple[str, str | None]:
-    """A file's bytes as UTF-8 text, and the located message of the first
-    byte that does not decode, if one does not: then the text stops at the
-    start of that byte's line."""
-    try:
-        return data.decode("utf-8"), None
-    except UnicodeDecodeError as exc:
-        cut = data.rfind(b"\n", 0, exc.start) + 1
-        line = data.count(b"\n", 0, cut) + 1
-        return data[:cut].decode("utf-8"), (
-            f"{path}:{line}: cannot decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})")
-
-
-def read_table(path: str | Path, header: tuple[str, ...]
-               ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
-    """Read a UTF-8 CSV file whose header must be ``header``, in one pass.
-
-    Returns the file line each row starts on, one text list per header
-    field, and the located error of the line that ended the read early, if
-    one did: a row of the wrong width, an undecodable byte or a malformed
-    field (such as one longer than ``csv.field_size_limit()``). Blank rows
-    are skipped; a wrong header raises at once.
-
-    The file is read once, and its text goes to one of two parsers. A text
-    that is one record per line (no ``"``, carriage return or NUL, every
-    line after the header of ``len(header)`` comma-separated fields, none
-    longer than ``csv.field_size_limit()``) is split with ``str.split``,
-    which reads it as ``csv.reader`` does. Any other text goes to
-    ``csv.reader``, so that alone reads quoted fields, CRLF and blank lines,
-    and locates a wrong width or an overlong field.
-    """
-    with open(path, "rb") as fh:
-        text, bad = _decode(path, fh.read())
-    stop = None if bad is None else DataError(bad)
-    if stop is not None and not text:
-        raise stop
-    lines = _record_lines(text, len(header))
-    if lines is None:
-        return _read_rows(path, io.StringIO(text, newline=""), header, stop)
-    del text  # freed before the fields are built
-    return _split_rows(path, lines, header, stop)
-
-
-def _check_header(path: str | Path, head: list[str] | None, header: tuple[str, ...]) -> None:
-    if head is None or tuple(h.strip() for h in head) != header:
-        raise DataError(f"{path}: expected header '{','.join(header)}'")
-
-
-def _record_lines(text: str, width: int) -> list[str] | None:
-    """The lines of a CSV text that is one record per line, each line of
-    ``width`` fields; None for any other text."""
-    # A line of one field may be empty, which ``csv.reader`` skips.
-    if width < 2 or '"' in text or "\r" in text or "\0" in text:
-        return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the final line break
-    if (set(map(str.count, lines, repeat(","))) <= {width - 1}
-            and max(map(len, lines), default=0) <= csv.field_size_limit()):
-        return lines
-    return None
-
-
-def _split_rows(path: str | Path, lines: list[str], header: tuple[str, ...],
-                stop: DataError | None
-                ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
-    """``read_table`` of a text's ``_record_lines``, which it empties: row i
-    is on line i + 2."""
-    _check_header(path, lines[0].split(",") if lines else None, header)
-    del lines[0]
-    # Every field of the file from one split; each intermediate is freed
-    # before the next is built.
-    body = ",".join(lines)
-    lines.clear()
-    flat = body.split(",") if body else []
-    del body
-    width = len(header)
-    return range(2, len(flat) // width + 2), tuple(flat[k::width] for k in range(width)), stop
-
-
-def _read_rows(path: str | Path, text: Iterable[str], header: tuple[str, ...],
-               stop: DataError | None
-               ) -> tuple[list[int], tuple[list[str], ...], DataError | None]:
-    """``read_table`` of these lines of the file by ``csv.reader``; ``stop``
-    ends the read unless a line does first."""
-    width, flat, lines = len(header), [], []
-    reader = csv.reader(text)
-    try:
-        _check_header(path, next(reader, None), header)
-        # One flat list, sliced into columns at the end, costs less than an
-        # append per field. A row is named by the line its record starts on:
-        # a quoted field may hold line breaks.
-        extend, add = flat.extend, lines.append
-        start = reader.line_num + 1
-        for row in reader:
-            lineno, start = start, reader.line_num + 1
-            if len(row) == width:
-                extend(row)
-                add(lineno)
-            elif not _blank(row):
-                stop = DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
-                break
-    except csv.Error as exc:
-        stop = DataError(f"{path}:{reader.line_num}: {exc}")
-    return lines, tuple(flat[k::width] for k in range(width)), stop
 
 
 def _numbers(texts: list[str]) -> np.ndarray:

@@ -10,15 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from netfolio.market_data import (
-    DataError,
-    Dividend,
-    DividendTable,
-    PricePanel,
-    _blank,
-    _number,
-    _parse_date,
-)
+from netfolio.inputs import DataError, _blank, _parse_date
+from netfolio.market_data import Dividend, DividendTable, PricePanel, _number
 
 PRICE_HEADER = ["date", "ticker", "close"]
 DIVIDEND_HEADER = ["ticker", "payment_date", "amount"]

@@ -13,7 +13,8 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from netfolio.market_data import DataError, Dividend, DividendTable, PricePanel, ReturnPanel
+from netfolio.inputs import DataError
+from netfolio.market_data import Dividend, DividendTable, PricePanel, ReturnPanel
 from netfolio.portfolio_sim import SimulationRun, Strategy, draw_matrices, score_period
 
 

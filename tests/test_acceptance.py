@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from netfolio.analytics import f_tail, levene_test, sharpe_ratio
+from netfolio.analytics import f_tail, sharpe_ratio
 from netfolio.correlation import pearson_correlation, ultrametric_distance
-from netfolio.market_data import ReturnPanel, StudyPeriod, period_returns
+from netfolio.inputs import StudyPeriod
+from netfolio.market_data import ReturnPanel, period_returns
 from netfolio.neighbor_net import (
     fit_split_weights,
     neighbornet_ordering,
@@ -39,6 +40,7 @@ from netfolio.tree_cluster import (
     minimum_spanning_tree,
     mst_clusters,
 )
+from netfolio.summary import levene_test
 from netfolio.cli import main
 from conftest import (
     canonical_cycle,

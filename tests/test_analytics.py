@@ -8,16 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from netfolio.analytics import (
-    AnalyticsError,
-    _median,
-    f_tail,
-    levene_test,
-    render_levene_csv,
-    render_report,
-    sharpe_ratio,
-    summarize,
-)
+from netfolio.analytics import AnalyticsError, f_tail, render_levene_csv, render_report, sharpe_ratio
+from netfolio.summary import _median, levene_test, summarize
 from netfolio.portfolio_sim import SimulationRun
 
 

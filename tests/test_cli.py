@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import netfolio
-from netfolio import cli, neighbor_net
+from netfolio import cli, market_data, neighbor_net, portfolio_sim
 from netfolio.cli import main
 from synthetic import BlockModelSpec, synthesize_panel
 
@@ -358,7 +358,7 @@ class TestConfigValidation:
         if command == ["simulate"]:
             cfg["simulation"]["strategies"] = ["random"]
         (workspace / "bad_clustering.json").write_text(json.dumps(cfg))
-        monkeypatch.setattr(cli, "ingest", _forbidden)
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
         assert main(command + ["--config", str(workspace / "bad_clustering.json"),
                                "--out-dir", str(workspace / "out")]) == 2
         err = capsys.readouterr().err
@@ -371,7 +371,7 @@ class TestConfigValidation:
         cfg = json.loads((workspace / "config.json").read_text())
         cfg[section] = [4]
         (workspace / "bad_section.json").write_text(json.dumps(cfg))
-        monkeypatch.setattr(cli, "ingest", _forbidden)
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
         assert main(["simulate", "--config", str(workspace / "bad_section.json")]) == 2
         assert f"bad_section.json: {section} must be a JSON object, not [4]" in (
             capsys.readouterr().err)
@@ -383,7 +383,7 @@ class TestConfigValidation:
         periods = json.loads(path.read_text())
         periods[1]["end"] = periods[1]["start"]
         path.write_text(json.dumps(periods))
-        monkeypatch.setattr(cli, "ingest", _forbidden)
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
         assert main(command + ["--config", str(workspace / "config.json"),
                                "--out-dir", str(workspace / "out")]) == 2
         assert capsys.readouterr().err == f"error: {path}: period 'P2': start must precede end\n"
@@ -413,7 +413,7 @@ class TestConfigValidation:
         path = workspace / "industry.csv"
         with open(path, "a") as fh:
             fh.write(row + "\n")
-        monkeypatch.setattr(cli, "ingest", _forbidden)
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
         assert main(["simulate", "--config", str(workspace / "config.json"),
                      "--out-dir", str(workspace / "out")]) == 2
         assert capsys.readouterr().err == f"error: {workspace / message}\n"
@@ -426,7 +426,7 @@ class TestConfigValidation:
         periods = json.loads(path.read_text())
         periods[1]["label"] = label
         path.write_text(json.dumps(periods))
-        monkeypatch.setattr(cli, "ingest", _forbidden)
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
         out = workspace / "out" / "deep"
         assert main(["returns", "--config", str(workspace / "config.json"),
                      "--out-dir", str(out)]) == 2
@@ -444,7 +444,7 @@ class TestConfigValidation:
         cfg = json.loads((workspace / "config.json").read_text())
         cfg["simulation"]["sizes"] = [2, 8]
         (workspace / "m8.json").write_text(json.dumps(cfg))
-        monkeypatch.setattr(cli, "ingest", _forbidden)
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
         assert main(["simulate", "--config", str(workspace / "m8.json"),
                      "--out-dir", str(workspace / "out")]) == 2
         assert capsys.readouterr().err == (
@@ -544,7 +544,7 @@ class TestUnreadableInput:
                            "--levene-csv", str(path)],
         }[name]
         if name == "industry.csv":
-            monkeypatch.setattr(cli, "ingest", _forbidden)
+            monkeypatch.setattr(market_data, "ingest", _forbidden)
         if argv[0] != "report":
             argv += ["--out-dir", str(out)]
         assert main(argv) == 2
@@ -571,7 +571,7 @@ class TestPhysicalLines:
         command = "returns"
         if name == "industry.csv":
             command = "simulate"
-            monkeypatch.setattr(cli, "ingest", _forbidden)
+            monkeypatch.setattr(market_data, "ingest", _forbidden)
         assert main([command, "--config", str(workspace / "config.json"),
                      "--out-dir", str(workspace / "out")]) == 2
         assert capsys.readouterr().err == f"error: {path}:4: {problem}\n"
@@ -579,6 +579,10 @@ class TestPhysicalLines:
 
 def _forbidden(*args, **kwargs):
     raise AssertionError("ran past the input checks")
+
+
+# The steps that read or draw on data, each in the module the commands call it from.
+DATA_STEPS = ((market_data, "ingest"), (cli, "build_clusters"), (portfolio_sim, "draw_matrices"))
 
 
 class TestSimulateInputChecks:
@@ -589,7 +593,7 @@ class TestSimulateInputChecks:
         with open(workspace / "industry.csv", "a") as fh:
             fh.write("ZZZ,2\n")
         monkeypatch.setattr(cli, "build_clusters", _forbidden)
-        monkeypatch.setattr(cli, "draw_matrices", _forbidden)
+        monkeypatch.setattr(portfolio_sim, "draw_matrices", _forbidden)
         assert self.simulate(workspace / "config.json", workspace / "out") == 2
         err = capsys.readouterr().err
         assert "industry.csv" in err and "'ZZZ'" in err and "price panel" in err
@@ -624,7 +628,7 @@ class TestSimulateInputChecks:
         cfg = json.loads((workspace / "config.json").read_text())
         cfg["simulation"][key] = value
         (workspace / "bad_period.json").write_text(json.dumps(cfg))
-        monkeypatch.setattr(cli, "ingest", _forbidden)
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
         assert self.simulate(workspace / "bad_period.json", workspace / "out") == 2
         err = capsys.readouterr().err
         assert "bad_period.json" in err and "'P9'" in err and key in err
@@ -636,8 +640,8 @@ class TestSimulateInputChecks:
         cfg = json.loads((workspace / "config.json").read_text())
         cfg["simulation"]["reps"] = reps
         (workspace / "bad_reps.json").write_text(json.dumps(cfg))
-        for name in ("ingest", "build_clusters", "draw_matrices"):
-            monkeypatch.setattr(cli, name, _forbidden)
+        for module, name in DATA_STEPS:
+            monkeypatch.setattr(module, name, _forbidden)
         assert self.simulate(workspace / "bad_reps.json", workspace / "out") == 2
         err = capsys.readouterr().err
         assert f"bad_reps.json: simulation.reps must be an integer from 2 to 2**32, not {reps!r}" in err
@@ -649,8 +653,8 @@ class TestSimulateInputChecks:
         cfg["clustering"]["k"] = k
         cfg["simulation"]["strategies"] = ["random", "mst"]
         (workspace / "bad_k.json").write_text(json.dumps(cfg))
-        for name in ("ingest", "build_clusters", "draw_matrices"):
-            monkeypatch.setattr(cli, name, _forbidden)
+        for module, name in DATA_STEPS:
+            monkeypatch.setattr(module, name, _forbidden)
         assert self.simulate(workspace / "bad_k.json", workspace / "out") == 2
         err = capsys.readouterr().err
         assert "bad_k.json: clustering.k must be 2 or 4" in err and f"not {k!r}" in err
@@ -673,8 +677,8 @@ class TestSimulateInputChecks:
         cfg = json.loads((workspace / "config.json").read_text())
         cfg["simulation"][key] = value
         (workspace / "bad_sim.json").write_text(json.dumps(cfg))
-        for name in ("ingest", "build_clusters", "draw_matrices"):
-            monkeypatch.setattr(cli, name, _forbidden)
+        for module, name in DATA_STEPS:
+            monkeypatch.setattr(module, name, _forbidden)
         assert self.simulate(workspace / "bad_sim.json", workspace / "out") == 2
         err = capsys.readouterr().err
         assert f"bad_sim.json: simulation.{key} must be " in err
@@ -682,8 +686,8 @@ class TestSimulateInputChecks:
         assert not (workspace / "out").exists()
 
     def test_negative_seed_flag_rejected_before_any_data(self, workspace, monkeypatch, capsys):
-        for name in ("ingest", "load_industry_map", "build_clusters", "draw_matrices"):
-            monkeypatch.setattr(cli, name, _forbidden)
+        for module, name in DATA_STEPS + ((cli, "load_industry_map"),):
+            monkeypatch.setattr(module, name, _forbidden)
         assert main(["simulate", "--config", str(workspace / "config.json"),
                      "--out-dir", str(workspace / "out"), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: --seed must be an integer >= 0, not -1\n"
@@ -702,6 +706,61 @@ class TestSimulateInputChecks:
         cfg["clustering"]["k"] = k
         (workspace / "k.json").write_text(json.dumps(cfg))
         assert self.simulate(workspace / "k.json", workspace / "out") == 0
+
+
+class TestTickerCount:
+    """A config value the price panel has too few tickers for fails right
+    after ingest, naming the config and the prices file, before any output
+    is written."""
+
+    def config(self, tmp_path, n, clustering=None, simulation=None):
+        start = date(2001, 1, 2)
+        rows = [f"{start + timedelta(weeks=w)},T{j},{10 + j + (w * (j + 2)) % 7}"
+                for w in range(12) for j in range(n)]
+        (tmp_path / "prices.csv").write_text("date,ticker,close\n" + "\n".join(rows) + "\n")
+        (tmp_path / "dividends.csv").write_text("ticker,payment_date,amount\n")
+        end = start + timedelta(weeks=11)
+        (tmp_path / "periods.json").write_text(json.dumps(
+            [{"label": "P1", "start": start.isoformat(), "end": end.isoformat()}]))
+        cfg = {"prices": "prices.csv", "dividends": "dividends.csv", "periods": "periods.json",
+               "clustering": clustering or {}, "simulation": {"reps": 40, **(simulation or {})}}
+        (tmp_path / "config.json").write_text(json.dumps(cfg))
+        return tmp_path / "config.json"
+
+    def fails(self, capsys, tmp_path, argv, config, message):
+        out = tmp_path / "out"
+        assert main(argv + ["--config", str(config), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,strategies", [
+        (["network", "--method", "hct"], None), (["network", "--method", "mst"], None),
+        (["network", "--method", "nnet"], None), (["simulate"], ["random", "hct"]),
+        (["simulate"], ["mst"]), (["simulate"], ["random", "nnet"]),
+    ], ids=["hct", "mst", "nnet", "simulate-hct", "simulate-mst", "simulate-nnet"])
+    def test_clusters_above_ticker_count(self, tmp_path, capsys, argv, strategies):
+        config = self.config(tmp_path, 3, {"k": 4}, {"strategies": strategies, "sizes": [2]})
+        self.fails(capsys, tmp_path, argv, config, f"{config}: clustering.k must be at most 3, "
+                   f"the number of tickers in {tmp_path / 'prices.csv'}, not 4")
+
+    @pytest.mark.parametrize("argv,where", [
+        (["network", "--method", "nnet"], "--method nnet"),
+        (["simulate"], "{config}: simulation.strategies names 'nnet', which"),
+    ], ids=["network", "simulate"])
+    def test_neighbor_net_below_three_tickers(self, tmp_path, capsys, argv, where):
+        config = self.config(tmp_path, 2, {"k": 2}, {"strategies": ["nnet"], "sizes": [2]})
+        self.fails(capsys, tmp_path, argv, config, f"{where.format(config=config)} needs at "
+                   f"least 3 tickers, and {tmp_path / 'prices.csv'} has 2")
+
+    @pytest.mark.parametrize("strategies", [["random"], ["random", "hct"]])
+    def test_size_above_ticker_count(self, tmp_path, capsys, strategies):
+        config = self.config(tmp_path, 3, {"k": 2}, {"strategies": strategies, "sizes": [2, 4]})
+        self.fails(capsys, tmp_path, ["simulate"], config, f"{config}: simulation.sizes must be "
+                   f"at most 3, the number of tickers in {tmp_path / 'prices.csv'}, not 4")
+
+    def test_cluster_count_unchecked_without_cluster_strategy(self, tmp_path, capsys):
+        config = self.config(tmp_path, 3, {"k": 4}, {"strategies": ["random"], "sizes": [2]})
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
 
 
 class TestRelativeConfigPaths:
@@ -772,3 +831,47 @@ def test_cli_import_skips_scipy(workspace):
                    stdout=subprocess.DEVNULL)
     assert (workspace / "out" / "levene_P1_P2.csv").exists()
     assert (workspace / "out" / "nnet_P2.nex").exists()
+
+
+NUMERIC = ("market_data", "correlation", "clusters", "tree_cluster", "neighbor_net", "nnls",
+           "portfolio_sim", "summary")
+REPORT_CSV = "strategy,size,mean,sd,sharpe,best_flag\nRandom,2,1.5,2.0,0.25,1\n"
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    ([], [p.stem for p in Path(netfolio.__file__).parent.glob("*.py") if p.stem != "__init__"]),
+    (["report"], ["numpy", *NUMERIC]),
+    (["returns"], ["clusters", "correlation", "tree_cluster", "neighbor_net", "nnls",
+                   "portfolio_sim"]),
+    (["network", "--method", "hct"], ["neighbor_net", "nnls", "portfolio_sim"]),
+    (["network", "--method", "mst"], ["neighbor_net", "nnls", "portfolio_sim"]),
+    (["network", "--method", "nnet"], ["tree_cluster", "portfolio_sim"]),
+], ids=["import", "report", "returns", "hct", "mst", "nnet"])
+def test_command_loads_only_its_modules(workspace, argv, unloaded):
+    # Each command runs in a fresh interpreter, which then lists its modules;
+    # with no command, the package is only imported.
+    if argv == ["report"]:
+        (workspace / "report.csv").write_text(REPORT_CSV)
+        argv = ["report", "--report-csv", str(workspace / "report.csv")]
+    elif argv:
+        argv = argv + ["--config", str(workspace / "config.json"),
+                       "--out-dir", str(workspace / "out")]
+    code = (
+        "import json, sys\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "if argv:\n"
+        "    from netfolio.cli import main\n"
+        "    assert main(argv) == 0, argv\n"
+        "else:\n"
+        "    import netfolio\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    src = Path(netfolio.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, check=True,
+                          capture_output=True, text=True)
+    loaded = set(json.loads(done.stdout.splitlines()[-1]))
+    forbidden = {"scipy", "numpy.random", "numpy.ma"}
+    forbidden |= {name if name == "numpy" else f"netfolio.{name}" for name in unloaded}
+    assert not loaded & forbidden
+    assert "netfolio" in loaded

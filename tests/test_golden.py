@@ -47,7 +47,8 @@ import pytest
 
 from netfolio.clusters import ClusterError, pair_by_size, renumber
 from netfolio.correlation import DistanceMatrix
-from netfolio.market_data import ReturnPanel, StudyPeriod
+from netfolio.inputs import StudyPeriod
+from netfolio.market_data import ReturnPanel
 from netfolio import neighbor_net, nnls
 from netfolio.neighbor_net import fit_split_weights, neighbornet_ordering
 from netfolio.portfolio_sim import (

@@ -18,19 +18,21 @@ from hypothesis import strategies as st
 from ingest_reference import _ingest_rows
 
 from netfolio.cli import main
-from netfolio.market_data import (
+from netfolio.inputs import (
     DataError,
-    Dividend,
-    DividendTable,
-    PricePanel,
     StudyPeriod,
     _date,
     _read_rows,
     _record_lines,
     _split_rows,
+    read_table,
+)
+from netfolio.market_data import (
+    Dividend,
+    DividendTable,
+    PricePanel,
     ingest,
     period_returns,
-    read_table,
     total_return_index,
 )
 from synthetic import BlockModelSpec, synthesize_panel

@@ -18,7 +18,8 @@ import pytest
 
 from netfolio import portfolio_sim
 from netfolio.clusters import ClusterPairing, renumber
-from netfolio.market_data import ReturnPanel, StudyPeriod
+from netfolio.inputs import StudyPeriod
+from netfolio.market_data import ReturnPanel
 from netfolio.portfolio_sim import (
     DrawPlan,
     IndustryMap,
@@ -450,7 +451,8 @@ NO_NUMPY_RANDOM = """
 import json, sys
 from datetime import date
 import numpy as np
-from netfolio.market_data import ReturnPanel, StudyPeriod
+from netfolio.inputs import StudyPeriod
+from netfolio.market_data import ReturnPanel
 from netfolio.portfolio_sim import IndustryMap, Strategy, _draw_rows, _Words, draw_matrices, random_plan
 tickers = tuple(f"T{i:05d}" for i in range(10_000))
 panel = ReturnPanel(tickers, (StudyPeriod("P1", date(2001, 1, 2), date(2004, 1, 6)),),
