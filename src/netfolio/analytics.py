@@ -15,7 +15,8 @@ simulated returns are in ``summary``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .record import Record
 
 
 class AnalyticsError(ValueError):
@@ -29,8 +30,7 @@ def sharpe_ratio(mean_return: float, std_dev: float, rf_return: float) -> float:
     return (mean_return - rf_return) / std_dev
 
 
-@dataclass(frozen=True)
-class LeveneResult:
+class LeveneResult(Record):
     W: float
     df1: int
     df2: int
@@ -106,8 +106,7 @@ def f_tail(W: float, df1: int, df2: int) -> float:
     return betainc(df2 / 2.0, df1 / 2.0, x, 1.0 - x)
 
 
-@dataclass(frozen=True)
-class StrategyStats:
+class StrategyStats(Record):
     strategy: str
     m: int
     mean: float
@@ -116,8 +115,7 @@ class StrategyStats:
     best: bool = False
 
 
-@dataclass(frozen=True)
-class SimulationReport:
+class SimulationReport(Record):
     period: str
     rf: float
     stats: tuple[StrategyStats, ...]

@@ -8,21 +8,20 @@ from paired clusters.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 import numpy as np
 
 from .correlation import DistanceMatrix
+from .record import Record
 
 
 class ClusterError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
+class ClusterAssignment(Record):
     assignment: dict[str, int]  # ticker -> cluster id in 1..k
     method: str  # HCT | MST | NN | INDUSTRY
 
@@ -54,8 +53,7 @@ class ClusterAssignment:
         return tuple(len(self.members(c)) for c in range(1, self.k + 1))
 
 
-@dataclass(frozen=True)
-class ClusterPairing:
+class ClusterPairing(Record):
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:

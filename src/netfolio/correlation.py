@@ -6,17 +6,16 @@ d_ij = sqrt(2 * (1 - rho_ij)), mapping rho in [-1, 1] to [0, 2].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+
+from .record import Record
 
 
 class CorrelationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CorrelationMatrix:
+class CorrelationMatrix(Record):
     tickers: tuple[str, ...]
     rho: np.ndarray  # symmetric, unit diagonal
 
@@ -32,8 +31,7 @@ class CorrelationMatrix:
             raise CorrelationError("correlations must lie in [-1, 1]")
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(Record):
     tickers: tuple[str, ...]
     d: np.ndarray  # symmetric, zero diagonal, entries in [0, 2]
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 import csv
 import io
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from datetime import date, datetime
 from itertools import repeat
 from pathlib import Path
+
+from .record import Record
 
 
 class DataError(ValueError):
@@ -49,8 +50,7 @@ def _blank(row: list[str]) -> bool:
     return not row or (len(row) == 1 and not row[0].strip())
 
 
-@dataclass(frozen=True)
-class StudyPeriod:
+class StudyPeriod(Record):
     label: str
     start: date
     end: date

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
 from pathlib import Path
@@ -18,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .inputs import DataError, StudyPeriod, _date, _invalid_date, read_table
+from .record import Record, _set
 
 
 def _number(text: str) -> float:
@@ -28,8 +28,7 @@ def _number(text: str) -> float:
         return math.nan
 
 
-@dataclass(frozen=True)
-class PricePanel:
+class PricePanel(Record):
     """Weekly closing prices, indexed (date, ticker)."""
 
     tickers: tuple[str, ...]
@@ -55,20 +54,24 @@ class PricePanel:
             raise DataError(f"{what} {d.isoformat()} is not a panel date") from None
 
 
-@dataclass(frozen=True)
-class Dividend:
+class Dividend(Record):
     ticker: str
     payment_date: date
     amount: float  # per share, >= 0
 
+    def __init__(self, ticker: str, payment_date: date, amount: float) -> None:
+        # One is built per dividend row: Record's generic __init__ takes
+        # twice as long.
+        _set(self, "ticker", ticker)
+        _set(self, "payment_date", payment_date)
+        _set(self, "amount", amount)
 
-@dataclass(frozen=True)
-class DividendTable:
+
+class DividendTable(Record):
     entries: tuple[Dividend, ...]
 
 
-@dataclass(frozen=True)
-class ReturnPanel:
+class ReturnPanel(Record):
     """Per-period total returns (%) and within-period weekly returns."""
 
     tickers: tuple[str, ...]

@@ -10,28 +10,25 @@ splits of the ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .clusters import ClusterAssignment, ClusterError, ClusterPairing, best_matching, renumber
 from .correlation import DistanceMatrix
 from .nnls import nnls_gram
+from .record import Record
 
 
 class NeighborNetError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(Record):
     start: int  # arc start position in the ordering, 1..n-1
     length: int  # arc length, 1..n-start (the arc never wraps position 0)
     weight: float
 
 
-@dataclass(frozen=True)
-class CircularSplitSystem:
+class CircularSplitSystem(Record):
     ordering: tuple[str, ...]
     splits: tuple[Split, ...]
     residual: float

@@ -32,7 +32,6 @@ with one gather and mean (``score_period``). The engine is single-threaded.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -41,14 +40,14 @@ import numpy as np
 from . import reference
 from .clusters import ClusterAssignment, ClusterPairing
 from .market_data import ReturnPanel
+from .record import Record
 
 
 class SimulationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class IndustryMap:
+class IndustryMap(Record):
     groups: dict[str, int]  # ticker -> super-group id
 
     def __post_init__(self) -> None:
@@ -68,8 +67,7 @@ def default_industry_map() -> IndustryMap:
     return IndustryMap(dict(reference.SUPER_GROUPS))
 
 
-@dataclass(frozen=True)
-class SimulationRun:
+class SimulationRun(Record):
     strategy: str
     m: int
     period: str
@@ -81,8 +79,7 @@ class SimulationRun:
 _FLOYD_MAX = 10_000
 
 
-@dataclass(frozen=True)
-class DrawPlan:
+class DrawPlan(Record):
     """A selection rule over positions into ``labels``.
 
     ``labels`` lists the candidate tickers group after group (sorted ids,
@@ -338,8 +335,7 @@ def _columns(returns: ReturnPanel, tickers: tuple[str, ...]) -> np.ndarray:
         raise SimulationError(f"unknown ticker {exc.args[0]!r} in draw") from None
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(Record):
     """A selection rule: the name its report rows carry and the plan it draws."""
 
     name: str

@@ -9,23 +9,20 @@ remaining stock joins the cluster of its nearest already-assigned neighbor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .clusters import ClusterAssignment, ClusterError, renumber
 from .correlation import DistanceMatrix
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Merge:
+class Merge(Record):
     left: int  # node id: 0..n-1 leaves, n+i for merge i
     right: int
     height: float
 
 
-@dataclass(frozen=True)
-class Dendrogram:
+class Dendrogram(Record):
     tickers: tuple[str, ...]
     merges: tuple[Merge, ...]
 
@@ -61,8 +58,7 @@ class Dendrogram:
         return tuple(sorted(leaves))
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class SpanningTree(Record):
     tickers: tuple[str, ...]
     edges: tuple[tuple[str, str, float], ...]  # (a, b, weight) with a < b
 

@@ -82,6 +82,25 @@ class TestReturnsCommand:
             assert lines[0] == "ticker,total_return_pct"
             assert len(lines) == 13
 
+    def test_outputs_are_utf8_in_any_locale(self, workspace):
+        # Under the C locale with UTF-8 mode off the locale's encoding is
+        # ASCII; a ticker outside it must still be written, as UTF-8.
+        for name in ("prices.csv", "dividends.csv"):
+            path = workspace / name
+            path.write_text(path.read_text().replace("S00", "\u00c9LF"), encoding="utf-8")
+        src = Path(netfolio.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHON"))}
+        env.update(LC_ALL="C", PYTHONPATH=str(src))
+        out = workspace / "out"
+        done = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "netfolio.cli", "returns",
+             "--config", str(workspace / "config.json"), "--out-dir", str(out)],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        for label in ("P1", "P2"):
+            rows = (out / f"returns_{label}.csv").read_bytes().decode("utf-8").splitlines()
+            assert sum(row.startswith("\u00c9LF,") for row in rows) == 1
+
     def test_missing_config(self, tmp_path, capsys):
         assert main(["returns", "--config", str(tmp_path / "nope.json")]) == 2
         assert "does not exist" in capsys.readouterr().err
@@ -808,9 +827,10 @@ def test_cli_import_skips_scipy(workspace):
     # No command imports scipy, not even simulate, whose Levene p-values use
     # the in-house incomplete beta. simulate reads its replication streams
     # through an array kernel and takes Levene's median by sorting, so no
-    # command loads numpy.random or numpy.ma either. The commands run in one
-    # process, each checked as it ends, so a module that one of them loads
-    # is charged to it.
+    # command loads numpy.random or numpy.ma either, and its records are
+    # built without dataclasses. The commands run in one process, each
+    # checked as it ends, so a module that one of them loads is charged to
+    # it.
     src = Path(netfolio.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src)}
     config, out = str(workspace / "config.json"), str(workspace / "out")
@@ -824,7 +844,7 @@ def test_cli_import_skips_scipy(workspace):
         "import json, sys; from netfolio.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    assert main(argv) == 0, argv\n"
-        "    loaded = {'scipy', 'numpy.random', 'numpy.ma'} & set(sys.modules)\n"
+        "    loaded = {'scipy', 'numpy.random', 'numpy.ma', 'dataclasses'} & set(sys.modules)\n"
         "    assert not loaded, (argv[:3], loaded)\n"
     )
     subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env, check=True,
@@ -839,17 +859,22 @@ REPORT_CSV = "strategy,size,mean,sd,sharpe,best_flag\nRandom,2,1.5,2.0,0.25,1\n"
 
 
 @pytest.mark.parametrize("argv,unloaded", [
-    ([], [p.stem for p in Path(netfolio.__file__).parent.glob("*.py") if p.stem != "__init__"]),
-    (["report"], ["numpy", *NUMERIC]),
+    ([], ["inspect",
+          *(p.stem for p in Path(netfolio.__file__).parent.glob("*.py") if p.stem != "__init__")]),
+    (None, ["numpy", "inspect", *NUMERIC]),
+    (["report"], ["numpy", "inspect", *NUMERIC]),
     (["returns"], ["clusters", "correlation", "tree_cluster", "neighbor_net", "nnls",
                    "portfolio_sim"]),
     (["network", "--method", "hct"], ["neighbor_net", "nnls", "portfolio_sim"]),
     (["network", "--method", "mst"], ["neighbor_net", "nnls", "portfolio_sim"]),
     (["network", "--method", "nnet"], ["tree_cluster", "portfolio_sim"]),
-], ids=["import", "report", "returns", "hct", "mst", "nnet"])
+], ids=["import", "import-cli", "report", "returns", "hct", "mst", "nnet"])
 def test_command_loads_only_its_modules(workspace, argv, unloaded):
     # Each command runs in a fresh interpreter, which then lists its modules;
-    # with no command, the package is only imported.
+    # with no command, the package (or with None, ``netfolio.cli``, as the
+    # bench's setup_s times it) is only imported. No command loads
+    # dataclasses (records are built without it), and numpy is what loads
+    # inspect, so a numpy-free process does without it.
     if argv == ["report"]:
         (workspace / "report.csv").write_text(REPORT_CSV)
         argv = ["report", "--report-csv", str(workspace / "report.csv")]
@@ -859,7 +884,9 @@ def test_command_loads_only_its_modules(workspace, argv, unloaded):
     code = (
         "import json, sys\n"
         "argv = json.loads(sys.argv[1])\n"
-        "if argv:\n"
+        "if argv is None:\n"
+        "    import netfolio.cli\n"
+        "elif argv:\n"
         "    from netfolio.cli import main\n"
         "    assert main(argv) == 0, argv\n"
         "else:\n"
@@ -871,7 +898,8 @@ def test_command_loads_only_its_modules(workspace, argv, unloaded):
     done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, check=True,
                           capture_output=True, text=True)
     loaded = set(json.loads(done.stdout.splitlines()[-1]))
-    forbidden = {"scipy", "numpy.random", "numpy.ma"}
-    forbidden |= {name if name == "numpy" else f"netfolio.{name}" for name in unloaded}
+    forbidden = {"scipy", "numpy.random", "numpy.ma", "dataclasses"}
+    forbidden |= {name if name in ("numpy", "inspect") else f"netfolio.{name}"
+                  for name in unloaded}
     assert not loaded & forbidden
     assert "netfolio" in loaded
