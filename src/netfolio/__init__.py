@@ -18,7 +18,7 @@ _MODULES = {
     "clusters": "ClusterAssignment ClusterPairing pair_by_distance pair_by_size",
     "correlation": "CorrelationMatrix DistanceMatrix pearson_correlation ultrametric_distance",
     "inputs": "StudyPeriod",
-    "market_data": "DividendTable PricePanel ReturnPanel ingest period_returns total_return_index",
+    "market_data": "PricePanel ReturnPanel ingest period_returns total_return_index",
     "neighbor_net": "CircularSplitSystem Split fit_split_weights neighbornet_ordering "
                     "nn_clusters pair_nn_clusters write_nexus",
     "portfolio_sim": "IndustryMap SimulationRun Strategy cluster_plan default_industry_map "

@@ -116,8 +116,6 @@ class StrategyStats(Record):
 
 
 class SimulationReport(Record):
-    period: str
-    rf: float
     stats: tuple[StrategyStats, ...]
     levene: tuple[tuple[int, tuple[str, ...], LeveneResult], ...]  # (m, strategies, result)
 

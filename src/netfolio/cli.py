@@ -234,9 +234,9 @@ def check_ticker_count(config: str, prices: str, n: int, nnet: str | None,
 def compute_returns(cfg: dict, periods: list[StudyPeriod]) -> ReturnPanel:
     from .market_data import ingest, period_returns
 
-    panel, divs = ingest(cfg["prices"], cfg["dividends"])
+    panel = ingest(cfg["prices"], cfg["dividends"])
     try:
-        return period_returns(panel, divs, periods)
+        return period_returns(panel, periods)
     except DataError as exc:
         # ingest has checked every dividend date, so only a period boundary fails here.
         raise DataError(f"{cfg['periods']}: {exc}") from None
@@ -256,18 +256,15 @@ def period_correlation(cfg: dict, returns: ReturnPanel, label: str) -> Correlati
 
 def build_clusters(
     method: str, dist: DistanceMatrix, clustering: dict
-) -> tuple[ClusterAssignment, ClusterPairing | None, object | None]:
-    """Returns (assignment, pairing, structure) for one network method."""
+) -> tuple[ClusterAssignment, object]:
+    """The assignment of one network method and the structure it is cut from:
+    the dendrogram, the spanning tree or the circular ordering."""
     k = clustering.get("k", 4)
     if method == "hct":
-        from .clusters import pair_by_size
         from .tree_cluster import average_linkage_hct, cut_dendrogram
         tree = average_linkage_hct(dist)
-        assignment = cut_dendrogram(tree, k)
-        pairing = pair_by_size(assignment) if k % 2 == 0 else None
-        return assignment, pairing, tree
+        return cut_dendrogram(tree, k), tree
     if method == "mst":
-        from .clusters import pair_by_distance
         from .tree_cluster import minimum_spanning_tree, mst_clusters
         tree = minimum_spanning_tree(dist)
         assignment = mst_clusters(
@@ -278,23 +275,26 @@ def build_clusters(
             min_branch=clustering.get("min_branch", 5),
             hub=clustering.get("hub"),
         )
-        pairing = pair_by_distance(assignment, dist) if k % 2 == 0 else None
-        return assignment, pairing, tree
+        return assignment, tree
     if method == "nnet":
-        from .neighbor_net import (
-            fit_split_weights,
-            neighbornet_ordering,
-            nn_clusters,
-            pair_nn_clusters,
-        )
+        from .neighbor_net import neighbornet_ordering, nn_clusters
         ordering = neighbornet_ordering(dist)
-        system = fit_split_weights(
-            dist, ordering, prune=float(clustering.get("prune", 1e-9))
-        )
-        assignment = nn_clusters(system, dist, k, clustering.get("manual_breaks"))
-        pairing = pair_nn_clusters(assignment, ordering) if k % 2 == 0 else None
-        return assignment, pairing, system
+        return nn_clusters(ordering, dist, k, clustering.get("manual_breaks")), ordering
     raise ConfigError(f"unknown network method {method!r}")
+
+
+def pair_clusters(method: str, assignment: ClusterAssignment, structure: object,
+                  dist: DistanceMatrix) -> ClusterPairing:
+    """The pairing of an even number of clusters that ``build_clusters`` cut:
+    by size for HCT, by mean distance for MST, by opposite arcs for NN."""
+    if method == "hct":
+        from .clusters import pair_by_size
+        return pair_by_size(assignment)
+    if method == "mst":
+        from .clusters import pair_by_distance
+        return pair_by_distance(assignment, dist)
+    from .neighbor_net import pair_nn_clusters
+    return pair_nn_clusters(assignment, structure)
 
 
 def clusters_csv(assignment: ClusterAssignment) -> str:
@@ -341,7 +341,11 @@ def cmd_network(args: argparse.Namespace) -> int:
         if args.dump_matrices:
             _atomic_write(out / f"corr_{p.label}.csv", matrix_csv(corr.tickers, corr.rho))
             _atomic_write(out / f"dist_{p.label}.csv", matrix_csv(dist.tickers, dist.d))
-        assignment, _, structure = build_clusters(args.method, dist, clustering)
+        assignment, structure = build_clusters(args.method, dist, clustering)
+        if args.method == "nnet":  # the Nexus file holds the fitted splits
+            from .neighbor_net import fit_split_weights
+            structure = fit_split_weights(dist, structure,
+                                          prune=float(clustering.get("prune", 1e-9)))
         _atomic_write(out / f"clusters_{args.method}_{p.label}.csv", clusters_csv(assignment))
         if args.method == "hct":
             from .tree_cluster import to_newick
@@ -418,8 +422,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         elif name == "industry":
             plan = industry.plan
         else:
-            assignment, pairing, _ = build_clusters(name, dist, clustering)
-            plan = cluster_plan(assignment, pairing if sim.get("pair_m2", True) else None)
+            # k is 2 or 4 here, so the clusters can always be paired.
+            assignment, structure = build_clusters(name, dist, clustering)
+            pairing = (pair_clusters(name, assignment, structure, dist)
+                       if sim.get("pair_m2", True) else None)
+            plan = cluster_plan(assignment, pairing)
         strategies.append(Strategy(_STRATEGY_LABELS[name], plan))
 
     # Replication streams depend on (seed, rep) only: read each stream once,
@@ -496,8 +503,10 @@ def cmd_report(args: argparse.Namespace) -> int:
                     ),
                 )
             )
-    report = SimulationReport("", 0.0, tuple(stats), tuple(levene))
-    sys.stdout.write(render_report(report, args.format))
+    report = SimulationReport(tuple(stats), tuple(levene))
+    # UTF-8 whatever the locale, as _atomic_write writes files.
+    sys.stdout.flush()
+    sys.stdout.buffer.write(render_report(report, args.format).encode("utf-8"))
     return 0
 
 

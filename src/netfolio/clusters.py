@@ -23,7 +23,6 @@ class ClusterError(ValueError):
 
 class ClusterAssignment(Record):
     assignment: dict[str, int]  # ticker -> cluster id in 1..k
-    method: str  # HCT | MST | NN | INDUSTRY
 
     def __post_init__(self) -> None:
         ids = sorted(set(self.assignment.values()))
@@ -49,9 +48,6 @@ class ClusterAssignment(Record):
     def clusters(self) -> dict[int, tuple[str, ...]]:
         return dict(self._clusters)
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(self.members(c)) for c in range(1, self.k + 1))
-
 
 class ClusterPairing(Record):
     pairs: tuple[tuple[int, int], ...]
@@ -64,11 +60,11 @@ class ClusterPairing(Record):
             seen.update((a, b))
 
 
-def renumber(groups: list[tuple[str, ...]], method: str) -> ClusterAssignment:
+def renumber(groups: list[tuple[str, ...]]) -> ClusterAssignment:
     """Number groups 1..k by lexicographically smallest member for determinism."""
     ordered = sorted(groups, key=lambda g: min(g))
     mapping = {t: i + 1 for i, g in enumerate(ordered) for t in g}
-    return ClusterAssignment(mapping, method)
+    return ClusterAssignment(mapping)
 
 
 def pair_by_size(assignment: ClusterAssignment) -> ClusterPairing:

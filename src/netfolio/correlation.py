@@ -17,13 +17,13 @@ class CorrelationError(ValueError):
 
 class CorrelationMatrix(Record):
     tickers: tuple[str, ...]
-    rho: np.ndarray  # symmetric, unit diagonal
+    rho: np.ndarray  # exactly symmetric, unit diagonal
 
     def __post_init__(self) -> None:
         n = len(self.tickers)
         if self.rho.shape != (n, n):
             raise CorrelationError("correlation matrix shape mismatch")
-        if not np.allclose(self.rho, self.rho.T):
+        if not np.array_equal(self.rho, self.rho.T):
             raise CorrelationError("correlation matrix must be symmetric")
         if not np.all(np.diag(self.rho) == 1.0):
             raise CorrelationError("correlation diagonal must be exactly 1")
@@ -33,13 +33,13 @@ class CorrelationMatrix(Record):
 
 class DistanceMatrix(Record):
     tickers: tuple[str, ...]
-    d: np.ndarray  # symmetric, zero diagonal, entries in [0, 2]
+    d: np.ndarray  # exactly symmetric, zero diagonal, entries in [0, 2]
 
     def __post_init__(self) -> None:
         n = len(self.tickers)
         if self.d.shape != (n, n):
             raise CorrelationError("distance matrix shape mismatch")
-        if not np.allclose(self.d, self.d.T):
+        if not np.array_equal(self.d, self.d.T):
             raise CorrelationError("distance matrix must be symmetric")
         if not np.all(np.diag(self.d) == 0.0):
             raise CorrelationError("distance diagonal must be exactly 0")

@@ -1,14 +1,16 @@
 """Price/dividend ingestion and dividend-reinvested total returns.
 
-Prices are weekly closes. A dividend paid on date t is reinvested into the
-paying stock at that date's close, multiplying the share count by
-(1 + amount / close). Period returns are simple percentage returns of the
-resulting total-return index between two panel dates.
+Prices are weekly closes. A dividend is booked at the first close on or after
+its payment date and reinvested into the paying stock at that close,
+multiplying the share count by (1 + amount / close). Period returns are
+simple percentage returns of the resulting total-return index between two
+panel dates.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from datetime import date
 from functools import cached_property
@@ -17,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .inputs import DataError, StudyPeriod, _date, _invalid_date, read_table
-from .record import Record, _set
+from .record import Record
 
 
 def _number(text: str) -> float:
@@ -29,15 +31,19 @@ def _number(text: str) -> float:
 
 
 class PricePanel(Record):
-    """Weekly closing prices, indexed (date, ticker)."""
+    """Weekly closing prices and the dividends paid at them, indexed (date, ticker)."""
 
     tickers: tuple[str, ...]
     dates: tuple[date, ...]
     close: np.ndarray  # shape (n_dates, n_tickers), all > 0
+    dividends: np.ndarray  # shape of close: per-share amounts booked at each close
 
     def __post_init__(self) -> None:
-        if self.close.shape != (len(self.dates), len(self.tickers)):
+        shape = (len(self.dates), len(self.tickers))
+        if self.close.shape != shape:
             raise DataError("close matrix shape does not match dates x tickers")
+        if self.dividends.shape != shape:
+            raise DataError("dividend matrix shape does not match dates x tickers")
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise DataError("panel dates must be strictly increasing")
         if not np.all(self.close > 0):
@@ -52,23 +58,6 @@ class PricePanel(Record):
             return self.dates.index(d)
         except ValueError:
             raise DataError(f"{what} {d.isoformat()} is not a panel date") from None
-
-
-class Dividend(Record):
-    ticker: str
-    payment_date: date
-    amount: float  # per share, >= 0
-
-    def __init__(self, ticker: str, payment_date: date, amount: float) -> None:
-        # One is built per dividend row: Record's generic __init__ takes
-        # twice as long.
-        _set(self, "ticker", ticker)
-        _set(self, "payment_date", payment_date)
-        _set(self, "amount", amount)
-
-
-class DividendTable(Record):
-    entries: tuple[Dividend, ...]
 
 
 class ReturnPanel(Record):
@@ -122,13 +111,15 @@ def _raise_first(path: Path, lines: Sequence[int], stop: DataError | None, check
         raise stop
 
 
-def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePanel, DividendTable]:
+def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
     """Read price and dividend CSVs, validating the schemas strictly.
 
     Price CSV: header ``date,ticker,close``; dividend CSV: header
     ``ticker,payment_date,amount``. Any missing (date, ticker) price cell,
     malformed row, or out-of-range dividend fails with a located error: that
     of the first bad line, each check run once over all rows as a mask.
+    Each dividend is added, in table order, to the panel's dividend cell of
+    its ticker at the first close on or after its payment date.
     """
     price_file, dividend_file = Path(price_file), Path(dividend_file)
     lines, (date_text, ticker_text, close_text), stop = read_table(
@@ -175,7 +166,6 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
         i, j = divmod(int(missing[0]), len(tickers))
         raise DataError(f"{price_file}: missing price cell ({dates[i].isoformat()}, {tickers[j]})")
     grid.reshape(-1)[cell] = close
-    panel = PricePanel(tickers, dates, grid[:-1, :-1].copy())
 
     lines, (payer_text, paid_text, amount_text), stop = read_table(
         dividend_file, ("ticker", "payment_date", "amount"))
@@ -193,41 +183,29 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> tuple[PricePane
         (~np.isfinite(amount), lambda row: f"invalid amount {amount_text[row]!r}"),
         (amount < 0, lambda row: "negative dividend amount"),
     ])
-    entries = map(Dividend, map(payer.__getitem__, payer_text), map(paid.__getitem__, paid_text),
-                  amount.tolist())
-    return panel, DividendTable(tuple(entries))
+    # The range check leaves every payment a close at or after it; the first
+    # such close books it.
+    row_of = {text: bisect_left(dates, d) for text, d in paid.items()}
+    column_of = {text: ticker_pos[t] for text, t in payer.items()}
+    rows = np.fromiter(map(row_of.__getitem__, paid_text), np.intp, amount.size)
+    cols = np.fromiter(map(column_of.__getitem__, payer_text), np.intp, amount.size)
+    dividends = np.zeros((len(dates), len(tickers)))
+    np.add.at(dividends, (rows, cols), amount)  # unbuffered: a cell adds in table order
+    return PricePanel(tickers, dates, grid[:-1, :-1].copy(), dividends)
 
 
-def total_return_index(panel: PricePanel, divs: DividendTable) -> np.ndarray:
+def total_return_index(panel: PricePanel) -> np.ndarray:
     """Dividend-reinvested index of every ticker, shape (n_dates, n_tickers).
 
-    Shares start at 1. A dividend paid on (or rolled forward to) date t buys
-    amount/close_t extra shares; the index is shares * close. With no
-    dividends the index equals the raw price path exactly. Dividends of
-    tickers outside the panel are ignored.
+    Shares start at 1. A dividend booked at date t buys amount/close_t extra
+    shares; the index is shares * close. With no dividends the index equals
+    the raw price path exactly.
     """
-    column = {t: j for j, t in enumerate(panel.tickers)}
-    paid = [e for e in divs.entries if e.ticker in column]
-    cols = np.array([column[e.ticker] for e in paid], dtype=np.intp)
-    # Payment dates rolled forward to the next close.
-    rows = np.searchsorted(
-        [d.toordinal() for d in panel.dates], [e.payment_date.toordinal() for e in paid]
-    )
-    late = np.flatnonzero(rows == len(panel.dates))
-    if late.size:
-        entry = paid[late[np.argmin(cols[late])]]  # first panel ticker, then table order
-        raise DataError(
-            f"dividend for {entry.ticker} on {entry.payment_date.isoformat()} "
-            "has no close date at or after it"
-        )
-    per_date = np.zeros(panel.close.shape)
-    # Unbuffered: one cell's amounts are added in table order.
-    np.add.at(per_date, (rows, cols), [e.amount for e in paid])
-    return np.cumprod(1.0 + per_date / panel.close, axis=0) * panel.close
+    return np.cumprod(1.0 + panel.dividends / panel.close, axis=0) * panel.close
 
 
 def period_returns(
-    panel: PricePanel, divs: DividendTable, periods: list[StudyPeriod] | tuple[StudyPeriod, ...]
+    panel: PricePanel, periods: list[StudyPeriod] | tuple[StudyPeriod, ...]
 ) -> ReturnPanel:
     """Total period returns (%) and weekly simple returns per study period.
 
@@ -236,7 +214,7 @@ def period_returns(
     index inside each period (dividend-inclusive).
     """
     periods = tuple(periods)
-    tri = total_return_index(panel, divs)
+    tri = total_return_index(panel)
     total = np.empty((len(periods), len(panel.tickers)))
     weekly: list[np.ndarray] = []
     for k, p in enumerate(periods):

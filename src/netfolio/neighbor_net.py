@@ -3,8 +3,9 @@
 The ordering is built agglomeratively: active components (chains of linked
 nodes) are merged by a neighbor-joining-style criterion, chains of three
 linked nodes are reduced to two synthetic nodes, and expanding the
-reductions of the final chain yields the circular ordering. Split weights
-are then fitted by non-negative least squares over all contiguous-arc
+reductions of the final chain yields the circular ordering. Clusters are
+contiguous arcs of the ordering. Split weights, which only the Nexus export
+reads, are fitted by non-negative least squares over all contiguous-arc
 splits of the ordering.
 """
 
@@ -32,10 +33,6 @@ class CircularSplitSystem(Record):
     ordering: tuple[str, ...]
     splits: tuple[Split, ...]
     residual: float
-
-    @property
-    def n(self) -> int:
-        return len(self.ordering)
 
     def arc_members(self, split: Split) -> tuple[str, ...]:
         return self.ordering[split.start : split.start + split.length]
@@ -72,9 +69,8 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
     # The component distance matrix is kept across merges: a merge deletes
     # the two merged components and appends the new one, so each entry keeps
     # the lower-numbered component as its row, as when it was computed. The
-    # singletons' distances are the upper triangle of the input.
-    cd = np.triu(dist.d, 1)
-    cd = cd + cd.T
+    # singletons' distances are the input's.
+    cd = dist.d
     while cd.shape[0] > 1:
         m = cd.shape[0]
         first, last, low = comps
@@ -258,7 +254,7 @@ def adjacent_gaps(dist: DistanceMatrix, ordering: tuple[str, ...]) -> list[float
 
 
 def nn_clusters(
-    system: CircularSplitSystem,
+    ordering: tuple[str, ...],
     dist: DistanceMatrix,
     k: int,
     manual_breaks: list[int] | None = None,
@@ -269,7 +265,7 @@ def nn_clusters(
     uses the supplied cut positions (a cut at position p starts a cluster at
     ordering[p]).
     """
-    n = system.n
+    n = len(ordering)
     if not 1 <= k <= n:
         raise ClusterError(f"k must be in [1, {n}]")
     if manual_breaks is not None:
@@ -279,12 +275,12 @@ def nn_clusters(
     elif k == 1:
         cuts = [0]
     else:
-        gaps = adjacent_gaps(dist, system.ordering)
+        gaps = adjacent_gaps(dist, ordering)
         cuts = sorted(sorted(range(n), key=lambda i: (-gaps[i], i))[:k])
     arcs: list[tuple[str, ...]] = []
     for a, b in zip(cuts, cuts[1:] + [cuts[0] + n]):
-        arcs.append(tuple(system.ordering[p % n] for p in range(a, b)))
-    return renumber(arcs, "NN")
+        arcs.append(tuple(ordering[p % n] for p in range(a, b)))
+    return renumber(arcs)
 
 
 def pair_nn_clusters(assignment: ClusterAssignment, ordering: tuple[str, ...]) -> ClusterPairing:

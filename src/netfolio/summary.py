@@ -74,8 +74,7 @@ def summarize(
     """
     if not runs:
         raise AnalyticsError("no simulation runs to summarize")
-    periods = {r.period for r in runs}
-    if len(periods) != 1:
+    if len({r.period for r in runs}) != 1:
         raise AnalyticsError("runs must share a period")
     stats: list[StrategyStats] = []
     for r in runs:
@@ -97,4 +96,4 @@ def summarize(
         if len(included) >= 2:
             result = levene_test([r.returns for r in included], center=levene_center)
             levene.append((m, tuple(r.strategy for r in included), result))
-    return SimulationReport(next(iter(periods)), rf, tuple(flagged), tuple(levene))
+    return SimulationReport(tuple(flagged), tuple(levene))

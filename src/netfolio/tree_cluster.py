@@ -86,12 +86,9 @@ def average_linkage_hct(dist: DistanceMatrix) -> Dendrogram:
         raise ClusterError("need at least 2 tickers")
     # Rows in ticker order, so a cluster lives in the row of its smallest
     # member and the first minimum in row-major order has the smallest
-    # (label, label) pair. Each pair's distance is read above the diagonal.
-    d = np.array(dist.d, dtype=float)
-    i, j = np.triu_indices(n, 1)
-    d[j, i] = d[i, j]
+    # (label, label) pair.
     order = sorted(range(n), key=dist.tickers.__getitem__)
-    d = d[np.ix_(order, order)]
+    d = np.asarray(dist.d, dtype=float)[np.ix_(order, order)]
     np.fill_diagonal(d, np.inf)
     node, size = order, [1] * n
     merges: list[Merge] = []
@@ -115,7 +112,7 @@ def cut_dendrogram(tree: Dendrogram, k: int) -> ClusterAssignment:
     merged = n - k
     children = {c for m in tree.merges[:merged] for c in (m.left, m.right)}
     roots = [r for r in range(n + merged) if r not in children]
-    return renumber([tree.leaves_under(r) for r in roots], "HCT")
+    return renumber([tree.leaves_under(r) for r in roots])
 
 
 def _find(root: dict[str, str], x: str) -> str:
@@ -198,12 +195,12 @@ def mst_clusters(
     if not 1 <= k <= n:
         raise ClusterError(f"k must be in [1, {n}]")
     if k == 1:
-        return renumber([tuple(sorted(tree.tickers))], "MST")
+        return renumber([tuple(sorted(tree.tickers))])
     if mode == "gap":
         ranked = sorted(tree.edges, key=lambda e: (-e[2], e[0], e[1]))
         removed = {(a, b) for a, b, _ in ranked[: k - 1]}
         kept = [(a, b) for a, b, _ in tree.edges if (a, b) not in removed]
-        return renumber(_components(tree.tickers, kept), "MST")
+        return renumber(_components(tree.tickers, kept))
     if mode != "hub":
         raise ClusterError(f"unknown MST cluster mode {mode!r}")
 
@@ -225,7 +222,7 @@ def mst_clusters(
     seeds = qualifying[:k]
     seeded = {t for s in seeds for t in s}
     unassigned = [t for t in tree.tickers if t not in seeded]
-    return renumber(_assign_by_nearest(seeds, unassigned, dist), "MST")
+    return renumber(_assign_by_nearest(seeds, unassigned, dist))
 
 
 def to_newick(tree: Dendrogram) -> str:

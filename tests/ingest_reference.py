@@ -5,20 +5,22 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_left
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
 from netfolio.inputs import DataError, _blank, _parse_date
-from netfolio.market_data import Dividend, DividendTable, PricePanel, _number
+from netfolio.market_data import PricePanel, _number
 
 PRICE_HEADER = ["date", "ticker", "close"]
 DIVIDEND_HEADER = ["ticker", "payment_date", "amount"]
 
 
-def _ingest_rows(price_file: Path, dividend_file: Path) -> tuple[PricePanel, DividendTable]:
-    """``ingest`` one row at a time, raising at the first bad line."""
+def _ingest_rows(price_file: Path, dividend_file: Path) -> PricePanel:
+    """``ingest`` one row at a time, raising at the first bad line; each
+    dividend is added to its cell as its row is read."""
     cells: dict[tuple[date, str], float] = {}
     parsed: dict[str, date] = {}  # raw date text -> date; every ticker repeats each date
 
@@ -64,9 +66,8 @@ def _ingest_rows(price_file: Path, dividend_file: Path) -> tuple[PricePanel, Div
             if (d, t) not in cells:
                 raise DataError(f"{price_file}: missing price cell ({d.isoformat()}, {t})")
             close[i, j] = cells[(d, t)]
-    panel = PricePanel(tickers, dates, close)
 
-    entries: list[Dividend] = []
+    dividends = np.zeros(close.shape)
     with open(dividend_file, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -80,7 +81,7 @@ def _ingest_rows(price_file: Path, dividend_file: Path) -> tuple[PricePanel, Div
             if len(row) != 3:
                 raise DataError(f"{dividend_file}:{lineno}: expected 3 fields, got {len(row)}")
             ticker = row[0].strip()
-            if ticker not in panel.tickers:
+            if ticker not in tickers:
                 raise DataError(f"{dividend_file}:{lineno}: dividend for unknown ticker {ticker!r}")
             d = parse_date(row[1], f"{dividend_file}:{lineno}")
             if not (dates[0] <= d <= dates[-1]):
@@ -92,5 +93,5 @@ def _ingest_rows(price_file: Path, dividend_file: Path) -> tuple[PricePanel, Div
                 raise DataError(f"{dividend_file}:{lineno}: invalid amount {row[2]!r}")
             if amount < 0:
                 raise DataError(f"{dividend_file}:{lineno}: negative dividend amount")
-            entries.append(Dividend(ticker, d, amount))
-    return panel, DividendTable(tuple(entries))
+            dividends[bisect_left(dates, d), tickers.index(ticker)] += amount
+    return PricePanel(tickers, dates, close, dividends)

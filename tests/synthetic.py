@@ -14,7 +14,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from netfolio.inputs import DataError
-from netfolio.market_data import Dividend, DividendTable, PricePanel, ReturnPanel
+from netfolio.market_data import PricePanel, ReturnPanel
 from netfolio.portfolio_sim import SimulationRun, Strategy, draw_matrices, score_period
 
 
@@ -78,7 +78,7 @@ def panel_from_loadings(
     start_price: float = 100.0,
     dividend_every: int = 0,
     dividend_yield: float = 0.005,
-) -> tuple[PricePanel, DividendTable]:
+) -> PricePanel:
     """Synthesize a weekly panel from an explicit (stocks x factors) loading matrix."""
     if idio_vol <= 0:
         raise DataError("idiosyncratic volatility must be positive")
@@ -95,16 +95,14 @@ def panel_from_loadings(
     returns = np.clip(returns, -0.5, None)  # keep prices positive
     prices = start_price * np.vstack([np.ones(n), np.cumprod(1.0 + returns, axis=0)])
     dates = tuple(start + timedelta(weeks=w) for w in range(weeks + 1))
-    panel = PricePanel(tickers, dates, prices)
-    entries: list[Dividend] = []
+    dividends = np.zeros(prices.shape)
     if dividend_every > 0:
-        for w in range(dividend_every, weeks + 1, dividend_every):
-            for j, t in enumerate(tickers):
-                entries.append(Dividend(t, dates[w], dividend_yield * prices[w, j]))
-    return panel, DividendTable(tuple(entries))
+        paid = slice(dividend_every, weeks + 1, dividend_every)
+        dividends[paid] = dividend_yield * prices[paid]
+    return PricePanel(tickers, dates, prices, dividends)
 
 
-def synthesize_panel(spec: BlockModelSpec, seed: int) -> tuple[PricePanel, DividendTable]:
+def synthesize_panel(spec: BlockModelSpec, seed: int) -> PricePanel:
     """Deterministic synthetic panel from a block-factor model."""
     return panel_from_loadings(
         spec.loading_matrix,

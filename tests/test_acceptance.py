@@ -235,9 +235,9 @@ def test_criterion_07_random_selection_calibration():
         weeks=156,
         block_drift=(0.003, 0.001, -0.001, 0.002),
     )
-    panel, divs = synthesize_panel(spec, seed=7)
+    panel = synthesize_panel(spec, seed=7)
     period = StudyPeriod("P1", panel.dates[0], panel.dates[-1])
-    returns = period_returns(panel, divs, [period])
+    returns = period_returns(panel, [period])
     universe_mean = float(np.mean(returns.returns_for("P1")))
     strategy = Strategy("Random", random_plan(returns.tickers))
     for m in (2, 4, 8):
@@ -335,13 +335,14 @@ def test_criterion_09_simulate_determinism(tmp_path):
 
 def test_criterion_10_dividend_reinvestment():
     # Hand example: flat price, one dividend worth 10% of the share price,
-    # reinvested at the next close -> exactly +10% total return.
-    from netfolio.market_data import Dividend, DividendTable, PricePanel
+    # reinvested at its close -> exactly +10% total return.
+    from netfolio.market_data import PricePanel
 
     dates = tuple(date(2001, 1, d) for d in (2, 9, 16))
-    panel = PricePanel(("AA",), dates, np.full((3, 1), 100.0))
-    divs = DividendTable((Dividend("AA", date(2001, 1, 9), 10.0),))
-    returns = period_returns(panel, divs, [StudyPeriod("P", dates[0], dates[-1])])
+    paid = np.zeros((3, 1))
+    paid[1, 0] = 10.0
+    panel = PricePanel(("AA",), dates, np.full((3, 1), 100.0), paid)
+    returns = period_returns(panel, [StudyPeriod("P", dates[0], dates[-1])])
     assert returns.returns_for("P")[0] == pytest.approx(10.0, rel=1e-14)
 
     # Composition property over 100 random (a < b < c) date triples.
@@ -352,7 +353,7 @@ def test_criterion_10_dividend_reinvestment():
             block_sizes=(4, 4), loadings=(0.7, 0.7), idio_vol=0.02,
             weeks=60, dividend_every=int(rng.integers(4, 13)),
         )
-        panel, divs = synthesize_panel(spec, seed=int(rng.integers(1 << 30)))
+        panel = synthesize_panel(spec, seed=int(rng.integers(1 << 30)))
         for _ in range(10):
             a, b, c = sorted(rng.choice(len(panel.dates), size=3, replace=False))
             if a == b or b == c:
@@ -362,7 +363,7 @@ def test_criterion_10_dividend_reinvestment():
                 StudyPeriod("BC", panel.dates[b], panel.dates[c]),
                 StudyPeriod("AC", panel.dates[a], panel.dates[c]),
             ]
-            rp = period_returns(panel, divs, periods)
+            rp = period_returns(panel, periods)
             lhs = (1 + rp.returns_for("AB") / 100) * (1 + rp.returns_for("BC") / 100)
             rhs = 1 + rp.returns_for("AC") / 100
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
@@ -381,9 +382,9 @@ def test_criterion_11_end_to_end_block_recovery():
     # Stock 0 loads on every factor: it becomes the spanning-tree hub.
     loadings[0, :] = [0.75, 0.45, 0.45, 0.45]
     drift = np.repeat([0.004, 0.001, -0.001, 0.0025], sizes)
-    panel, divs = panel_from_loadings(loadings, 0.01, 156, seed=0, drift=drift)
+    panel = panel_from_loadings(loadings, 0.01, 156, seed=0, drift=drift)
     period = StudyPeriod("P1", panel.dates[0], panel.dates[-1])
-    returns = period_returns(panel, divs, [period])
+    returns = period_returns(panel, [period])
     weekly = returns.weekly_returns[0]
     dist = ultrametric_distance(pearson_correlation(weekly, returns.tickers))
 
@@ -395,24 +396,23 @@ def test_criterion_11_end_to_end_block_recovery():
     hct = cut_dendrogram(average_linkage_hct(dist), 4)
     tree = minimum_spanning_tree(dist)
     mst = mst_clusters(tree, dist, 4, mode="hub", min_branch=5)
-    system = fit_split_weights(dist, neighbornet_ordering(dist))
-    nnet = nn_clusters(system, dist, 4)
-    for assignment in (hct, mst, nnet):
+    methods = {"HCT": hct, "MST": mst, "NN": nn_clusters(neighbornet_ordering(dist), dist, 4)}
+    for method, assignment in methods.items():
         got = {frozenset(ms) for ms in assignment.clusters().values()}
-        assert got == planted, assignment.method
+        assert got == planted, method
 
     random_run = run_simulation(
         Strategy("Random", random_plan(returns.tickers)),
         returns, "P1", 4, reps=1000, seed=11,
     )
     sd_random = float(np.std(random_run.returns, ddof=1))
-    for assignment in (hct, mst, nnet):
+    for method, assignment in methods.items():
         run = run_simulation(
-            Strategy(assignment.method, cluster_plan(assignment)),
+            Strategy(method, cluster_plan(assignment)),
             returns, "P1", 4, reps=1000, seed=11,
         )
         sd_cluster = float(np.std(run.returns, ddof=1))
-        assert sd_cluster < sd_random, assignment.method
+        assert sd_cluster < sd_random, method
         res = levene_test([random_run.returns, run.returns])
-        assert res.p_value / 2 < 0.05, assignment.method  # one-sided
+        assert res.p_value / 2 < 0.05, method  # one-sided
     assert time.perf_counter() - start < 60.0

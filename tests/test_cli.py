@@ -18,15 +18,15 @@ from synthetic import BlockModelSpec, synthesize_panel
 
 
 def write_panel_csvs(tmp_path, spec, seed=0):
-    panel, divs = synthesize_panel(spec, seed)
+    panel = synthesize_panel(spec, seed)
     prices = ["date,ticker,close"]
+    dividends = ["ticker,payment_date,amount"]
     for i, d in enumerate(panel.dates):
         for j, t in enumerate(panel.tickers):
             prices.append(f"{d.isoformat()},{t},{panel.close[i, j]:.6f}")
+            if panel.dividends[i, j]:
+                dividends.append(f"{t},{d.isoformat()},{panel.dividends[i, j]:.6f}")
     (tmp_path / "prices.csv").write_text("\n".join(prices) + "\n")
-    dividends = ["ticker,payment_date,amount"]
-    for e in divs.entries:
-        dividends.append(f"{e.ticker},{e.payment_date.isoformat()},{e.amount:.6f}")
     (tmp_path / "dividends.csv").write_text("\n".join(dividends) + "\n")
     return panel
 
@@ -163,6 +163,7 @@ class TestNetworkCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: active-set iteration cap 0 exceeded (residual ")
         assert not (out / "nnet_P1.nex").exists()
+        assert not (out / "clusters_nnet_P1.csv").exists()
 
 
 class TestSimulateCommand:
@@ -903,3 +904,20 @@ def test_command_loads_only_its_modules(workspace, argv, unloaded):
                   for name in unloaded}
     assert not loaded & forbidden
     assert "netfolio" in loaded
+
+
+@pytest.mark.parametrize("strategy", ["Random", "Élan"])
+def test_report_stdout_is_utf8_in_any_locale(tmp_path, capsys, strategy):
+    # Under the C locale, without UTF-8 mode, sys.stdout encodes ASCII; the
+    # report goes out as UTF-8 all the same, as the files the commands write.
+    path = tmp_path / "report.csv"
+    path.write_text(REPORT_CSV.replace("Random", strategy), encoding="utf-8")
+    assert main(["report", "--report-csv", str(path)]) == 0
+    want = capsys.readouterr().out.encode("utf-8")
+    src = Path(netfolio.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+    env.update(PYTHONPATH=str(src), LC_ALL="C")
+    done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "netfolio.cli", "report",
+                           "--report-csv", str(path)], env=env, capture_output=True)
+    assert (done.returncode, done.stderr, done.stdout) == (0, b"", want)
+    assert strategy.encode("utf-8") in want

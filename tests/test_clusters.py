@@ -22,23 +22,22 @@ from conftest import random_distance_matrix
 
 class TestClusterAssignment:
     def test_members_and_sizes(self):
-        a = ClusterAssignment({"A": 1, "B": 2, "C": 1}, method="hct")
+        a = ClusterAssignment({"A": 1, "B": 2, "C": 1})
         assert a.members(1) == ("A", "C")
-        assert a.sizes() == (2, 1)
         assert a.clusters() == {1: ("A", "C"), 2: ("B",)}
 
     def test_rejects_gap_in_labels(self):
         with pytest.raises(ClusterError):
-            ClusterAssignment({"A": 1, "B": 3}, method="hct")
+            ClusterAssignment({"A": 1, "B": 3})
 
     def test_renumber_orders_by_smallest_member(self):
-        a = renumber([("Z", "M"), ("B", "Y")], method="mst")
+        a = renumber([("Z", "M"), ("B", "Y")])
         assert a.clusters() == {1: ("B", "Y"), 2: ("M", "Z")}
 
 
 class TestPairBySize:
     def test_largest_with_smallest(self):
-        a = renumber([("A", "B", "C"), ("D",), ("E", "F"), ("G", "H", "I", "J")], "hct")
+        a = renumber([("A", "B", "C"), ("D",), ("E", "F"), ("G", "H", "I", "J")])
         pairing = pair_by_size(a)
         paired = {frozenset(p) for p in pairing.pairs}
         big = a.clusters()
@@ -47,7 +46,7 @@ class TestPairBySize:
         assert frozenset((by_size[1], by_size[2])) in paired
 
     def test_requires_even_cluster_count(self):
-        a = renumber([("A",), ("B",), ("C",)], "hct")
+        a = renumber([("A",), ("B",), ("C",)])
         with pytest.raises(ClusterError):
             pair_by_size(a)
 
@@ -70,7 +69,7 @@ class TestPairByDistance:
         rng = np.random.default_rng(700 + trial)
         dist = random_distance_matrix(rng, 8)
         groups = [dist.tickers[0:2], dist.tickers[2:4], dist.tickers[4:6], dist.tickers[6:8]]
-        assignment = renumber(groups, "mst")
+        assignment = renumber(groups)
         pairing = pair_by_distance(assignment, dist)
         got = frozenset(frozenset(p) for p in pairing.pairs)
         expected, expected_total = self.brute_force_best(assignment, dist)
@@ -89,7 +88,7 @@ class TestPairByDistance:
             ]
         )
         dist = DistanceMatrix(("A", "B", "C", "D"), d)
-        a = renumber([("A", "B"), ("C", "D")], "mst")
+        a = renumber([("A", "B"), ("C", "D")])
         # Cross distances: AC=0.4, AD=0.6, BC=0.8, BD=1.0 -> mean 0.7.
         assert mean_intercluster_distance(a, dist, 1, 2) == pytest.approx(0.7)
 
@@ -102,7 +101,7 @@ class TestBestMatching:
 
 class TestCachedMembership:
     def test_clusters_is_a_copy(self):
-        a = ClusterAssignment({"A": 1, "B": 2, "C": 1}, method="hct")
+        a = ClusterAssignment({"A": 1, "B": 2, "C": 1})
         a.clusters()[1] = ("Z",)
         assert a.clusters() == {1: ("A", "C"), 2: ("B",)}
         assert a.members(1) == ("A", "C") and a.members(3) == ()

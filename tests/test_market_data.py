@@ -27,14 +27,7 @@ from netfolio.inputs import (
     _split_rows,
     read_table,
 )
-from netfolio.market_data import (
-    Dividend,
-    DividendTable,
-    PricePanel,
-    ingest,
-    period_returns,
-    total_return_index,
-)
+from netfolio.market_data import PricePanel, ingest, period_returns, total_return_index
 from synthetic import BlockModelSpec, synthesize_panel
 
 
@@ -50,11 +43,13 @@ WEEK1, WEEK2, WEEK3 = "2001-01-02", "2001-01-09", "2001-01-16"
 
 
 def simple_panel(prices=(10.0, 10.0, 10.0), dividends=()):
+    """One ticker's panel; ``dividends`` holds (date index, amount) pairs."""
     dates = tuple(date(2001, 1, 2) + timedelta(weeks=w) for w in range(len(prices)))
     close = np.array([[p] for p in prices])
-    panel = PricePanel(("AAA",), dates, close)
-    table = DividendTable(tuple(Dividend("AAA", dates[i], amt) for i, amt in dividends))
-    return panel, table
+    paid = np.zeros(close.shape)
+    for i, amount in dividends:
+        paid[i, 0] += amount
+    return PricePanel(("AAA",), dates, close, paid)
 
 
 class TestIngest:
@@ -68,10 +63,10 @@ class TestIngest:
             ],
             ["AAA,2001-01-09,0.5"],
         )
-        panel, divs = ingest(p, d)
+        panel = ingest(p, d)
         assert panel.tickers == ("AAA", "BBB")
         assert panel.close.size == 6
-        assert divs.entries[0].amount == 0.5
+        assert panel.dividends.tolist() == [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]]
 
     def test_negative_price_names_cell(self, tmp_path):
         p, d = write_csvs(tmp_path, [f"{WEEK1},AAA,10", f"{WEEK2},AAA,-3"], [])
@@ -118,92 +113,72 @@ class TestIngest:
 
 class TestTotalReturnIndex:
     def test_constant_price_no_dividends(self):
-        panel, divs = simple_panel()
-        tri = total_return_index(panel, divs)[:, 0]
+        tri = total_return_index(simple_panel())[:, 0]
         assert np.array_equal(tri, [10.0, 10.0, 10.0])
 
     def test_price_doubling(self):
-        panel, divs = simple_panel(prices=(10.0, 20.0))
-        tri = total_return_index(panel, divs)[:, 0]
+        tri = total_return_index(simple_panel(prices=(10.0, 20.0)))[:, 0]
         assert tri[-1] / tri[0] - 1.0 == 1.0
 
     def test_dividend_reinvestment_plus_ten_percent(self):
-        panel, divs = simple_panel(dividends=((1, 1.0),))
-        tri = total_return_index(panel, divs)[:, 0]
+        tri = total_return_index(simple_panel(dividends=((1, 1.0),)))[:, 0]
         assert tri[-1] == pytest.approx(11.0, abs=0)
         assert tri[-1] / tri[0] - 1.0 == pytest.approx(0.10, rel=1e-14)
 
     def test_zero_dividends_equals_price_path(self, rng):
         prices = tuple(rng.uniform(5, 50, size=20))
-        panel, divs = simple_panel(prices=prices)
-        assert np.array_equal(total_return_index(panel, divs)[:, 0], prices)
+        assert np.array_equal(total_return_index(simple_panel(prices=prices))[:, 0], prices)
 
     def test_two_dividends_multiplicative(self):
-        panel, divs = simple_panel(prices=(10.0, 20.0, 40.0), dividends=((1, 2.0), (2, 4.0)))
-        tri = total_return_index(panel, divs)[:, 0]
+        panel = simple_panel(prices=(10.0, 20.0, 40.0), dividends=((1, 2.0), (2, 4.0)))
+        tri = total_return_index(panel)[:, 0]
         assert tri[-1] == pytest.approx((1 + 2.0 / 20.0) * (1 + 4.0 / 40.0) * 40.0)
 
-    def test_payment_date_rolls_forward(self):
-        panel, _ = simple_panel(prices=(10.0, 20.0, 40.0))
-        divs = DividendTable((Dividend("AAA", panel.dates[1] - timedelta(days=3), 2.0),))
-        rolled = total_return_index(panel, divs)[:, 0]
-        at_close = total_return_index(
-            panel, DividendTable((Dividend("AAA", panel.dates[1], 2.0),))
-        )[:, 0]
-        assert np.array_equal(rolled, at_close)
+    def test_payment_date_rolls_forward(self, tmp_path):
+        # ingest books a payment three days before the second close at it.
+        rows = [f"{WEEK1},AAA,10", f"{WEEK2},AAA,20", f"{WEEK3},AAA,40"]
+        rolled = ingest(*write_csvs(tmp_path, rows, ["AAA,2001-01-06,2"]))
+        at_close = ingest(*write_csvs(tmp_path, rows, ["AAA,2001-01-09,2"]))
+        assert rolled.dividends[:, 0].tolist() == [0.0, 2.0, 0.0]
+        assert np.array_equal(total_return_index(rolled), total_return_index(at_close))
 
     def test_other_tickers_unaffected(self):
         dates = tuple(date(2001, 1, 2) + timedelta(weeks=w) for w in range(3))
-        panel = PricePanel(("AAA", "BBB"), dates, np.full((3, 2), 10.0))
-        divs = DividendTable((Dividend("BBB", dates[1], 5.0),))
-        assert np.array_equal(total_return_index(panel, divs)[:, 0], [10.0, 10.0, 10.0])
-
-    def test_late_dividend_named(self):
-        panel, _ = simple_panel()
-        late = panel.dates[-1] + timedelta(days=1)
-        divs = DividendTable((Dividend("AAA", panel.dates[0], 1.0), Dividend("AAA", late, 2.0)))
-        with pytest.raises(
-            DataError, match=r"^dividend for AAA on 2001-01-17 has no close date at or after it$"
-        ):
-            total_return_index(panel, divs)
+        paid = np.zeros((3, 2))
+        paid[1, 1] = 5.0
+        panel = PricePanel(("AAA", "BBB"), dates, np.full((3, 2), 10.0), paid)
+        assert np.array_equal(total_return_index(panel)[:, 0], [10.0, 10.0, 10.0])
 
 
-def reference_index(panel: PricePanel, divs: DividendTable) -> np.ndarray:
-    """The per-ticker formula: each payment rolled forward with
-    ``bisect_left`` and added in table order, then a 1-D cumprod."""
+def reference_index(dates, tickers, close, entries) -> np.ndarray:
+    """The per-ticker formula over (ticker, payment date, amount) entries:
+    each payment rolled forward with ``bisect_left`` and added in table
+    order, then a 1-D cumprod."""
     columns = []
-    for j, ticker in enumerate(panel.tickers):
-        prices = panel.close[:, j]
-        per_date = np.zeros(len(panel.dates))
-        for entry in divs.entries:
-            if entry.ticker != ticker:
-                continue
-            i = bisect_left(panel.dates, entry.payment_date)
-            if i >= len(panel.dates):
-                raise DataError(
-                    f"dividend for {ticker} on {entry.payment_date.isoformat()} "
-                    "has no close date at or after it"
-                )
-            per_date[i] += entry.amount
+    for j, ticker in enumerate(tickers):
+        prices = close[:, j]
+        per_date = np.zeros(len(dates))
+        for payer, paid, amount in entries:
+            if payer == ticker:
+                per_date[bisect_left(dates, paid)] += amount
         columns.append(np.cumprod(1.0 + per_date / prices) * prices)
     return np.column_stack(columns)
 
 
-def hand_built_table(seed: int) -> tuple[PricePanel, DividendTable]:
+def hand_built_table(seed: int):
     """Irregular closes and a shuffled dividend table with same-date
-    payments, payments between closes, tickers outside the panel and, in
-    every fifth table, payment dates up to five days past the last close."""
+    payments and payments between closes: (dates, tickers, close, entries)."""
     rng = np.random.default_rng(seed)
     n_dates, n_tickers = int(rng.integers(1, 30)), int(rng.integers(1, 8))
     tickers = tuple(f"T{j}" for j in range(n_tickers))
     dates = tuple(date(2001, 1, 2) + timedelta(days=int(x))
                   for x in np.cumsum(rng.integers(1, 10, size=n_dates)))
     close = rng.uniform(1.0, 100.0, size=(n_dates, n_tickers)).round(int(rng.integers(0, 4)))
-    days = (dates[-1] - dates[0]).days + (5 if seed % 5 == 0 else 0)
+    days = (dates[-1] - dates[0]).days
     entries = [
-        Dividend(
-            str(rng.choice(tickers + ("ZZZ", "T9"))),
-            dates[0] + timedelta(days=int(rng.integers(-3, days + 1))),
+        (
+            str(rng.choice(tickers)),
+            dates[0] + timedelta(days=int(rng.integers(0, days + 1))),
             float(rng.choice([0.1, 0.2, 0.3, 1e-9, 7.0, rng.uniform(0, 5)])),
         )
         for _ in range(int(rng.integers(0, 60)))
@@ -211,37 +186,33 @@ def hand_built_table(seed: int) -> tuple[PricePanel, DividendTable]:
     # Same-date payments: repeat some entries, then shuffle the table.
     entries += [entries[i] for i in rng.integers(0, len(entries), size=len(entries) // 3)]
     rng.shuffle(entries)
-    return PricePanel(tickers, dates, close), DividendTable(tuple(entries))
+    return dates, tickers, close, entries
 
 
 class TestIndexAgainstPerTickerFormula:
-    def test_bitwise_equal_or_same_error(self):
-        raised = 0
+    def test_bitwise_equal_through_ingest(self, tmp_path):
         for seed in range(300):
-            panel, divs = hand_built_table(seed)
-            try:
-                want = reference_index(panel, divs)
-            except DataError as exc:
-                raised += 1
-                with pytest.raises(DataError) as got:
-                    total_return_index(panel, divs)
-                assert str(got.value) == str(exc), seed
-                continue
-            got = total_return_index(panel, divs)
+            dates, tickers, close, entries = hand_built_table(seed)
+            p, d = write_csvs(
+                tmp_path,
+                [f"{day},{t},{float(close[i, j])!r}" for i, day in enumerate(dates)
+                 for j, t in enumerate(tickers)],
+                [f"{t},{paid},{amount!r}" for t, paid, amount in entries])
+            got = total_return_index(ingest(p, d))
+            want = reference_index(dates, tickers, close, entries)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), seed
-        assert 0 < raised < 100
 
 
 class TestPeriodReturns:
     def test_flat_prices(self):
-        panel, divs = simple_panel()
-        rp = period_returns(panel, divs, [StudyPeriod("P", panel.dates[0], panel.dates[-1])])
+        panel = simple_panel()
+        rp = period_returns(panel, [StudyPeriod("P", panel.dates[0], panel.dates[-1])])
         assert rp.total_return[0, 0] == 0.0
         assert np.all(rp.weekly_returns[0] == 0.0)
 
     def test_return_from_index_levels(self):
-        panel, divs = simple_panel(prices=(100.0, 130.0, 160.8))
-        rp = period_returns(panel, divs, [StudyPeriod("P", panel.dates[0], panel.dates[-1])])
+        panel = simple_panel(prices=(100.0, 130.0, 160.8))
+        rp = period_returns(panel, [StudyPeriod("P", panel.dates[0], panel.dates[-1])])
         assert rp.total_return[0, 0] == pytest.approx(60.8)
         assert rp.weekly_returns[0].shape == (2, 1)
 
@@ -253,34 +224,32 @@ class TestPeriodReturns:
             d += timedelta(weeks=1)
         if dates[-1] != end:
             dates.append(end)
-        panel = PricePanel(("AAA",), tuple(dates), np.full((len(dates), 1), 10.0))
+        flat = np.full((len(dates), 1), 10.0)
+        panel = PricePanel(("AAA",), tuple(dates), flat, np.zeros(flat.shape))
         periods = [
             StudyPeriod("P1", date(2001, 1, 2), date(2004, 1, 6)),
             StudyPeriod("P2", date(2004, 1, 6), date(2007, 1, 2)),
             StudyPeriod("P3", date(2007, 1, 2), date(2010, 1, 5)),
             StudyPeriod("P4", date(2010, 1, 5), date(2013, 5, 14)),
         ]
-        rp = period_returns(panel, divs=DividendTable(()), periods=periods)
+        rp = period_returns(panel, periods=periods)
         assert [p.label for p in rp.periods] == ["P1", "P2", "P3", "P4"]
 
     def test_boundary_not_a_panel_date(self):
-        panel, divs = simple_panel()
+        panel = simple_panel()
         with pytest.raises(DataError, match="not a panel date"):
-            period_returns(panel, divs, [StudyPeriod("P", panel.dates[0], date(2030, 1, 1))])
+            period_returns(panel, [StudyPeriod("P", panel.dates[0], date(2030, 1, 1))])
 
     def test_composition_across_subperiods(self, rng):
         prices = tuple(rng.uniform(20, 60, size=30))
-        panel, _ = simple_panel(prices=prices)
-        divs = DividendTable(
-            tuple(Dividend("AAA", panel.dates[i], a) for i, a in ((5, 0.7), (12, 1.1), (20, 0.3)))
-        )
+        panel = simple_panel(prices=prices, dividends=((5, 0.7), (12, 1.1), (20, 0.3)))
         mid = panel.dates[14]
         periods = [
             StudyPeriod("AB", panel.dates[0], mid),
             StudyPeriod("BC", mid, panel.dates[-1]),
             StudyPeriod("AC", panel.dates[0], panel.dates[-1]),
         ]
-        rp = period_returns(panel, divs, periods)
+        rp = period_returns(panel, periods)
         r = rp.total_return[:, 0] / 100.0
         assert (1 + r[0]) * (1 + r[1]) == pytest.approx(1 + r[2], rel=1e-12)
 
@@ -289,13 +258,13 @@ class TestSynthesizePanel:
     SPEC = BlockModelSpec(block_sizes=(4, 4), loadings=(0.9, 0.9), idio_vol=0.01, weeks=156)
 
     def test_same_seed_bit_identical(self):
-        a, da = synthesize_panel(self.SPEC, seed=3)
-        b, db = synthesize_panel(self.SPEC, seed=3)
+        a = synthesize_panel(self.SPEC, seed=3)
+        b = synthesize_panel(self.SPEC, seed=3)
         assert np.array_equal(a.close, b.close)
-        assert da == db
+        assert np.array_equal(a.dividends, b.dividends)
 
     def test_within_block_correlation_exceeds_cross(self):
-        panel, _ = synthesize_panel(self.SPEC, seed=3)
+        panel = synthesize_panel(self.SPEC, seed=3)
         rets = panel.close[1:] / panel.close[:-1] - 1.0
         rho = np.corrcoef(rets, rowvar=False)
         within = np.concatenate([rho[:4, :4][np.triu_indices(4, 1)], rho[4:, 4:][np.triu_indices(4, 1)]])
@@ -304,7 +273,7 @@ class TestSynthesizePanel:
 
     def test_zero_loading_uncorrelated(self):
         spec = BlockModelSpec(block_sizes=(4, 4), loadings=(0.0, 0.0), idio_vol=0.01, weeks=400)
-        panel, _ = synthesize_panel(spec, seed=5)
+        panel = synthesize_panel(spec, seed=5)
         rets = panel.close[1:] / panel.close[:-1] - 1.0
         rho = np.corrcoef(rets, rowvar=False)
         off = rho[np.triu_indices(8, 1)]
@@ -318,8 +287,8 @@ class TestSynthesizePanel:
         spec = BlockModelSpec(
             block_sizes=(2,), loadings=(0.5,), idio_vol=0.01, weeks=20, dividend_every=10
         )
-        _, divs = synthesize_panel(spec, seed=1)
-        assert len(divs.entries) == 4  # 2 payments x 2 stocks
+        panel = synthesize_panel(spec, seed=1)
+        assert np.count_nonzero(panel.dividends) == 4  # 2 payments x 2 stocks
 
 
 # --- One-pass ingest against the row-by-row reference ------------------------
@@ -453,10 +422,10 @@ class TestColumnarIngest:
     def test_same_panel_as_row_reader(self, inputs, data):
         with tempfile.TemporaryDirectory() as folder:
             files = write_inputs(Path(folder), data.draw, *inputs[:2])
-            (panel, divs), (ref_panel, ref_divs) = ingest(*files), _ingest_rows(*files)
+            panel, ref_panel = ingest(*files), _ingest_rows(*files)
         assert panel.tickers == ref_panel.tickers and panel.dates == ref_panel.dates
         assert np.array_equal(panel.close, ref_panel.close)
-        assert divs == ref_divs
+        assert panel.dividends.tobytes() == ref_panel.dividends.tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(valid_inputs(), st.data())
@@ -495,10 +464,10 @@ class TestColumnarIngest:
 
         def outcome(read, files):
             try:
-                panel, divs = read(*files)
+                panel = read(*files)
             except DataError as exc:
                 return str(exc)
-            return panel.tickers, panel.dates, panel.close.tolist(), divs
+            return panel.tickers, panel.dates, panel.close.tolist(), panel.dividends.tolist()
 
         with tempfile.TemporaryDirectory() as folder:
             files = write_inputs(Path(folder), data.draw, prices, dividends)

@@ -208,9 +208,6 @@ class TestLoopReferences:
 
 
 class TestArcClusters:
-    def system_for(self, dist, ordering):
-        return fit_split_weights(dist, ordering)
-
     def test_gap_cuts(self):
         # Ordering A..F with large adjacent gaps between A-B and D-E:
         # cutting into 2 arcs yields {B,C,D} and {E,F,A}.
@@ -221,8 +218,7 @@ class TestArcClusters:
              ("D", "E"): 0.9, ("E", "F"): 0.1, ("F", "A"): 0.1}
         )
         dist = matrix(tickers, entries)
-        system = self.system_for(dist, tuple(tickers))
-        assignment = nn_clusters(system, dist, 2)
+        assignment = nn_clusters(tuple(tickers), dist, 2)
         assert set(map(frozenset, assignment.clusters().values())) == {
             frozenset({"B", "C", "D"}),
             frozenset({"E", "F", "A"}),
@@ -230,30 +226,27 @@ class TestArcClusters:
 
     def test_manual_breaks(self, rng):
         ordering, _, dist = planted_split_system(rng, 6)
-        system = self.system_for(dist, ordering)
-        assignment = nn_clusters(system, dist, 3, manual_breaks=[0, 2, 4])
+        assignment = nn_clusters(ordering, dist, 3, manual_breaks=[0, 2, 4])
         clusters = set(map(frozenset, assignment.clusters().values()))
         expected = {
-            frozenset(system.ordering[0:2]),
-            frozenset(system.ordering[2:4]),
-            frozenset(system.ordering[4:6]),
+            frozenset(ordering[0:2]),
+            frozenset(ordering[2:4]),
+            frozenset(ordering[4:6]),
         }
         assert clusters == expected
 
     def test_manual_breaks_validated(self, rng):
         ordering, _, dist = planted_split_system(rng, 6)
-        system = self.system_for(dist, ordering)
         with pytest.raises(ClusterError):
-            nn_clusters(system, dist, 3, manual_breaks=[0, 2])
+            nn_clusters(ordering, dist, 3, manual_breaks=[0, 2])
         with pytest.raises(ClusterError):
-            nn_clusters(system, dist, 2, manual_breaks=[0, 6])
+            nn_clusters(ordering, dist, 2, manual_breaks=[0, 6])
 
     def test_clusters_are_contiguous_arcs(self, rng):
         ordering, _, dist = planted_split_system(rng, 9)
-        system = self.system_for(dist, ordering)
-        pos = {t: i for i, t in enumerate(system.ordering)}
+        pos = {t: i for i, t in enumerate(ordering)}
         for k in (2, 3, 4):
-            for members in nn_clusters(system, dist, k).clusters().values():
+            for members in nn_clusters(ordering, dist, k).clusters().values():
                 ps = sorted(pos[t] for t in members)
                 contiguous = any(
                     sorted((p - ps[r]) % 9 for p in ps) == list(range(len(ps)))
@@ -270,12 +263,11 @@ class TestArcClusters:
 class TestArcPairing:
     def test_opposite_arcs_paired(self, rng):
         ordering, _, dist = planted_split_system(rng, 8)
-        system = fit_split_weights(dist, ordering)
-        assignment = nn_clusters(system, dist, 4, manual_breaks=[0, 2, 4, 6])
-        pairing = pair_nn_clusters(assignment, system.ordering)
+        assignment = nn_clusters(ordering, dist, 4, manual_breaks=[0, 2, 4, 6])
+        pairing = pair_nn_clusters(assignment, ordering)
         # Arcs at positions 0-1, 2-3, 4-5, 6-7: opposite pairs are (1,3), (2,4)
         # after renumbering by smallest member; verify via midpoint separation.
-        pos = {t: i for i, t in enumerate(system.ordering)}
+        pos = {t: i for i, t in enumerate(ordering)}
         mids = {
             cid: float(np.mean(sorted(pos[t] for t in members)))
             for cid, members in assignment.clusters().items()
@@ -286,21 +278,20 @@ class TestArcPairing:
 
     def test_odd_count_rejected(self, rng):
         ordering, _, dist = planted_split_system(rng, 6)
-        system = fit_split_weights(dist, ordering)
-        assignment = nn_clusters(system, dist, 3, manual_breaks=[0, 2, 4])
+        assignment = nn_clusters(ordering, dist, 3, manual_breaks=[0, 2, 4])
         with pytest.raises(ClusterError):
-            pair_nn_clusters(assignment, system.ordering)
+            pair_nn_clusters(assignment, ordering)
 
     def test_wrapping_arc_midpoint(self):
         # On a circle of 7 the arc G,A starts at G: midpoints are {G,A} 6.5,
         # {B,C,D} 2, {E} 4, {F} 5, so (1,3)+(2,4) separates 2.5+3 and beats
         # the other two matchings at 3.5 each.
-        assignment = renumber([("A", "G"), ("B", "C", "D"), ("E",), ("F",)], "NN")
+        assignment = renumber([("A", "G"), ("B", "C", "D"), ("E",), ("F",)])
         pairing = pair_nn_clusters(assignment, ("A", "B", "C", "D", "E", "F", "G"))
         assert pairing.pairs == ((1, 3), (2, 4))
 
     def test_non_contiguous_cluster_rejected(self):
-        assignment = renumber([("A", "C"), ("B", "D"), ("E",), ("F",)], "NN")
+        assignment = renumber([("A", "C"), ("B", "D"), ("E",), ("F",)])
         with pytest.raises(ClusterError, match="cluster 1 is not a contiguous arc"):
             pair_nn_clusters(assignment, ("A", "B", "C", "D", "E", "F"))
 

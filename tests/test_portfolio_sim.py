@@ -127,7 +127,7 @@ class TestSelectIndustry:
 
 class TestSelectCluster:
     def assignment(self):
-        return renumber([("A1", "A2"), ("B1", "B2"), ("C1", "C2"), ("D1", "D2")], "hct")
+        return renumber([("A1", "A2"), ("B1", "B2"), ("C1", "C2"), ("D1", "D2")])
 
     def test_m2_uses_pairing(self):
         assignment = self.assignment()
@@ -154,7 +154,7 @@ class TestSelectCluster:
         assert sorted(d8) == sorted(assignment.assignment)
 
     def test_needs_two_or_four_clusters(self):
-        three = renumber([("A",), ("B",), ("C",)], "hct")
+        three = renumber([("A",), ("B",), ("C",)])
         with pytest.raises(SimulationError):
             drawn(cluster_plan(three), 2)
 
@@ -262,8 +262,8 @@ class TestDrawMatrix:
         return toy_panel(self.TICKERS, values)
 
     def strategies(self):
-        four = renumber([("A1", "B1"), ("A2", "C2"), ("B2", "D1"), ("C1", "D2")], "hct")
-        two = renumber([("A1", "A2", "B1", "B2"), ("C1", "C2", "D1", "D2")], "mst")
+        four = renumber([("A1", "B1"), ("A2", "C2"), ("B2", "D1"), ("C1", "D2")])
+        two = renumber([("A1", "A2", "B1", "B2"), ("C1", "C2", "D1", "D2")])
         return [
             Strategy("Random", random_plan(self.TICKERS)),
             Strategy("Industry", FOUR_GROUPS.plan),

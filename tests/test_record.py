@@ -17,7 +17,7 @@ from netfolio.analytics import LeveneResult, SimulationReport, StrategyStats
 from netfolio.clusters import ClusterAssignment, ClusterError, ClusterPairing
 from netfolio.correlation import CorrelationError, CorrelationMatrix, DistanceMatrix
 from netfolio.inputs import DataError, StudyPeriod
-from netfolio.market_data import Dividend, DividendTable, PricePanel, ReturnPanel
+from netfolio.market_data import PricePanel, ReturnPanel
 from netfolio.neighbor_net import CircularSplitSystem, Split
 from netfolio.portfolio_sim import (
     DrawPlan,
@@ -39,18 +39,16 @@ STATS = StrategyStats("Random", 2, 1.5, 2.0, 0.25)
 # two arrays).
 RECORDS = {
     StudyPeriod: (("label", "start", "end"), {}, ("P1", D1, D2), ("P2", D1, D2)),
-    PricePanel: (("tickers", "dates", "close"), {},
-                 (("A", "B"), (D1, D2), np.ones((2, 2))), (("A", "C"), (D1, D2), np.ones((2, 2)))),
-    Dividend: (("ticker", "payment_date", "amount"), {}, ("A", D1, 0.5), ("B", D1, 0.5)),
-    DividendTable: (("entries",), {}, ((Dividend("A", D1, 0.5),),), ((),)),
+    PricePanel: (("tickers", "dates", "close", "dividends"), {},
+                 (("A", "B"), (D1, D2), np.ones((2, 2)), np.zeros((2, 2))),
+                 (("A", "C"), (D1, D2), np.ones((2, 2)), np.zeros((2, 2)))),
     ReturnPanel: (("tickers", "periods", "total_return", "weekly_returns"), {},
                   (("A", "B"), (P1,), np.ones((1, 2)), (np.zeros((1, 2)),)),
                   (("B", "A"), (P1,), np.ones((1, 2)), (np.zeros((1, 2)),))),
     CorrelationMatrix: (("tickers", "rho"), {}, (("A", "B"), np.eye(2)), (("B", "A"), np.eye(2))),
     DistanceMatrix: (("tickers", "d"), {}, (("A", "B"), 1 - np.eye(2)),
                      (("B", "A"), 1 - np.eye(2))),
-    ClusterAssignment: (("assignment", "method"), {}, ({"A": 1, "B": 2}, "HCT"),
-                        ({"A": 1, "B": 1}, "HCT")),
+    ClusterAssignment: (("assignment",), {}, ({"A": 1, "B": 2},), ({"A": 1, "B": 1},)),
     ClusterPairing: (("pairs",), {}, (((1, 2),),), (((1, 3),),)),
     Merge: (("left", "right", "height"), {}, (0, 1, 0.5), (1, 0, 0.5)),
     Dendrogram: (("tickers", "merges"), {}, (("A", "B"), (Merge(0, 1, 0.5),)),
@@ -64,8 +62,7 @@ RECORDS = {
     LeveneResult: (("W", "df1", "df2", "p_value"), {}, (1.5, 1, 10, 0.25), (2.5, 1, 10, 0.25)),
     StrategyStats: (("strategy", "m", "mean", "std_dev", "sharpe", "best"), {"best": False},
                     ("Random", 2, 1.5, 2.0, None, True), ("HCT", 2, 1.5, 2.0, 0.25, False)),
-    SimulationReport: (("period", "rf", "stats", "levene"), {},
-                       ("P2", 1.0, (STATS,), ()), ("P3", 1.0, (STATS,), ())),
+    SimulationReport: (("stats", "levene"), {}, ((STATS,), ()), ((), ())),
     IndustryMap: (("groups",), {}, ({"A": 1, "B": 2},), ({"A": 1, "B": 3},)),
     SimulationRun: (("strategy", "m", "period", "returns"), {},
                     ("Random", 2, "P2", np.zeros(3)), ("HCT", 2, "P2", np.zeros(3))),
@@ -95,7 +92,7 @@ def test_every_record_class_is_covered():
     for path in Path(netfolio.__file__).parent.glob("*.py"):
         importlib.import_module(f"netfolio.{path.stem}")
     assert set(Record.__subclasses__()) == set(RECORDS)
-    assert len(RECORDS) == 21
+    assert len(RECORDS) == 19
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -151,9 +148,11 @@ def test_record_is_immutable(cls):
 
 POST_INIT_CHECKS = [
     (StudyPeriod, ("P1", D2, D1), DataError, "period P1: start must precede end"),
-    (PricePanel, (("A",), (D1, D2), np.ones((2, 2))), DataError, "close matrix shape"),
-    (PricePanel, (("A",), (D2, D1), np.ones((2, 1))), DataError, "strictly increasing"),
-    (PricePanel, (("A",), (D1, D2), np.array([[1.0], [0.0]])), DataError,
+    (PricePanel, (("A",), (D1, D2), np.ones((2, 2)), np.zeros((2, 1))), DataError,
+     "close matrix shape"),
+    (PricePanel, (("A",), (D2, D1), np.ones((2, 1)), np.zeros((2, 1))), DataError,
+     "strictly increasing"),
+    (PricePanel, (("A",), (D1, D2), np.array([[1.0], [0.0]]), np.zeros((2, 1))), DataError,
      r"non-positive price for \(2001-01-12, A\)"),
     (CorrelationMatrix, (("A", "B"), np.eye(3)), CorrelationError, "shape mismatch"),
     (CorrelationMatrix, (("A", "B"), np.array([[1, 0.5], [0.4, 1]])), CorrelationError,
@@ -167,8 +166,8 @@ POST_INIT_CHECKS = [
     (DistanceMatrix, (("A", "B"), np.ones((2, 2))), CorrelationError, "exactly 0"),
     (DistanceMatrix, (("A", "B"), np.array([[0, 3], [3, 0]])), CorrelationError,
      r"lie in \[0, 2\]"),
-    (ClusterAssignment, ({}, "HCT"), ClusterError, "empty assignment"),
-    (ClusterAssignment, ({"A": 2}, "HCT"), ClusterError, r"ids must be 1..k, got \[2\]"),
+    (ClusterAssignment, ({},), ClusterError, "empty assignment"),
+    (ClusterAssignment, ({"A": 2},), ClusterError, r"ids must be 1..k, got \[2\]"),
     (ClusterPairing, (((1, 1),),), ClusterError, "at most one pair"),
     (ClusterPairing, (((1, 2), (2, 3)),), ClusterError, "at most one pair"),
     (Dendrogram, (("A", "B"), ()), ClusterError, "needs n-1 merges"),
@@ -179,6 +178,8 @@ POST_INIT_CHECKS = [
      "node 1 used twice"),
     (SpanningTree, (("A", "B"), ()), ClusterError, "needs n-1 edges"),
     (IndustryMap, ({"A": 1, "B": 1},), SimulationError, "at least 2 industry groups"),
+    (PricePanel, (("A",), (D1, D2), np.ones((2, 1)), np.zeros((1, 1))), DataError,
+     "dividend matrix shape"),
 ]
 
 
@@ -199,5 +200,5 @@ def test_cached_properties_are_kept_on_the_instance():
     industry = IndustryMap({"A": 1, "B": 2, "C": 2})
     assert industry.plan.labels == ("A", "B", "C") and industry.plan is industry.plan
     assert DrawPlan("industry", ("A", "B", "C"), (1, 2)).starts == (0, 1)
-    assignment = ClusterAssignment({"A": 1, "B": 2, "C": 1}, "HCT")
+    assignment = ClusterAssignment({"A": 1, "B": 2, "C": 1})
     assert assignment.members(1) == ("A", "C")
