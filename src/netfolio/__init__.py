@@ -21,8 +21,8 @@ _MODULES = {
     "market_data": "PricePanel ReturnPanel ingest period_returns total_return_index",
     "neighbor_net": "CircularSplitSystem Split fit_split_weights neighbornet_ordering "
                     "nn_clusters pair_nn_clusters write_nexus",
-    "portfolio_sim": "IndustryMap SimulationRun Strategy cluster_plan default_industry_map "
-                     "draw_matrices random_plan score_period",
+    "portfolio_sim": "DrawPlan SimulationRun cluster_plan draw_matrices industry_plan "
+                     "random_plan score_period",
     "tree_cluster": "Dendrogram SpanningTree average_linkage_hct cut_dendrogram "
                     "minimum_spanning_tree mst_clusters to_dot to_newick",
 }

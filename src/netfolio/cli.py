@@ -33,7 +33,7 @@ if TYPE_CHECKING:
     from .clusters import ClusterAssignment, ClusterPairing
     from .correlation import CorrelationMatrix, DistanceMatrix
     from .market_data import ReturnPanel
-    from .portfolio_sim import IndustryMap
+    from .portfolio_sim import DrawPlan
 
 # Each command imports the numeric modules it runs inside the function that
 # runs them, so no command loads a module it does not use (``report`` loads
@@ -85,7 +85,6 @@ CLUSTERING_RULES = {
     "mst_mode": (lambda v: v in ("gap", "hub"), "'gap' or 'hub'"),
     "min_branch": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
     "hub": (lambda v: isinstance(v, str), "a ticker string"),
-    "prune": (_is_finite, "a finite number"),
     "manual_breaks": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
                       "a JSON array of integers"),
 }
@@ -102,19 +101,24 @@ SIMULATION_RULES = {
     "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "risk_free": (lambda v: isinstance(v, dict) and all(map(_is_finite, v.values())),
                   "a JSON object of finite numbers"),
-    "levene_center": (lambda v: v in ("mean", "median"), "'mean' or 'median'"),
-    "pair_m2": (lambda v: isinstance(v, bool), "true or false"),
+    "model_period": (lambda v: isinstance(v, str), "a period label string"),
 }
+PATH_KEYS = ("prices", "dividends", "periods", "industry_map")
+CONFIG_KEYS = PATH_KEYS + ("clustering", "simulation")
 
 
 def check_section(path: str | Path, cfg: dict, section: str, rules: dict) -> dict:
-    """The config's ``section`` object, every key in ``rules`` checked."""
+    """The config's ``section`` object, each key checked by its rule in
+    ``rules``; a key with no rule is misspelt or removed, and fails."""
     values = cfg.get(section, {})
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: {section} must be a JSON object, not {values!r}")
-    for key, (ok, what) in rules.items():
-        if key in values and not ok(values[key]):
-            raise ConfigError(f"{path}: {section}.{key} must be {what}, not {values[key]!r}")
+    for key, value in values.items():
+        if key not in rules:
+            raise ConfigError(f"{path}: unknown key {section}.{key}")
+        ok, what = rules[key]
+        if not ok(value):
+            raise ConfigError(f"{path}: {section}.{key} must be {what}, not {value!r}")
     return values
 
 
@@ -138,11 +142,14 @@ def load_config(path: str | Path) -> dict:
     cfg = _load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    for key in cfg:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}: unknown key {key}")
     for key in ("prices", "dividends", "periods"):
         if cfg.get(key) is None:
             raise ConfigError(f"config missing required key {key!r}")
     # Input paths are relative to the config file, wherever the command runs.
-    for key in ("prices", "dividends", "periods", "industry_map"):
+    for key in PATH_KEYS:
         if cfg.get(key) is None:
             continue
         if not isinstance(cfg[key], str):
@@ -180,11 +187,12 @@ def load_periods(path: str | Path) -> list[StudyPeriod]:
     return periods
 
 
-def load_industry_map(path: str | Path | None) -> IndustryMap:
-    from .portfolio_sim import IndustryMap, default_industry_map
+def load_industry_map(path: str | Path | None) -> DrawPlan:
+    """The industry plan of a ticker,group CSV, or the built-in one."""
+    from .portfolio_sim import SimulationError, industry_plan
 
     if path is None:
-        return default_industry_map()
+        return industry_plan(reference.SUPER_GROUPS)
     groups: dict[str, int] = {}
     for lineno, row in _rows(path, ("ticker", "group")):
         ticker = row["ticker"].strip()
@@ -194,7 +202,10 @@ def load_industry_map(path: str | Path | None) -> IndustryMap:
             groups[ticker] = int(row["group"])
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: invalid group {row['group']!r}") from None
-    return IndustryMap(groups)
+    try:
+        return industry_plan(groups)
+    except SimulationError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _rows(path: str | Path, columns: tuple[str, ...]) -> Iterator[tuple[int, dict[str, str]]]:
@@ -207,15 +218,26 @@ def _rows(path: str | Path, columns: tuple[str, ...]) -> Iterator[tuple[int, dic
         raise stop
 
 
-def check_industry_universe(industry: IndustryMap, source: str, tickers: tuple[str, ...]) -> None:
+def check_industry_universe(industry: DrawPlan, source: str, tickers: tuple[str, ...]) -> None:
     """The industry map and the price panel must name the same tickers."""
-    mapped, panel = set(industry.groups), set(tickers)
+    mapped, panel = set(industry.labels), set(tickers)
     for missing, problem in ((mapped - panel, "ticker {!r} is not in the price panel"),
                              (panel - mapped, "price panel ticker {!r} is not in the map")):
         if missing:
             first, *rest = sorted(missing)
             more = f" (and {len(rest)} more)" if rest else ""
             raise ConfigError(f"{source}: {problem.format(first)}{more}")
+
+
+def check_plan_sizes(plan: DrawPlan, sizes: list[int], where: str) -> None:
+    """Every portfolio size must suit the plan; a failure names ``where``."""
+    from .portfolio_sim import SimulationError
+
+    for m in sizes:
+        try:
+            plan.check(m)
+        except SimulationError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
 
 
 def check_ticker_count(config: str, prices: str, n: int, nnet: str | None,
@@ -326,6 +348,7 @@ def cmd_returns(args: argparse.Namespace) -> int:
 
 
 def cmd_network(args: argparse.Namespace) -> int:
+    from .clusters import ClusterError
     from .correlation import ultrametric_distance
 
     cfg = load_config(args.config)
@@ -341,11 +364,13 @@ def cmd_network(args: argparse.Namespace) -> int:
         if args.dump_matrices:
             _atomic_write(out / f"corr_{p.label}.csv", matrix_csv(corr.tickers, corr.rho))
             _atomic_write(out / f"dist_{p.label}.csv", matrix_csv(dist.tickers, dist.d))
-        assignment, structure = build_clusters(args.method, dist, clustering)
+        try:
+            assignment, structure = build_clusters(args.method, dist, clustering)
+        except ClusterError as exc:
+            raise ConfigError(f"{args.config}: period {p.label!r}: {exc}") from None
         if args.method == "nnet":  # the Nexus file holds the fitted splits
             from .neighbor_net import fit_split_weights
-            structure = fit_split_weights(dist, structure,
-                                          prune=float(clustering.get("prune", 1e-9)))
+            structure = fit_split_weights(dist, structure)
         _atomic_write(out / f"clusters_{args.method}_{p.label}.csv", clusters_csv(assignment))
         if args.method == "hct":
             from .tree_cluster import to_newick
@@ -362,15 +387,9 @@ def cmd_network(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .clusters import ClusterError
     from .correlation import ultrametric_distance
-    from .portfolio_sim import (
-        SimulationError,
-        Strategy,
-        cluster_plan,
-        draw_matrices,
-        random_plan,
-        score_period,
-    )
+    from .portfolio_sim import cluster_plan, draw_matrices, random_plan, score_period
     from .summary import summarize
 
     cfg = load_config(args.config)
@@ -401,11 +420,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     industry_source = cfg.get("industry_map") or "built-in Dow 30 industry map"
     industry = load_industry_map(cfg.get("industry_map"))
     if "industry" in names:
-        for m in sizes:
-            try:
-                industry.plan.check(m)
-            except SimulationError as exc:
-                raise ConfigError(f"{industry_source}: {exc}") from None
+        check_plan_sizes(industry, sizes, industry_source)
     returns = compute_returns(cfg, periods)
     nnet = f"{args.config}: simulation.strategies names 'nnet', which" if "nnet" in names else None
     check_ticker_count(args.config, cfg["prices"], len(returns.tickers), nnet,
@@ -415,35 +430,33 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         check_industry_universe(industry, industry_source, returns.tickers)
     dist = ultrametric_distance(period_correlation(cfg, returns, model_period))
 
-    strategies: list[Strategy] = []
+    plans: list[DrawPlan] = []
     for name in names:
         if name == "random":
             plan = random_plan(returns.tickers)
         elif name == "industry":
-            plan = industry.plan
+            plan = industry
         else:
+            where = f"{args.config}: model period {model_period!r}"
+            try:
+                assignment, structure = build_clusters(name, dist, clustering)
+            except ClusterError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
             # k is 2 or 4 here, so the clusters can always be paired.
-            assignment, structure = build_clusters(name, dist, clustering)
-            pairing = (pair_clusters(name, assignment, structure, dist)
-                       if sim.get("pair_m2", True) else None)
-            plan = cluster_plan(assignment, pairing)
-        strategies.append(Strategy(_STRATEGY_LABELS[name], plan))
+            plan = cluster_plan(assignment, pair_clusters(name, assignment, structure, dist))
+            check_plan_sizes(plan, sizes, f"{where} {name} clusters")
+        plans.append(plan)
 
     # Replication streams depend on (seed, rep) only: read each stream once,
     # draw each (m, strategy) portfolio matrix once and score it on every
     # test period.
-    matrices = draw_matrices(strategies, returns, sizes, reps, seed)
-    draws = list(zip([strat.name for m in sizes for strat in strategies], matrices))
+    matrices = draw_matrices(plans, returns, sizes, reps, seed)
+    draws = list(zip([_STRATEGY_LABELS[name] for m in sizes for name in names], matrices))
     out = Path(args.out_dir)
     for test_period in test_periods:
         runs = [score_period(name, columns, returns, test_period) for name, columns in draws]
         rf = float(rf_table.get(test_period, 0.0))
-        report = summarize(
-            runs,
-            rf,
-            levene_exclude=tuple(sim.get("levene_exclude", ["HCT"])),
-            levene_center=sim.get("levene_center", "median"),
-        )
+        report = summarize(runs, rf, levene_exclude=tuple(sim.get("levene_exclude", ["HCT"])))
         tag = f"{model_period}_{test_period}"
         _atomic_write(out / f"report_{tag}.csv", render_report(report, "csv"))
         _atomic_write(out / f"levene_{tag}.csv", render_levene_csv(report))
@@ -506,7 +519,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     report = SimulationReport(tuple(stats), tuple(levene))
     # UTF-8 whatever the locale, as _atomic_write writes files.
     sys.stdout.flush()
-    sys.stdout.buffer.write(render_report(report, args.format).encode("utf-8"))
+    sys.stdout.buffer.write(render_report(report).encode("utf-8"))
     return 0
 
 
@@ -538,10 +551,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="ignored: the engine is single-threaded")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_rep = sub.add_parser("report", help="render a report CSV as a table")
+    p_rep = sub.add_parser("report", help="render a report CSV as a markdown table")
     p_rep.add_argument("--report-csv", required=True)
     p_rep.add_argument("--levene-csv", default=None)
-    p_rep.add_argument("--format", default="markdown", choices=["markdown", "csv"])
     p_rep.set_defaults(func=cmd_report)
     return parser
 

@@ -4,11 +4,12 @@ Five strategies: uniform random, industry super-groups, and correlation
 clusters from each network method. Portfolios are equal-weight buy-and-hold;
 a draw's return is the arithmetic mean of its constituents' period returns.
 
-A Strategy is a report name and a DrawPlan: its candidate tickers laid out
-group after group (``random_plan``, ``IndustryMap.plan``, ``cluster_plan``).
-Row r of every block is the portfolio numpy's Generator of replication r
-draws: PCG64 seeded by ``SeedSequence(seed, spawn_key=(r,))``, so the output
-depends only on the seed. Every bounded draw a portfolio needs
+A strategy is a DrawPlan: its candidate tickers laid out group after group
+(``random_plan``, ``industry_plan``, ``cluster_plan``); the caller names
+the report rows of its blocks. Row r of every block is the portfolio
+numpy's Generator of replication r draws: PCG64 seeded by
+``SeedSequence(seed, spawn_key=(r,))``, so the output depends only on the
+seed. Every bounded draw a portfolio needs
 (``rng.integers(n)``, and ``rng.choice(n, m, replace=False)``, which numpy
 runs as Floyd's algorithm plus a shuffle) is numpy's Lemire step on the
 stream's 32-bit words: the word times n, shifted down 32 bits, unless the
@@ -18,8 +19,8 @@ outputs of every stream as one (reps x 2K) word matrix without a Generator:
 it replays the SeedSequence hash and the PCG64 seeding and steps in uint64
 array arithmetic over all replications at once, bit for bit.
 ``draw_matrices`` computes that matrix once and hands it to every
-(strategy, m) block. The draw core (``_draw_rows``) replays numpy's draws
-on it column by column, with a cursor per row (``_Words``): a rejected word
+(plan, m) block. The draw core (``_draw_rows``) replays numpy's draws on
+it column by column, with a cursor per row (``_Words``): a rejected word
 moves only that row on to its next word, and a row that reads past the last
 word doubles K, so every row equals its Generator's draw and nothing loads
 numpy.random. numpy takes Floyd's branch unless n > 10,000 and m > n // 50;
@@ -37,7 +38,6 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import reference
 from .clusters import ClusterAssignment, ClusterPairing
 from .market_data import ReturnPanel
 from .record import Record
@@ -45,26 +45,6 @@ from .record import Record
 
 class SimulationError(ValueError):
     pass
-
-
-class IndustryMap(Record):
-    groups: dict[str, int]  # ticker -> super-group id
-
-    def __post_init__(self) -> None:
-        if len(set(self.groups.values())) < 2:
-            raise SimulationError("need at least 2 industry groups")
-
-    @cached_property
-    def plan(self) -> DrawPlan:
-        """Uniform group-stratified draws over the super-groups."""
-        members: dict[int, list[str]] = {}
-        for t, g in sorted(self.groups.items()):
-            members.setdefault(g, []).append(t)
-        return _grouped_plan("industry", {g: tuple(ms) for g, ms in members.items()})
-
-
-def default_industry_map() -> IndustryMap:
-    return IndustryMap(dict(reference.SUPER_GROUPS))
 
 
 class SimulationRun(Record):
@@ -309,6 +289,16 @@ def random_plan(universe: tuple[str, ...]) -> DrawPlan:
     return DrawPlan("random", tuple(sorted(universe)), (len(universe),))
 
 
+def industry_plan(groups: dict[str, int]) -> DrawPlan:
+    """Uniform group-stratified draws over a ticker -> group id map."""
+    members: dict[int, list[str]] = {}
+    for t, g in sorted(groups.items()):
+        members.setdefault(g, []).append(t)
+    if len(members) < 2:
+        raise SimulationError("need at least 2 industry groups")
+    return _grouped_plan("industry", {g: tuple(ms) for g, ms in members.items()})
+
+
 def cluster_plan(assignment: ClusterAssignment, pairing: ClusterPairing | None = None) -> DrawPlan:
     """Industry-style stratified draws over correlation clusters.
 
@@ -335,17 +325,10 @@ def _columns(returns: ReturnPanel, tickers: tuple[str, ...]) -> np.ndarray:
         raise SimulationError(f"unknown ticker {exc.args[0]!r} in draw") from None
 
 
-class Strategy(Record):
-    """A selection rule: the name its report rows carry and the plan it draws."""
-
-    name: str
-    plan: DrawPlan
-
-
-def draw_matrices(strategies: list[Strategy], returns: ReturnPanel, sizes: list[int],
+def draw_matrices(plans: list[DrawPlan], returns: ReturnPanel, sizes: list[int],
                   reps: int = 1000, seed: int = 0) -> list[np.ndarray]:
     """(reps x m) ReturnPanel columns of every block, m-major: one matrix
-    for each m in sizes and each strategy. Row r of a block is the portfolio
+    for each m in sizes and each plan. Row r of a block is the portfolio
     numpy's Generator of replication r draws (see ``_draw_rows``), in drawn
     order.
 
@@ -356,8 +339,7 @@ def draw_matrices(strategies: list[Strategy], returns: ReturnPanel, sizes: list[
     """
     blocks = []
     for m in sizes:
-        for strategy in strategies:
-            plan = strategy.plan
+        for plan in plans:
             plan.check(m)
             blocks.append((plan, m, _columns(returns, plan.labels)))
     words = _Words(seed, reps, (3 * max(sizes, default=1) + 1) // 2)

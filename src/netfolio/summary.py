@@ -1,9 +1,9 @@
 """Simulation summaries: means, dispersion, Sharpe ratios and Levene tests
 over simulated portfolio returns.
 
-Equality of variance across strategies is tested with Levene's statistic
-(median centering by default, i.e. the Brown-Forsythe variant), its p-value
-taken from ``analytics.f_tail``.
+Equality of variance across strategies is tested with Levene's statistic;
+``summarize`` centres it on the median (the Brown-Forsythe variant), and
+its p-value is taken from ``analytics.f_tail``.
 """
 
 from __future__ import annotations
@@ -65,12 +65,11 @@ def summarize(
     rf: float,
     *,
     levene_exclude: tuple[str, ...] = ("HCT",),
-    levene_center: str = "median",
 ) -> SimulationReport:
     """Per-run mean/sd/Sharpe plus a Levene comparison per portfolio size.
 
-    The Levene test spans the strategies not listed in levene_exclude; the
-    maximum Sharpe per size is flagged (ties all flagged).
+    The median-centred Levene test spans the strategies not listed in
+    levene_exclude; the maximum Sharpe per size is flagged (ties all flagged).
     """
     if not runs:
         raise AnalyticsError("no simulation runs to summarize")
@@ -94,6 +93,6 @@ def summarize(
     for m in sizes:
         included = [r for r in runs if r.m == m and r.strategy not in levene_exclude]
         if len(included) >= 2:
-            result = levene_test([r.returns for r in included], center=levene_center)
+            result = levene_test([r.returns for r in included])
             levene.append((m, tuple(r.strategy for r in included), result))
     return SimulationReport(tuple(flagged), tuple(levene))

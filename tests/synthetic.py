@@ -15,7 +15,7 @@ import numpy as np
 
 from netfolio.inputs import DataError
 from netfolio.market_data import PricePanel, ReturnPanel
-from netfolio.portfolio_sim import SimulationRun, Strategy, draw_matrices, score_period
+from netfolio.portfolio_sim import DrawPlan, SimulationRun, draw_matrices, score_period
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,9 @@ def synthesize_panel(spec: BlockModelSpec, seed: int) -> PricePanel:
     )
 
 
-def run_simulation(strategy: Strategy, returns: ReturnPanel, period: str, m: int,
+def run_simulation(name: str, plan: DrawPlan, returns: ReturnPanel, period: str, m: int,
                    reps: int = 1000, seed: int = 0) -> SimulationRun:
-    """reps independent draws scored by their mean period return;
-    deterministic for fixed (seed, strategy, m)."""
-    columns = draw_matrices([strategy], returns, [m], reps, seed)[0]
-    return score_period(strategy.name, columns, returns, period)
+    """reps independent draws scored by their mean period return and named
+    ``name``; deterministic for fixed (seed, plan, m)."""
+    columns = draw_matrices([plan], returns, [m], reps, seed)[0]
+    return score_period(name, columns, returns, period)

@@ -26,14 +26,8 @@ from netfolio.neighbor_net import (
     neighbornet_ordering,
     nn_clusters,
 )
-from netfolio.portfolio_sim import (
-    IndustryMap,
-    Strategy,
-    cluster_plan,
-    default_industry_map,
-    draw_matrices,
-    random_plan,
-)
+from netfolio.portfolio_sim import cluster_plan, draw_matrices, industry_plan, random_plan
+from netfolio.reference import SUPER_GROUPS
 from netfolio.tree_cluster import (
     average_linkage_hct,
     cut_dendrogram,
@@ -239,41 +233,40 @@ def test_criterion_07_random_selection_calibration():
     period = StudyPeriod("P1", panel.dates[0], panel.dates[-1])
     returns = period_returns(panel, [period])
     universe_mean = float(np.mean(returns.returns_for("P1")))
-    strategy = Strategy("Random", random_plan(returns.tickers))
+    plan = random_plan(returns.tickers)
     for m in (2, 4, 8):
-        run = run_simulation(strategy, returns, "P1", m, reps=1000, seed=7)
+        run = run_simulation("Random", plan, returns, "P1", m, reps=1000, seed=7)
         se = float(np.std(run.returns, ddof=1)) / np.sqrt(len(run.returns))
         assert abs(float(np.mean(run.returns)) - universe_mean) < 3 * se, m
 
 
-def industry_draws(industry: IndustryMap, m: int, reps: int,
+def industry_draws(groups: dict[str, int], m: int, reps: int,
                    seed: int) -> tuple[tuple[str, ...], np.ndarray]:
     """The map's tickers, as panel columns, and the (reps x m) block of
     columns ``draw_matrices`` draws with the industry rule."""
-    tickers = tuple(sorted(industry.groups))
+    tickers = tuple(sorted(groups))
     period = StudyPeriod("P1", date(2001, 1, 2), date(2004, 1, 6))
     panel = ReturnPanel(tickers, (period,), np.zeros((1, len(tickers))),
                         (np.zeros((3, len(tickers))),))
-    (columns,) = draw_matrices([Strategy("Industry", industry.plan)], panel, [m], reps, seed)
+    (columns,) = draw_matrices([industry_plan(groups)], panel, [m], reps, seed)
     return tickers, columns
 
 
 def test_criterion_08_selection_rule_exactness():
-    industry = default_industry_map()
-    tickers, m8 = industry_draws(industry, 8, 100_000, 8)
-    group_of = np.array([industry.groups[t] for t in tickers])
+    tickers, m8 = industry_draws(SUPER_GROUPS, 8, 100_000, 8)
+    group_of = np.array([SUPER_GROUPS[t] for t in tickers])
     ids = np.unique(group_of)
     counts = (group_of[m8][:, :, None] == ids).sum(axis=1)
     assert len(ids) == 4 and (counts == 2).all(), np.flatnonzero((counts != 2).any(axis=1))[:10]
-    _, m2 = industry_draws(industry, 2, 100_000, 80)
+    _, m2 = industry_draws(SUPER_GROUPS, 2, 100_000, 80)
     a, b = group_of[m2].T
     assert (a != b).all(), np.flatnonzero(a == b)[:10]
 
     # Exact rational enumeration on a 6-stock toy universe: pick 2 of the 4
     # groups uniformly, then one stock uniformly within each.
-    toy = IndustryMap({"A1": 1, "A2": 1, "B1": 2, "C1": 3, "C2": 3, "D1": 4})
+    toy = {"A1": 1, "A2": 1, "B1": 2, "C1": 3, "C2": 3, "D1": 4}
     members: dict[int, list[str]] = {}
-    for t, g in toy.groups.items():
+    for t, g in toy.items():
         members.setdefault(g, []).append(t)
     expected: dict[frozenset, Fraction] = {}
     for ga, gb in combinations(sorted(members), 2):
@@ -402,14 +395,12 @@ def test_criterion_11_end_to_end_block_recovery():
         assert got == planted, method
 
     random_run = run_simulation(
-        Strategy("Random", random_plan(returns.tickers)),
-        returns, "P1", 4, reps=1000, seed=11,
+        "Random", random_plan(returns.tickers), returns, "P1", 4, reps=1000, seed=11,
     )
     sd_random = float(np.std(random_run.returns, ddof=1))
     for method, assignment in methods.items():
         run = run_simulation(
-            Strategy(method, cluster_plan(assignment)),
-            returns, "P1", 4, reps=1000, seed=11,
+            method, cluster_plan(assignment), returns, "P1", 4, reps=1000, seed=11,
         )
         sd_cluster = float(np.std(run.returns, ddof=1))
         assert sd_cluster < sd_random, method

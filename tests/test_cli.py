@@ -312,10 +312,10 @@ class TestConfigValidation:
 
     def test_blank_industry_rows_skipped(self, workspace):
         path = workspace / "industry.csv"
-        want = cli.load_industry_map(path).groups
+        want = cli.load_industry_map(path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n\n")
-        assert cli.load_industry_map(path).groups == want
+        assert cli.load_industry_map(path) == want
 
     @pytest.mark.parametrize("name,value,message", [
         ("prices.csv", "inf", "prices.csv:5: invalid price 'inf'"),
@@ -382,8 +382,34 @@ class TestConfigValidation:
         assert main(command + ["--config", str(workspace / "bad_clustering.json"),
                                "--out-dir", str(workspace / "out")]) == 2
         err = capsys.readouterr().err
-        assert f"bad_clustering.json: clustering.{key} must be " in err
-        assert err.endswith(f", not {value!r}\n") and "Traceback" not in err
+        if key in REMOVED_KEYS:
+            path = workspace / "bad_clustering.json"
+            assert err == f"error: {path}: unknown key clustering.{key}\n"
+        else:
+            assert f"bad_clustering.json: clustering.{key} must be " in err
+            assert err.endswith(f", not {value!r}\n") and "Traceback" not in err
+        assert not (workspace / "out").exists()
+
+    # Each command checks the sections it reads: network reads no simulation settings.
+    @pytest.mark.parametrize("command,section,key", [
+        (["network", "--method", "hct"], None, "industry"),
+        (["network", "--method", "hct"], "clustering", "K"),
+        (["simulate"], None, "industry"),
+        (["simulate"], "clustering", "K"),
+        (["simulate"], "simulation", "reps_typo"),
+    ], ids=["network-top", "network-clustering", "simulate-top", "simulate-clustering",
+            "simulate-simulation"])
+    def test_unknown_key_rejected_before_any_data(self, workspace, monkeypatch, capsys,
+                                                  command, section, key):
+        cfg = json.loads((workspace / "config.json").read_text())
+        (cfg[section] if section else cfg)[key] = 5
+        path = workspace / "typo.json"
+        path.write_text(json.dumps(cfg))
+        for module, name in DATA_STEPS:
+            monkeypatch.setattr(module, name, _forbidden)
+        assert main(command + ["--config", str(path), "--out-dir", str(workspace / "out")]) == 2
+        name = f"{section}.{key}" if section else key
+        assert capsys.readouterr().err == f"error: {path}: unknown key {name}\n"
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("section", ["clustering", "simulation"])
@@ -471,6 +497,16 @@ class TestConfigValidation:
             f"error: {path}: m=8 industry selection needs exactly 4 groups\n")
         assert not (workspace / "out").exists()
 
+    def test_one_group_industry_map_located(self, workspace, monkeypatch, capsys):
+        path = workspace / "industry.csv"
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:1] + [l.split(",")[0] + ",1" for l in lines[1:]]) + "\n")
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
+        assert main(["simulate", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(workspace / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: need at least 2 industry groups\n"
+        assert not (workspace / "out").exists()
+
     def test_invalid_periods_json_located(self, workspace, capsys):
         path = workspace / "periods.json"
         path.write_text('[\n  {"label": "P1",}\n]\n')
@@ -528,6 +564,55 @@ class TestCorrelationErrorsLocated:
             f"error: {workspace / 'prices.csv'}: period 'P1': "
             "needs at least 3 weekly returns, has 2\n")
         assert not (workspace / "out").exists()
+
+
+class TestClusterErrorsLocated:
+    """A clustering setting the model period's distances cannot meet names
+    the config and the period, from ``network`` (every period) and
+    ``simulate`` (the model period, P1) alike."""
+
+    @pytest.mark.parametrize("command,where", [
+        (["network"], "period 'P1'"), (["simulate"], "model period 'P1'"),
+    ], ids=["network", "simulate"])
+    @pytest.mark.parametrize("method,clustering,message", [
+        ("mst", {"k": 2, "mst_mode": "hub", "min_branch": 12},
+         "hub mode found 0 branches with >= 12 members but k=2; retry with a smaller min_branch"),
+        ("mst", {"mst_mode": "hub", "hub": "ZZ"}, "unknown hub ticker 'ZZ'"),
+        ("nnet", {"k": 2, "manual_breaks": [3, 3]},
+         "manual breaks must be 2 distinct positions in [0, 12)"),
+    ], ids=["hub-branches", "hub-ticker", "manual-breaks"])
+    def test_located(self, workspace, capsys, command, where, method, clustering, message):
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["clustering"].update(clustering)
+        cfg["simulation"]["strategies"] = ["random", method]
+        path = workspace / "clusters.json"
+        path.write_text(json.dumps(cfg))
+        argv = command + (["--method", method] if command == ["network"] else [])
+        assert main(argv + ["--config", str(path), "--out-dir", str(workspace / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {where}: {message}\n"
+        assert not (workspace / "out").exists()
+
+    def test_unbalanced_clusters_named(self, tmp_path, capsys):
+        # Block S11 shares no factor with the others, so HCT's four clusters
+        # are the blocks, one of them a single stock that m=8 cannot draw
+        # two from.
+        spec = BlockModelSpec(block_sizes=(4, 4, 3, 1), loadings=(0.9, 0.9, 0.9, 0.9),
+                              idio_vol=0.01, weeks=60)
+        panel = write_panel_csvs(tmp_path, spec)
+        (tmp_path / "periods.json").write_text(json.dumps([{
+            "label": "P1", "start": panel.dates[0].isoformat(),
+            "end": panel.dates[-1].isoformat()}]))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "prices": "prices.csv", "dividends": "dividends.csv", "periods": "periods.json",
+            "clustering": {"k": 4},
+            "simulation": {"reps": 40, "sizes": [8], "strategies": ["random", "hct"]},
+        }))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {path}: model period 'P1' hct clusters: "
+                                           "group 4 has 1 stocks; cannot take 2 distinct\n")
+        assert not out.exists()
 
 
 class TestUnreadableInput:
@@ -603,6 +688,8 @@ def _forbidden(*args, **kwargs):
 
 # The steps that read or draw on data, each in the module the commands call it from.
 DATA_STEPS = ((market_data, "ingest"), (cli, "build_clusters"), (portfolio_sim, "draw_matrices"))
+# Settings that were removed: a config that still sets one fails as an unknown key.
+REMOVED_KEYS = ("prune", "levene_center", "pair_m2")
 
 
 class TestSimulateInputChecks:
@@ -691,6 +778,7 @@ class TestSimulateInputChecks:
         ("seed", "abc"), ("seed", 1.5), ("seed", True), ("seed", -1),
         ("risk_free", [1]), ("risk_free", {"P2": "1"}), ("risk_free", {"P2": float("nan")}),
         ("levene_center", "mode"), ("pair_m2", "yes"), ("pair_m2", 1),
+        ("model_period", 1),
     ])
     def test_bad_simulation_value_rejected_before_any_data(self, workspace, monkeypatch,
                                                            capsys, key, value):
@@ -701,8 +789,12 @@ class TestSimulateInputChecks:
             monkeypatch.setattr(module, name, _forbidden)
         assert self.simulate(workspace / "bad_sim.json", workspace / "out") == 2
         err = capsys.readouterr().err
-        assert f"bad_sim.json: simulation.{key} must be " in err
-        assert err.endswith(f", not {value!r}\n") and "Traceback" not in err
+        if key in REMOVED_KEYS:
+            path = workspace / "bad_sim.json"
+            assert err == f"error: {path}: unknown key simulation.{key}\n"
+        else:
+            assert f"bad_sim.json: simulation.{key} must be " in err
+            assert err.endswith(f", not {value!r}\n") and "Traceback" not in err
         assert not (workspace / "out").exists()
 
     def test_negative_seed_flag_rejected_before_any_data(self, workspace, monkeypatch, capsys):

@@ -27,7 +27,7 @@ Six goldens live under tests/data/:
   merges and nearest-neighbour attachments are decided by tie-breaks; some
   cases list their tickers out of order. Compared exactly. Every fourth case
   adds noise below 1e-12 to the lower triangle, which ``DistanceMatrix``
-  rejects, so its stored record is not compared (a rewrite stores null).
+  rejects, so its stored record is null.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden.py --write``, and
 only for an intended change of output.
@@ -53,12 +53,13 @@ from netfolio.market_data import ReturnPanel
 from netfolio import neighbor_net, nnls
 from netfolio.neighbor_net import fit_split_weights, neighbornet_ordering
 from netfolio.portfolio_sim import (
-    Strategy,
+    DrawPlan,
     cluster_plan,
-    default_industry_map,
     draw_matrices,
+    industry_plan,
     random_plan,
 )
+from netfolio.reference import SUPER_GROUPS
 from netfolio.tree_cluster import average_linkage_hct, minimum_spanning_tree, mst_clusters
 from draw_reference import draw_row, replication_rng
 from synthetic import BlockModelSpec
@@ -122,24 +123,23 @@ def simulate_outputs(tmp_path: Path) -> dict[str, bytes]:
     return {name: (out / name).read_bytes() for name in SIM_FILES}
 
 
-def golden_strategies() -> list[Strategy]:
-    """Every selection rule over the 30-stock default industry universe."""
-    industry = default_industry_map()
-    tickers = tuple(sorted(industry.groups))
+def golden_plans() -> dict[str, DrawPlan]:
+    """Every selection rule over the 30-stock default industry universe, by
+    the name its golden draws are stored under."""
+    tickers = tuple(sorted(SUPER_GROUPS))
     four = renumber([tickers[:3], tickers[3:8], tickers[8:18], tickers[18:]])
     two = renumber([tickers[:11], tickers[11:]])
-    return [
-        Strategy("Random", random_plan(tickers)),
-        Strategy("Industry", industry.plan),
-        Strategy("Cluster paired", cluster_plan(four, pair_by_size(four))),
-        Strategy("Cluster unpaired", cluster_plan(four)),
-        Strategy("Cluster two", cluster_plan(two, pair_by_size(two))),
-    ]
+    return {
+        "Random": random_plan(tickers),
+        "Industry": industry_plan(SUPER_GROUPS),
+        "Cluster paired": cluster_plan(four, pair_by_size(four)),
+        "Cluster unpaired": cluster_plan(four),
+        "Cluster two": cluster_plan(two, pair_by_size(two)),
+    }
 
 
-def scalar_draws(strategy: Strategy, m: int) -> list[str]:
+def scalar_draws(plan: DrawPlan, m: int) -> list[str]:
     """The space-joined tickers ``draw_row`` draws in replications 0..49."""
-    plan = strategy.plan
     plan.check(m)
     return [" ".join(plan.labels[p] for p in draw_row(plan, m, replication_rng(SEED, rep)))
             for rep in range(DRAWS)]
@@ -147,7 +147,8 @@ def scalar_draws(strategy: Strategy, m: int) -> list[str]:
 
 def drawn_tickers() -> str:
     """JSON text: strategy -> m -> the space-joined tickers of replications 0..49."""
-    table = {s.name: {str(m): scalar_draws(s, m) for m in (2, 4, 8)} for s in golden_strategies()}
+    table = {name: {str(m): scalar_draws(plan, m) for m in (2, 4, 8)}
+             for name, plan in golden_plans().items()}
     return json.dumps({"seed": SEED, "draws": table}, indent=1) + "\n"
 
 
@@ -267,11 +268,13 @@ def ties_golden_text() -> str:
 
 @pytest.mark.parametrize("case", range(TIE_CASES))
 def test_clusters_on_tied_distances_match_golden(case):
+    want = json.loads(TIES_FILE.read_text())["cases"][case]
     if case % 4 == 3:
         with pytest.raises(CorrelationError, match="distance matrix must be symmetric"):
             tie_distance(case)
+        assert want is None
         return
-    assert tie_case(case) == json.loads(TIES_FILE.read_text())["cases"][case]
+    assert tie_case(case) == want
 
 
 @pytest.fixture(scope="module")
@@ -451,18 +454,18 @@ def test_draw_matrix_matches_golden():
     """The scalar draws, replication by replication, and the batched draws,
     all blocks sharing one word matrix, give the golden portfolios."""
     want = json.loads(DRAWS_FILE.read_text())["draws"]
-    strategies = golden_strategies()
-    tickers = strategies[0].plan.labels
+    plans = golden_plans()
+    tickers = plans["Random"].labels
     period = StudyPeriod("P1", date(2001, 1, 2), date(2004, 1, 6))
     panel = ReturnPanel(tickers, (period,), np.zeros((1, len(tickers))),
                         (np.zeros((3, len(tickers))),))
     sizes = (2, 4, 8)
-    matrices = iter(draw_matrices(strategies, panel, sizes, DRAWS, SEED))
+    matrices = iter(draw_matrices(list(plans.values()), panel, sizes, DRAWS, SEED))
     for m in sizes:
-        for s in strategies:
-            assert scalar_draws(s, m) == want[s.name][str(m)], (s.name, m)
+        for name, plan in plans.items():
+            assert scalar_draws(plan, m) == want[name][str(m)], (name, m)
             got = [" ".join(tickers[c] for c in row) for row in next(matrices).tolist()]
-            assert got == want[s.name][str(m)], (s.name, m)
+            assert got == want[name][str(m)], (name, m)
 
 
 if __name__ == "__main__":

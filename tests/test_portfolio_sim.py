@@ -22,19 +22,18 @@ from netfolio.inputs import StudyPeriod
 from netfolio.market_data import ReturnPanel
 from netfolio.portfolio_sim import (
     DrawPlan,
-    IndustryMap,
     SimulationError,
-    Strategy,
     _draw_rows,
     _grouped_plan,
     _replication_words,
     _Words,
     cluster_plan,
-    default_industry_map,
     draw_matrices,
+    industry_plan,
     random_plan,
     score_period,
 )
+from netfolio.reference import SUPER_GROUPS
 from draw_reference import draw_row, replication_rng
 from synthetic import run_simulation
 
@@ -49,16 +48,15 @@ def toy_panel(tickers, values):
     )
 
 
-FOUR_GROUPS = IndustryMap(
-    {"A1": 1, "A2": 1, "B1": 2, "B2": 2, "C1": 3, "C2": 3, "D1": 4, "D2": 4}
-)
+FOUR_GROUPS = {"A1": 1, "A2": 1, "B1": 2, "B2": 2, "C1": 3, "C2": 3, "D1": 4, "D2": 4}
+FOUR_GROUPS_PLAN = industry_plan(FOUR_GROUPS)
 
 
 def drawn(plan: DrawPlan, m: int, reps: int = 1, seed: int = 0) -> list[tuple[str, ...]]:
     """The tickers of each row of the ``draw_matrices`` block of ``plan``."""
     tickers = tuple(sorted(plan.labels))
     panel = toy_panel(tickers, np.zeros(len(tickers)))
-    columns = draw_matrices([Strategy("S", plan)], panel, [m], reps, seed)[0]
+    columns = draw_matrices([plan], panel, [m], reps, seed)[0]
     return [tuple(tickers[c] for c in row) for row in columns.tolist()]
 
 
@@ -93,36 +91,40 @@ class TestSelectRandom:
 
 class TestSelectIndustry:
     def test_m4_one_per_group(self):
-        (draw,) = drawn(FOUR_GROUPS.plan, 4)
-        groups = sorted(FOUR_GROUPS.groups[t] for t in draw)
+        (draw,) = drawn(FOUR_GROUPS_PLAN, 4)
+        groups = sorted(FOUR_GROUPS[t] for t in draw)
         assert groups == [1, 2, 3, 4]
 
     def test_m2_distinct_groups(self):
-        for draw in drawn(FOUR_GROUPS.plan, 2, reps=200, seed=3):
-            g = [FOUR_GROUPS.groups[t] for t in draw]
+        for draw in drawn(FOUR_GROUPS_PLAN, 2, reps=200, seed=3):
+            g = [FOUR_GROUPS[t] for t in draw]
             assert g[0] != g[1]
 
     def test_m8_two_per_group(self):
-        (draw,) = drawn(FOUR_GROUPS.plan, 8)
-        counts = Counter(FOUR_GROUPS.groups[t] for t in draw)
+        (draw,) = drawn(FOUR_GROUPS_PLAN, 8)
+        counts = Counter(FOUR_GROUPS[t] for t in draw)
         assert sorted(counts.values()) == [2, 2, 2, 2]
 
     def test_m8_needs_four_groups(self):
-        two = IndustryMap({"A": 1, "B": 1, "C": 2, "D": 2})
+        two = industry_plan({"A": 1, "B": 1, "C": 2, "D": 2})
         with pytest.raises(SimulationError):
-            drawn(two.plan, 8)
+            drawn(two, 8)
 
     def test_unsupported_m(self):
         with pytest.raises(SimulationError):
-            drawn(FOUR_GROUPS.plan, 6)
+            drawn(FOUR_GROUPS_PLAN, 6)
 
     def test_default_map_covers_dow(self):
-        assert sorted(default_industry_map().plan.sizes) == [5, 8, 8, 9]
+        assert sorted(industry_plan(SUPER_GROUPS).sizes) == [5, 8, 8, 9]
+
+    def test_one_group_rejected(self):
+        with pytest.raises(SimulationError, match="need at least 2 industry groups"):
+            industry_plan({"A": 1, "B": 1})
 
     def test_group_too_small_for_per_group_quota(self):
-        small = IndustryMap({"A": 1, "B": 2, "C": 3, "D": 4})
+        small = industry_plan({"A": 1, "B": 2, "C": 3, "D": 4})
         with pytest.raises(SimulationError):
-            drawn(small.plan, 8)
+            drawn(small, 8)
 
 
 class TestSelectCluster:
@@ -163,9 +165,9 @@ class TestExactDistribution:
     """On a toy universe the draw distribution can be enumerated exactly."""
 
     def test_industry_m2_matches_rational_enumeration(self):
-        groups = IndustryMap({"A1": 1, "A2": 1, "B1": 2, "C1": 3, "C2": 3, "D1": 4})
+        groups = {"A1": 1, "A2": 1, "B1": 2, "C1": 3, "C2": 3, "D1": 4}
         members: dict[int, list[str]] = {}
-        for t, g in groups.groups.items():
+        for t, g in groups.items():
             members.setdefault(g, []).append(t)
         # Exact law: choose 2 of 4 groups uniformly, then one stock uniformly
         # within each.
@@ -178,15 +180,15 @@ class TestExactDistribution:
                 expected[key] = expected.get(key, Fraction(0)) + p
         assert sum(expected.values()) == 1
         reps = 30000
-        counts = Counter(frozenset(draw) for draw in drawn(groups.plan, 2, reps, seed=17))
+        counts = Counter(frozenset(draw) for draw in drawn(industry_plan(groups), 2, reps, seed=17))
         assert set(counts) <= set(expected)
         for key, p in expected.items():
             se = float(np.sqrt(reps * float(p) * (1 - float(p))))
             assert abs(counts[key] - reps * float(p)) < 4 * se
 
     def test_support_is_exactly_the_enumerated_set(self):
-        groups = IndustryMap({"A": 1, "B": 2, "C": 3, "D": 4})
-        draws = {frozenset(draw) for draw in drawn(groups.plan, 2, reps=500, seed=1)}
+        groups = industry_plan({"A": 1, "B": 2, "C": 3, "D": 4})
+        draws = {frozenset(draw) for draw in drawn(groups, 2, reps=500, seed=1)}
         assert draws == {frozenset(p) for p in combinations("ABCD", 2)}
 
 
@@ -230,19 +232,19 @@ class TestWordKernel:
 
 
 class TestRunSimulation:
-    def strategy(self):
-        return Strategy("Random", random_plan(("A", "B", "C", "D", "E")))
+    def plan(self):
+        return random_plan(("A", "B", "C", "D", "E"))
 
     def panel(self):
         return toy_panel(["A", "B", "C", "D", "E"], [1.0, 2.0, 4.0, 8.0, 16.0])
 
     def test_shape_and_metadata(self):
-        run = run_simulation(self.strategy(), self.panel(), "P1", 2, reps=50, seed=4)
+        run = run_simulation("Random", self.plan(), self.panel(), "P1", 2, reps=50, seed=4)
         assert len(run.returns) == 50
         assert run.strategy == "Random" and run.m == 2 and run.period == "P1"
 
     def test_values_are_pair_means(self):
-        run = run_simulation(self.strategy(), self.panel(), "P1", 2, reps=100, seed=0)
+        run = run_simulation("Random", self.plan(), self.panel(), "P1", 2, reps=100, seed=0)
         valid = {np.mean(pair) for pair in combinations([1.0, 2.0, 4.0, 8.0, 16.0], 2)}
         assert set(np.round(run.returns, 12)) <= valid
 
@@ -261,38 +263,36 @@ class TestDrawMatrix:
         values = np.random.default_rng(3).normal(5.0, 20.0, size=len(self.TICKERS))
         return toy_panel(self.TICKERS, values)
 
-    def strategies(self):
+    def plans(self) -> dict[str, DrawPlan]:
         four = renumber([("A1", "B1"), ("A2", "C2"), ("B2", "D1"), ("C1", "D2")])
         two = renumber([("A1", "A2", "B1", "B2"), ("C1", "C2", "D1", "D2")])
-        return [
-            Strategy("Random", random_plan(self.TICKERS)),
-            Strategy("Industry", FOUR_GROUPS.plan),
-            Strategy("Paired", cluster_plan(four, ClusterPairing(((1, 3), (2, 4))))),
-            Strategy("Unpaired", cluster_plan(four)),
-            Strategy("Two", cluster_plan(two)),
-        ]
+        return {
+            "Random": random_plan(self.TICKERS),
+            "Industry": FOUR_GROUPS_PLAN,
+            "Paired": cluster_plan(four, ClusterPairing(((1, 3), (2, 4)))),
+            "Unpaired": cluster_plan(four),
+            "Two": cluster_plan(two),
+        }
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_rows_are_the_drawn_portfolios(self, m):
         panel = self.panel()
-        for strategy in self.strategies():
-            (columns,) = draw_matrices([strategy], panel, [m], reps=60, seed=12)
-            expected = scalar_columns(strategy.plan, panel, m, 60, 12)
-            assert columns.tolist() == expected, strategy.name
-            run = run_simulation(strategy, panel, "P1", m, reps=60, seed=12)
+        for name, plan in self.plans().items():
+            (columns,) = draw_matrices([plan], panel, [m], reps=60, seed=12)
+            expected = scalar_columns(plan, panel, m, 60, 12)
+            assert columns.tolist() == expected, name
+            run = run_simulation(name, plan, panel, "P1", m, reps=60, seed=12)
             loop = np.array([np.mean(panel.returns_for("P1")[row]) for row in expected])
             np.testing.assert_array_equal(run.returns, loop)
 
     def test_ticker_outside_panel(self):
         panel = toy_panel(["A1", "B1", "C1"], [1.0, 2.0, 3.0])
-        strategy = Strategy("Industry", FOUR_GROUPS.plan)
         with pytest.raises(SimulationError, match="unknown ticker 'A2'"):
-            draw_matrices([strategy], panel, [2], reps=5)
+            draw_matrices([FOUR_GROUPS_PLAN], panel, [2], reps=5)
 
     def test_size_checked_before_drawing(self):
-        strategy = Strategy("Industry", FOUR_GROUPS.plan)
         with pytest.raises(SimulationError, match="m <= 4 or m = 8"):
-            draw_matrices([strategy], self.panel(), [6], reps=5)
+            draw_matrices([FOUR_GROUPS_PLAN], self.panel(), [6], reps=5)
 
 
 def seeded_plans(seed: int) -> list[DrawPlan]:
@@ -351,13 +351,13 @@ class TestBatchedDraws:
                 tickers = tuple(sorted(plan.labels))
                 panel = toy_panel(tickers, np.zeros(len(tickers)))
                 sizes = [m for m in sorted({1, 2, 3, 4, 8, len(tickers)}) if drawable(plan, m)]
-                for columns in draw_matrices([Strategy("S", plan)], panel, sizes, self.REPS, seed):
+                for columns in draw_matrices([plan], panel, sizes, self.REPS, seed):
                     ordered = np.sort(columns, axis=1)
                     assert (ordered[:, 1:] != ordered[:, :-1]).all(), (plan, columns.shape[1])
 
     def test_draw_matrices_reads_each_stream_once(self, monkeypatch):
         panel = TestDrawMatrix().panel()
-        strategies = TestDrawMatrix().strategies()
+        plans = list(TestDrawMatrix().plans().values())
         calls = []
 
         def counted(seed, reps, k):
@@ -365,15 +365,15 @@ class TestBatchedDraws:
             return _replication_words(seed, reps, k)
 
         monkeypatch.setattr(portfolio_sim, "_replication_words", counted)
-        matrices = draw_matrices(strategies, panel, [2, 4, 8], reps=30, seed=5)
+        matrices = draw_matrices(plans, panel, [2, 4, 8], reps=30, seed=5)
         assert calls == [(5, 30, 12)]
-        blocks = [(m, s) for m in (2, 4, 8) for s in strategies]
+        blocks = [(m, plan) for m in (2, 4, 8) for plan in plans]
         assert len(matrices) == len(blocks)
-        for (m, strategy), columns in zip(blocks, matrices):
-            assert columns.tolist() == scalar_columns(strategy.plan, panel, m, 30, 5)
+        for (m, plan), columns in zip(blocks, matrices):
+            assert columns.tolist() == scalar_columns(plan, panel, m, 30, 5)
 
     def test_rejected_word_is_replaced_by_the_next(self, monkeypatch):
-        strategy = Strategy("Random", random_plan(("A", "B", "C", "D")))
+        plan = random_plan(("A", "B", "C", "D"))
         panel = toy_panel(["A", "B", "C", "D"], [1.0, 2.0, 3.0, 4.0])
 
         def crafted(seed, reps, k):
@@ -387,11 +387,11 @@ class TestBatchedDraws:
 
         monkeypatch.setattr(portfolio_sim, "_replication_words", crafted)
         words = _Words(0, 8, 3)
-        positions = _draw_rows(strategy.plan, 2, words)
-        scalar = [draw_row(strategy.plan, 2, replication_rng(0, rep)) for rep in range(8)]
+        positions = _draw_rows(plan, 2, words)
+        scalar = [draw_row(plan, 2, replication_rng(0, rep)) for rep in range(8)]
         assert positions.tolist() == scalar
         assert words.cursor.tolist() == [4 if rep == 3 else 3 for rep in range(8)]
-        (columns,) = draw_matrices([strategy], panel, [2], reps=8, seed=0)
+        (columns,) = draw_matrices([plan], panel, [2], reps=8, seed=0)
         assert columns.tolist() == scalar
 
     @pytest.mark.parametrize("seed,rep", [(0, 39_568), (0, 45_909), (1, 32_395), (2, 45_746)])
@@ -404,7 +404,7 @@ class TestBatchedDraws:
         assert words.cursor[rep] == 16
         assert positions[rep].tolist() == draw_row(plan, 8, replication_rng(seed, rep))
 
-    @pytest.mark.parametrize("plan", [FOUR_GROUPS.plan, random_plan(tuple("ABCDEFGHIJ"))],
+    @pytest.mark.parametrize("plan", [FOUR_GROUPS_PLAN, random_plan(tuple("ABCDEFGHIJ"))],
                              ids=["industry", "random"])
     def test_rows_past_the_last_word_grow_the_matrix(self, plan):
         words = _Words(0, 6, 1)
@@ -419,16 +419,16 @@ class TestBatchedDraws:
         m > n // 50. Every Floyd draw equals numpy's; a plan past the limit
         is refused before any block is drawn."""
         tickers = tuple(f"T{i:05d}" for i in range(n))
-        strategy = Strategy("Random", random_plan(tickers))
+        plan = random_plan(tickers)
         panel = toy_panel(tickers, np.zeros(n))
         last = n // 50 + (n <= 10_000)
         for m in (8, last):
-            (columns,) = draw_matrices([strategy], panel, [m], reps=5, seed=3)
-            assert columns.tolist() == scalar_columns(strategy.plan, panel, m, 5, 3), m
+            (columns,) = draw_matrices([plan], panel, [m], reps=5, seed=3)
+            assert columns.tolist() == scalar_columns(plan, panel, m, 5, 3), m
         if n > 10_000:
             monkeypatch.setattr(portfolio_sim, "_replication_words", _never_called)
             with pytest.raises(SimulationError, match=f"cannot draw {last + 1} from {n} tickers"):
-                draw_matrices([strategy], panel, [8, last + 1], reps=5, seed=3)
+                draw_matrices([plan], panel, [8, last + 1], reps=5, seed=3)
 
     def test_draws_leave_numpy_random_unloaded(self):
         """The rejection and growth cases above, run where numpy.random
@@ -440,7 +440,7 @@ class TestBatchedDraws:
         rejected, grown = json.loads(out)
         plan = random_plan(tuple(f"T{i:05d}" for i in range(10_000)))
         assert rejected == draw_row(plan, 8, replication_rng(0, 39_568))
-        assert grown == [draw_row(FOUR_GROUPS.plan, 8, replication_rng(0, rep)) for rep in range(6)]
+        assert grown == [draw_row(FOUR_GROUPS_PLAN, 8, replication_rng(0, rep)) for rep in range(6)]
 
 
 def _never_called(*args):
@@ -453,13 +453,13 @@ from datetime import date
 import numpy as np
 from netfolio.inputs import StudyPeriod
 from netfolio.market_data import ReturnPanel
-from netfolio.portfolio_sim import IndustryMap, Strategy, _draw_rows, _Words, draw_matrices, random_plan
+from netfolio.portfolio_sim import _draw_rows, _Words, draw_matrices, industry_plan, random_plan
 tickers = tuple(f"T{i:05d}" for i in range(10_000))
 panel = ReturnPanel(tickers, (StudyPeriod("P1", date(2001, 1, 2), date(2004, 1, 6)),),
                     np.zeros((1, 10_000)), (np.zeros((3, 10_000)),))
-(columns,) = draw_matrices([Strategy("Random", random_plan(tickers))], panel, [8], 39_569, 0)
+(columns,) = draw_matrices([random_plan(tickers)], panel, [8], 39_569, 0)
 groups = {"A1": 1, "A2": 1, "B1": 2, "B2": 2, "C1": 3, "C2": 3, "D1": 4, "D2": 4}
-grown = _draw_rows(IndustryMap(groups).plan, 8, _Words(0, 6, 1))
+grown = _draw_rows(industry_plan(groups), 8, _Words(0, 6, 1))
 loaded = {"numpy.random"} & set(sys.modules)
 assert not loaded, loaded
 print(json.dumps([columns[-1].tolist(), grown.tolist()]))

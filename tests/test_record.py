@@ -19,19 +19,12 @@ from netfolio.correlation import CorrelationError, CorrelationMatrix, DistanceMa
 from netfolio.inputs import DataError, StudyPeriod
 from netfolio.market_data import PricePanel, ReturnPanel
 from netfolio.neighbor_net import CircularSplitSystem, Split
-from netfolio.portfolio_sim import (
-    DrawPlan,
-    IndustryMap,
-    SimulationError,
-    SimulationRun,
-    Strategy,
-)
+from netfolio.portfolio_sim import DrawPlan, SimulationRun
 from netfolio.record import Record
 from netfolio.tree_cluster import Dendrogram, Merge, SpanningTree
 
 D1, D2 = date(2001, 1, 5), date(2001, 1, 12)
 P1 = StudyPeriod("P1", D1, D2)
-PLAN = DrawPlan("random", ("A", "B"), (2,))
 STATS = StrategyStats("Random", 2, 1.5, 2.0, 0.25)
 
 # Each record class: its fields in order, its defaults, and two valid field
@@ -63,13 +56,11 @@ RECORDS = {
     StrategyStats: (("strategy", "m", "mean", "std_dev", "sharpe", "best"), {"best": False},
                     ("Random", 2, 1.5, 2.0, None, True), ("HCT", 2, 1.5, 2.0, 0.25, False)),
     SimulationReport: (("stats", "levene"), {}, ((STATS,), ()), ((), ())),
-    IndustryMap: (("groups",), {}, ({"A": 1, "B": 2},), ({"A": 1, "B": 3},)),
     SimulationRun: (("strategy", "m", "period", "returns"), {},
                     ("Random", 2, "P2", np.zeros(3)), ("HCT", 2, "P2", np.zeros(3))),
     DrawPlan: (("rule", "labels", "sizes", "ids", "pairs"), {"ids": (), "pairs": ()},
                ("industry", ("A", "B"), (1, 1), (1, 2), ((0, 1),)),
                ("cluster", ("A", "B"), (1, 1), (1, 2), ())),
-    Strategy: (("name", "plan"), {}, ("Random", PLAN), ("Industry", PLAN)),
 }
 
 
@@ -92,7 +83,7 @@ def test_every_record_class_is_covered():
     for path in Path(netfolio.__file__).parent.glob("*.py"):
         importlib.import_module(f"netfolio.{path.stem}")
     assert set(Record.__subclasses__()) == set(RECORDS)
-    assert len(RECORDS) == 19
+    assert len(RECORDS) == 17
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -177,7 +168,7 @@ POST_INIT_CHECKS = [
     (Dendrogram, (("A", "B", "C"), (Merge(0, 1, 0.5), Merge(1, 3, 0.5))), ClusterError,
      "node 1 used twice"),
     (SpanningTree, (("A", "B"), ()), ClusterError, "needs n-1 edges"),
-    (IndustryMap, ({"A": 1, "B": 1},), SimulationError, "at least 2 industry groups"),
+    (ClusterAssignment, ({"A": 1, "B": 3},), ClusterError, r"ids must be 1..k, got \[1, 3\]"),
     (PricePanel, (("A",), (D1, D2), np.ones((2, 1)), np.zeros((1, 1))), DataError,
      "dividend matrix shape"),
 ]
@@ -197,8 +188,7 @@ def test_cached_properties_are_kept_on_the_instance():
     returns = ReturnPanel(*RECORDS[ReturnPanel][2])
     assert returns.column == {"A": 0, "B": 1} and "column" in vars(returns)
     assert returns.column is returns.column
-    industry = IndustryMap({"A": 1, "B": 2, "C": 2})
-    assert industry.plan.labels == ("A", "B", "C") and industry.plan is industry.plan
-    assert DrawPlan("industry", ("A", "B", "C"), (1, 2)).starts == (0, 1)
+    plan = DrawPlan("industry", ("A", "B", "C"), (1, 2))
+    assert plan.starts == (0, 1) and "starts" in vars(plan) and plan.starts is plan.starts
     assignment = ClusterAssignment({"A": 1, "B": 2, "C": 1})
     assert assignment.members(1) == ("A", "C")
