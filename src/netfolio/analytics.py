@@ -124,6 +124,10 @@ def _fmt(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.2f}"
 
 
+REPORT_COLUMNS = ("strategy", "size", "mean", "sd", "sharpe", "best_flag")
+LEVENE_COLUMNS = ("size", "strategies", "W", "df1", "df2", "p")
+
+
 def render_report(report: SimulationReport, format: str = "markdown") -> str:
     """Deterministic report table: metric x size rows, strategy columns."""
     strategies = list(dict.fromkeys(s.strategy for s in report.stats))
@@ -132,7 +136,7 @@ def render_report(report: SimulationReport, format: str = "markdown") -> str:
     levene_by_m = {m: res for m, _, res in report.levene}
 
     if format == "csv":
-        lines = ["strategy,size,mean,sd,sharpe,best_flag"]
+        lines = [",".join(REPORT_COLUMNS)]
         for s in report.stats:
             lines.append(
                 f"{s.strategy},{s.m},{s.mean:.6f},{s.std_dev:.6f},"
@@ -171,7 +175,7 @@ def render_report(report: SimulationReport, format: str = "markdown") -> str:
 
 
 def render_levene_csv(report: SimulationReport) -> str:
-    lines = ["size,strategies,W,df1,df2,p"]
+    lines = [",".join(LEVENE_COLUMNS)]
     for m, names, res in report.levene:
         lines.append(
             f"{m},{'+'.join(names)},{res.W:.6f},{res.df1},{res.df2},{res.p_value:.6g}"

@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING
 
 from . import reference
 from .analytics import (
+    LEVENE_COLUMNS,
+    REPORT_COLUMNS,
     LeveneResult,
     SimulationReport,
     StrategyStats,
@@ -71,6 +73,7 @@ def _distinct_array(value: object, item=lambda _: True) -> bool:
             and all(v not in value[:i] for i, v in enumerate(value)))
 
 
+CLUSTER_METHODS = ("hct", "mst", "nnet")
 _STRATEGY_LABELS = {
     "random": "Random",
     "industry": "Industry",
@@ -79,47 +82,54 @@ _STRATEGY_LABELS = {
     "nnet": "NN",
 }
 
-# key -> (check, what a valid value is); a key that is absent takes its default.
+# key -> (default, check, what a valid value is); a key that is absent takes
+# its default, and a default of None means the key is not set.
 CLUSTERING_RULES = {
-    "k": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "mst_mode": (lambda v: v in ("gap", "hub"), "'gap' or 'hub'"),
-    "min_branch": (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
-    "hub": (lambda v: isinstance(v, str), "a ticker string"),
-    "manual_breaks": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "k": (4, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "mst_mode": ("gap", lambda v: v in ("gap", "hub"), "'gap' or 'hub'"),
+    "min_branch": (5, lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    "hub": (None, lambda v: isinstance(v, str), "a ticker string"),
+    "manual_breaks": (None, lambda v: isinstance(v, list) and all(map(_is_int, v)),
                       "a JSON array of integers"),
 }
 SIMULATION_RULES = {
     # The replication streams' spawn key is one uint32 word.
-    "reps": (lambda v: _is_int(v) and 2 <= v <= 2**32, "an integer from 2 to 2**32"),
-    "sizes": (lambda v: v != [] and _distinct_array(v, lambda m: _is_int(m) and m in (2, 4, 8)),
+    "reps": (1000, lambda v: _is_int(v) and 2 <= v <= 2**32, "an integer from 2 to 2**32"),
+    "sizes": ([2, 4, 8],
+              lambda v: v != [] and _distinct_array(v, lambda m: _is_int(m) and m in (2, 4, 8)),
               "a non-empty JSON array of distinct integers from {2, 4, 8}"),
-    "strategies": (lambda v: v != [] and _distinct_array(v, lambda s: s in tuple(_STRATEGY_LABELS)),
+    "strategies": (list(_STRATEGY_LABELS),
+                   lambda v: v != [] and _distinct_array(v, lambda s: s in tuple(_STRATEGY_LABELS)),
                    f"a non-empty JSON array of distinct names from {', '.join(_STRATEGY_LABELS)}"),
-    "test_periods": (lambda v: v != [] and _distinct_array(v),
+    # Unset: the model period alone.
+    "test_periods": (None, lambda v: v != [] and _distinct_array(v),
                      "a non-empty JSON array of distinct period labels"),
-    "levene_exclude": (_distinct_array, "a JSON array of distinct strategy labels"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "risk_free": (lambda v: isinstance(v, dict) and all(map(_is_finite, v.values())),
+    # HCT's unbalanced clusters can depress its standard deviations.
+    "levene_exclude": (["HCT"], _distinct_array, "a JSON array of distinct strategy labels"),
+    # Rates by period label, over reference.RISK_FREE_PCT.
+    "risk_free": ({}, lambda v: isinstance(v, dict) and all(map(_is_finite, v.values())),
                   "a JSON object of finite numbers"),
-    "model_period": (lambda v: isinstance(v, str), "a period label string"),
+    # Unset: the first period.
+    "model_period": (None, lambda v: isinstance(v, str), "a period label string"),
 }
 PATH_KEYS = ("prices", "dividends", "periods", "industry_map")
 CONFIG_KEYS = PATH_KEYS + ("clustering", "simulation")
 
 
 def check_section(path: str | Path, cfg: dict, section: str, rules: dict) -> dict:
-    """The config's ``section`` object, each key checked by its rule in
-    ``rules``; a key with no rule is misspelt or removed, and fails."""
+    """Every key of ``rules`` with its value in the config's ``section``
+    object, checked by its rule, or else its default; a key of the section
+    with no rule is misspelt or removed, and fails."""
     values = cfg.get(section, {})
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: {section} must be a JSON object, not {values!r}")
     for key, value in values.items():
         if key not in rules:
             raise ConfigError(f"{path}: unknown key {section}.{key}")
-        ok, what = rules[key]
+        _, ok, what = rules[key]
         if not ok(value):
             raise ConfigError(f"{path}: {section}.{key} must be {what}, not {value!r}")
-    return values
+    return {**{key: default for key, (default, _, _) in rules.items()}, **values}
 
 
 def _load_json(path: str | Path) -> object:
@@ -279,9 +289,9 @@ def period_correlation(cfg: dict, returns: ReturnPanel, label: str) -> Correlati
 def build_clusters(
     method: str, dist: DistanceMatrix, clustering: dict
 ) -> tuple[ClusterAssignment, object]:
-    """The assignment of one network method and the structure it is cut from:
-    the dendrogram, the spanning tree or the circular ordering."""
-    k = clustering.get("k", 4)
+    """The assignment of one of CLUSTER_METHODS and the structure it is cut
+    from: the dendrogram, the spanning tree or the circular ordering."""
+    k = clustering["k"]
     if method == "hct":
         from .tree_cluster import average_linkage_hct, cut_dendrogram
         tree = average_linkage_hct(dist)
@@ -289,20 +299,12 @@ def build_clusters(
     if method == "mst":
         from .tree_cluster import minimum_spanning_tree, mst_clusters
         tree = minimum_spanning_tree(dist)
-        assignment = mst_clusters(
-            tree,
-            dist,
-            k,
-            mode=clustering.get("mst_mode", "gap"),
-            min_branch=clustering.get("min_branch", 5),
-            hub=clustering.get("hub"),
-        )
+        assignment = mst_clusters(tree, dist, k, mode=clustering["mst_mode"],
+                                  min_branch=clustering["min_branch"], hub=clustering["hub"])
         return assignment, tree
-    if method == "nnet":
-        from .neighbor_net import neighbornet_ordering, nn_clusters
-        ordering = neighbornet_ordering(dist)
-        return nn_clusters(ordering, dist, k, clustering.get("manual_breaks")), ordering
-    raise ConfigError(f"unknown network method {method!r}")
+    from .neighbor_net import neighbornet_ordering, nn_clusters
+    ordering = neighbornet_ordering(dist)
+    return nn_clusters(ordering, dist, k, clustering["manual_breaks"]), ordering
 
 
 def pair_clusters(method: str, assignment: ClusterAssignment, structure: object,
@@ -356,7 +358,7 @@ def cmd_network(args: argparse.Namespace) -> int:
     returns = compute_returns(cfg, load_periods(cfg["periods"]))
     check_ticker_count(args.config, cfg["prices"], len(returns.tickers),
                        "--method nnet" if args.method == "nnet" else None,
-                       [("clustering.k", clustering.get("k", 4))])
+                       [("clustering.k", clustering["k"])])
     out = Path(args.out_dir)
     for p in returns.periods:
         corr = period_correlation(cfg, returns, p.label)
@@ -394,41 +396,39 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     cfg = load_config(args.config)
     sim = check_section(args.config, cfg, "simulation", SIMULATION_RULES)
-    if args.seed is not None and args.seed < 0:
+    if args.seed < 0:
         raise ConfigError(f"--seed must be an integer >= 0, not {args.seed}")
-    seed = args.seed if args.seed is not None else sim.get("seed", 0)
-    sizes = sim.get("sizes", [2, 4, 8])
-    names = sim.get("strategies", list(_STRATEGY_LABELS))
-    reps = sim.get("reps", 1000)
+    sizes, names = sim["sizes"], sim["strategies"]
     rules = CLUSTERING_RULES
-    clustered = any(name in ("hct", "mst", "nnet") for name in names)
+    clustered = any(name in CLUSTER_METHODS for name in names)
     if clustered:
-        rules = {**rules, "k": (lambda v: _is_int(v) and v in (2, 4),
+        rules = {**rules, "k": (rules["k"][0], lambda v: _is_int(v) and v in (2, 4),
                                 "2 or 4 for the hct, mst and nnet strategies")}
     clustering = check_section(args.config, cfg, "clustering", rules)
     periods = load_periods(cfg["periods"])
     labels = [p.label for p in periods]
-    model_period = sim.get("model_period", labels[0])
-    test_periods = sim.get("test_periods", [model_period])
+    model_period = labels[0] if sim["model_period"] is None else sim["model_period"]
+    test_periods = [model_period] if sim["test_periods"] is None else sim["test_periods"]
     for key, label in [("model_period", model_period)] + [("test_periods", t) for t in test_periods]:
         if label not in labels:
             raise ConfigError(
                 f"{args.config}: simulation {key} names {label!r}, "
                 f"which is not a period in {cfg['periods']}"
             )
-    rf_table = {**reference.RISK_FREE_PCT, **sim.get("risk_free", {})}
-    industry_source = cfg.get("industry_map") or "built-in Dow 30 industry map"
-    industry = load_industry_map(cfg.get("industry_map"))
+    rf_table = {**reference.RISK_FREE_PCT, **sim["risk_free"]}
     if "industry" in names:
+        industry_source = cfg.get("industry_map") or "built-in Dow 30 industry map"
+        industry = load_industry_map(cfg.get("industry_map"))
         check_plan_sizes(industry, sizes, industry_source)
     returns = compute_returns(cfg, periods)
     nnet = f"{args.config}: simulation.strategies names 'nnet', which" if "nnet" in names else None
     check_ticker_count(args.config, cfg["prices"], len(returns.tickers), nnet,
-                       [("clustering.k", clustering.get("k", 4))] * clustered
+                       [("clustering.k", clustering["k"])] * clustered
                        + [("simulation.sizes", m) for m in sizes])
     if "industry" in names:
         check_industry_universe(industry, industry_source, returns.tickers)
-    dist = ultrametric_distance(period_correlation(cfg, returns, model_period))
+    if clustered:
+        dist = ultrametric_distance(period_correlation(cfg, returns, model_period))
 
     plans: list[DrawPlan] = []
     for name in names:
@@ -450,23 +450,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # Replication streams depend on (seed, rep) only: read each stream once,
     # draw each (m, strategy) portfolio matrix once and score it on every
     # test period.
-    matrices = draw_matrices(plans, returns, sizes, reps, seed)
+    matrices = draw_matrices(plans, returns, sizes, sim["reps"], args.seed)
     draws = list(zip([_STRATEGY_LABELS[name] for m in sizes for name in names], matrices))
     out = Path(args.out_dir)
     for test_period in test_periods:
         runs = [score_period(name, columns, returns, test_period) for name, columns in draws]
         rf = float(rf_table.get(test_period, 0.0))
-        report = summarize(runs, rf, levene_exclude=tuple(sim.get("levene_exclude", ["HCT"])))
+        report = summarize(runs, rf, tuple(sim["levene_exclude"]))
         tag = f"{model_period}_{test_period}"
         _atomic_write(out / f"report_{tag}.csv", render_report(report, "csv"))
         _atomic_write(out / f"levene_{tag}.csv", render_levene_csv(report))
         _atomic_write(out / f"report_{tag}.md", render_report(report, "markdown"))
     print(f"wrote simulation reports for model period {model_period} to {out}")
     return 0
-
-
-REPORT_COLUMNS = ("strategy", "size", "mean", "sd", "sharpe", "best_flag")
-LEVENE_COLUMNS = ("size", "strategies", "W", "df1", "df2", "p")
 
 
 def _flag(text: str) -> bool:
@@ -537,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_net = sub.add_parser("network", help="build a clustering structure per period")
     p_net.add_argument("--config", required=True)
-    p_net.add_argument("--method", required=True, choices=["hct", "mst", "nnet"])
+    p_net.add_argument("--method", required=True, choices=CLUSTER_METHODS)
     p_net.add_argument("--out-dir", default="out")
     p_net.add_argument("--dump-matrices", action="store_true",
                        help="also write correlation and distance CSVs")
@@ -546,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo portfolio simulations")
     p_sim.add_argument("--config", required=True)
     p_sim.add_argument("--out-dir", default="out")
-    p_sim.add_argument("--seed", type=int, default=None)
+    p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--workers", type=int, default=1,
                        help="ignored: the engine is single-threaded")
     p_sim.set_defaults(func=cmd_simulate)

@@ -326,7 +326,7 @@ def _columns(returns: ReturnPanel, tickers: tuple[str, ...]) -> np.ndarray:
 
 
 def draw_matrices(plans: list[DrawPlan], returns: ReturnPanel, sizes: list[int],
-                  reps: int = 1000, seed: int = 0) -> list[np.ndarray]:
+                  reps: int, seed: int) -> list[np.ndarray]:
     """(reps x m) ReturnPanel columns of every block, m-major: one matrix
     for each m in sizes and each plan. Row r of a block is the portfolio
     numpy's Generator of replication r draws (see ``_draw_rows``), in drawn

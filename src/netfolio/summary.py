@@ -60,12 +60,8 @@ def levene_test(groups: list[np.ndarray] | list[list[float]], center: str = "med
     return LeveneResult(W, df1, df2, f_tail(W, df1, df2))
 
 
-def summarize(
-    runs: list[SimulationRun],
-    rf: float,
-    *,
-    levene_exclude: tuple[str, ...] = ("HCT",),
-) -> SimulationReport:
+def summarize(runs: list[SimulationRun], rf: float,
+              levene_exclude: tuple[str, ...]) -> SimulationReport:
     """Per-run mean/sd/Sharpe plus a Levene comparison per portfolio size.
 
     The median-centred Levene test spans the strategies not listed in

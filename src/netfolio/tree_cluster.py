@@ -180,8 +180,8 @@ def mst_clusters(
     dist: DistanceMatrix,
     k: int,
     *,
-    mode: str = "gap",
-    min_branch: int = 5,
+    mode: str,
+    min_branch: int,
     hub: str | None = None,
 ) -> ClusterAssignment:
     """Extract k clusters from a spanning tree.

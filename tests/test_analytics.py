@@ -126,37 +126,42 @@ class TestSummarize:
         ]
 
     def test_sample_sd_and_sharpe(self):
-        report = summarize(self.runs(), rf=1.0)
+        report = summarize(self.runs(), rf=1.0, levene_exclude=())
         s = {x.strategy: x for x in report.stats}
         assert s["Random"].std_dev == pytest.approx(1.0)
         assert s["Random"].sharpe == pytest.approx(1.0)
 
     def test_best_flag_marks_max_sharpe(self):
-        report = summarize(self.runs(), rf=1.0)
+        report = summarize(self.runs(), rf=1.0, levene_exclude=())
         best = [x.strategy for x in report.stats if x.best]
         sharpes = {x.strategy: x.sharpe for x in report.stats}
         assert best == [max(sharpes, key=sharpes.get)]
 
-    def test_levene_excludes_hct_by_default(self):
-        report = summarize(self.runs(), rf=1.0)
-        assert len(report.levene) == 1
-        m, names, _ = report.levene[0]
-        assert m == 2 and names == ("Random", "Industry")
+    @pytest.mark.parametrize("exclude,names", [
+        ((), ("Random", "Industry", "HCT")), (("HCT",), ("Random", "Industry")),
+        (("Random", "HCT"), None),
+    ])
+    def test_levene_leaves_out_excluded_strategies(self, exclude, names):
+        # Levene's test needs two strategies; with one left there is none.
+        report = summarize(self.runs(), rf=1.0, levene_exclude=exclude)
+        assert [(m, got) for m, got, _ in report.levene] == ([(2, names)] if names else [])
 
     def test_zero_sd_yields_none_sharpe(self):
         report = summarize(
-            [run("Random", 2, [2.0, 2.0, 2.0]), run("Industry", 2, [1.0, 2.0, 3.5])], rf=0.0
+            [run("Random", 2, [2.0, 2.0, 2.0]), run("Industry", 2, [1.0, 2.0, 3.5])], rf=0.0,
+            levene_exclude=(),
         )
         s = {x.strategy: x for x in report.stats}
         assert s["Random"].sharpe is None and not s["Random"].best
 
     def test_mixed_periods_rejected(self):
         with pytest.raises(AnalyticsError):
-            summarize([run("Random", 2, [1, 2]), run("Industry", 2, [1, 2], period="P2")], rf=0.0)
+            summarize([run("Random", 2, [1, 2]), run("Industry", 2, [1, 2], period="P2")], rf=0.0,
+                      levene_exclude=())
 
     def test_empty_rejected(self):
         with pytest.raises(AnalyticsError):
-            summarize([], rf=0.0)
+            summarize([], rf=0.0, levene_exclude=())
 
 
 class TestRendering:
@@ -169,6 +174,7 @@ class TestRendering:
                 run("Industry", 4, [2.0, 2.4, 2.3]),
             ],
             rf=1.0,
+            levene_exclude=(),
         )
 
     def test_csv_shape(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -180,6 +181,22 @@ class TestSimulateCommand:
         assert levene[0] == "size,strategies,W,df1,df2,p"
         assert len(levene) == 3
         assert (out / "report_P1_P2.md").exists()
+
+    def test_levene_excludes_hct_by_default(self, workspace, capsys):
+        # HCT's unbalanced clusters can depress its standard deviations, so
+        # its draws stay out of Levene's test unless levene_exclude says so.
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["simulation"]["levene_exclude"] = []
+        (workspace / "all.json").write_text(json.dumps(cfg))
+        tested = []
+        for config in ("config.json", "all.json"):
+            out = workspace / config.replace(".json", "")
+            assert main(["simulate", "--config", str(workspace / config),
+                         "--out-dir", str(out)]) == 0
+            rows = (out / "levene_P1_P2.csv").read_text().splitlines()[1:]
+            tested.append([row.split(",")[:2] for row in rows])
+        assert tested == [[[m, "Random+Industry+MST+NN"] for m in "24"],
+                          [[m, "Random+Industry+HCT+MST+NN"] for m in "24"]]
 
     def test_byte_identical_across_workers(self, workspace, capsys):
         texts = []
@@ -535,8 +552,7 @@ class TestCorrelationErrorsLocated:
         return main(command + ["--config", str(workspace / "config.json"),
                                "--out-dir", str(workspace / "out")])
 
-    @pytest.mark.parametrize("command", COMMANDS, ids=["network", "simulate"])
-    def test_zero_variance_ticker(self, workspace, capsys, command):
+    def hold_s04_constant(self, workspace):
         # S04 closes at 50 every week and pays no dividend: its returns are all 0.
         prices = workspace / "prices.csv"
         lines = prices.read_text().splitlines()
@@ -546,10 +562,27 @@ class TestCorrelationErrorsLocated:
         dividends = workspace / "dividends.csv"
         dividends.write_text("".join(l for l in dividends.read_text().splitlines(True)
                                      if not l.startswith("S04,")))
+        return prices
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=["network", "simulate"])
+    def test_zero_variance_ticker(self, workspace, capsys, command):
+        prices = self.hold_s04_constant(workspace)
         assert self.run(workspace, command) == 2
         assert capsys.readouterr().err == (
             f"error: {prices}: period 'P1': ticker S04 has zero-variance returns\n")
         assert not (workspace / "out").exists()
+
+    def test_zero_variance_ticker_unread_without_cluster_strategy(self, workspace):
+        # Only a cluster strategy reads the model period's correlation.
+        self.hold_s04_constant(workspace)
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["simulation"]["strategies"] = ["random", "industry"]
+        (workspace / "config.json").write_text(json.dumps(cfg))
+        assert self.run(workspace, ["simulate"]) == 0
+        lines = (workspace / "out" / "report_P1_P2.csv").read_text().splitlines()
+        assert [l.split(",")[:2] for l in lines[1:]] == [
+            ["Random", "2"], ["Industry", "2"], ["Random", "4"], ["Industry", "4"]]
+        assert all(math.isfinite(float(v)) for l in lines[1:] for v in l.split(",")[2:])
 
     @pytest.mark.parametrize("command", COMMANDS, ids=["network", "simulate"])
     def test_period_too_short(self, workspace, capsys, command):
@@ -688,8 +721,9 @@ def _forbidden(*args, **kwargs):
 
 # The steps that read or draw on data, each in the module the commands call it from.
 DATA_STEPS = ((market_data, "ingest"), (cli, "build_clusters"), (portfolio_sim, "draw_matrices"))
-# Settings that were removed: a config that still sets one fails as an unknown key.
-REMOVED_KEYS = ("prune", "levene_center", "pair_m2")
+# Settings that were removed: a config that still sets one fails as an unknown
+# key. simulate's seed is set by --seed alone.
+REMOVED_KEYS = ("prune", "levene_center", "pair_m2", "seed")
 
 
 class TestSimulateInputChecks:
@@ -714,6 +748,19 @@ class TestSimulateInputChecks:
         (workspace / "no_industry.json").write_text(json.dumps(cfg))
         assert self.simulate(workspace / "no_industry.json", workspace / "out") == 0
 
+    @pytest.mark.parametrize("problem", ["one-group", "missing"])
+    def test_industry_map_unread_without_industry_strategy(self, workspace, capsys, problem):
+        path = workspace / "industry.csv"
+        if problem == "missing":
+            path.unlink()
+        else:
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines[:1] + [l.split(",")[0] + ",1" for l in lines[1:]]))
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["simulation"]["strategies"] = ["random", "hct"]
+        (workspace / "no_industry.json").write_text(json.dumps(cfg))
+        assert self.simulate(workspace / "no_industry.json", workspace / "out") == 0
+
     @pytest.mark.parametrize("dropped,more", [
         (("S05",), ""), (("S07", "S02", "S11"), " (and 2 more)"),
     ])
@@ -728,8 +775,9 @@ class TestSimulateInputChecks:
         assert f"industry.csv: price panel ticker {min(dropped)!r} is not in the map{more}\n" in err
         assert not (workspace / "out").exists()
 
+    # An empty model_period names no period: it does not fall back to the first.
     @pytest.mark.parametrize("key,value", [
-        ("model_period", "P9"), ("test_periods", ["P2", "P9"]),
+        ("model_period", "P9"), ("test_periods", ["P2", "P9"]), ("model_period", ""),
     ])
     def test_unknown_period_label(self, workspace, monkeypatch, capsys, key, value):
         cfg = json.loads((workspace / "config.json").read_text())
@@ -737,10 +785,11 @@ class TestSimulateInputChecks:
         (workspace / "bad_period.json").write_text(json.dumps(cfg))
         monkeypatch.setattr(market_data, "ingest", _forbidden)
         assert self.simulate(workspace / "bad_period.json", workspace / "out") == 2
-        err = capsys.readouterr().err
-        assert "bad_period.json" in err and "'P9'" in err and key in err
+        label = value if key == "model_period" else value[-1]
+        assert capsys.readouterr().err == (
+            f"error: {workspace / 'bad_period.json'}: simulation {key} names {label!r}, "
+            f"which is not a period in {workspace / 'periods.json'}\n")
         assert not (workspace / "out").exists()
-
 
     @pytest.mark.parametrize("reps", [1, 0, -5, 2.5, "40", True, None])
     def test_bad_reps_rejected_before_any_data(self, workspace, monkeypatch, capsys, reps):
@@ -818,6 +867,20 @@ class TestSimulateInputChecks:
         cfg["clustering"]["k"] = k
         (workspace / "k.json").write_text(json.dumps(cfg))
         assert self.simulate(workspace / "k.json", workspace / "out") == 0
+
+
+@pytest.mark.parametrize("rules", [cli.CLUSTERING_RULES, cli.SIMULATION_RULES],
+                         ids=["clustering", "simulation"])
+def test_rule_table_defaults(rules):
+    # A default that is set passes its own rule, and check_section fills
+    # every key a section leaves out with its default.
+    for key, (default, ok, _) in rules.items():
+        assert default is None or ok(default), key
+    defaults = {key: default for key, (default, _, _) in rules.items()}
+    assert cli.check_section("c.json", {}, "section", rules) == defaults
+    key = next(iter(rules))  # clustering.k or simulation.reps: 2 is valid for either
+    got = cli.check_section("c.json", {"section": {key: 2}}, "section", rules)
+    assert got == {**defaults, key: 2}
 
 
 class TestTickerCount:

@@ -288,11 +288,11 @@ class TestDrawMatrix:
     def test_ticker_outside_panel(self):
         panel = toy_panel(["A1", "B1", "C1"], [1.0, 2.0, 3.0])
         with pytest.raises(SimulationError, match="unknown ticker 'A2'"):
-            draw_matrices([FOUR_GROUPS_PLAN], panel, [2], reps=5)
+            draw_matrices([FOUR_GROUPS_PLAN], panel, [2], reps=5, seed=0)
 
     def test_size_checked_before_drawing(self):
         with pytest.raises(SimulationError, match="m <= 4 or m = 8"):
-            draw_matrices([FOUR_GROUPS_PLAN], self.panel(), [6], reps=5)
+            draw_matrices([FOUR_GROUPS_PLAN], self.panel(), [6], reps=5, seed=0)
 
 
 def seeded_plans(seed: int) -> list[DrawPlan]:

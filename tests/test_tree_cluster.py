@@ -219,18 +219,18 @@ class TestMstClusters:
 
     def test_k_one(self):
         tree, dist = self.path_tree()
-        assert sizes(mst_clusters(tree, dist, 1)) == (4,)
+        assert sizes(mst_clusters(tree, dist, 1, mode="gap", min_branch=5)) == (4,)
 
     def test_heaviest_edge_deleted(self):
         tree, dist = self.path_tree()
-        assignment = mst_clusters(tree, dist, 2)
+        assignment = mst_clusters(tree, dist, 2, mode="gap", min_branch=5)
         assert set(assignment.clusters().values()) == {("A", "B"), ("C", "D")}
 
     def test_components_partition_universe(self, rng):
         dist = random_distance_matrix(rng, 10)
         tree = minimum_spanning_tree(dist)
         for k in (2, 3, 4):
-            assignment = mst_clusters(tree, dist, k)
+            assignment = mst_clusters(tree, dist, k, mode="gap", min_branch=5)
             assert assignment.k == k
             assert sorted(t for c in assignment.clusters().values() for t in c) == sorted(dist.tickers)
 
@@ -286,9 +286,8 @@ class TestScipyLinkageOracle:
                 assert self.partition(cut_dendrogram(tree, k)) == self.scipy_partition(
                     dist, "average", k
                 )
-                assert self.partition(mst_clusters(mst, dist, k)) == self.scipy_partition(
-                    dist, "single", k
-                )
+                gap = mst_clusters(mst, dist, k, mode="gap", min_branch=5)
+                assert self.partition(gap) == self.scipy_partition(dist, "single", k)
 
 
 class TestExports:
