@@ -128,24 +128,12 @@ REPORT_COLUMNS = ("strategy", "size", "mean", "sd", "sharpe", "best_flag")
 LEVENE_COLUMNS = ("size", "strategies", "W", "df1", "df2", "p")
 
 
-def render_report(report: SimulationReport, format: str = "markdown") -> str:
-    """Deterministic report table: metric x size rows, strategy columns."""
+def render_report(report: SimulationReport) -> str:
+    """Deterministic markdown report table: metric x size rows, strategy columns."""
     strategies = list(dict.fromkeys(s.strategy for s in report.stats))
     sizes = sorted({s.m for s in report.stats})
     cell = {(s.strategy, s.m): s for s in report.stats}
     levene_by_m = {m: res for m, _, res in report.levene}
-
-    if format == "csv":
-        lines = [",".join(REPORT_COLUMNS)]
-        for s in report.stats:
-            lines.append(
-                f"{s.strategy},{s.m},{s.mean:.6f},{s.std_dev:.6f},"
-                f"{'' if s.sharpe is None else f'{s.sharpe:.6f}'},{int(s.best)}"
-            )
-        return "\n".join(lines) + "\n"
-    if format != "markdown":
-        raise AnalyticsError(f"unknown report format {format!r}")
-
     header = ["Simulation results"] + strategies + ["Levene p-value"]
     rows: list[list[str]] = []
     for metric in ("Mean return", "Standard deviation", "Sharpe ratio"):
@@ -172,6 +160,16 @@ def render_report(report: SimulationReport, format: str = "markdown") -> str:
     for r in rows:
         out.append("| " + " | ".join(v.ljust(w) for v, w in zip(r, widths)) + " |")
     return "\n".join(out) + "\n"
+
+
+def render_report_csv(report: SimulationReport) -> str:
+    lines = [",".join(REPORT_COLUMNS)]
+    for s in report.stats:
+        lines.append(
+            f"{s.strategy},{s.m},{s.mean:.6f},{s.std_dev:.6f},"
+            f"{'' if s.sharpe is None else f'{s.sharpe:.6f}'},{int(s.best)}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def render_levene_csv(report: SimulationReport) -> str:

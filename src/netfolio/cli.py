@@ -26,6 +26,7 @@ from .analytics import (
     StrategyStats,
     render_levene_csv,
     render_report,
+    render_report_csv,
 )
 from .inputs import DataError, StudyPeriod, _decode, _parse_date, read_table
 
@@ -81,6 +82,7 @@ _STRATEGY_LABELS = {
     "mst": "MST",
     "nnet": "NN",
 }
+_REPORT_LABELS = tuple(_STRATEGY_LABELS.values())
 
 # key -> (default, check, what a valid value is); a key that is absent takes
 # its default, and a default of None means the key is not set.
@@ -105,8 +107,9 @@ SIMULATION_RULES = {
     "test_periods": (None, lambda v: v != [] and _distinct_array(v),
                      "a non-empty JSON array of distinct period labels"),
     # HCT's unbalanced clusters can depress its standard deviations.
-    "levene_exclude": (["HCT"], _distinct_array, "a JSON array of distinct strategy labels"),
-    # Rates by period label, over reference.RISK_FREE_PCT.
+    "levene_exclude": (["HCT"], lambda v: _distinct_array(v, lambda s: s in _REPORT_LABELS),
+                       f"a JSON array of distinct report labels from {', '.join(_REPORT_LABELS)}"),
+    # Rates by period label, over reference.RISK_FREE_PCT; each label must name a period.
     "risk_free": ({}, lambda v: isinstance(v, dict) and all(map(_is_finite, v.values())),
                   "a JSON object of finite numbers"),
     # Unset: the first period.
@@ -287,24 +290,30 @@ def period_correlation(cfg: dict, returns: ReturnPanel, label: str) -> Correlati
 
 
 def build_clusters(
-    method: str, dist: DistanceMatrix, clustering: dict
+    method: str, dist: DistanceMatrix, clustering: dict, where: str
 ) -> tuple[ClusterAssignment, object]:
     """The assignment of one of CLUSTER_METHODS and the structure it is cut
-    from: the dendrogram, the spanning tree or the circular ordering."""
+    from: the dendrogram, the spanning tree or the circular ordering. A
+    clustering setting these distances cannot meet fails as ``where``."""
+    from .clusters import ClusterError
+
     k = clustering["k"]
-    if method == "hct":
-        from .tree_cluster import average_linkage_hct, cut_dendrogram
-        tree = average_linkage_hct(dist)
-        return cut_dendrogram(tree, k), tree
-    if method == "mst":
-        from .tree_cluster import minimum_spanning_tree, mst_clusters
-        tree = minimum_spanning_tree(dist)
-        assignment = mst_clusters(tree, dist, k, mode=clustering["mst_mode"],
-                                  min_branch=clustering["min_branch"], hub=clustering["hub"])
-        return assignment, tree
-    from .neighbor_net import neighbornet_ordering, nn_clusters
-    ordering = neighbornet_ordering(dist)
-    return nn_clusters(ordering, dist, k, clustering["manual_breaks"]), ordering
+    try:
+        if method == "hct":
+            from .tree_cluster import average_linkage_hct, cut_dendrogram
+            tree = average_linkage_hct(dist)
+            return cut_dendrogram(tree, k), tree
+        if method == "mst":
+            from .tree_cluster import minimum_spanning_tree, mst_clusters
+            tree = minimum_spanning_tree(dist)
+            assignment = mst_clusters(tree, dist, k, mode=clustering["mst_mode"],
+                                      min_branch=clustering["min_branch"], hub=clustering["hub"])
+            return assignment, tree
+        from .neighbor_net import neighbornet_ordering, nn_clusters
+        ordering = neighbornet_ordering(dist)
+        return nn_clusters(ordering, dist, k, clustering["manual_breaks"]), ordering
+    except ClusterError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def pair_clusters(method: str, assignment: ClusterAssignment, structure: object,
@@ -350,7 +359,6 @@ def cmd_returns(args: argparse.Namespace) -> int:
 
 
 def cmd_network(args: argparse.Namespace) -> int:
-    from .clusters import ClusterError
     from .correlation import ultrametric_distance
 
     cfg = load_config(args.config)
@@ -366,10 +374,8 @@ def cmd_network(args: argparse.Namespace) -> int:
         if args.dump_matrices:
             _atomic_write(out / f"corr_{p.label}.csv", matrix_csv(corr.tickers, corr.rho))
             _atomic_write(out / f"dist_{p.label}.csv", matrix_csv(dist.tickers, dist.d))
-        try:
-            assignment, structure = build_clusters(args.method, dist, clustering)
-        except ClusterError as exc:
-            raise ConfigError(f"{args.config}: period {p.label!r}: {exc}") from None
+        assignment, structure = build_clusters(args.method, dist, clustering,
+                                               f"{args.config}: period {p.label!r}")
         if args.method == "nnet":  # the Nexus file holds the fitted splits
             from .neighbor_net import fit_split_weights
             structure = fit_split_weights(dist, structure)
@@ -389,7 +395,6 @@ def cmd_network(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from .clusters import ClusterError
     from .correlation import ultrametric_distance
     from .portfolio_sim import cluster_plan, draw_matrices, random_plan, score_period
     from .summary import summarize
@@ -409,7 +414,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     labels = [p.label for p in periods]
     model_period = labels[0] if sim["model_period"] is None else sim["model_period"]
     test_periods = [model_period] if sim["test_periods"] is None else sim["test_periods"]
-    for key, label in [("model_period", model_period)] + [("test_periods", t) for t in test_periods]:
+    named = ([("model_period", model_period)] + [("test_periods", t) for t in test_periods]
+             + [("risk_free", t) for t in sim["risk_free"]])
+    for key, label in named:
         if label not in labels:
             raise ConfigError(
                 f"{args.config}: simulation {key} names {label!r}, "
@@ -438,10 +445,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             plan = industry
         else:
             where = f"{args.config}: model period {model_period!r}"
-            try:
-                assignment, structure = build_clusters(name, dist, clustering)
-            except ClusterError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
+            assignment, structure = build_clusters(name, dist, clustering, where)
             # k is 2 or 4 here, so the clusters can always be paired.
             plan = cluster_plan(assignment, pair_clusters(name, assignment, structure, dist))
             check_plan_sizes(plan, sizes, f"{where} {name} clusters")
@@ -458,9 +462,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         rf = float(rf_table.get(test_period, 0.0))
         report = summarize(runs, rf, tuple(sim["levene_exclude"]))
         tag = f"{model_period}_{test_period}"
-        _atomic_write(out / f"report_{tag}.csv", render_report(report, "csv"))
+        _atomic_write(out / f"report_{tag}.csv", render_report_csv(report))
         _atomic_write(out / f"levene_{tag}.csv", render_levene_csv(report))
-        _atomic_write(out / f"report_{tag}.md", render_report(report, "markdown"))
+        _atomic_write(out / f"report_{tag}.md", render_report(report))
     print(f"wrote simulation reports for model period {model_period} to {out}")
     return 0
 

@@ -272,8 +272,6 @@ def nn_clusters(
         cuts = sorted(manual_breaks)
         if len(cuts) != k or len(set(cuts)) != k or any(not 0 <= c < n for c in cuts):
             raise ClusterError(f"manual breaks must be {k} distinct positions in [0, {n})")
-    elif k == 1:
-        cuts = [0]
     else:
         gaps = adjacent_gaps(dist, ordering)
         cuts = sorted(sorted(range(n), key=lambda i: (-gaps[i], i))[:k])
@@ -309,8 +307,8 @@ def pair_nn_clusters(assignment: ClusterAssignment, ordering: tuple[str, ...]) -
     return ClusterPairing(best_matching(assignment.k, separation))
 
 
-def write_nexus(dist: DistanceMatrix, system: CircularSplitSystem | None = None) -> str:
-    """SplitsTree-compatible Nexus: TAXA + DISTANCES, plus SPLITS when fitted."""
+def write_nexus(dist: DistanceMatrix, system: CircularSplitSystem) -> str:
+    """SplitsTree-compatible Nexus: TAXA, DISTANCES and the fitted SPLITS."""
     n = dist.n
     out = ["#NEXUS", "", "BEGIN Taxa;", f"DIMENSIONS ntax={n};", "TAXLABELS"]
     for i, t in enumerate(dist.tickers, start=1):
@@ -320,17 +318,15 @@ def write_nexus(dist: DistanceMatrix, system: CircularSplitSystem | None = None)
     for i, t in enumerate(dist.tickers):
         row = " ".join(f"{dist.d[i, j]:.6f}" for j in range(n))
         out.append(f"'{t}' {row}")
-    out += [";", "END; [Distances]"]
-    if system is not None:
-        taxon_no = {t: i + 1 for i, t in enumerate(dist.tickers)}
-        cycle = " ".join(str(taxon_no[t]) for t in system.ordering)
-        out += ["", "BEGIN Splits;",
-                f"DIMENSIONS ntax={n} nsplits={len(system.splits)};",
-                "FORMAT labels=no weights=yes confidences=no intervals=no;",
-                f"[fit: ordinary least squares with non-negativity; residual {system.residual:.6g}]",
-                f"CYCLE {cycle};", "MATRIX"]
-        for idx, split in enumerate(system.splits, start=1):
-            members = " ".join(str(taxon_no[t]) for t in system.arc_members(split))
-            out.append(f"[{idx}] {split.weight:.8f} {members},")
-        out += [";", "END; [Splits]"]
+    taxon_no = {t: i + 1 for i, t in enumerate(dist.tickers)}
+    cycle = " ".join(str(taxon_no[t]) for t in system.ordering)
+    out += [";", "END; [Distances]", "", "BEGIN Splits;",
+            f"DIMENSIONS ntax={n} nsplits={len(system.splits)};",
+            "FORMAT labels=no weights=yes confidences=no intervals=no;",
+            f"[fit: ordinary least squares with non-negativity; residual {system.residual:.6g}]",
+            f"CYCLE {cycle};", "MATRIX"]
+    for idx, split in enumerate(system.splits, start=1):
+        members = " ".join(str(taxon_no[t]) for t in system.arc_members(split))
+        out.append(f"[{idx}] {split.weight:.8f} {members},")
+    out += [";", "END; [Splits]"]
     return "\n".join(out) + "\n"

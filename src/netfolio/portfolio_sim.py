@@ -166,16 +166,15 @@ def _draw_rows(plan: DrawPlan, m: int, w: _Words) -> np.ndarray:
     ``w``: row r is the portfolio replication r's Generator draws. The
     caller has run ``plan.check(m)``.
 
-    Random: m of the universe without replacement. Stratified: one stock
-    from each of m groups when m <= group count (for m=2 over more groups,
-    the groups of one uniformly chosen pair when the plan has pairs), else
-    m / count distinct stocks from every group. Drawing positions consumes
-    the stream exactly as drawing the tickers themselves would:
-    ``rng.choice(n, ...)`` as ``rng.choice(array_of_n, ...)`` and
-    ``rng.integers(n)`` as ``rng.choice(array_of_n)``.
+    One stock from each of m groups when m <= group count (for m=2 over
+    more groups, the groups of one uniformly chosen pair when the plan has
+    pairs), else m / count distinct stocks from every group; so a random
+    plan, one group, draws m of the universe without replacement (for m=1
+    the group draw reads no word). Drawing positions consumes the stream
+    exactly as drawing the tickers themselves would: ``rng.choice(n, ...)``
+    as ``rng.choice(array_of_n, ...)`` and ``rng.integers(n)`` as
+    ``rng.choice(array_of_n)``.
     """
-    if plan.rule == "random":
-        return w.sample(plan.sizes[0], m)
     sizes, starts = np.array(plan.sizes), np.array(plan.starts)
     c = len(sizes)
     if m <= 4 and m <= c:

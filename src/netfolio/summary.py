@@ -1,9 +1,9 @@
 """Simulation summaries: means, dispersion, Sharpe ratios and Levene tests
 over simulated portfolio returns.
 
-Equality of variance across strategies is tested with Levene's statistic;
-``summarize`` centres it on the median (the Brown-Forsythe variant), and
-its p-value is taken from ``analytics.f_tail``.
+Equality of variance across strategies is tested with Levene's statistic,
+centred on the median (the Brown-Forsythe variant); its p-value is taken
+from ``analytics.f_tail``.
 """
 
 from __future__ import annotations
@@ -35,16 +35,14 @@ def _median(values: np.ndarray) -> np.float64:
     return s[h - 1 + len(s) % 2:h + 1].mean()
 
 
-def levene_test(groups: list[np.ndarray] | list[list[float]], center: str = "median") -> LeveneResult:
-    """Levene's test of equal variances over k groups of observations."""
-    if center not in ("mean", "median"):
-        raise AnalyticsError("center must be 'mean' or 'median'")
+def levene_test(groups: list[np.ndarray] | list[list[float]]) -> LeveneResult:
+    """Levene's test of equal variances over k groups of observations,
+    centred on each group's median (Brown-Forsythe)."""
     arrays = [np.asarray(g, dtype=float) for g in groups]
     k = len(arrays)
     if k < 2 or any(len(g) < 2 for g in arrays):
         raise AnalyticsError("need >= 2 groups with >= 2 observations each")
-    centers = [np.mean(g) if center == "mean" else _median(g) for g in arrays]
-    z = [np.abs(g - c) for g, c in zip(arrays, centers)]
+    z = [np.abs(g - _median(g)) for g in arrays]
     n = np.array([len(g) for g in arrays])
     N = int(n.sum())
     zbar_i = np.array([np.mean(zi) for zi in z])

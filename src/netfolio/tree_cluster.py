@@ -241,9 +241,9 @@ def to_newick(tree: Dendrogram) -> str:
     return text[-1] + ";"
 
 
-def to_dot(tree: SpanningTree, name: str = "mst") -> str:
-    """Undirected DOT graph with edge weight attributes."""
-    lines = [f"graph {name} {{"]
+def to_dot(tree: SpanningTree) -> str:
+    """Undirected DOT graph ``mst`` with edge weight attributes."""
+    lines = ["graph mst {"]
     for t in tree.tickers:
         lines.append(f'  "{t}";')
     for a, b, w in tree.edges:

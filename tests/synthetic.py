@@ -102,6 +102,23 @@ def panel_from_loadings(
     return PricePanel(tickers, dates, prices, dividends)
 
 
+# The factor blocks of the hub fixture, whose stock 0 loads on every factor.
+HUB_BLOCKS = (8, 8, 7, 7)
+
+
+def hub_panel() -> PricePanel:
+    """156 weeks of four factor blocks of HUB_BLOCKS sizes, in which stock 0
+    loads on every factor: it becomes the spanning-tree hub."""
+    loadings = np.zeros((sum(HUB_BLOCKS), 4))
+    row = 0
+    for b, size in enumerate(HUB_BLOCKS):
+        loadings[row : row + size, b] = 0.9
+        row += size
+    loadings[0, :] = [0.75, 0.45, 0.45, 0.45]
+    drift = np.repeat([0.004, 0.001, -0.001, 0.0025], HUB_BLOCKS)
+    return panel_from_loadings(loadings, 0.01, 156, seed=0, drift=drift)
+
+
 def synthesize_panel(spec: BlockModelSpec, seed: int) -> PricePanel:
     """Deterministic synthetic panel from a block-factor model."""
     return panel_from_loadings(

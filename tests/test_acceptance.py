@@ -44,7 +44,7 @@ from conftest import (
     tree_weight,
 )
 from nn_reference import split_design_matrix
-from synthetic import BlockModelSpec, panel_from_loadings, run_simulation, synthesize_panel
+from synthetic import HUB_BLOCKS, BlockModelSpec, hub_panel, run_simulation, synthesize_panel
 from test_cli import write_panel_csvs
 from test_tree_cluster import (
     brute_force_mst_weight,
@@ -201,7 +201,7 @@ def test_criterion_05_nnls_kkt():
 
 
 def test_criterion_06_levene_correctness():
-    res = levene_test([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]], center="mean")
+    res = levene_test([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]])
     assert res.W == pytest.approx(144 / 70, abs=1e-14)
     assert (res.df1, res.df2) == (1, 8)
 
@@ -365,17 +365,8 @@ def test_criterion_10_dividend_reinvestment():
 
 def test_criterion_11_end_to_end_block_recovery():
     start = time.perf_counter()
-    sizes = (8, 8, 7, 7)
-    n = sum(sizes)
-    loadings = np.zeros((n, 4))
-    row = 0
-    for b, size in enumerate(sizes):
-        loadings[row : row + size, b] = 0.9
-        row += size
-    # Stock 0 loads on every factor: it becomes the spanning-tree hub.
-    loadings[0, :] = [0.75, 0.45, 0.45, 0.45]
-    drift = np.repeat([0.004, 0.001, -0.001, 0.0025], sizes)
-    panel = panel_from_loadings(loadings, 0.01, 156, seed=0, drift=drift)
+    sizes = HUB_BLOCKS
+    panel = hub_panel()  # stock 0 loads on every factor
     period = StudyPeriod("P1", panel.dates[0], panel.dates[-1])
     returns = period_returns(panel, [period])
     weekly = returns.weekly_returns[0]

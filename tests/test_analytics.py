@@ -8,7 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from netfolio.analytics import AnalyticsError, f_tail, render_levene_csv, render_report, sharpe_ratio
+from netfolio.analytics import (
+    AnalyticsError,
+    f_tail,
+    render_levene_csv,
+    render_report,
+    render_report_csv,
+    sharpe_ratio,
+)
 from netfolio.summary import _median, levene_test, summarize
 from netfolio.portfolio_sim import SimulationRun
 
@@ -67,22 +74,21 @@ class TestFTailOracle:
 
 
 class TestLevene:
-    def test_hand_oracle_mean_center(self):
-        # Groups {1..5} and {2,4,6,8,10}: z-deviations from the group means
-        # are (2,1,0,1,2) and (4,2,0,2,4); W = (8/1) * 18/80 = 144/70... the
-        # full arithmetic gives W = 144/70.
-        res = levene_test([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]], center="mean")
+    def test_hand_oracle(self):
+        # Groups {1..5} and {2,4,6,8,10} are symmetric, so their medians are
+        # their means: z-deviations are (2,1,0,1,2) and (4,2,0,2,4); W =
+        # (8/1) * 18/80 = 144/70... the full arithmetic gives W = 144/70.
+        res = levene_test([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]])
         assert res.W == pytest.approx(144 / 70)
         assert (res.df1, res.df2) == (1, 8)
         assert res.p_value == pytest.approx(f_tail(144 / 70, 1, 8))
 
     def test_matches_scipy(self, rng):
         groups = [rng.normal(0, s, size=40) for s in (1.0, 1.5, 0.7)]
-        for center in ("mean", "median"):
-            res = levene_test(groups, center=center)
-            ref_w, ref_p = stats.levene(*groups, center=center)
-            assert res.W == pytest.approx(ref_w, rel=1e-12)
-            assert res.p_value == pytest.approx(ref_p, rel=1e-9)
+        res = levene_test(groups)
+        ref_w, ref_p = stats.levene(*groups, center="median")
+        assert res.W == pytest.approx(ref_w, rel=1e-12)
+        assert res.p_value == pytest.approx(ref_p, rel=1e-9)
 
     def test_location_shift_invariance(self, rng):
         groups = [rng.normal(size=30), rng.normal(size=25)]
@@ -113,8 +119,6 @@ class TestLevene:
             levene_test([[1.0, 2.0]])
         with pytest.raises(AnalyticsError):
             levene_test([[1.0], [2.0, 3.0]])
-        with pytest.raises(AnalyticsError):
-            levene_test([[1.0, 2.0], [3.0, 4.0]], center="mode")
 
 
 class TestSummarize:
@@ -178,22 +182,18 @@ class TestRendering:
         )
 
     def test_csv_shape(self):
-        text = render_report(self.report(), "csv")
+        text = render_report_csv(self.report())
         lines = text.strip().splitlines()
         assert lines[0] == "strategy,size,mean,sd,sharpe,best_flag"
         assert len(lines) == 5
         assert all(len(l.split(",")) == 6 for l in lines[1:])
 
     def test_markdown_contains_all_metrics(self):
-        text = render_report(self.report(), "markdown")
+        text = render_report(self.report())
         for token in ("Mean return (2-stock)", "Standard deviation (4-stock)",
                       "Sharpe ratio (2-stock)", "Random", "Industry", "Levene p-value"):
             assert token in text
         assert "*" in text  # a best flag is present
-
-    def test_unknown_format(self):
-        with pytest.raises(AnalyticsError):
-            render_report(self.report(), "html")
 
     def test_levene_csv(self):
         text = render_levene_csv(self.report())

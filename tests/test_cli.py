@@ -10,16 +10,22 @@ import sys
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import netfolio
-from netfolio import cli, market_data, neighbor_net, portfolio_sim
+from netfolio import cli, correlation, market_data, neighbor_net, portfolio_sim, tree_cluster
 from netfolio.cli import main
-from synthetic import BlockModelSpec, synthesize_panel
+from netfolio.inputs import StudyPeriod
+from netfolio.reference import SUPER_GROUPS
+from synthetic import BlockModelSpec, hub_panel, panel_from_loadings, synthesize_panel
 
 
 def write_panel_csvs(tmp_path, spec, seed=0):
-    panel = synthesize_panel(spec, seed)
+    return write_panel(tmp_path, synthesize_panel(spec, seed))
+
+
+def write_panel(tmp_path, panel):
     prices = ["date,ticker,close"]
     dividends = ["ticker,payment_date,amount"]
     for i, d in enumerate(panel.dates):
@@ -152,6 +158,40 @@ class TestNetworkCommand:
             by_cluster.setdefault(c, set()).add(t)
         expected = [{f"S{3 * b + i:02d}" for i in range(3)} for b in range(4)]
         assert sorted(by_cluster.values(), key=sorted) == expected
+
+    # Stock S00 of the hub fixture loads on every factor. With it as the hub,
+    # the four blocks are the qualifying branches and S00 joins its nearest
+    # neighbour's. Around S18, k=2 takes branches of 3 or more and cuts
+    # other clusters than the gap mode does.
+    @pytest.mark.parametrize("clustering", [
+        {"k": 4, "mst_mode": "hub", "hub": "S00", "min_branch": 5},
+        {"k": 2, "mst_mode": "hub", "hub": "S18", "min_branch": 3},
+    ], ids=["S00", "S18"])
+    def test_hub_mode(self, tmp_path, capsys, clustering):
+        panel = write_panel(tmp_path, hub_panel())
+        (tmp_path / "periods.json").write_text(json.dumps([{
+            "label": "P1", "start": panel.dates[0].isoformat(),
+            "end": panel.dates[-1].isoformat()}]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "prices": "prices.csv", "dividends": "dividends.csv", "periods": "periods.json",
+            "clustering": clustering}))
+        out = tmp_path / "out"
+        assert main(["network", "--config", str(config), "--method", "mst",
+                     "--out-dir", str(out)]) == 0
+        rows = (out / "clusters_mst_P1.csv").read_text().splitlines()[1:]
+        written = dict(row.split(",") for row in rows)
+
+        period = StudyPeriod("P1", panel.dates[0], panel.dates[-1])
+        returns = market_data.period_returns(
+            market_data.ingest(tmp_path / "prices.csv", tmp_path / "dividends.csv"), [period])
+        dist = correlation.ultrametric_distance(
+            correlation.pearson_correlation(returns.weekly_returns[0], returns.tickers))
+        tree = tree_cluster.minimum_spanning_tree(dist)
+        hub = tree_cluster.mst_clusters(tree, dist, clustering["k"], mode="hub",
+                                        min_branch=clustering["min_branch"],
+                                        hub=clustering["hub"])
+        assert written == {t: str(c) for t, c in hub.assignment.items()}
 
     def test_solver_error_exits_2(self, workspace, monkeypatch, capsys):
         real = neighbor_net.nnls_gram
@@ -533,6 +573,14 @@ class TestConfigValidation:
             "Expecting property name enclosed in double quotes\n"
         )
 
+    def test_empty_periods_rejected(self, workspace, monkeypatch, capsys):
+        path = workspace / "periods.json"
+        path.write_text("[]\n")
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
+        assert main(["returns", "--config", str(workspace / "config.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: periods config must be a non-empty JSON array\n")
+
     def test_undecodable_periods_located(self, workspace, capsys):
         path = workspace / "periods.json"
         path.write_bytes(b'[\n  {"label": "P\xff1"}\n]\n')
@@ -776,8 +824,11 @@ class TestSimulateInputChecks:
         assert not (workspace / "out").exists()
 
     # An empty model_period names no period: it does not fall back to the first.
+    # A risk_free label names a period too: a misspelt one does not run on
+    # the built-in rate.
     @pytest.mark.parametrize("key,value", [
         ("model_period", "P9"), ("test_periods", ["P2", "P9"]), ("model_period", ""),
+        ("risk_free", {"P2": 1.0, "p2": 1.0}),
     ])
     def test_unknown_period_label(self, workspace, monkeypatch, capsys, key, value):
         cfg = json.loads((workspace / "config.json").read_text())
@@ -785,7 +836,7 @@ class TestSimulateInputChecks:
         (workspace / "bad_period.json").write_text(json.dumps(cfg))
         monkeypatch.setattr(market_data, "ingest", _forbidden)
         assert self.simulate(workspace / "bad_period.json", workspace / "out") == 2
-        label = value if key == "model_period" else value[-1]
+        label = value if key == "model_period" else list(value)[-1]
         assert capsys.readouterr().err == (
             f"error: {workspace / 'bad_period.json'}: simulation {key} names {label!r}, "
             f"which is not a period in {workspace / 'periods.json'}\n")
@@ -827,7 +878,7 @@ class TestSimulateInputChecks:
         ("seed", "abc"), ("seed", 1.5), ("seed", True), ("seed", -1),
         ("risk_free", [1]), ("risk_free", {"P2": "1"}), ("risk_free", {"P2": float("nan")}),
         ("levene_center", "mode"), ("pair_m2", "yes"), ("pair_m2", 1),
-        ("model_period", 1),
+        ("model_period", 1), ("levene_exclude", ["hct"]),
     ])
     def test_bad_simulation_value_rejected_before_any_data(self, workspace, monkeypatch,
                                                            capsys, key, value):
@@ -853,6 +904,36 @@ class TestSimulateInputChecks:
                      "--out-dir", str(workspace / "out"), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: --seed must be an integer >= 0, not -1\n"
         assert not (workspace / "out").exists()
+
+    def test_builtin_industry_map_checked_against_panel(self, workspace, monkeypatch, capsys):
+        cfg = json.loads((workspace / "config.json").read_text())
+        del cfg["industry_map"]
+        (workspace / "builtin.json").write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "build_clusters", _forbidden)
+        assert self.simulate(workspace / "builtin.json", workspace / "out") == 2
+        assert capsys.readouterr().err == (
+            "error: built-in Dow 30 industry map: ticker 'AA' is not in the price panel "
+            "(and 29 more)\n")
+        assert not (workspace / "out").exists()
+
+    def test_builtin_industry_map_on_dow_panel(self, tmp_path, capsys):
+        # One factor per super-group, over the 30 tickers of the built-in map.
+        tickers = tuple(sorted(SUPER_GROUPS))
+        loadings = np.zeros((30, 4))
+        loadings[np.arange(30), [SUPER_GROUPS[t] - 1 for t in tickers]] = 0.9
+        panel = write_panel(tmp_path, panel_from_loadings(loadings, 0.01, 60, seed=0,
+                                                          tickers=tickers))
+        (tmp_path / "periods.json").write_text(json.dumps([{
+            "label": "P1", "start": panel.dates[0].isoformat(),
+            "end": panel.dates[-1].isoformat()}]))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "prices": "prices.csv", "dividends": "dividends.csv", "periods": "periods.json",
+            "simulation": {"reps": 40, "strategies": ["random", "industry"]}}))
+        assert self.simulate(config, tmp_path / "out") == 0
+        rows = (tmp_path / "out" / "report_P1_P1.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            [name, m] for m in "248" for name in ("Random", "Industry")]
 
     def test_cluster_count_free_without_cluster_strategy(self, workspace, capsys):
         cfg = json.loads((workspace / "config.json").read_text())

@@ -254,6 +254,10 @@ class TestArcClusters:
                 )
                 assert contiguous
 
+    def test_one_cluster_holds_every_ticker(self, rng):
+        ordering, _, dist = planted_split_system(rng, 7)
+        assert nn_clusters(ordering, dist, 1).assignment == {t: 1 for t in ordering}
+
     def test_adjacent_gaps_values(self):
         dist = matrix(["A", "B", "C"], {("A", "B"): 0.3, ("A", "C"): 0.5, ("B", "C"): 0.4})
         gaps = adjacent_gaps(dist, ("A", "B", "C"))
@@ -297,18 +301,13 @@ class TestArcPairing:
 
 
 class TestNexus:
-    def test_distance_only_blocks(self, rng):
-        dist = random_distance_matrix(rng, 4)
-        text = write_nexus(dist)
-        assert text.startswith("#NEXUS")
-        assert "BEGIN Taxa;" in text and "BEGIN Distances;" in text
-        assert "BEGIN Splits;" not in text
-        assert "DIMENSIONS ntax=4;" in text
-
     def test_splits_block(self, rng):
         ordering, _, dist = planted_split_system(rng, 5)
         system = fit_split_weights(dist, ordering)
         text = write_nexus(dist, system)
+        assert text.startswith("#NEXUS")
+        assert "BEGIN Taxa;" in text and "BEGIN Distances;" in text
+        assert "DIMENSIONS ntax=5;" in text
         assert "BEGIN Splits;" in text
         assert f"nsplits={len(system.splits)}" in text
         assert "CYCLE" in text

@@ -326,7 +326,7 @@ class TestExports:
         dist = matrix(["A", "B"], {("A", "B"): 0.7})
         tree = minimum_spanning_tree(dist)
         dot = to_dot(tree)
-        assert '"A" -- "B"' in dot and dot.startswith("graph")
+        assert '"A" -- "B"' in dot and dot.startswith("graph mst {\n")
         csv_text = edge_list_csv(tree)
         assert csv_text.splitlines()[0] == "from,to,weight"
         assert csv_text.splitlines()[1].startswith("A,B,0.7")
