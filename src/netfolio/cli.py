@@ -423,6 +423,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"which is not a period in {cfg['periods']}"
             )
     rf_table = {**reference.RISK_FREE_PCT, **sim["risk_free"]}
+    for label in test_periods:
+        if label not in rf_table:
+            raise ConfigError(
+                f"{args.config}: simulation test_periods names {label!r}, which has no "
+                "risk-free rate in simulation.risk_free or the built-in table"
+            )
     if "industry" in names:
         industry_source = cfg.get("industry_map") or "built-in Dow 30 industry map"
         industry = load_industry_map(cfg.get("industry_map"))
@@ -459,7 +465,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     for test_period in test_periods:
         runs = [score_period(name, columns, returns, test_period) for name, columns in draws]
-        rf = float(rf_table.get(test_period, 0.0))
+        rf = float(rf_table[test_period])
         report = summarize(runs, rf, tuple(sim["levene_exclude"]))
         tag = f"{model_period}_{test_period}"
         _atomic_write(out / f"report_{tag}.csv", render_report_csv(report))

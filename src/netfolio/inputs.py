@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from datetime import date, datetime
 from itertools import repeat
 from pathlib import Path
@@ -73,6 +73,25 @@ def _decode(path: str | Path, data: bytes) -> tuple[str, str | None]:
             f"{path}:{line}: cannot decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})")
 
 
+# Characters of text split into fields at a time: each chunk's field strings
+# are freed before the next chunk is split, so no reader holds a string per
+# field of a whole file.
+CHUNK = 1 << 14
+# Every byte but a comma and a line break.
+_OTHER_BYTES = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _read_text(path: str | Path) -> tuple[str, DataError | None]:
+    """A file's text, read once, and the error of the byte it stops before,
+    if one does not decode; the file's bytes are freed once decoded."""
+    with open(path, "rb") as fh:
+        text, bad = _decode(path, fh.read())
+    stop = None if bad is None else DataError(bad)
+    if stop is not None and not text:
+        raise stop
+    return text, stop
+
+
 def read_table(path: str | Path, header: tuple[str, ...]
                ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
     """Read a UTF-8 CSV file whose header must be ``header``, in one pass.
@@ -87,20 +106,33 @@ def read_table(path: str | Path, header: tuple[str, ...]
     that is one record per line (no ``"``, carriage return or NUL, every
     line after the header of ``len(header)`` comma-separated fields, none
     longer than ``csv.field_size_limit()``) is split with ``str.split``,
-    which reads it as ``csv.reader`` does. Any other text goes to
-    ``csv.reader``, so that alone reads quoted fields, CRLF and blank lines,
-    and locates a wrong width or an overlong field.
+    which reads it as ``csv.reader`` does, ``CHUNK`` characters at a time.
+    Any other text goes to ``csv.reader``, so that alone reads quoted
+    fields, CRLF and blank lines, and locates a wrong width or an overlong
+    field.
     """
-    with open(path, "rb") as fh:
-        text, bad = _decode(path, fh.read())
-    stop = None if bad is None else DataError(bad)
-    if stop is not None and not text:
-        raise stop
+    text, stop = _read_text(path)
     lines = _record_lines(text, len(header))
     if lines is None:
         return _read_rows(path, io.StringIO(text, newline=""), header, stop)
     del text  # freed before the fields are built
     return _split_rows(path, lines, header, stop)
+
+
+def read_chunks(path: str | Path, header: tuple[str, ...]
+                ) -> tuple[Sequence[int], Iterable[tuple[list[str], ...]], DataError | None]:
+    """``read_table``'s rows, columns and stop, the columns given as chunks
+    of consecutive rows, one text list per header field each. A text that is
+    one record per line is split a chunk at a time as the chunks are taken,
+    so only one chunk's fields are held at once; any other text is one
+    chunk."""
+    text, stop = _read_text(path)
+    lines = _record_lines(text, len(header))
+    if lines is None:
+        rows, columns, stop = _read_rows(path, io.StringIO(text, newline=""), header, stop)
+        return rows, [columns], stop
+    del text
+    return (*_split_chunks(path, lines, header), stop)
 
 
 def _check_header(path: str | Path, head: list[str] | None, header: tuple[str, ...]) -> None:
@@ -110,17 +142,57 @@ def _check_header(path: str | Path, head: list[str] | None, header: tuple[str, .
 
 def _record_lines(text: str, width: int) -> list[str] | None:
     """The lines of a CSV text that is one record per line, each line of
-    ``width`` fields; None for any other text."""
+    ``width`` fields, in chunks: the header line, then runs of whole lines
+    of about ``CHUNK`` characters, each without its final line break. None
+    for any other text."""
     # A line of one field may be empty, which ``csv.reader`` skips.
     if width < 2 or '"' in text or "\r" in text or "\0" in text:
         return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the final line break
-    if (set(map(str.count, lines, repeat(","))) <= {width - 1}
-            and max(map(len, lines), default=0) <= csv.field_size_limit()):
-        return lines
-    return None
+    if not text:
+        return []
+    chunks, limit = [], csv.field_size_limit()
+    line = b"," * (width - 1)  # what a line holds of commas and line breaks
+    end = len(text) - text.endswith("\n")  # before the final line break
+    start = 0
+    while start <= end:
+        # The header line alone, then a chunk's worth of text and the rest
+        # of the line it stops in.
+        cut = text.find("\n", start + CHUNK if chunks else start, end)
+        if cut < 0:
+            cut = end
+        chunk = text[start:cut]
+        # Every line has width - 1 commas when the chunk's commas and line
+        # breaks alone spell that, in C: no byte of the UTF-8 of another
+        # character is a comma or a line break. Only a chunk longer than
+        # the limit can hold a longer line.
+        if (chunk.encode().translate(None, _OTHER_BYTES)
+                != (line + b"\n") * chunk.count("\n") + line
+                or len(chunk) > limit and max(map(len, chunk.split("\n"))) > limit):
+            return None
+        chunks.append(chunk)
+        start = cut + 1
+    return chunks
+
+
+def _split_chunks(path: str | Path, lines: list[str], header: tuple[str, ...]
+                  ) -> tuple[range, Iterator[tuple[list[str], ...]]]:
+    """The rows of a text's ``_record_lines``, row i on line i + 2, and their
+    columns a chunk at a time; the chunks are taken from ``lines`` as they
+    are split."""
+    _check_header(path, lines[0].split(",") if lines else None, header)
+    rows = sum(map(str.count, lines, repeat("\n"))) + len(lines) - 1
+    lines.reverse()
+    lines.pop()  # the header
+    return range(2, rows + 2), _columns(lines, len(header))
+
+
+def _columns(chunks: list[str], width: int) -> Iterator[tuple[list[str], ...]]:
+    """The columns of each chunk of ``width`` fields a line, taken from the
+    end of ``chunks``."""
+    while chunks:
+        flat = chunks.pop().replace("\n", ",").split(",")
+        yield tuple(flat[k::width] for k in range(width))
+        del flat  # freed before the next chunk is split
 
 
 def _split_rows(path: str | Path, lines: list[str], header: tuple[str, ...],
@@ -128,16 +200,12 @@ def _split_rows(path: str | Path, lines: list[str], header: tuple[str, ...],
                 ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
     """``read_table`` of a text's ``_record_lines``, which it empties: row i
     is on line i + 2."""
-    _check_header(path, lines[0].split(",") if lines else None, header)
-    del lines[0]
-    # Every field of the file from one split; each intermediate is freed
-    # before the next is built.
-    body = ",".join(lines)
-    lines.clear()
-    flat = body.split(",") if body else []
-    del body
-    width = len(header)
-    return range(2, len(flat) // width + 2), tuple(flat[k::width] for k in range(width)), stop
+    rows, chunks = _split_chunks(path, lines, header)
+    columns = tuple([] for _ in header)
+    for chunk in chunks:
+        for column, texts in zip(columns, chunk):
+            column.extend(texts)
+    return rows, columns, stop
 
 
 def _read_rows(path: str | Path, text: Iterable[str], header: tuple[str, ...],

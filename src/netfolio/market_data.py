@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inputs import DataError, StudyPeriod, _date, _invalid_date, read_table
+from .inputs import DataError, StudyPeriod, _date, _invalid_date, read_chunks, read_table
 from .record import Record
 
 
@@ -111,36 +111,56 @@ def _raise_first(path: Path, lines: Sequence[int], stop: DataError | None, check
         raise stop
 
 
-def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
-    """Read price and dividend CSVs, validating the schemas strictly.
+def _codes(texts: list[str], index: dict[str, int]) -> np.ndarray:
+    """The index of each text in ``index``, which first takes each text new
+    to it at the next index."""
+    for text in set(texts).difference(index):
+        index[text] = len(index)
+    return np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
 
-    Price CSV: header ``date,ticker,close``; dividend CSV: header
-    ``ticker,payment_date,amount``. Any missing (date, ticker) price cell,
-    malformed row, or out-of-range dividend fails with a located error: that
-    of the first bad line, each check run once over all rows as a mask.
-    Each dividend is added, in table order, to the panel's dividend cell of
-    its ticker at the first close on or after its payment date.
+
+def _read_prices(price_file: Path
+                 ) -> tuple[tuple[date, ...], tuple[str, ...], np.ndarray, dict[str, date | None]]:
+    """The dates, tickers and (dates x tickers) closes of a price CSV, and
+    the date each date text of it spells.
+
+    The file becomes three arrays a chunk of rows at a time: a code per row
+    for its date text and for its ticker text, and its close. The checks run
+    on the codes through one entry per distinct text.
     """
-    price_file, dividend_file = Path(price_file), Path(dividend_file)
-    lines, (date_text, ticker_text, close_text), stop = read_table(
-        price_file, ("date", "ticker", "close"))
-    parsed: dict[str, date | None] = {text: _date(text) for text in set(date_text)}
-    stripped = {text: text.strip() for text in set(ticker_text)}
-    close = _numbers(close_text)
+    lines, chunks, stop = read_chunks(price_file, ("date", "ticker", "close"))
+    n = len(lines)
+    date_code, ticker_code, close = np.empty(n, np.int32), np.empty(n, np.int32), np.empty(n)
+    date_index: dict[str, int] = {}
+    ticker_index: dict[str, int] = {}
+    bad_close = None  # the text of the first close that is not a finite number
+    at = 0
+    for date_text, ticker_text, close_text in chunks:
+        end = at + len(close_text)
+        date_code[at:end] = _codes(date_text, date_index)
+        ticker_code[at:end] = _codes(ticker_text, ticker_index)
+        close[at:end] = _numbers(close_text)
+        finite = np.isfinite(close[at:end])
+        if bad_close is None and not finite.all():
+            bad_close = close_text[int(np.argmin(finite))]
+        at = end
+        del date_text, ticker_text, close_text  # freed before the next chunk is split
+    # Per distinct text, in code order.
+    parsed = {text: _date(text) for text in date_index}
+    stripped = [text.strip() for text in ticker_index]
     dates = tuple(sorted({d for d in parsed.values() if d is not None}))
-    tickers = tuple(sorted(set(stripped.values()) - {""}))
+    tickers = tuple(sorted(set(stripped) - {""}))
     # Cells of a (dates + 1) x (tickers + 1) grid: a bad date takes the last
     # row and an empty ticker the last column, so they collide only with rows
     # that fail the same earlier check. Two texts of one date, or of one
     # stripped ticker, share an index, so they collide as a duplicate cell.
     date_pos = {d: i for i, d in enumerate(dates)}
-    date_of = {text: date_pos.get(d, len(dates)) for text, d in parsed.items()}
+    date_row = np.array([date_pos.get(d, len(dates)) for d in parsed.values()], np.intp)
     ticker_pos = {t: j for j, t in enumerate(tickers)}
-    ticker_of = {text: ticker_pos.get(t, len(tickers)) for text, t in stripped.items()}
+    ticker_column = np.array([ticker_pos.get(t, len(tickers)) for t in stripped], np.intp)
     grid = np.empty((len(dates) + 1, len(tickers) + 1))
-    n = len(close_text)
-    cell = np.fromiter(map(date_of.__getitem__, date_text), np.intp, n) * grid.shape[1]
-    cell += np.fromiter(map(ticker_of.__getitem__, ticker_text), np.intp, n)
+    cell = date_row[date_code] * grid.shape[1]
+    cell += ticker_column[ticker_code]
     count = np.bincount(cell, minlength=grid.size)
     duplicate = None
     if n and count.max() > 1:
@@ -148,14 +168,14 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
         duplicate[np.unique(cell, return_index=True)[1]] = False
 
     def cell_name(row: int) -> str:
-        return f"({parsed[date_text[row]].isoformat()}, {stripped[ticker_text[row]]})"
+        i, j = divmod(int(cell[row]), grid.shape[1])
+        return f"({dates[i].isoformat()}, {tickers[j]})"
 
     _raise_first(price_file, lines, stop, [
-        (_member(date_text, {text for text, d in parsed.items() if d is None}),
-         lambda row: _invalid_date(date_text[row])),
-        (_member(ticker_text, {text for text, t in stripped.items() if not t}),
-         lambda row: "empty ticker"),
-        (~np.isfinite(close), lambda row: f"invalid price {close_text[row]!r}"),
+        ((date_row == len(dates))[date_code],
+         lambda row: _invalid_date(list(date_index)[date_code[row]])),
+        ((ticker_column == len(tickers))[ticker_code], lambda row: "empty ticker"),
+        (~np.isfinite(close), lambda row: f"invalid price {bad_close!r}"),
         (close <= 0, lambda row: f"non-positive price for {cell_name(row)}"),
         (duplicate, lambda row: f"duplicate row for {cell_name(row)}"),
     ])
@@ -166,7 +186,22 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
         i, j = divmod(int(missing[0]), len(tickers))
         raise DataError(f"{price_file}: missing price cell ({dates[i].isoformat()}, {tickers[j]})")
     grid.reshape(-1)[cell] = close
+    return dates, tickers, grid[:-1, :-1].copy(), parsed
 
+
+def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
+    """Read price and dividend CSVs, validating the schemas strictly.
+
+    Price CSV: header ``date,ticker,close``; dividend CSV: header
+    ``ticker,payment_date,amount``. Any missing (date, ticker) price cell,
+    malformed row, or out-of-range dividend fails with a located error: that
+    of the first bad line, each check run once over all rows as a mask.
+    Each dividend is added, in table order, to the panel's dividend cell of
+    its ticker at the first close on or after its payment date.
+    """
+    dates, tickers, close, parsed = _read_prices(Path(price_file))
+    dividend_file = Path(dividend_file)
+    ticker_pos = {t: j for j, t in enumerate(tickers)}
     lines, (payer_text, paid_text, amount_text), stop = read_table(
         dividend_file, ("ticker", "payment_date", "amount"))
     payer = {text: text.strip() for text in set(payer_text)}
@@ -191,7 +226,7 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
     cols = np.fromiter(map(column_of.__getitem__, payer_text), np.intp, amount.size)
     dividends = np.zeros((len(dates), len(tickers)))
     np.add.at(dividends, (rows, cols), amount)  # unbuffered: a cell adds in table order
-    return PricePanel(tickers, dates, grid[:-1, :-1].copy(), dividends)
+    return PricePanel(tickers, dates, close, dividends)
 
 
 def total_return_index(panel: PricePanel) -> np.ndarray:

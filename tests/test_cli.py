@@ -842,6 +842,32 @@ class TestSimulateInputChecks:
             f"which is not a period in {workspace / 'periods.json'}\n")
         assert not (workspace / "out").exists()
 
+    # A test period needs a risk-free rate: one that neither the config nor
+    # the built-in table rates fails rather than score at 0 %.
+    @pytest.mark.parametrize("risk_free,unrated", [
+        ({}, "Q1"), ({"Q1": 1.0}, "Q2"), ({"Q1": 1.0, "Q2": 2.0}, None),
+    ], ids=["none-rated", "one-rated", "both-rated"])
+    def test_test_period_needs_a_risk_free_rate(self, workspace, monkeypatch, capsys,
+                                                 risk_free, unrated):
+        periods = json.loads((workspace / "periods.json").read_text())
+        for period, label in zip(periods, ("Q1", "Q2")):
+            period["label"] = label
+        (workspace / "periods.json").write_text(json.dumps(periods))
+        cfg = json.loads((workspace / "config.json").read_text())
+        cfg["simulation"].update(model_period="Q1", test_periods=["Q1", "Q2"],
+                                 risk_free=risk_free)
+        (workspace / "config.json").write_text(json.dumps(cfg))
+        if unrated is None:
+            assert self.simulate(workspace / "config.json", workspace / "out") == 0
+            assert (workspace / "out" / "report_Q1_Q2.csv").exists()
+            return
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
+        assert self.simulate(workspace / "config.json", workspace / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: {workspace / 'config.json'}: simulation test_periods names {unrated!r}, "
+            "which has no risk-free rate in simulation.risk_free or the built-in table\n")
+        assert not (workspace / "out").exists()
+
     @pytest.mark.parametrize("reps", [1, 0, -5, 2.5, "40", True, None])
     def test_bad_reps_rejected_before_any_data(self, workspace, monkeypatch, capsys, reps):
         cfg = json.loads((workspace / "config.json").read_text())

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import tempfile
+import tracemalloc
 from bisect import bisect_left
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -19,6 +21,7 @@ from ingest_reference import _ingest_rows
 
 from netfolio.cli import main
 from netfolio.inputs import (
+    CHUNK,
     DataError,
     StudyPeriod,
     _date,
@@ -497,6 +500,106 @@ class TestColumnarIngest:
         p, d = write_csvs(tmp_path, [f"{WEEK1},AAA,10", "2001-1-2,AAA,11"], [])
         with pytest.raises(DataError, match=r"prices\.csv:3: duplicate row for \(2001-01-02, AAA\)"):
             ingest(p, d)
+
+
+# --- Price files of several chunks -------------------------------------------
+
+
+def price_rows(n_tickers: int, n_dates: int) -> list[list[str]]:
+    """Rows of a full (date, ticker) grid of positive closes, date-major."""
+    return [[(date(2001, 1, 2) + timedelta(weeks=i)).isoformat(), f"T{j:03d}",
+              f"{10 + (31 * i + 17 * j) % 997 / 7:.6f}"]
+            for i in range(n_dates) for j in range(n_tickers)]
+
+
+def write_rows(tmp_path, rows, dividends=()) -> tuple[Path, Path]:
+    prices, divs = tmp_path / "prices.csv", tmp_path / "dividends.csv"
+    prices.write_text("date,ticker,close\n" + "".join(",".join(r) + "\n" for r in rows))
+    divs.write_text("ticker,payment_date,amount\n" + "".join(f"{r}\n" for r in dividends))
+    return prices, divs
+
+
+def late(rows: list[list[str]]) -> int:
+    """A row of the last quarter of the file, at least two chunks from its start."""
+    row = len(rows) * 4 // 5
+    assert sum(len(",".join(r)) + 1 for r in rows[:row]) > 2 * CHUNK
+    return row
+
+
+def set_field(column: int, text: str):
+    def corrupt(rows):
+        rows[late(rows)][column] = text
+    return corrupt
+
+
+def duplicate_first_row(rows):
+    rows[late(rows)] = list(rows[1])  # the first copy is in the first chunk
+
+
+def drop_late_row(rows):
+    del rows[late(rows)]
+
+
+def widen_late_row(rows):
+    rows[late(rows)].append("1")
+
+
+class TestChunkBoundaries:
+    """A price file of several chunks reads as the row-by-row reference reads
+    it: the clean file gives its panel bit for bit, and one fault in a late
+    chunk gives the reference's message, for every check."""
+
+    ROWS = price_rows(40, 80)  # about 5 chunks
+    DIVIDENDS = ("T000,2001-01-09,0.5", "T039,2002-06-01,1.25", "T007,2001-01-09,0.25")
+
+    def test_same_panel_as_row_reader(self, tmp_path):
+        files = write_rows(tmp_path, self.ROWS, self.DIVIDENDS)
+        assert len(_record_lines(files[0].read_text(), len(HEADER))) > 4  # the header, 4+ chunks
+        panel, ref_panel = ingest(*files), _ingest_rows(*files)
+        assert panel.tickers == ref_panel.tickers and panel.dates == ref_panel.dates
+        assert panel.close.tobytes() == ref_panel.close.tobytes()
+        assert panel.dividends.tobytes() == ref_panel.dividends.tobytes()
+        split, by_csv = both_parsers(files[0].read_text())
+        assert split == by_csv
+
+    @pytest.mark.parametrize("corrupt", [
+        set_field(0, "2001-02-30"), set_field(1, " "), set_field(2, "abc"), set_field(2, "-1"),
+        duplicate_first_row, drop_late_row, widen_late_row,
+    ], ids=["invalid-date", "empty-ticker", "invalid-price", "non-positive-price",
+            "duplicate", "missing-cell", "wrong-width"])
+    def test_late_fault_gives_row_reader_message(self, tmp_path, corrupt):
+        rows = [list(r) for r in self.ROWS]
+        corrupt(rows)
+        files = write_rows(tmp_path, rows, self.DIVIDENDS)
+        with pytest.raises(DataError) as expected:
+            _ingest_rows(*files)
+        with pytest.raises(DataError) as got:
+            ingest(*files)
+        assert str(got.value) == str(expected.value)
+        split, by_csv = both_parsers(files[0].read_text())
+        assert split is None or split == by_csv
+
+
+def test_ingest_heap_peak_is_at_most_three_times_the_file(tmp_path):
+    """``ingest`` holds no string per field of the price file: on a 2 MB
+    file its heap peak, under tracemalloc, is at most three times the
+    file's size (the file's bytes and their text are two of them)."""
+    prices, divs = write_rows(tmp_path, price_rows(120, 640), ["T000,2001-01-09,0.5"])
+    size = prices.stat().st_size
+    assert 1.9e6 < size < 2.2e6
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        ingest(prices, divs)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 3 * size, f"heap peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB file"
 
 
 # --- The two parsers of a CSV text, and the two of a date ---------------------
