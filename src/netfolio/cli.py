@@ -28,7 +28,7 @@ from .analytics import (
     render_report,
     render_report_csv,
 )
-from .inputs import DataError, StudyPeriod, _decode, _parse_date, read_table
+from .inputs import DataError, StudyPeriod, _parse_date, _read_text, read_table
 
 if TYPE_CHECKING:
     import numpy as np
@@ -136,10 +136,9 @@ def check_section(path: str | Path, cfg: dict, section: str, rules: dict) -> dic
 
 
 def _load_json(path: str | Path) -> object:
-    with open(path, "rb") as fh:
-        text, bad = _decode(path, fh.read())
-    if bad is not None:
-        raise ConfigError(bad)
+    text, stop = _read_text(path)
+    if stop is not None:
+        raise ConfigError(str(stop))
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

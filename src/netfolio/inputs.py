@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import io
-from collections.abc import Iterable, Iterator, Sequence
+from array import array
+from collections.abc import Iterator, Sequence
 from datetime import date, datetime
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 from .record import Record
@@ -60,19 +61,6 @@ class StudyPeriod(Record):
             raise DataError(f"period {self.label}: start must precede end")
 
 
-def _decode(path: str | Path, data: bytes) -> tuple[str, str | None]:
-    """A file's bytes as UTF-8 text, and the located message of the first
-    byte that does not decode, if one does not: then the text stops at the
-    start of that byte's line."""
-    try:
-        return data.decode("utf-8"), None
-    except UnicodeDecodeError as exc:
-        cut = data.rfind(b"\n", 0, exc.start) + 1
-        line = data.count(b"\n", 0, cut) + 1
-        return data[:cut].decode("utf-8"), (
-            f"{path}:{line}: cannot decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})")
-
-
 # Characters of text split into fields at a time: each chunk's field strings
 # are freed before the next chunk is split, so no reader holds a string per
 # field of a whole file.
@@ -82,57 +70,65 @@ _OTHER_BYTES = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
 def _read_text(path: str | Path) -> tuple[str, DataError | None]:
-    """A file's text, read once, and the error of the byte it stops before,
-    if one does not decode; the file's bytes are freed once decoded."""
+    """A file's UTF-8 text, read once, and the located error of the first
+    byte that does not decode, if one does not: then the text stops at the
+    start of that byte's line. The file's bytes are freed once decoded."""
     with open(path, "rb") as fh:
-        text, bad = _decode(path, fh.read())
-    stop = None if bad is None else DataError(bad)
-    if stop is not None and not text:
-        raise stop
-    return text, stop
+        data = fh.read()
+    try:
+        return data.decode("utf-8"), None
+    except UnicodeDecodeError as exc:
+        cut = data.rfind(b"\n", 0, exc.start) + 1
+        line = data.count(b"\n", 0, cut) + 1
+        return data[:cut].decode("utf-8"), DataError(
+            f"{path}:{line}: cannot decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})")
 
 
 def read_table(path: str | Path, header: tuple[str, ...]
                ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
-    """Read a UTF-8 CSV file whose header must be ``header``, in one pass.
-
-    Returns the file line each row starts on, one text list per header
-    field, and the located error of the line that ended the read early, if
-    one did: a row of the wrong width, an undecodable byte or a malformed
-    field (such as one longer than ``csv.field_size_limit()``). Blank rows
-    are skipped; a wrong header raises at once.
-
-    The file is read once, and its text goes to one of two parsers. A text
-    that is one record per line (no ``"``, carriage return or NUL, every
-    line after the header of ``len(header)`` comma-separated fields, none
-    longer than ``csv.field_size_limit()``) is split with ``str.split``,
-    which reads it as ``csv.reader`` does, ``CHUNK`` characters at a time.
-    Any other text goes to ``csv.reader``, so that alone reads quoted
-    fields, CRLF and blank lines, and locates a wrong width or an overlong
-    field.
-    """
-    text, stop = _read_text(path)
-    lines = _record_lines(text, len(header))
-    if lines is None:
-        return _read_rows(path, io.StringIO(text, newline=""), header, stop)
-    del text  # freed before the fields are built
-    return _split_rows(path, lines, header, stop)
+    """``read_chunks`` joined: the file line each row starts on (a range
+    when the text is split), one text list per header field, and the stop."""
+    parts, columns = [], tuple([] for _ in header)
+    for lines, chunk, stop in read_chunks(path, header)[1]:
+        parts.append(lines)
+        for column, texts in zip(columns, chunk):
+            column.extend(texts)
+    if isinstance(parts[0], range):
+        return range(parts[0].start, parts[-1].stop), columns, stop
+    return list(chain.from_iterable(parts)), columns, stop
 
 
 def read_chunks(path: str | Path, header: tuple[str, ...]
-                ) -> tuple[Sequence[int], Iterable[tuple[list[str], ...]], DataError | None]:
-    """``read_table``'s rows, columns and stop, the columns given as chunks
-    of consecutive rows, one text list per header field each. A text that is
-    one record per line is split a chunk at a time as the chunks are taken,
-    so only one chunk's fields are held at once; any other text is one
-    chunk."""
+                ) -> tuple[int, Iterator[tuple[Sequence[int], tuple[list[str], ...],
+                                              DataError | None]]]:
+    """Read a UTF-8 CSV file whose header must be ``header``, in one pass.
+
+    Returns the most rows the file can hold (its rows when it is split, or
+    else its count of line-break characters) and its chunks of rows: the
+    file line each row starts on, one text list per header field, and the
+    located error of the line that ended the read early (a row of the wrong
+    width, an undecodable byte or a malformed field, such as one longer
+    than ``csv.field_size_limit()``), given with the last chunk only. Blank
+    rows are skipped; a wrong header raises.
+
+    A text that is one record per line (no ``"`` or NUL, every carriage
+    return part of a CRLF, every line after the header of ``len(header)``
+    comma-separated fields, none longer than ``csv.field_size_limit()``) is
+    split with ``str.split``, which reads it as ``csv.reader`` does. Any
+    other text goes to one ``csv.reader``, so that alone reads quoted
+    fields, lone carriage returns and blank lines, and locates a wrong
+    width or an overlong field. Either way ``CHUNK`` characters of text are
+    read at a time, and only one chunk's fields are held at once.
+    """
     text, stop = _read_text(path)
-    lines = _record_lines(text, len(header))
-    if lines is None:
-        rows, columns, stop = _read_rows(path, io.StringIO(text, newline=""), header, stop)
-        return rows, [columns], stop
-    del text
-    return (*_split_chunks(path, lines, header), stop)
+    if stop is not None and not text:
+        raise stop
+    chunks = _record_lines(text, len(header))
+    if chunks is None:
+        return text.count("\n") + text.count("\r"), _read_rows(path, text, header, stop)
+    _check_header(path, chunks[0].split(",") if chunks else None, header)
+    return (sum(map(str.count, chunks, repeat("\n"))) + len(chunks) - 1,
+            _split_rows(chunks, len(header), stop))
 
 
 def _check_header(path: str | Path, head: list[str] | None, header: tuple[str, ...]) -> None:
@@ -143,10 +139,14 @@ def _check_header(path: str | Path, head: list[str] | None, header: tuple[str, .
 def _record_lines(text: str, width: int) -> list[str] | None:
     """The lines of a CSV text that is one record per line, each line of
     ``width`` fields, in chunks: the header line, then runs of whole lines
-    of about ``CHUNK`` characters, each without its final line break. None
-    for any other text."""
+    of about ``CHUNK`` characters, each without its final line break and
+    with LF line ends. None for any other text."""
     # A line of one field may be empty, which ``csv.reader`` skips.
-    if width < 2 or '"' in text or "\r" in text or "\0" in text:
+    if width < 2 or '"' in text or "\0" in text:
+        return None
+    # A CRLF reads as an LF; a lone carriage return is left to csv.reader.
+    crlf = "\r" in text
+    if crlf and text.count("\r") != text.count("\r\n"):
         return None
     if not text:
         return []
@@ -160,7 +160,7 @@ def _record_lines(text: str, width: int) -> list[str] | None:
         cut = text.find("\n", start + CHUNK if chunks else start, end)
         if cut < 0:
             cut = end
-        chunk = text[start:cut]
+        chunk = text[start:cut].replace("\r", "") if crlf else text[start:cut]
         # Every line has width - 1 commas when the chunk's commas and line
         # breaks alone spell that, in C: no byte of the UTF-8 of another
         # character is a comma or a line break. Only a chunk longer than
@@ -174,62 +174,60 @@ def _record_lines(text: str, width: int) -> list[str] | None:
     return chunks
 
 
-def _split_chunks(path: str | Path, lines: list[str], header: tuple[str, ...]
-                  ) -> tuple[range, Iterator[tuple[list[str], ...]]]:
-    """The rows of a text's ``_record_lines``, row i on line i + 2, and their
-    columns a chunk at a time; the chunks are taken from ``lines`` as they
-    are split."""
-    _check_header(path, lines[0].split(",") if lines else None, header)
-    rows = sum(map(str.count, lines, repeat("\n"))) + len(lines) - 1
-    lines.reverse()
-    lines.pop()  # the header
-    return range(2, rows + 2), _columns(lines, len(header))
+def _lines(text: str) -> Iterator[io.StringIO]:
+    """The lines of a text, line ends kept, as ``io.StringIO`` reads them,
+    in one ``io.StringIO`` of about ``CHUNK`` characters at a time: each
+    ends after a line feed, so no line spans two."""
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + CHUNK) + 1 or len(text)
+        yield io.StringIO(text[start:cut], newline="")
+        start = cut
 
 
-def _columns(chunks: list[str], width: int) -> Iterator[tuple[list[str], ...]]:
-    """The columns of each chunk of ``width`` fields a line, taken from the
-    end of ``chunks``."""
-    while chunks:
-        flat = chunks.pop().replace("\n", ",").split(",")
-        yield tuple(flat[k::width] for k in range(width))
-        del flat  # freed before the next chunk is split
+def _split_rows(chunks: list[str], width: int, stop: DataError | None
+                ) -> Iterator[tuple[range, tuple[list[str], ...], DataError | None]]:
+    """``read_chunks`` of a text's ``_record_lines``, which it empties: each
+    chunk is split as it is taken, and row i is on line i + 2."""
+    chunks.reverse()
+    chunks.pop()  # the header
+    line = 2
+    while True:
+        flat = chunks.pop().replace("\n", ",").split(",") if chunks else []
+        lines = range(line, line + len(flat) // width)
+        yield lines, tuple(flat[k::width] for k in range(width)), None if chunks else stop
+        if not chunks:
+            return
+        line, flat = lines.stop, None  # freed before the next chunk is split
 
 
-def _split_rows(path: str | Path, lines: list[str], header: tuple[str, ...],
-                stop: DataError | None
-                ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
-    """``read_table`` of a text's ``_record_lines``, which it empties: row i
-    is on line i + 2."""
-    rows, chunks = _split_chunks(path, lines, header)
-    columns = tuple([] for _ in header)
-    for chunk in chunks:
-        for column, texts in zip(columns, chunk):
-            column.extend(texts)
-    return rows, columns, stop
-
-
-def _read_rows(path: str | Path, text: Iterable[str], header: tuple[str, ...],
-               stop: DataError | None
-               ) -> tuple[list[int], tuple[list[str], ...], DataError | None]:
-    """``read_table`` of these lines of the file by ``csv.reader``; ``stop``
-    ends the read unless a line does first."""
-    width, flat, lines = len(header), [], []
-    reader = csv.reader(text)
+def _read_rows(path: str | Path, text: str, header: tuple[str, ...], stop: DataError | None
+               ) -> Iterator[tuple[array, tuple[list[str], ...], DataError | None]]:
+    """``read_chunks`` of a text by one ``csv.reader``, a chunk of the rows
+    of about ``CHUNK // 32`` lines at a time; ``stop`` ends the read unless
+    a line does first."""
+    width, flat, lines = len(header), [], array("q")
+    reader = csv.reader(chain.from_iterable(_lines(text)))
     try:
         _check_header(path, next(reader, None), header)
-        # One flat list, sliced into columns at the end, costs less than an
-        # append per field. A row is named by the line its record starts on:
-        # a quoted field may hold line breaks.
+        # One flat list, sliced into columns at the end of a chunk, costs
+        # less than an append per field. A row is named by the line its
+        # record starts on: a quoted field may hold line breaks.
         extend, add = flat.extend, lines.append
         start = reader.line_num + 1
+        end = start + CHUNK // 32
         for row in reader:
             lineno, start = start, reader.line_num + 1
             if len(row) == width:
                 extend(row)
                 add(lineno)
+                if start > end:
+                    yield lines, tuple(flat[k::width] for k in range(width)), None
+                    flat, lines = [], array("q")
+                    extend, add, end = flat.extend, lines.append, start + CHUNK // 32
             elif not _blank(row):
                 stop = DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
                 break
     except csv.Error as exc:
         stop = DataError(f"{path}:{reader.line_num}: {exc}")
-    return lines, tuple(flat[k::width] for k in range(width)), stop
+    yield lines, tuple(flat[k::width] for k in range(width)), stop

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Sequence
+from collections.abc import Iterable
 from datetime import date
 from functools import cached_property
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -97,16 +98,17 @@ def _member(texts: list[str], bad: set[str]) -> np.ndarray | None:
     return np.fromiter(map(bad.__contains__, texts), bool, len(texts)) if bad else None
 
 
-def _raise_first(path: Path, lines: Sequence[int], stop: DataError | None, checks: list) -> None:
-    """Raise the error of the first row of a ``read_table`` read that fails a
-    check, a row's checks taken in list order; without one, raise ``stop``.
+def _raise_first(path: Path, lines: Iterable[int], stop: DataError | None, checks: list) -> None:
+    """Raise the error of the first row of a ``read_chunks`` read that fails
+    a check, a row's checks taken in list order; without one, raise ``stop``.
+    ``lines`` gives the file line of each row.
 
     Each check is a (row mask or None, message of a row) pair."""
     failed = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(checks)
               if mask is not None and mask.any()]
     if failed:
         row, k = min(failed)
-        raise DataError(f"{path}:{lines[row]}: {checks[k][1](row)}")
+        raise DataError(f"{path}:{next(islice(lines, row, None))}: {checks[k][1](row)}")
     if stop is not None:
         raise stop
 
@@ -128,23 +130,24 @@ def _read_prices(price_file: Path
     for its date text and for its ticker text, and its close. The checks run
     on the codes through one entry per distinct text.
     """
-    lines, chunks, stop = read_chunks(price_file, ("date", "ticker", "close"))
-    n = len(lines)
-    date_code, ticker_code, close = np.empty(n, np.int32), np.empty(n, np.int32), np.empty(n)
+    most, chunks = read_chunks(price_file, ("date", "ticker", "close"))
+    date_code, ticker_code = np.empty(most, np.int32), np.empty(most, np.int32)
+    close = np.empty(most)
     date_index: dict[str, int] = {}
     ticker_index: dict[str, int] = {}
     bad_close = None  # the text of the first close that is not a finite number
-    at = 0
-    for date_text, ticker_text, close_text in chunks:
-        end = at + len(close_text)
-        date_code[at:end] = _codes(date_text, date_index)
-        ticker_code[at:end] = _codes(ticker_text, ticker_index)
-        close[at:end] = _numbers(close_text)
-        finite = np.isfinite(close[at:end])
+    parts, n = [], 0  # each chunk's row lines, and the rows so far
+    for lines, (date_text, ticker_text, close_text), stop in chunks:
+        at, n = n, n + len(lines)
+        date_code[at:n] = _codes(date_text, date_index)
+        ticker_code[at:n] = _codes(ticker_text, ticker_index)
+        close[at:n] = _numbers(close_text)
+        finite = np.isfinite(close[at:n])
         if bad_close is None and not finite.all():
             bad_close = close_text[int(np.argmin(finite))]
-        at = end
+        parts.append(lines)
         del date_text, ticker_text, close_text  # freed before the next chunk is split
+    date_code, ticker_code, close = date_code[:n], ticker_code[:n], close[:n]
     # Per distinct text, in code order.
     parsed = {text: _date(text) for text in date_index}
     stripped = [text.strip() for text in ticker_index]
@@ -171,7 +174,7 @@ def _read_prices(price_file: Path
         i, j = divmod(int(cell[row]), grid.shape[1])
         return f"({dates[i].isoformat()}, {tickers[j]})"
 
-    _raise_first(price_file, lines, stop, [
+    _raise_first(price_file, chain.from_iterable(parts), stop, [
         ((date_row == len(dates))[date_code],
          lambda row: _invalid_date(list(date_index)[date_code[row]])),
         ((ticker_column == len(tickers))[ticker_code], lambda row: "empty ticker"),

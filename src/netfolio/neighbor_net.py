@@ -217,13 +217,13 @@ class SplitOperators:
         return a * (self.n - 2 * (lengths[r] + lengths[cols]) + 2 * a) + lengths[r] * lengths[cols]
 
 
-def fit_split_weights(
-    dist: DistanceMatrix,
-    ordering: tuple[str, ...],
-    *,
-    prune: float = 1e-9,
-) -> CircularSplitSystem:
-    """Non-negative least squares fit of all contiguous-arc split weights."""
+# A fitted weight below this is the solver's rounding of a zero weight.
+PRUNE = 1e-9
+
+
+def fit_split_weights(dist: DistanceMatrix, ordering: tuple[str, ...]) -> CircularSplitSystem:
+    """Non-negative least squares fit of all contiguous-arc split weights;
+    the splits of weight below ``PRUNE`` are dropped."""
     n = dist.n
     if sorted(ordering) != sorted(dist.tickers):
         raise NeighborNetError("ordering must be a permutation of the distance tickers")
@@ -241,7 +241,7 @@ def fit_split_weights(
     splits = tuple(
         Split(s, length, float(weight))
         for s, length, weight in zip(ops.starts.tolist(), ops.lengths.tolist(), w)
-        if weight >= prune
+        if weight >= PRUNE
     )
     return CircularSplitSystem(tuple(ordering), splits, residual)
 

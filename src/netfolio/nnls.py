@@ -54,12 +54,13 @@ def nnls_gram(
     matvec: Callable[[np.ndarray], np.ndarray],
     rmatvec: Callable[[np.ndarray], np.ndarray],
     b: np.ndarray,
-    max_iter: int | None = None,
+    max_iter: int,
     start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:
     """Solve min_x ||A x - b||_2 subject to x >= 0 for A of full column rank,
     given (AᵀA)[rows][:, cols] as ``gram(rows, cols)``, A·x as ``matvec(x)``
-    and Aᵀ·y as ``rmatvec(y)``. Returns (x, residual_norm).
+    and Aᵀ·y as ``rmatvec(y)``, in at most ``max_iter`` active-set steps.
+    Returns (x, residual_norm).
 
     ``start``, distinct column indices, is a guess at the passive set (None
     or empty: none). The optimum is unique, so the guess changes the path,
@@ -67,8 +68,6 @@ def nnls_gram(
     b = np.asarray(b, dtype=float)
     atb = np.asarray(rmatvec(b), dtype=float)
     m, n = b.size, atb.size
-    if max_iter is None:
-        max_iter = 10 * n * n
     tol = 10.0 * np.finfo(float).eps * max(m, n) * max(1.0, float(np.abs(b).max(initial=1.0)))
 
     x = np.zeros(n)  # nonzero only on the passive set

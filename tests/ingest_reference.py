@@ -1,17 +1,19 @@
 """The row-by-row ingest: the reference that ``market_data.ingest`` must
-match, panel for panel and error message for error message."""
+match, panel for panel and error message for error message; and the
+whole-text ``csv.reader`` read that ``inputs.read_table`` must match."""
 
 from __future__ import annotations
 
 import csv
 import math
 from bisect import bisect_left
+from collections.abc import Iterable
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 
-from netfolio.inputs import DataError, _blank, _parse_date
+from netfolio.inputs import DataError, _blank, _check_header, _parse_date
 from netfolio.market_data import PricePanel, _number
 
 PRICE_HEADER = ["date", "ticker", "close"]
@@ -95,3 +97,30 @@ def _ingest_rows(price_file: Path, dividend_file: Path) -> PricePanel:
                 raise DataError(f"{dividend_file}:{lineno}: negative dividend amount")
             dividends[bisect_left(dates, d), tickers.index(ticker)] += amount
     return PricePanel(tickers, dates, close, dividends)
+
+
+def _read_rows(path: str | Path, text: Iterable[str], header: tuple[str, ...],
+               stop: DataError | None
+               ) -> tuple[list[int], tuple[list[str], ...], DataError | None]:
+    """``read_table`` of these lines of the file by ``csv.reader``; ``stop``
+    ends the read unless a line does first."""
+    width, flat, lines = len(header), [], []
+    reader = csv.reader(text)
+    try:
+        _check_header(path, next(reader, None), header)
+        # One flat list, sliced into columns at the end, costs less than an
+        # append per field. A row is named by the line its record starts on:
+        # a quoted field may hold line breaks.
+        extend, add = flat.extend, lines.append
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
+            if len(row) == width:
+                extend(row)
+                add(lineno)
+            elif not _blank(row):
+                stop = DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
+                break
+    except csv.Error as exc:
+        stop = DataError(f"{path}:{reader.line_num}: {exc}")
+    return lines, tuple(flat[k::width] for k in range(width)), stop

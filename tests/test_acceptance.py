@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from netfolio import neighbor_net
 from netfolio.analytics import f_tail, sharpe_ratio
 from netfolio.correlation import pearson_correlation, ultrametric_distance
 from netfolio.inputs import StudyPeriod
@@ -180,12 +181,13 @@ def test_criterion_04_neighbornet_recovery():
     assert time.perf_counter() - start < 30.0
 
 
-def test_criterion_05_nnls_kkt():
+def test_criterion_05_nnls_kkt(monkeypatch):
+    monkeypatch.setattr(neighbor_net, "PRUNE", 0.0)
     rng = np.random.default_rng(5)
     for _ in range(100):
         dist = random_distance_matrix(rng, int(rng.integers(5, 10)))
         ordering = neighbornet_ordering(dist)
-        system = fit_split_weights(dist, ordering, prune=0.0)
+        system = fit_split_weights(dist, ordering)
         n = dist.n
         A = split_design_matrix(n)
         idx = [dist.ticker_index(t) for t in ordering]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ingest_reference import _ingest_rows
+from ingest_reference import _ingest_rows, _read_rows
 
 from netfolio.cli import main
 from netfolio.inputs import (
@@ -25,9 +25,7 @@ from netfolio.inputs import (
     DataError,
     StudyPeriod,
     _date,
-    _read_rows,
     _record_lines,
-    _split_rows,
     read_table,
 )
 from netfolio.market_data import PricePanel, ingest, period_returns, total_return_index
@@ -580,13 +578,22 @@ class TestChunkBoundaries:
         assert split is None or split == by_csv
 
 
-def test_ingest_heap_peak_is_at_most_three_times_the_file(tmp_path):
+def quote_every_field(text: bytes) -> bytes:
+    return b"".join(b'"' + line.replace(b",", b'","') + b'"\n' for line in text.splitlines())
+
+
+@pytest.mark.parametrize("spell", [
+    lambda text: text, lambda text: text.replace(b"\n", b"\r\n"), quote_every_field,
+], ids=["lf", "crlf", "quoted"])
+def test_ingest_heap_peak_is_at_most_three_times_the_file(tmp_path, spell):
     """``ingest`` holds no string per field of the price file: on a 2 MB
     file its heap peak, under tracemalloc, is at most three times the
-    file's size (the file's bytes and their text are two of them)."""
+    file's size (the file's bytes and their text are two of them), whether
+    the file is split or read by ``csv.reader``."""
     prices, divs = write_rows(tmp_path, price_rows(120, 640), ["T000,2001-01-09,0.5"])
+    assert 1.9e6 < prices.stat().st_size < 2.2e6
+    prices.write_bytes(spell(prices.read_bytes()))
     size = prices.stat().st_size
-    assert 1.9e6 < size < 2.2e6
     gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -600,6 +607,65 @@ def test_ingest_heap_peak_is_at_most_three_times_the_file(tmp_path):
         if not tracing:
             tracemalloc.stop()
     assert peak <= 3 * size, f"heap peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB file"
+
+
+# --- A line break, a CRLF or a blank line at a chunk cut ---------------------
+
+QUOTED_TICKER = '"Q\n""X"'  # the ticker 'Q\n"X': a line break and a doubled quote
+
+
+def text_at_cut(newline: str, mark: str, at: int, quoted: bool = False, blank: bool = False
+                ) -> str:
+    """A price file of 8 tickers x 100 dates (about 22 KB), its lines
+    joined by ``newline``, whose last ``mark`` before index ``at`` is moved
+    to ``at`` by leading spaces in the first close. ``quoted`` spells the
+    last ticker as ``QUOTED_TICKER``; ``blank`` adds a blank line before
+    the cut."""
+    lines = ["date,ticker,close"] + [
+        ",".join([d, QUOTED_TICKER if quoted and t == "T007" else t, c])
+        for d, t, c in price_rows(8, 100)]
+    if blank:
+        lines.insert(CHUNK // 40, "")
+    shift = at - "".join(line + newline for line in lines).rindex(mark, 0, at)
+    head, _, close = lines[1].rpartition(",")
+    lines[1] = f"{head},{' ' * shift}{close}"
+    return "".join(line + newline for line in lines)
+
+
+# The split path cuts at the first line break at least CHUNK characters into
+# the text after the header line; csv.reader is fed text cut after the first
+# line feed at or past index CHUNK.
+SPLIT_CUT = len("date,ticker,close\r\n") + CHUNK
+
+
+class TestCuts:
+    """A quoted field that holds a line break and a doubled quote, a CRLF
+    and a blank line, each at a chunk cut, read as the row-by-row reference
+    and ``csv.reader`` alone read them."""
+
+    @pytest.mark.parametrize("text,splits", [
+        (text_at_cut("\n", '\n""', CHUNK, quoted=True), False),
+        (text_at_cut("\r\n", '\n""', CHUNK, quoted=True), False),
+        (text_at_cut("\r\n", "\r\n", SPLIT_CUT - 1), True),
+        (text_at_cut("\r\n", "\r\n", SPLIT_CUT), True),
+        (text_at_cut("\r\n", "\r\n", CHUNK - 1, quoted=True), False),
+        (text_at_cut("\r\n", "\r\n", CHUNK, quoted=True), False),
+        (text_at_cut("\n", "\n\n", CHUNK - 1, blank=True), False),
+        (text_at_cut("\n", "\n\n", CHUNK, blank=True), False),
+    ], ids=["quoted-field", "quoted-field-crlf", "crlf-split-lf-at-cut", "crlf-split-cr-at-cut",
+            "crlf-csv-lf-at-cut", "crlf-csv-cr-at-cut", "blank-line-ends-chunk",
+            "blank-line-starts-chunk"])
+    def test_same_as_reference(self, tmp_path, text, splits):
+        assert (_record_lines(text, len(HEADER)) is not None) == splits
+        files = write_rows(tmp_path, [], TestChunkBoundaries.DIVIDENDS[:1])
+        files[0].write_bytes(text.encode("utf-8"))
+        panel, ref_panel = ingest(*files), _ingest_rows(*files)
+        assert panel.tickers == ref_panel.tickers and panel.dates == ref_panel.dates
+        assert panel.close.tobytes() == ref_panel.close.tobytes()
+        assert panel.dividends.tobytes() == ref_panel.dividends.tobytes()
+        by_csv = read_outcome(
+            lambda: _read_rows(files[0], io.StringIO(text, newline=""), HEADER, None))
+        assert read_outcome(lambda: read_table(files[0], HEADER)) == by_csv
 
 
 # --- The two parsers of a CSV text, and the two of a date ---------------------
@@ -620,11 +686,13 @@ def read_outcome(read):
 def both_parsers(text: str, header: tuple[str, ...] = HEADER):
     """What ``str.split`` reads of a text (None when ``read_table`` would not
     split it) and what ``csv.reader`` reads of it."""
-    lines = _record_lines(text, len(header))
-    by_csv = read_outcome(lambda: _read_rows("f.csv", io.StringIO(text, newline=""), header, None))
-    if lines is None:
-        return None, by_csv
-    return read_outcome(lambda: _split_rows("f.csv", lines, header, None)), by_csv
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "f.csv"
+        path.write_bytes(text.encode("utf-8"))
+        by_csv = read_outcome(lambda: _read_rows(path, io.StringIO(text, newline=""), header, None))
+        if _record_lines(text, len(header)) is None:
+            return None, by_csv
+        return read_outcome(lambda: read_table(path, header)), by_csv
 
 
 class TestTwoParsers:
@@ -675,13 +743,19 @@ class TestTwoParsers:
         ("date,ticker,close\n2001-01-02,A," + "9" * (LIMIT - 13) + "\n", True),
         ("date,ticker,close\n2001-01-02,A," + "9" * (LIMIT - 12) + "\n", False),
         ("date,ticker,close\r2001-01-02,A,1\r2001-01-09,A,2\r", False),
-        ("date,ticker,close\r\n2001-01-02,A,1\r\n", False),
+        ("date,ticker,close\r\n2001-01-02,A,1\r\n", True),
+        ("date,ticker,close\r\n2001-01-02,A,1\r\n2001-01-09,A,2", True),
+        ("date,ticker,close\r\n2001-01-02,A,1\r2001-01-09,A,2\r\n", False),
+        ('date,ticker,close\r\n2001-01-02,"A",1\r\n', False),
+        ("date,ticker,close\r\n\r\n2001-01-02,A,1\r\n", False),
         ("date,ticker,close\n   \n2001-01-02,A,1\n", False),
         ("date,ticker,close\n2001-01-02,A,1\n\n", False),
         ('date,ticker,close\n2001-01-02,"A",1\n', False),
     ], ids=["header-only", "header-only-no-newline", "empty", "no-final-newline",
             "padded-and-bad-fields", "wrong-header", "short-row", "nul", "field-at-limit",
-            "field-over-limit", "line-at-limit", "line-over-limit", "cr-only", "crlf", "whitespace-line",
+            "field-over-limit", "line-at-limit", "line-over-limit", "cr-only", "crlf",
+            "crlf-no-final-newline", "crlf-and-lone-cr", "crlf-quoted", "crlf-blank-line",
+            "whitespace-line",
             "blank-last-line", "quoted"])
     def test_edge_texts(self, tmp_path, text, splits):
         """The same result from ``read_table`` as from ``csv.reader`` alone,

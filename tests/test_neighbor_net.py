@@ -8,6 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from netfolio import neighbor_net
 from netfolio.clusters import ClusterError, renumber
 from netfolio.correlation import DistanceMatrix
 from netfolio.neighbor_net import (
@@ -117,10 +118,11 @@ class TestSplitFitting:
             assert table[side] == pytest.approx(w, abs=1e-8)
         assert system.residual < 1e-8
 
-    def test_kkt_on_noisy_matrix(self, rng):
+    def test_kkt_on_noisy_matrix(self, rng, monkeypatch):
+        monkeypatch.setattr(neighbor_net, "PRUNE", 0.0)
         dist = random_distance_matrix(rng, 8)
         ordering = neighbornet_ordering(dist)
-        system = fit_split_weights(dist, ordering, prune=0.0)
+        system = fit_split_weights(dist, ordering)
         n = dist.n
         A = split_design_matrix(n)
         idx = [dist.ticker_index(t) for t in ordering]

@@ -24,9 +24,9 @@ def dense_nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None,
     """``nnls_gram`` on a dense A: min_x ||A x - b||_2 subject to x >= 0."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    gram = A.T @ A
+    gram, n = A.T @ A, A.shape[1]
     return nnls_gram(lambda rows, cols: gram[np.ix_(rows, cols)], lambda x: A @ x,
-                     lambda y: A.T @ y, b, max_iter, start)
+                     lambda y: A.T @ y, b, 10 * n * n if max_iter is None else max_iter, start)
 
 
 def warm_starts(x_cold: np.ndarray, seed: int) -> dict[str, np.ndarray]:
@@ -196,7 +196,7 @@ def test_dependent_entering_column_waits():
     A = np.column_stack([a, a])
     gram, rows = A.T @ A, []
     x, res = nnls_gram(lambda r, c: rows.append(list(r)) or gram[np.ix_(r, c)],
-                       lambda x: A @ x, lambda y: A.T @ y, 2.0 * a)
+                       lambda x: A @ x, lambda y: A.T @ y, 2.0 * a, 10 * 2 * 2)
     assert rows == [[], [0, 1]]
     np.testing.assert_allclose(x, [2.0, 0.0])
     assert res < 1e-12
@@ -234,9 +234,10 @@ def test_split_fit_start_changes_only_the_path(case):
     b = dist.d[pos[ops.p], pos[ops.q]]
     A = split_design_matrix(dist.n)
     _, res_ref = scipy.optimize.nnls(A, b)
-    x_cold, _ = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b)
+    cap = 10 * A.shape[1] ** 2
+    x_cold, _ = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b, cap)
     for name, start in warm_starts(x_cold, case).items():
-        x, res = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b, None, start)
+        x, res = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b, cap, start)
         np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-10, err_msg=name)
         assert_no_worse_than_scipy(A, b, x, res, res_ref)
 
@@ -262,7 +263,7 @@ def test_stalled_block_steps_take_single_exchanges():
     b = np.array([4.0, 3.0, -4.0, 2.0, 1.0])
     gram, rows = A.T @ A, []
     x, res = nnls_gram(lambda r, c: rows.append(len(r)) or gram[np.ix_(r, c)],
-                       lambda x: A @ x, lambda y: A.T @ y, b, None, np.arange(4))
+                       lambda x: A @ x, lambda y: A.T @ y, b, 10 * 4 * 4, np.arange(4))
     assert rows == [4, 0, 0, 1, 1]
     x_ref, res_ref = scipy.optimize.nnls(A, b)
     np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-12)
