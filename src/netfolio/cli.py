@@ -147,10 +147,16 @@ def _load_json(path: str | Path) -> object:
         ) from None
 
 
+def _check_file(path: str | Path, what: str) -> None:
+    """Fail unless ``path`` is a file; ``what`` names it in the error."""
+    if not Path(path).is_file():
+        problem = "is not a file" if Path(path).exists() else "does not exist"
+        raise ConfigError(f"{what} {path} {problem}")
+
+
 def load_config(path: str | Path) -> dict:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    _check_file(path, "config file")
     cfg = _load_json(path)
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -168,8 +174,7 @@ def load_config(path: str | Path) -> dict:
             raise ConfigError(f"{path}: {key} must be a path string, not {cfg[key]!r}")
         cfg[key] = str(path.parent / cfg[key])
     for key in ("prices", "dividends", "periods"):
-        if not Path(cfg[key]).exists():
-            raise ConfigError(f"config {key} file {cfg[key]} does not exist")
+        _check_file(cfg[key], f"config {key} file")
     return cfg
 
 
@@ -205,6 +210,7 @@ def load_industry_map(path: str | Path | None) -> DrawPlan:
 
     if path is None:
         return industry_plan(reference.SUPER_GROUPS)
+    _check_file(path, "config industry_map file")
     groups: dict[str, int] = {}
     for lineno, row in _rows(path, ("ticker", "group")):
         ticker = row["ticker"].strip()

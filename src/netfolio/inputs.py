@@ -69,6 +69,11 @@ CHUNK = 1 << 14
 _OTHER_BYTES = bytes(sorted(set(range(256)) - set(b",\n")))
 
 
+def _line_ends(text: str) -> int:
+    """A text's line ends as ``csv.reader`` counts them: each LF, CR and CRLF."""
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
+
+
 def _read_text(path: str | Path) -> tuple[str, DataError | None]:
     """A file's UTF-8 text, read once, and the located error of the first
     byte that does not decode, if one does not: then the text stops at the
@@ -78,10 +83,10 @@ def _read_text(path: str | Path) -> tuple[str, DataError | None]:
     try:
         return data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
-        cut = data.rfind(b"\n", 0, exc.start) + 1
-        line = data.count(b"\n", 0, cut) + 1
-        return data[:cut].decode("utf-8"), DataError(
-            f"{path}:{line}: cannot decode byte 0x{data[exc.start]:02x} as UTF-8 ({exc.reason})")
+        cut = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+        text = data[:cut].decode("utf-8")
+        return text, DataError(f"{path}:{_line_ends(text) + 1}: cannot decode byte "
+                               f"0x{data[exc.start]:02x} as UTF-8 ({exc.reason})")
 
 
 def read_table(path: str | Path, header: tuple[str, ...]
@@ -104,7 +109,7 @@ def read_chunks(path: str | Path, header: tuple[str, ...]
     """Read a UTF-8 CSV file whose header must be ``header``, in one pass.
 
     Returns the most rows the file can hold (its rows when it is split, or
-    else its count of line-break characters) and its chunks of rows: the
+    else its count of line ends) and its chunks of rows: the
     file line each row starts on, one text list per header field, and the
     located error of the line that ended the read early (a row of the wrong
     width, an undecodable byte or a malformed field, such as one longer
@@ -125,7 +130,7 @@ def read_chunks(path: str | Path, header: tuple[str, ...]
         raise stop
     chunks = _record_lines(text, len(header))
     if chunks is None:
-        return text.count("\n") + text.count("\r"), _read_rows(path, text, header, stop)
+        return _line_ends(text), _read_rows(path, text, header, stop)
     _check_header(path, chunks[0].split(",") if chunks else None, header)
     return (sum(map(str.count, chunks, repeat("\n"))) + len(chunks) - 1,
             _split_rows(chunks, len(header), stop))

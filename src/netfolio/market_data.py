@@ -93,11 +93,6 @@ def _numbers(texts: list[str]) -> np.ndarray:
         return np.fromiter(map(_number, texts), float, len(texts))
 
 
-def _member(texts: list[str], bad: set[str]) -> np.ndarray | None:
-    """Mask of the texts in ``bad``; None when it is empty."""
-    return np.fromiter(map(bad.__contains__, texts), bool, len(texts)) if bad else None
-
-
 def _raise_first(path: Path, lines: Iterable[int], stop: DataError | None, checks: list) -> None:
     """Raise the error of the first row of a ``read_chunks`` read that fails
     a check, a row's checks taken in list order; without one, raise ``stop``.
@@ -121,10 +116,8 @@ def _codes(texts: list[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
 
 
-def _read_prices(price_file: Path
-                 ) -> tuple[tuple[date, ...], tuple[str, ...], np.ndarray, dict[str, date | None]]:
-    """The dates, tickers and (dates x tickers) closes of a price CSV, and
-    the date each date text of it spells.
+def _read_prices(price_file: Path) -> tuple[tuple[date, ...], tuple[str, ...], np.ndarray]:
+    """The dates, tickers and (dates x tickers) closes of a price CSV.
 
     The file becomes three arrays a chunk of rows at a time: a code per row
     for its date text and for its ticker text, and its close. The checks run
@@ -149,29 +142,29 @@ def _read_prices(price_file: Path
         del date_text, ticker_text, close_text  # freed before the next chunk is split
     date_code, ticker_code, close = date_code[:n], ticker_code[:n], close[:n]
     # Per distinct text, in code order.
-    parsed = {text: _date(text) for text in date_index}
+    parsed = [_date(text) for text in date_index]
     stripped = [text.strip() for text in ticker_index]
-    dates = tuple(sorted({d for d in parsed.values() if d is not None}))
+    dates = tuple(sorted({d for d in parsed if d is not None}))
     tickers = tuple(sorted(set(stripped) - {""}))
     # Cells of a (dates + 1) x (tickers + 1) grid: a bad date takes the last
     # row and an empty ticker the last column, so they collide only with rows
     # that fail the same earlier check. Two texts of one date, or of one
     # stripped ticker, share an index, so they collide as a duplicate cell.
     date_pos = {d: i for i, d in enumerate(dates)}
-    date_row = np.array([date_pos.get(d, len(dates)) for d in parsed.values()], np.intp)
+    date_row = np.array([date_pos.get(d, len(dates)) for d in parsed], np.intp)
     ticker_pos = {t: j for j, t in enumerate(tickers)}
     ticker_column = np.array([ticker_pos.get(t, len(tickers)) for t in stripped], np.intp)
-    grid = np.empty((len(dates) + 1, len(tickers) + 1))
-    cell = date_row[date_code] * grid.shape[1]
+    width = len(tickers) + 1
+    cell = date_row[date_code] * width
     cell += ticker_column[ticker_code]
-    count = np.bincount(cell, minlength=grid.size)
+    count = np.bincount(cell, minlength=(len(dates) + 1) * width)
     duplicate = None
     if n and count.max() > 1:
         duplicate = np.ones(n, bool)
         duplicate[np.unique(cell, return_index=True)[1]] = False
 
     def cell_name(row: int) -> str:
-        i, j = divmod(int(cell[row]), grid.shape[1])
+        i, j = divmod(int(cell[row]), width)
         return f"({dates[i].isoformat()}, {tickers[j]})"
 
     _raise_first(price_file, chain.from_iterable(parts), stop, [
@@ -184,12 +177,15 @@ def _read_prices(price_file: Path
     ])
     if not n:
         raise DataError(f"{price_file}: no price rows")
-    missing = np.flatnonzero(count.reshape(grid.shape)[:-1, :-1] == 0)
+    missing = np.flatnonzero(count.reshape(-1, width)[:-1, :-1] == 0)
     if missing.size:
         i, j = divmod(int(missing[0]), len(tickers))
         raise DataError(f"{price_file}: missing price cell ({dates[i].isoformat()}, {tickers[j]})")
+    # Every row is an inner cell now: less its grid row, its dates x tickers cell.
+    cell -= cell // width
+    grid = np.empty((len(dates), len(tickers)))
     grid.reshape(-1)[cell] = close
-    return dates, tickers, grid[:-1, :-1].copy(), parsed
+    return dates, tickers, grid
 
 
 def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
@@ -202,33 +198,30 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
     Each dividend is added, in table order, to the panel's dividend cell of
     its ticker at the first close on or after its payment date.
     """
-    dates, tickers, close, parsed = _read_prices(Path(price_file))
+    dates, tickers, close = _read_prices(Path(price_file))
     dividend_file = Path(dividend_file)
-    ticker_pos = {t: j for j, t in enumerate(tickers)}
     lines, (payer_text, paid_text, amount_text), stop = read_table(
         dividend_file, ("ticker", "payment_date", "amount"))
-    payer = {text: text.strip() for text in set(payer_text)}
-    paid = {text: parsed.get(text) or _date(text) for text in set(paid_text)}
+    payer_index: dict[str, int] = {}
+    paid_index: dict[str, int] = {}
+    payer, paid = _codes(payer_text, payer_index), _codes(paid_text, paid_index)
     amount = _numbers(amount_text)
+    # Per distinct text, in code order: the payer's column (-1 if unknown),
+    # and the payment's date and the row of the first close on or after it.
+    ticker_pos = {t: j for j, t in enumerate(tickers)}
+    column = np.array([ticker_pos.get(text.strip(), -1) for text in payer_index], np.intp)
+    day = [_date(text) for text in paid_index]
+    row = np.array([-1 if d is None else bisect_left(dates, d) for d in day], np.intp)
+    outside = np.array([d is not None and not dates[0] <= d <= dates[-1] for d in day], bool)
     _raise_first(dividend_file, lines, stop, [
-        (_member(payer_text, {text for text, t in payer.items() if t not in ticker_pos}),
-         lambda row: f"dividend for unknown ticker {payer[payer_text[row]]!r}"),
-        (_member(paid_text, {text for text, d in paid.items() if d is None}),
-         lambda row: _invalid_date(paid_text[row])),
-        (_member(paid_text, {text for text, d in paid.items()
-                             if d is not None and not dates[0] <= d <= dates[-1]}),
-         lambda row: f"payment date {paid[paid_text[row]].isoformat()} outside panel range"),
-        (~np.isfinite(amount), lambda row: f"invalid amount {amount_text[row]!r}"),
-        (amount < 0, lambda row: "negative dividend amount"),
+        ((column < 0)[payer], lambda r: f"dividend for unknown ticker {payer_text[r].strip()!r}"),
+        ((row < 0)[paid], lambda r: _invalid_date(paid_text[r])),
+        (outside[paid], lambda r: f"payment date {day[paid[r]].isoformat()} outside panel range"),
+        (~np.isfinite(amount), lambda r: f"invalid amount {amount_text[r]!r}"),
+        (amount < 0, lambda r: "negative dividend amount"),
     ])
-    # The range check leaves every payment a close at or after it; the first
-    # such close books it.
-    row_of = {text: bisect_left(dates, d) for text, d in paid.items()}
-    column_of = {text: ticker_pos[t] for text, t in payer.items()}
-    rows = np.fromiter(map(row_of.__getitem__, paid_text), np.intp, amount.size)
-    cols = np.fromiter(map(column_of.__getitem__, payer_text), np.intp, amount.size)
     dividends = np.zeros((len(dates), len(tickers)))
-    np.add.at(dividends, (rows, cols), amount)  # unbuffered: a cell adds in table order
+    np.add.at(dividends, (row[paid], column[payer]), amount)  # unbuffered: in table order
     return PricePanel(tickers, dates, close, dividends)
 
 

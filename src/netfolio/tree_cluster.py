@@ -46,17 +46,6 @@ class Dendrogram(Record):
     def n(self) -> int:
         return len(self.tickers)
 
-    def leaves_under(self, node: int) -> tuple[str, ...]:
-        # Iterative: a chained dendrogram is as deep as it has leaves.
-        n, stack, leaves = self.n, [node], []
-        while stack:
-            x = stack.pop()
-            if x < n:
-                leaves.append(self.tickers[x])
-            else:
-                stack += (self.merges[x - n].left, self.merges[x - n].right)
-        return tuple(sorted(leaves))
-
 
 class SpanningTree(Record):
     tickers: tuple[str, ...]
@@ -105,14 +94,17 @@ def average_linkage_hct(dist: DistanceMatrix) -> Dendrogram:
 
 
 def cut_dendrogram(tree: Dendrogram, k: int) -> ClusterAssignment:
-    """Undo the last k-1 merges; each remaining subtree is one cluster."""
+    """Undo the last k-1 merges: the clusters are the components that the
+    first n-k merges join."""
     n = tree.n
     if not 1 <= k <= n:
         raise ClusterError(f"k must be in [1, {n}]")
-    merged = n - k
-    children = {c for m in tree.merges[:merged] for c in (m.left, m.right)}
-    roots = [r for r in range(n + merged) if r not in children]
-    return renumber([tree.leaves_under(r) for r in roots])
+    # A leaf under each node, carried forward in merge order: no recursion,
+    # for a chained dendrogram is as deep as it has leaves.
+    merged, leaf = tree.merges[: n - k], list(tree.tickers)
+    for m in merged:
+        leaf.append(leaf[m.left])
+    return renumber(_components(tree.tickers, [(leaf[m.left], leaf[m.right]) for m in merged]))
 
 
 def _find(root: dict[str, str], x: str) -> str:

@@ -1070,6 +1070,24 @@ class TestRelativeConfigPaths:
         err = capsys.readouterr().err
         assert f"config prices file {workspace.name}/missing.csv does not exist" in err
 
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("returns", "dividends", ".", "config dividends file . is not a file"),
+        ("simulate", "industry_map", "nope.csv", "config industry_map file nope.csv does not exist"),
+        ("simulate", "industry_map", ".", "config industry_map file . is not a file"),
+    ], ids=["dividends-directory", "industry-map-missing", "industry-map-directory"])
+    def test_input_path_that_is_no_file_names_its_key(self, workspace, monkeypatch, capsys,
+                                                      command, key, value, message):
+        self.relative_config(workspace, **{key: value})
+        monkeypatch.chdir(workspace)
+        out = workspace / "out"
+        assert main([command, "--config", "relative.json", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_config_path_that_is_a_directory(self, workspace, capsys):
+        assert main(["returns", "--config", str(workspace)]) == 2
+        assert capsys.readouterr().err == f"error: config file {workspace} is not a file\n"
+
     @pytest.mark.parametrize("key,value,message", [
         ("prices", 5, "relative.json: prices must be a path string, not 5"),
         ("industry_map", ["x.csv"], "relative.json: industry_map must be a path string, not ['x.csv']"),

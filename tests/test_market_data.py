@@ -26,6 +26,7 @@ from netfolio.inputs import (
     StudyPeriod,
     _date,
     _record_lines,
+    read_chunks,
     read_table,
 )
 from netfolio.market_data import PricePanel, ingest, period_returns, total_return_index
@@ -110,6 +111,31 @@ class TestIngest:
         p, d = write_csvs(tmp_path, [f"{WEEK1},AAA,10", f"{WEEK2},AAA,11"], ["ZZZ,2001-01-02,1"])
         with pytest.raises(DataError, match="unknown ticker 'ZZZ'"):
             ingest(p, d)
+
+    # csv.reader ends a line at a lone CR too, so an undecodable byte is
+    # located by every line end before it, and the lines before it are
+    # checked first.
+    @pytest.mark.parametrize("first,message", [
+        (WEEK1, "3: cannot decode byte 0xff as UTF-8 (invalid start byte)"),
+        ("2001-13-02", "2: invalid ISO-8601 date '2001-13-02'"),
+    ], ids=["bad-byte", "earlier-bad-date"])
+    def test_undecodable_byte_after_lone_cr_lines(self, tmp_path, first, message):
+        p, d = write_csvs(tmp_path, [], [])
+        p.write_bytes(f"date,ticker,close\r{first},A,1\r{WEEK2},A,".encode() + b"\xff2\r")
+        with pytest.raises(DataError) as exc:
+            ingest(p, d)
+        assert str(exc.value) == f"{p}:{message}"
+
+
+def test_csv_row_bound_is_the_line_ends(tmp_path):
+    """A text that ``csv.reader`` reads holds at most one row per line end,
+    a CRLF counted once."""
+    path = tmp_path / "prices.csv"
+    path.write_bytes(b'"date","ticker","close"\r\n"2001-01-02","A","1"\r\n'
+                     b'"2001-01-09","A","2"\r\n')
+    most, chunks = read_chunks(path, HEADER)
+    assert most == 3
+    assert [list(lines) for lines, _, _ in chunks] == [[2, 3]]
 
 
 class TestTotalReturnIndex:

@@ -61,13 +61,25 @@ def naive_average_linkage(dist: DistanceMatrix):
     return merges
 
 
+def leaves_under(tree: Dendrogram, node: int) -> tuple[str, ...]:
+    # Iterative: a chained dendrogram is as deep as it has leaves.
+    n, stack, leaves = tree.n, [node], []
+    while stack:
+        x = stack.pop()
+        if x < n:
+            leaves.append(tree.tickers[x])
+        else:
+            stack += (tree.merges[x - n].left, tree.merges[x - n].right)
+    return tuple(sorted(leaves))
+
+
 def dendrogram_merge_sets(tree):
     out = []
     for m in tree.merges:
         out.append(
             (
-                frozenset(tree.leaves_under(m.left)),
-                frozenset(tree.leaves_under(m.right)),
+                frozenset(leaves_under(tree, m.left)),
+                frozenset(leaves_under(tree, m.right)),
                 m.height,
             )
         )
