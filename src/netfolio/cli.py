@@ -28,7 +28,7 @@ from .analytics import (
     render_report,
     render_report_csv,
 )
-from .inputs import DataError, StudyPeriod, _parse_date, _read_text, read_table
+from .inputs import DataError, StudyPeriod, _parse_date, _read_text, read_chunks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -229,9 +229,9 @@ def load_industry_map(path: str | Path | None) -> DrawPlan:
 def _rows(path: str | Path, columns: tuple[str, ...]) -> Iterator[tuple[int, dict[str, str]]]:
     """(line, fields by column) of each row of a CSV file with this header;
     then the error that ended the read early, if any, is raised."""
-    lines, texts, stop = read_table(path, columns)
-    for lineno, values in zip(lines, zip(*texts)):
-        yield lineno, dict(zip(columns, values))
+    for lines, texts, stop in read_chunks(path, columns)[1]:
+        for lineno, values in zip(lines, zip(*texts)):
+            yield lineno, dict(zip(columns, values))
     if stop is not None:
         raise stop
 

@@ -7,12 +7,14 @@ such as ``report``, loads no numpy.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from datetime import date, datetime
-from itertools import chain, repeat
+from functools import partial
+from itertools import chain
 from pathlib import Path
 
 from .record import Record
@@ -61,25 +63,29 @@ class StudyPeriod(Record):
             raise DataError(f"period {self.label}: start must precede end")
 
 
-# Characters of text split into fields at a time: each chunk's field strings
-# are freed before the next chunk is split, so no reader holds a string per
+# Characters of text read into fields at a time: each chunk's field strings
+# are freed before the next chunk is read, so no reader holds a string per
 # field of a whole file.
 CHUNK = 1 << 14
-# Every byte but a comma and a line break.
-_OTHER_BYTES = bytes(sorted(set(range(256)) - set(b",\n")))
+# Every byte but a comma and a line end.
+_OTHER_BYTES = bytes(sorted(set(range(256)) - set(b",\n\r")))
 
 
 def _line_ends(text: str) -> int:
     """A text's line ends as ``csv.reader`` counts them: each LF, CR and CRLF."""
-    return text.count("\n") + text.count("\r") - text.count("\r\n")
+    ends = text.count("\n")
+    if "\r" in text:
+        ends += text.count("\r") - text.count("\r\n")
+    return ends
 
 
 def _read_text(path: str | Path) -> tuple[str, DataError | None]:
-    """A file's UTF-8 text, read once, and the located error of the first
-    byte that does not decode, if one does not: then the text stops at the
-    start of that byte's line. The file's bytes are freed once decoded."""
+    """A file's UTF-8 text, read once and without a leading byte order
+    mark, and the located error of the first byte that does not decode, if
+    one does not: then the text stops at the start of that byte's line. The
+    file's bytes are freed once decoded."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
@@ -89,51 +95,31 @@ def _read_text(path: str | Path) -> tuple[str, DataError | None]:
                                f"0x{data[exc.start]:02x} as UTF-8 ({exc.reason})")
 
 
-def read_table(path: str | Path, header: tuple[str, ...]
-               ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
-    """``read_chunks`` joined: the file line each row starts on (a range
-    when the text is split), one text list per header field, and the stop."""
-    parts, columns = [], tuple([] for _ in header)
-    for lines, chunk, stop in read_chunks(path, header)[1]:
-        parts.append(lines)
-        for column, texts in zip(columns, chunk):
-            column.extend(texts)
-    if isinstance(parts[0], range):
-        return range(parts[0].start, parts[-1].stop), columns, stop
-    return list(chain.from_iterable(parts)), columns, stop
-
-
 def read_chunks(path: str | Path, header: tuple[str, ...]
                 ) -> tuple[int, Iterator[tuple[Sequence[int], tuple[list[str], ...],
                                               DataError | None]]]:
     """Read a UTF-8 CSV file whose header must be ``header``, in one pass.
 
-    Returns the most rows the file can hold (its rows when it is split, or
-    else its count of line ends) and its chunks of rows: the
-    file line each row starts on, one text list per header field, and the
-    located error of the line that ended the read early (a row of the wrong
-    width, an undecodable byte or a malformed field, such as one longer
-    than ``csv.field_size_limit()``), given with the last chunk only. Blank
-    rows are skipped; a wrong header raises.
+    Returns the most rows the file can hold (its count of line ends) and
+    its chunks of rows: the file line each row starts on, one text list per
+    header field, and the located error of the line that ended the read
+    early (a row of the wrong width, an undecodable byte or a malformed
+    field, such as one longer than ``csv.field_size_limit()``), given with
+    the last chunk only. Blank rows are skipped; a wrong header raises.
 
-    A text that is one record per line (no ``"`` or NUL, every carriage
-    return part of a CRLF, every line after the header of ``len(header)``
-    comma-separated fields, none longer than ``csv.field_size_limit()``) is
-    split with ``str.split``, which reads it as ``csv.reader`` does. Any
-    other text goes to one ``csv.reader``, so that alone reads quoted
+    The text is read in runs of whole lines: the header line, then about
+    ``CHUNK`` characters at a time, so only one chunk's fields are held at
+    once. A run that is one record per line (see ``_fields``) is split
+    with ``str.split``, which reads it as ``csv.reader`` does, and its
+    lines are a ``range``. The first run that is not goes to one
+    ``csv.reader`` with the rest of the text, so that alone reads quoted
     fields, lone carriage returns and blank lines, and locates a wrong
-    width or an overlong field. Either way ``CHUNK`` characters of text are
-    read at a time, and only one chunk's fields are held at once.
+    width or an overlong field.
     """
     text, stop = _read_text(path)
     if stop is not None and not text:
         raise stop
-    chunks = _record_lines(text, len(header))
-    if chunks is None:
-        return _line_ends(text), _read_rows(path, text, header, stop)
-    _check_header(path, chunks[0].split(",") if chunks else None, header)
-    return (sum(map(str.count, chunks, repeat("\n"))) + len(chunks) - 1,
-            _split_rows(chunks, len(header), stop))
+    return _line_ends(text), _chunks(path, text, header, stop)
 
 
 def _check_header(path: str | Path, head: list[str] | None, header: tuple[str, ...]) -> None:
@@ -141,88 +127,88 @@ def _check_header(path: str | Path, head: list[str] | None, header: tuple[str, .
         raise DataError(f"{path}: expected header '{','.join(header)}'")
 
 
-def _record_lines(text: str, width: int) -> list[str] | None:
-    """The lines of a CSV text that is one record per line, each line of
-    ``width`` fields, in chunks: the header line, then runs of whole lines
-    of about ``CHUNK`` characters, each without its final line break and
-    with LF line ends. None for any other text."""
-    # A line of one field may be empty, which ``csv.reader`` skips.
-    if width < 2 or '"' in text or "\0" in text:
-        return None
-    # A CRLF reads as an LF; a lone carriage return is left to csv.reader.
-    crlf = "\r" in text
-    if crlf and text.count("\r") != text.count("\r\n"):
-        return None
-    if not text:
-        return []
-    chunks, limit = [], csv.field_size_limit()
-    line = b"," * (width - 1)  # what a line holds of commas and line breaks
-    end = len(text) - text.endswith("\n")  # before the final line break
-    start = 0
-    while start <= end:
-        # The header line alone, then a chunk's worth of text and the rest
-        # of the line it stops in.
-        cut = text.find("\n", start + CHUNK if chunks else start, end)
-        if cut < 0:
-            cut = end
-        chunk = text[start:cut].replace("\r", "") if crlf else text[start:cut]
-        # Every line has width - 1 commas when the chunk's commas and line
-        # breaks alone spell that, in C: no byte of the UTF-8 of another
-        # character is a comma or a line break. Only a chunk longer than
-        # the limit can hold a longer line.
-        if (chunk.encode().translate(None, _OTHER_BYTES)
-                != (line + b"\n") * chunk.count("\n") + line
-                or len(chunk) > limit and max(map(len, chunk.split("\n"))) > limit):
-            return None
-        chunks.append(chunk)
-        start = cut + 1
-    return chunks
-
-
-def _lines(text: str) -> Iterator[io.StringIO]:
-    """The lines of a text, line ends kept, as ``io.StringIO`` reads them,
-    in one ``io.StringIO`` of about ``CHUNK`` characters at a time: each
-    ends after a line feed, so no line spans two."""
-    start = 0
-    while start < len(text):
-        cut = text.find("\n", start + CHUNK) + 1 or len(text)
-        yield io.StringIO(text[start:cut], newline="")
-        start = cut
-
-
-def _split_rows(chunks: list[str], width: int, stop: DataError | None
-                ) -> Iterator[tuple[range, tuple[list[str], ...], DataError | None]]:
-    """``read_chunks`` of a text's ``_record_lines``, which it empties: each
-    chunk is split as it is taken, and row i is on line i + 2."""
-    chunks.reverse()
-    chunks.pop()  # the header
-    line = 2
+def _runs(text: str) -> Iterator[str]:
+    """A text's header line, then runs of its whole lines of about ``CHUNK``
+    characters, line ends kept: each run but the last ends after a line
+    feed, so no line (and no CRLF) spans two."""
+    start, cut = 0, text.find("\n") + 1 or len(text)
     while True:
-        flat = chunks.pop().replace("\n", ",").split(",") if chunks else []
-        lines = range(line, line + len(flat) // width)
-        yield lines, tuple(flat[k::width] for k in range(width)), None if chunks else stop
-        if not chunks:
+        yield text[start:cut]
+        if cut == len(text):
             return
-        line, flat = lines.stop, None  # freed before the next chunk is split
+        start, cut = cut, text.find("\n", cut + CHUNK) + 1 or len(text)
 
 
-def _read_rows(path: str | Path, text: str, header: tuple[str, ...], stop: DataError | None
+def _fields(run: str, width: int) -> list[str] | None:
+    """The fields of a run of whole lines, in order, when it is one record
+    per line: no ``"`` or NUL, every carriage return part of a CRLF, every
+    line of ``width`` comma-separated fields and none longer than
+    ``csv.field_size_limit()``. None for any other run."""
+    # A line of one field may be empty, which ``csv.reader`` skips.
+    if width < 2 or '"' in run or "\0" in run:
+        return None
+    # Every line has width - 1 commas, and every carriage return is part of
+    # a CRLF (which reads as an LF; a lone one is left to csv.reader), when
+    # the run's commas and line ends alone spell that, in C: no byte of the
+    # UTF-8 of another character is a comma or a line end.
+    shape = run.encode().translate(None, _OTHER_BYTES)
+    if b"\r" in shape:
+        shape = shape.replace(b"\r\n", b"\n")
+    line, ends = b"," * (width - 1), run.endswith("\n")
+    if shape != (line + b"\n") * shape.count(b"\n") + (b"" if ends else line):
+        return None
+    run = run.replace("\r", "")
+    # Only a run longer than the limit can hold a longer line.
+    limit = csv.field_size_limit()
+    if len(run) > limit and max(map(len, run.split("\n"))) > limit:
+        return None
+    flat = run.replace("\n", ",").split(",")
+    if ends:
+        flat.pop()  # the empty text after the last line break
+    return flat
+
+
+def _chunks(path: str | Path, text: str, header: tuple[str, ...], stop: DataError | None
+            ) -> Iterator[tuple[Sequence[int], tuple[list[str], ...], DataError | None]]:
+    """``read_chunks`` of a text: its runs split while each is one record
+    per line, and from the first that is not on, read by ``csv.reader``."""
+    width, line = len(header), 1
+    runs = _runs(text)
+    for run in runs:
+        flat = _fields(run, width)
+        if flat is None:
+            yield from _read_rows(path, chain([run], runs), line, header, stop)
+            return
+        if line == 1:
+            _check_header(path, flat, header)
+            line = 2
+            continue
+        lines = range(line, line + len(flat) // width)
+        yield lines, tuple(flat[k::width] for k in range(width)), None
+        line, flat = lines.stop, None  # freed before the next run is split
+    yield range(line, line), tuple([] for _ in header), stop
+
+
+def _read_rows(path: str | Path, runs: Iterable[str], line: int, header: tuple[str, ...],
+               stop: DataError | None
                ) -> Iterator[tuple[array, tuple[list[str], ...], DataError | None]]:
-    """``read_chunks`` of a text by one ``csv.reader``, a chunk of the rows
+    """``read_chunks`` of the runs of a text from its line ``line`` on (the
+    header line when that is 1) by one ``csv.reader``, a chunk of the rows
     of about ``CHUNK // 32`` lines at a time; ``stop`` ends the read unless
     a line does first."""
-    width, flat, lines = len(header), [], array("q")
-    reader = csv.reader(chain.from_iterable(_lines(text)))
+    width, flat, lines, before = len(header), [], array("q"), line - 1
+    reader = csv.reader(chain.from_iterable(map(partial(io.StringIO, newline=""), runs)))
     try:
-        _check_header(path, next(reader, None), header)
+        if line == 1:
+            _check_header(path, next(reader, None), header)
         # One flat list, sliced into columns at the end of a chunk, costs
         # less than an append per field. A row is named by the line its
         # record starts on: a quoted field may hold line breaks.
         extend, add = flat.extend, lines.append
-        start = reader.line_num + 1
+        start = before + reader.line_num + 1
         end = start + CHUNK // 32
         for row in reader:
-            lineno, start = start, reader.line_num + 1
+            lineno, start = start, before + reader.line_num + 1
             if len(row) == width:
                 extend(row)
                 add(lineno)
@@ -234,5 +220,5 @@ def _read_rows(path: str | Path, text: str, header: tuple[str, ...], stop: DataE
                 stop = DataError(f"{path}:{lineno}: expected {width} fields, got {len(row)}")
                 break
     except csv.Error as exc:
-        stop = DataError(f"{path}:{reader.line_num}: {exc}")
+        stop = DataError(f"{path}:{before + reader.line_num}: {exc}")
     yield lines, tuple(flat[k::width] for k in range(width)), stop

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .inputs import DataError, StudyPeriod, _date, _invalid_date, read_chunks, read_table
+from .inputs import DataError, StudyPeriod, _date, _invalid_date, read_chunks
 from .record import Record
 
 
@@ -116,31 +116,45 @@ def _codes(texts: list[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
 
 
+def _read_coded(path: Path, header: tuple[str, str, str]
+                ) -> tuple[Iterable[int], np.ndarray, np.ndarray, np.ndarray,
+                           tuple[dict[str, int], dict[str, int]], str | None, DataError | None]:
+    """A CSV file of two text columns and a number column, read a chunk of
+    rows at a time into arrays: a code per row for each text column (its
+    text's index in that column's dict of distinct texts, which takes each
+    new text at the next index) and the number's float.
+
+    Returns the file line of each row, the two code arrays, the floats, the
+    two dicts, the text of the first number that is not finite (None when
+    every one is) and the stop.
+    """
+    most, chunks = read_chunks(path, header)
+    first, second, value = np.empty(most, np.int32), np.empty(most, np.int32), np.empty(most)
+    indexes: tuple[dict[str, int], dict[str, int]] = ({}, {})
+    bad = None
+    parts, n = [], 0  # each chunk's row lines, and the rows so far
+    for lines, (first_text, second_text, number_text), stop in chunks:
+        at, n = n, n + len(lines)
+        first[at:n] = _codes(first_text, indexes[0])
+        second[at:n] = _codes(second_text, indexes[1])
+        value[at:n] = _numbers(number_text)
+        finite = np.isfinite(value[at:n])
+        if bad is None and not finite.all():
+            bad = number_text[int(np.argmin(finite))]
+        parts.append(lines)
+        del first_text, second_text, number_text  # freed before the next chunk is read
+    return chain.from_iterable(parts), first[:n], second[:n], value[:n], indexes, bad, stop
+
+
 def _read_prices(price_file: Path) -> tuple[tuple[date, ...], tuple[str, ...], np.ndarray]:
     """The dates, tickers and (dates x tickers) closes of a price CSV.
 
-    The file becomes three arrays a chunk of rows at a time: a code per row
-    for its date text and for its ticker text, and its close. The checks run
-    on the codes through one entry per distinct text.
+    The file becomes three arrays a chunk of rows at a time (``_read_coded``).
+    The checks run on the codes through one entry per distinct text.
     """
-    most, chunks = read_chunks(price_file, ("date", "ticker", "close"))
-    date_code, ticker_code = np.empty(most, np.int32), np.empty(most, np.int32)
-    close = np.empty(most)
-    date_index: dict[str, int] = {}
-    ticker_index: dict[str, int] = {}
-    bad_close = None  # the text of the first close that is not a finite number
-    parts, n = [], 0  # each chunk's row lines, and the rows so far
-    for lines, (date_text, ticker_text, close_text), stop in chunks:
-        at, n = n, n + len(lines)
-        date_code[at:n] = _codes(date_text, date_index)
-        ticker_code[at:n] = _codes(ticker_text, ticker_index)
-        close[at:n] = _numbers(close_text)
-        finite = np.isfinite(close[at:n])
-        if bad_close is None and not finite.all():
-            bad_close = close_text[int(np.argmin(finite))]
-        parts.append(lines)
-        del date_text, ticker_text, close_text  # freed before the next chunk is split
-    date_code, ticker_code, close = date_code[:n], ticker_code[:n], close[:n]
+    lines, date_code, ticker_code, close, (date_index, ticker_index), bad_close, stop = (
+        _read_coded(price_file, ("date", "ticker", "close")))
+    n = len(close)
     # Per distinct text, in code order.
     parsed = [_date(text) for text in date_index]
     stripped = [text.strip() for text in ticker_index]
@@ -167,7 +181,7 @@ def _read_prices(price_file: Path) -> tuple[tuple[date, ...], tuple[str, ...], n
         i, j = divmod(int(cell[row]), width)
         return f"({dates[i].isoformat()}, {tickers[j]})"
 
-    _raise_first(price_file, chain.from_iterable(parts), stop, [
+    _raise_first(price_file, lines, stop, [
         ((date_row == len(dates))[date_code],
          lambda row: _invalid_date(list(date_index)[date_code[row]])),
         ((ticker_column == len(tickers))[ticker_code], lambda row: "empty ticker"),
@@ -200,12 +214,8 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
     """
     dates, tickers, close = _read_prices(Path(price_file))
     dividend_file = Path(dividend_file)
-    lines, (payer_text, paid_text, amount_text), stop = read_table(
+    lines, payer, paid, amount, (payer_index, paid_index), bad_amount, stop = _read_coded(
         dividend_file, ("ticker", "payment_date", "amount"))
-    payer_index: dict[str, int] = {}
-    paid_index: dict[str, int] = {}
-    payer, paid = _codes(payer_text, payer_index), _codes(paid_text, paid_index)
-    amount = _numbers(amount_text)
     # Per distinct text, in code order: the payer's column (-1 if unknown),
     # and the payment's date and the row of the first close on or after it.
     ticker_pos = {t: j for j, t in enumerate(tickers)}
@@ -214,10 +224,11 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
     row = np.array([-1 if d is None else bisect_left(dates, d) for d in day], np.intp)
     outside = np.array([d is not None and not dates[0] <= d <= dates[-1] for d in day], bool)
     _raise_first(dividend_file, lines, stop, [
-        ((column < 0)[payer], lambda r: f"dividend for unknown ticker {payer_text[r].strip()!r}"),
-        ((row < 0)[paid], lambda r: _invalid_date(paid_text[r])),
+        ((column < 0)[payer],
+         lambda r: f"dividend for unknown ticker {list(payer_index)[payer[r]].strip()!r}"),
+        ((row < 0)[paid], lambda r: _invalid_date(list(paid_index)[paid[r]])),
         (outside[paid], lambda r: f"payment date {day[paid[r]].isoformat()} outside panel range"),
-        (~np.isfinite(amount), lambda r: f"invalid amount {amount_text[r]!r}"),
+        (~np.isfinite(amount), lambda r: f"invalid amount {bad_amount!r}"),
         (amount < 0, lambda r: "negative dividend amount"),
     ])
     dividends = np.zeros((len(dates), len(tickers)))

@@ -1,19 +1,30 @@
 """The row-by-row ingest: the reference that ``market_data.ingest`` must
-match, panel for panel and error message for error message; and the
-whole-text ``csv.reader`` read that ``inputs.read_table`` must match."""
+match, panel for panel and error message for error message; the
+whole-text ``csv.reader`` read that ``read_table`` (the chunks of
+``inputs.read_chunks`` joined) must match; and ``_record_lines``, the
+whole-text test of a text that ``read_chunks`` splits in every chunk."""
 
 from __future__ import annotations
 
 import csv
 import math
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from datetime import date
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from netfolio.inputs import DataError, _blank, _check_header, _parse_date
+from netfolio.inputs import (
+    _OTHER_BYTES,
+    CHUNK,
+    DataError,
+    _blank,
+    _check_header,
+    _parse_date,
+    read_chunks,
+)
 from netfolio.market_data import PricePanel, _number
 
 PRICE_HEADER = ["date", "ticker", "close"]
@@ -124,3 +135,57 @@ def _read_rows(path: str | Path, text: Iterable[str], header: tuple[str, ...],
     except csv.Error as exc:
         stop = DataError(f"{path}:{reader.line_num}: {exc}")
     return lines, tuple(flat[k::width] for k in range(width)), stop
+
+
+def read_table(path: str | Path, header: tuple[str, ...]
+               ) -> tuple[Sequence[int], tuple[list[str], ...], DataError | None]:
+    """``read_chunks`` joined: the file line each row starts on (a range
+    when every chunk was split), one text list per header field, and the stop."""
+    parts, columns = [], tuple([] for _ in header)
+    for lines, chunk, stop in read_chunks(path, header)[1]:
+        parts.append(lines)
+        for column, texts in zip(columns, chunk):
+            column.extend(texts)
+    if all(isinstance(part, range) for part in parts):
+        return range(parts[0].start, parts[-1].stop), columns, stop
+    return list(chain.from_iterable(parts)), columns, stop
+
+
+def _record_lines(text: str, width: int) -> list[str] | None:
+    """The lines of a CSV text that is one record per line, each line of
+    ``width`` fields, in chunks: the header line, then runs of whole lines
+    of about ``CHUNK`` characters, each without its final line break and
+    with LF line ends. None for any other text. ``read_chunks`` splits
+    every chunk of a text exactly when this gives its chunks (the empty
+    text aside, which has no header)."""
+    # A line of one field may be empty, which ``csv.reader`` skips.
+    if width < 2 or '"' in text or "\0" in text:
+        return None
+    # A CRLF reads as an LF; a lone carriage return is left to csv.reader.
+    crlf = "\r" in text
+    if crlf and text.count("\r") != text.count("\r\n"):
+        return None
+    if not text:
+        return []
+    chunks, limit = [], csv.field_size_limit()
+    line = b"," * (width - 1)  # what a line holds of commas and line breaks
+    end = len(text) - text.endswith("\n")  # before the final line break
+    start = 0
+    while start <= end:
+        # The header line alone, then a chunk's worth of text and the rest
+        # of the line it stops in.
+        cut = text.find("\n", start + CHUNK if chunks else start, end)
+        if cut < 0:
+            cut = end
+        chunk = text[start:cut].replace("\r", "") if crlf else text[start:cut]
+        # Every line has width - 1 commas when the chunk's commas and line
+        # breaks alone spell that, in C: no byte of the UTF-8 of another
+        # character is a comma or a line break. Only a chunk longer than
+        # the limit can hold a longer line.
+        if (chunk.encode().translate(None, _OTHER_BYTES)
+                != (line + b"\n") * chunk.count("\n") + line
+                or len(chunk) > limit and max(map(len, chunk.split("\n"))) > limit):
+            return None
+        chunks.append(chunk)
+        start = cut + 1
+    return chunks

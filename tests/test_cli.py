@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
@@ -254,6 +255,32 @@ class TestSimulateCommand:
         bad.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(bad)]) == 2
         assert "sizes" in capsys.readouterr().err
+
+
+def test_byte_order_marks_are_dropped(workspace, capsys):
+    """Every input that starts with a UTF-8 byte order mark reads as it does
+    without one: the config, the periods, the price, dividend and industry
+    CSVs, and the report CSVs that ``report`` reads."""
+    out = workspace / "out"
+    argv = ["simulate", "--config", str(workspace / "config.json"), "--out-dir", str(out),
+            "--seed", "3"]
+    report = ["report", "--report-csv", str(out / "report_P1_P2.csv"),
+              "--levene-csv", str(out / "levene_P1_P2.csv")]
+    assert main(argv) == 0 and main(report) == 0
+    want = {path.name: path.read_bytes() for path in out.iterdir()}, capsys.readouterr()
+    for name in ("config.json", "periods.json", "prices.csv", "dividends.csv", "industry.csv"):
+        path = workspace / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert main(argv) == 0
+    for name in ("report_P1_P2.csv", "levene_P1_P2.csv"):
+        path = out / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert main(report) == 0
+    got = capsys.readouterr()
+    for name in ("report_P1_P2.csv", "levene_P1_P2.csv"):
+        path = out / name
+        path.write_bytes(path.read_bytes().removeprefix(codecs.BOM_UTF8))
+    assert ({path.name: path.read_bytes() for path in out.iterdir()}, got) == want
 
 
 class TestReportCommand:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import gc
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from ingest_reference import _ingest_rows, _read_rows
+from ingest_reference import _ingest_rows, _read_rows, _record_lines, read_table
 
 from netfolio.cli import main
 from netfolio.inputs import (
@@ -25,9 +26,7 @@ from netfolio.inputs import (
     DataError,
     StudyPeriod,
     _date,
-    _record_lines,
     read_chunks,
-    read_table,
 )
 from netfolio.market_data import PricePanel, ingest, period_returns, total_return_index
 from synthetic import BlockModelSpec, synthesize_panel
@@ -125,6 +124,35 @@ class TestIngest:
         with pytest.raises(DataError) as exc:
             ingest(p, d)
         assert str(exc.value) == f"{p}:{message}"
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        p, d = write_csvs(tmp_path, [f"{WEEK1},AAA,10", f"{WEEK2},AAA,11"], ["AAA,2001-01-09,0.5"])
+        want = ingest(p, d)
+        for path in (p, d):
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        got = ingest(p, d)
+        assert (got.tickers, got.dates) == (want.tickers, want.dates)
+        assert got.close.tobytes() == want.close.tobytes()
+        assert got.dividends.tobytes() == want.dividends.tobytes()
+
+    # The byte and the line of an undecodable byte are those of the file:
+    # the mark shifts neither.
+    @pytest.mark.parametrize("name,text,where", [
+        ("prices.csv", b"date,ticker,close\n\xff", "2: cannot decode byte 0xff"),
+        ("prices.csv", b"date,ticker,close\n2001-01-02,A,1\n2001-01-09,A,\xfe2\n",
+         "3: cannot decode byte 0xfe"),
+        ("prices.csv", b"date,\xffticker,close\n", "1: cannot decode byte 0xff"),
+        ("dividends.csv", b"ticker,payment_date,amount\nAAA,2001-01-09,\xff\n",
+         "2: cannot decode byte 0xff"),
+    ], ids=["prices-line-2", "prices-line-3", "prices-header", "dividends"])
+    def test_byte_order_mark_before_undecodable_byte(self, tmp_path, name, text, where):
+        files = write_csvs(tmp_path, [f"{WEEK1},A,1", f"{WEEK2},A,2", f"{WEEK1},AAA,1",
+                                      f"{WEEK2},AAA,2"], [])
+        path = tmp_path / name
+        path.write_bytes(codecs.BOM_UTF8 + text)
+        with pytest.raises(DataError) as exc:
+            ingest(*files)
+        assert str(exc.value) == f"{path}:{where} as UTF-8 (invalid start byte)"
 
 
 def test_csv_row_bound_is_the_line_ends(tmp_path):
@@ -620,6 +648,27 @@ def test_ingest_heap_peak_is_at_most_three_times_the_file(tmp_path, spell):
     assert 1.9e6 < prices.stat().st_size < 2.2e6
     prices.write_bytes(spell(prices.read_bytes()))
     size = prices.stat().st_size
+    peak = ingest_heap_peak(prices, divs)
+    assert peak <= 3 * size, f"heap peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB file"
+
+
+def test_ingest_heap_peak_on_dividends_is_at_most_three_times_their_file(tmp_path):
+    """``ingest`` holds no string per field of the dividend file either: with
+    a small price file and a 1 MB dividend file of 40,000 rows, its heap peak
+    is at most three times the dividend file's size."""
+    first = date(2001, 1, 2)
+    dividends = [f"T{k % 4:03d},{first + timedelta(days=k * 7919 % 400)},{k % 997 / 7:.6f}"
+                 for k in range(40_000)]
+    prices, divs = write_rows(tmp_path, price_rows(4, 60), dividends)
+    size = divs.stat().st_size
+    assert 0.9e6 < size < 1.2e6
+    peak = ingest_heap_peak(prices, divs)
+    assert peak <= 3 * size, f"heap peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB file"
+
+
+def ingest_heap_peak(prices: Path, divs: Path) -> int:
+    """The heap that ``ingest`` of these files holds at most, in bytes,
+    under tracemalloc."""
     gc.collect()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -628,11 +677,10 @@ def test_ingest_heap_peak_is_at_most_three_times_the_file(tmp_path, spell):
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
         ingest(prices, divs)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 3 * size, f"heap peak {peak / 1e6:.2f} MB for a {size / 1e6:.2f} MB file"
 
 
 # --- A line break, a CRLF or a blank line at a chunk cut ---------------------
@@ -694,6 +742,57 @@ class TestCuts:
         assert read_outcome(lambda: read_table(files[0], HEADER)) == by_csv
 
 
+# --- A text split in its first chunks, then read by csv.reader -------------
+
+
+class TestHandOver:
+    """A price file of about five chunks, one record per line but for a
+    quoted ticker on its next-to-last row: its first chunks are split, and
+    the chunk that holds the quote goes with the rest of the text to one
+    csv.reader. Rows, panel and messages are those of csv.reader alone and
+    of the row-by-row reference."""
+
+    def write(self, tmp_path, last_line_end: bytes) -> tuple[Path, Path]:
+        rows = [list(r) for r in TestChunkBoundaries.ROWS]
+        rows[-2][1] = f'"{rows[-2][1]}"'
+        files = write_rows(tmp_path, rows, TestChunkBoundaries.DIVIDENDS)
+        files[0].write_bytes(files[0].read_bytes()[:-1] + last_line_end)
+        kinds = [isinstance(lines, range) for lines, _, _ in read_chunks(files[0], HEADER)[1]]
+        assert kinds == sorted(kinds, reverse=True) and kinds.count(True) >= 4 and not kinds[-1]
+        return files
+
+    @pytest.mark.parametrize("last_line_end", [b"\n", b",1\n"], ids=["clean", "wrong-width"])
+    def test_same_as_reference(self, tmp_path, last_line_end):
+        files = self.write(tmp_path, last_line_end)
+        text = files[0].read_text()
+        by_csv = read_outcome(
+            lambda: _read_rows(files[0], io.StringIO(text, newline=""), HEADER, None))
+        assert read_outcome(lambda: read_table(files[0], HEADER)) == by_csv
+
+        def outcome(read):
+            try:
+                panel = read(*files)
+            except DataError as exc:
+                return str(exc)
+            return panel.tickers, panel.dates, panel.close.tobytes(), panel.dividends.tobytes()
+
+        assert outcome(ingest) == outcome(_ingest_rows)
+
+    def test_undecodable_byte(self, tmp_path):
+        files = self.write(tmp_path, b"\xff\n")
+        data = files[0].read_bytes()
+        line = data.count(b"\n")
+        message = f"{files[0]}:{line}: cannot decode byte 0xff as UTF-8 (invalid start byte)"
+        before = data[:data.rindex(b"\n", 0, -1) + 1].decode()
+        by_csv = read_outcome(lambda: _read_rows(
+            files[0], io.StringIO(before, newline=""), HEADER, DataError(message)))
+        assert by_csv[2] == message and by_csv[0][-1] == line - 1
+        assert read_outcome(lambda: read_table(files[0], HEADER)) == by_csv
+        with pytest.raises(DataError) as exc:
+            ingest(*files)
+        assert str(exc.value) == message
+
+
 # --- The two parsers of a CSV text, and the two of a date ---------------------
 
 HEADER = ("date", "ticker", "close")
@@ -710,13 +809,18 @@ def read_outcome(read):
 
 
 def both_parsers(text: str, header: tuple[str, ...] = HEADER):
-    """What ``str.split`` reads of a text (None when ``read_table`` would not
-    split it) and what ``csv.reader`` reads of it."""
+    """What ``str.split`` reads of a text (None when ``_record_lines`` would
+    not split it) and what ``csv.reader`` reads of it. A text that reads
+    without raising gives row lines that are a range (every chunk split)
+    exactly when ``_record_lines`` splits it."""
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "f.csv"
         path.write_bytes(text.encode("utf-8"))
         by_csv = read_outcome(lambda: _read_rows(path, io.StringIO(text, newline=""), header, None))
-        if _record_lines(text, len(header)) is None:
+        splits = _record_lines(text, len(header)) is not None
+        with contextlib.suppress(DataError):
+            assert isinstance(read_table(path, header)[0], range) == splits
+        if not splits:
             return None, by_csv
         return read_outcome(lambda: read_table(path, header)), by_csv
 
