@@ -499,35 +499,34 @@ def _cell(path: str, lineno: int, row: dict[str, str], column: str, kind=float):
 
 def cmd_report(args: argparse.Namespace) -> int:
     path = args.report_csv
-    stats: list[StrategyStats] = []
+    stats: dict[tuple[str, int], StrategyStats] = {}
     for lineno, row in _rows(path, REPORT_COLUMNS):
-        stats.append(
-            StrategyStats(
-                row["strategy"],
-                _cell(path, lineno, row, "size", int),
-                _cell(path, lineno, row, "mean"),
-                _cell(path, lineno, row, "sd"),
-                _cell(path, lineno, row, "sharpe") if row["sharpe"] else None,
-                _cell(path, lineno, row, "best_flag", _flag),
-            )
+        s = StrategyStats(
+            row["strategy"],
+            _cell(path, lineno, row, "size", int),
+            _cell(path, lineno, row, "mean"),
+            _cell(path, lineno, row, "sd"),
+            _cell(path, lineno, row, "sharpe") if row["sharpe"] else None,
+            _cell(path, lineno, row, "best_flag", _flag),
         )
-    levene: list[tuple[int, tuple[str, ...], LeveneResult]] = []
+        if (s.strategy, s.m) in stats:
+            raise ConfigError(f"{path}:{lineno}: strategy {s.strategy!r} size {s.m} listed twice")
+        stats[s.strategy, s.m] = s
+    levene: dict[int, tuple[int, tuple[str, ...], LeveneResult]] = {}
     if args.levene_csv:
         path = args.levene_csv
         for lineno, row in _rows(path, LEVENE_COLUMNS):
-            levene.append(
-                (
-                    _cell(path, lineno, row, "size", int),
-                    tuple(row["strategies"].split("+")),
-                    LeveneResult(
-                        _cell(path, lineno, row, "W"),
-                        _cell(path, lineno, row, "df1", int),
-                        _cell(path, lineno, row, "df2", int),
-                        _cell(path, lineno, row, "p"),
-                    ),
-                )
+            size = _cell(path, lineno, row, "size", int)
+            result = LeveneResult(
+                _cell(path, lineno, row, "W"),
+                _cell(path, lineno, row, "df1", int),
+                _cell(path, lineno, row, "df2", int),
+                _cell(path, lineno, row, "p"),
             )
-    report = SimulationReport(tuple(stats), tuple(levene))
+            if size in levene:
+                raise ConfigError(f"{path}:{lineno}: size {size} listed twice")
+            levene[size] = (size, tuple(row["strategies"].split("+")), result)
+    report = SimulationReport(tuple(stats.values()), tuple(levene.values()))
     # UTF-8 whatever the locale, as _atomic_write writes files.
     sys.stdout.flush()
     sys.stdout.buffer.write(render_report(report).encode("utf-8"))

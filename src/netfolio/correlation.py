@@ -56,9 +56,6 @@ class DistanceMatrix(Record):
         except ValueError:
             raise CorrelationError(f"unknown ticker {ticker!r}") from None
 
-    def between(self, a: str, b: str) -> float:
-        return float(self.d[self.ticker_index(a), self.ticker_index(b)])
-
 
 def pearson_correlation(returns: np.ndarray, tickers: tuple[str, ...]) -> CorrelationMatrix:
     """Pearson correlation of weekly return columns.

@@ -10,6 +10,7 @@ panel dates.
 from __future__ import annotations
 
 import math
+import re
 from bisect import bisect_left
 from collections.abc import Iterable
 from datetime import date
@@ -21,6 +22,10 @@ import numpy as np
 
 from .inputs import DataError, StudyPeriod, _date, _invalid_date, read_chunks
 from .record import Record
+
+# The outputs write a ticker bare (CSV, Newick, DOT, Nexus), so it holds none
+# of their separators, quotes or brackets, and no whitespace.
+_TICKER = re.compile(r"[^\s,\"'()\[\]:;\\]+")
 
 
 def _number(text: str) -> float:
@@ -159,11 +164,11 @@ def _read_prices(price_file: Path) -> tuple[tuple[date, ...], tuple[str, ...], n
     parsed = [_date(text) for text in date_index]
     stripped = [text.strip() for text in ticker_index]
     dates = tuple(sorted({d for d in parsed if d is not None}))
-    tickers = tuple(sorted(set(stripped) - {""}))
+    tickers = tuple(sorted({t for t in stripped if _TICKER.fullmatch(t)}))
     # Cells of a (dates + 1) x (tickers + 1) grid: a bad date takes the last
-    # row and an empty ticker the last column, so they collide only with rows
-    # that fail the same earlier check. Two texts of one date, or of one
-    # stripped ticker, share an index, so they collide as a duplicate cell.
+    # row and an empty or invalid ticker the last column, so they collide only
+    # with rows that fail the same earlier check. Two texts of one date, or of
+    # one stripped ticker, share an index, so they collide as a duplicate cell.
     date_pos = {d: i for i, d in enumerate(dates)}
     date_row = np.array([date_pos.get(d, len(dates)) for d in parsed], np.intp)
     ticker_pos = {t: j for j, t in enumerate(tickers)}
@@ -184,7 +189,8 @@ def _read_prices(price_file: Path) -> tuple[tuple[date, ...], tuple[str, ...], n
     _raise_first(price_file, lines, stop, [
         ((date_row == len(dates))[date_code],
          lambda row: _invalid_date(list(date_index)[date_code[row]])),
-        ((ticker_column == len(tickers))[ticker_code], lambda row: "empty ticker"),
+        ((ticker_column == len(tickers))[ticker_code], lambda row:
+         f"invalid ticker {t!r}" if (t := stripped[ticker_code[row]]) else "empty ticker"),
         (~np.isfinite(close), lambda row: f"invalid price {bad_close!r}"),
         (close <= 0, lambda row: f"non-positive price for {cell_name(row)}"),
         (duplicate, lambda row: f"duplicate row for {cell_name(row)}"),

@@ -246,13 +246,6 @@ def fit_split_weights(dist: DistanceMatrix, ordering: tuple[str, ...]) -> Circul
     return CircularSplitSystem(tuple(ordering), splits, residual)
 
 
-def adjacent_gaps(dist: DistanceMatrix, ordering: tuple[str, ...]) -> list[float]:
-    """Distance between each consecutive ordering pair; gap[i] sits between
-    positions i-1 and i (circularly)."""
-    n = len(ordering)
-    return [dist.between(ordering[i - 1], ordering[i]) for i in range(n)]
-
-
 def nn_clusters(
     ordering: tuple[str, ...],
     dist: DistanceMatrix,
@@ -273,8 +266,10 @@ def nn_clusters(
         if len(cuts) != k or len(set(cuts)) != k or any(not 0 <= c < n for c in cuts):
             raise ClusterError(f"manual breaks must be {k} distinct positions in [0, {n})")
     else:
-        gaps = adjacent_gaps(dist, ordering)
-        cuts = sorted(sorted(range(n), key=lambda i: (-gaps[i], i))[:k])
+        # gaps[i] is the distance between positions i-1 and i (circularly).
+        pos = np.array([dist.ticker_index(t) for t in ordering])
+        gaps = dist.d[np.roll(pos, 1), pos]
+        cuts = sorted(np.argsort(-gaps, kind="stable")[:k].tolist())
     arcs: list[tuple[str, ...]] = []
     for a, b in zip(cuts, cuts[1:] + [cuts[0] + n]):
         arcs.append(tuple(ordering[p % n] for p in range(a, b)))

@@ -9,6 +9,8 @@ remaining stock joins the cluster of its nearest already-assigned neighbor.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .clusters import ClusterAssignment, ClusterError, renumber
@@ -54,13 +56,6 @@ class SpanningTree(Record):
     def __post_init__(self) -> None:
         if len(self.edges) != len(self.tickers) - 1:
             raise ClusterError("a spanning tree on n vertices needs n-1 edges")
-
-    def adjacency(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {t: [] for t in self.tickers}
-        for a, b, _ in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        return adj
 
 
 def average_linkage_hct(dist: DistanceMatrix) -> Dendrogram:
@@ -147,20 +142,18 @@ def _components(tickers: tuple[str, ...], edges: list[tuple[str, str]]) -> list[
     return [tuple(sorted(c)) for c in comps.values()]
 
 
-def _assign_by_nearest(
-    seeds: list[tuple[str, ...]], unassigned: list[str], dist: DistanceMatrix
-) -> list[tuple[str, ...]]:
-    """Iteratively attach each unassigned stock to the cluster holding its
-    nearest already-assigned neighbor, always taking the globally smallest
+def _assign_by_nearest(seeds: list[tuple[str, ...]], dist: DistanceMatrix) -> list[tuple[str, ...]]:
+    """Iteratively attach each stock that no seed holds to the cluster holding
+    its nearest already-assigned neighbor, always taking the globally smallest
     (distance, stock, neighbor) candidate first."""
     cluster_of = {t: ci for ci, s in enumerate(seeds) for t in s}
     # Rows and columns in ticker order: the first minimum of the (pending x
     # assigned) block in row-major order is the smallest candidate.
-    names = sorted([*cluster_of, *unassigned])
-    at = [dist.ticker_index(t) for t in names]
-    d = dist.d[np.ix_(at, at)]
+    order = sorted(range(dist.n), key=dist.tickers.__getitem__)
+    names = [dist.tickers[i] for i in order]
+    d = dist.d[np.ix_(order, order)]
     label = np.array([cluster_of.get(t, -1) for t in names])
-    for _ in unassigned:
+    for _ in range(np.count_nonzero(label < 0)):
         pending, assigned = np.flatnonzero(label < 0), np.flatnonzero(label >= 0)
         r, c = divmod(int(np.argmin(d[np.ix_(pending, assigned)])), assigned.size)
         label[pending[r]] = label[assigned[c]]
@@ -190,16 +183,14 @@ def mst_clusters(
         return renumber([tuple(sorted(tree.tickers))])
     if mode == "gap":
         ranked = sorted(tree.edges, key=lambda e: (-e[2], e[0], e[1]))
-        removed = {(a, b) for a, b, _ in ranked[: k - 1]}
-        kept = [(a, b) for a, b, _ in tree.edges if (a, b) not in removed]
-        return renumber(_components(tree.tickers, kept))
+        return renumber(_components(tree.tickers, [(a, b) for a, b, _ in ranked[k - 1 :]]))
     if mode != "hub":
         raise ClusterError(f"unknown MST cluster mode {mode!r}")
 
-    adj = tree.adjacency()
     if hub is None:
-        hub = min(adj, key=lambda t: (-len(adj[t]), t))
-    elif hub not in adj:
+        degree = Counter(t for a, b, _ in tree.edges for t in (a, b))
+        hub = min(tree.tickers, key=lambda t: (-degree[t], t))
+    elif hub not in tree.tickers:
         raise ClusterError(f"unknown hub ticker {hub!r}")
     kept = [(a, b) for a, b, _ in tree.edges if hub not in (a, b)]
     branches = [c for c in _components(tree.tickers, kept) if hub not in c]
@@ -211,10 +202,7 @@ def mst_clusters(
             f"hub mode found {len(qualifying)} branches with >= {min_branch} members "
             f"but k={k}; retry with a smaller min_branch"
         )
-    seeds = qualifying[:k]
-    seeded = {t for s in seeds for t in s}
-    unassigned = [t for t in tree.tickers if t not in seeded]
-    return renumber(_assign_by_nearest(seeds, unassigned, dist))
+    return renumber(_assign_by_nearest(qualifying[:k], dist))
 
 
 def to_newick(tree: Dendrogram) -> str:

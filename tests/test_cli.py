@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import codecs
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netfolio
 from netfolio import cli, correlation, market_data, neighbor_net, portfolio_sim, tree_cluster
@@ -363,6 +368,111 @@ class TestReportCommand:
         path.write_text("strategy,size,mean,sd,sharpe,best_flag\nRandom,2,1.0\n")
         assert main(["report", "--report-csv", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}:2: expected 6 fields, got 3\n"
+
+    def test_repeated_report_row_located(self, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        path.write_text("strategy,size,mean,sd,sharpe,best_flag\nRandom,2,1.0,2.0,0.5,1\n"
+                        "Random,4,1.0,2.0,0.5,0\nRandom,2,1.5,2.0,0.25,0\n")
+        assert main(["report", "--report-csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:4: strategy 'Random' size 2 listed twice\n"
+        assert captured.out == ""
+
+    def test_repeated_levene_size_located(self, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        report.write_text("strategy,size,mean,sd,sharpe,best_flag\nRandom,2,1.5,2.0,,0\n")
+        path = tmp_path / "levene.csv"
+        path.write_text("size,strategies,W,df1,df2,p\n2,Random+NN,1.5,1,1998,0.22\n"
+                        "2,Random+HCT,0.5,1,1998,0.48\n")
+        assert main(["report", "--report-csv", str(report), "--levene-csv", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}:3: size 2 listed twice\n"
+        assert captured.out == ""
+
+
+NAMES = ("Random", "Industry", "HCT", "MST", "NN")
+FINITE = st.floats(-1e6, 1e6).map(repr)
+
+
+@st.composite
+def report_inputs(draw):
+    """A report CSV and, or not, a Levene CSV, as lists of rows of valid
+    cells; then up to two mutations of them, in place. Returns the two
+    tables, the line end and whether every mutation keeps the rows valid."""
+    keys = draw(st.lists(st.tuples(st.sampled_from(NAMES), st.integers(1, 12)),
+                         min_size=1, max_size=6, unique=True))
+    report = [[name, str(m), draw(FINITE), draw(st.floats(0, 1e6).map(repr)),
+               draw(st.just("") | FINITE), draw(st.sampled_from("01"))] for name, m in keys]
+    levene = None
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 12), max_size=4, unique=True))
+        levene = [[str(m), "+".join(draw(st.lists(st.sampled_from(NAMES), min_size=2,
+                                                  max_size=5, unique=True))),
+                   draw(st.floats(0, 1e6).map(repr)), str(draw(st.integers(1, 10))),
+                   str(draw(st.integers(1, 10**6))), draw(st.floats(0, 1).map(repr))]
+                  for m in sizes]
+    newline, valid = "\n", True
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["cell", "short", "long", "repeat", "quote", "crlf"]))
+        if kind == "crlf":
+            newline = "\r\n"
+            continue
+        rows = draw(st.sampled_from([t for t in (report, levene) if t]))
+        row = draw(st.sampled_from(rows))
+        if kind == "quote":  # csv.reader reads the same value
+            j = draw(st.integers(0, max(len(row) - 1, 0)))
+            if row and not row[j].startswith('"'):
+                row[j] = f'"{row[j]}"'
+            continue
+        valid = False
+        if kind == "cell":  # float cells (mean, sd, sharpe; W, p) first: hypothesis
+            # favours the first choices, and a float cell is where nan would pass
+            j = draw(st.sampled_from([*((2, 3, 4) if rows is report else (2, 5)),
+                                      *range(len(row))]))
+            if j < len(row):
+                row[j] = draw(st.sampled_from(["nan", "inf", "-inf", "", "abc"]))
+        elif kind == "short" and row:
+            row.pop()
+        elif kind == "long":
+            row.append("1")
+        elif kind == "repeat":
+            rows.insert(draw(st.integers(0, len(rows))), list(row))
+    return report, levene, newline, valid
+
+
+@settings(max_examples=150, deadline=1000)
+@given(report_inputs())
+def test_report_boundary_fuzz(inputs):
+    """``report`` on generated report and Levene CSVs either renders a table
+    whose every number is finite, or exits 2 naming the CSV it failed on."""
+    report, levene, newline, valid = inputs
+    with tempfile.TemporaryDirectory() as folder:
+        paths = [Path(folder, "report.csv"), Path(folder, "levene.csv")]
+        argv = ["report", "--report-csv", str(paths[0])]
+        for path, columns, rows in zip(paths, (cli.REPORT_COLUMNS, cli.LEVENE_COLUMNS),
+                                       (report, levene)):
+            if rows is not None:
+                lines = [",".join(columns)] + [",".join(row) for row in rows]
+                path.write_text(newline.join(lines) + newline, newline="")
+        if levene is not None:
+            argv += ["--levene-csv", str(paths[1])]
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        out.flush()
+        table = out.buffer.getvalue().decode("utf-8")
+    if code == 2:
+        assert table == ""
+        assert any(err.getvalue().startswith(f"error: {path}:") for path in paths)
+        assert valid is False
+        return
+    assert code == 0 and err.getvalue() == ""
+    # Every body cell but the row label is empty, "undefined" or a finite
+    # number, with a "*" on the best Sharpe ratio.
+    for line in table.splitlines()[2:]:
+        for cell in line.strip("|").split("|")[1:]:
+            text = cell.strip().rstrip("*")
+            assert text in ("", "undefined") or math.isfinite(float(text)), line
 
 
 class TestConfigValidation:
@@ -771,7 +881,7 @@ class TestPhysicalLines:
     field that holds a line break does not shift the lines after it."""
 
     @pytest.mark.parametrize("name,first,bad,problem", [
-        ("prices.csv", '{d},"A\nB",1.0', '{d},"S00\n",x', "invalid price 'x'"),
+        ("prices.csv", '{d},A,"1.0\n"', '{d},"S00\n",x', "invalid price 'x'"),
         ("dividends.csv", '"S00\n",{d},0.1', '"S01\n",{d},x', "invalid amount 'x'"),
         ("industry.csv", '"A\nB",1', '"S00\n",x', "invalid group 'x'"),
     ])
@@ -788,6 +898,19 @@ class TestPhysicalLines:
         assert main([command, "--config", str(workspace / "config.json"),
                      "--out-dir", str(workspace / "out")]) == 2
         assert capsys.readouterr().err == f"error: {path}:4: {problem}\n"
+
+
+def test_ticker_the_outputs_cannot_carry_fails_at_ingest(workspace, capsys):
+    # Renamed "A,B" in every input, S00 would reach clusters_hct_P1.csv as the
+    # row A,B,1 and hct_P1.nwk as two leaves, A and B.
+    for name in ("prices.csv", "dividends.csv", "industry.csv"):
+        path = workspace / name
+        path.write_text(path.read_text().replace("S00", '"A,B"'))
+    out = workspace / "out"
+    assert main(["network", "--config", str(workspace / "config.json"), "--method", "hct",
+                 "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {workspace / 'prices.csv'}:2: invalid ticker 'A,B'\n"
+    assert not out.exists()
 
 
 def _forbidden(*args, **kwargs):

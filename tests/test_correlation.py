@@ -75,7 +75,7 @@ class TestUltrametric:
     def test_unknown_ticker_named(self):
         dist = ultrametric_distance(CorrelationMatrix(("A", "B"), np.eye(2)))
         with pytest.raises(CorrelationError, match="unknown ticker 'ZZZ'"):
-            dist.between("A", "ZZZ")
+            dist.ticker_index("ZZZ")
 
     def test_ordering_reversed(self, rng):
         rho_ab, rho_ac = 0.9, 0.2

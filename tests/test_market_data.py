@@ -97,6 +97,23 @@ class TestIngest:
         with pytest.raises(DataError, match=r"prices\.csv:5: invalid ISO-8601 date '2001-02-30'"):
             ingest(p, d)
 
+    # The outputs write a ticker bare, so one that holds a CSV, Newick, DOT or
+    # Nexus separator, a quote, a bracket or whitespace fails at its first row.
+    @pytest.mark.parametrize("ticker", ["A,B", 'A"B', "A'B", "A(B", "A)B", "A[B", "A]B", "A:B",
+                                        "A;B", "A\\B", "A B", "A\tB", "A\nB"])
+    def test_invalid_ticker_names_line(self, tmp_path, ticker):
+        rows = [f"{WEEK1},AAA,10", f"{WEEK1},{encode(f' {ticker} ', True)},20", f"{WEEK2},BBB,1"]
+        p, d = write_csvs(tmp_path, rows, [])
+        with pytest.raises(DataError) as exc:
+            ingest(p, d)
+        assert str(exc.value) == f"{p}:3: invalid ticker {ticker!r}"
+
+    def test_bad_date_reported_before_invalid_ticker(self, tmp_path):
+        p, d = write_csvs(tmp_path, [f"{WEEK1},AAA,10", '2001-02-30,"A,B",20'], [])
+        with pytest.raises(DataError) as exc:
+            ingest(p, d)
+        assert str(exc.value) == f"{p}:3: invalid ISO-8601 date '2001-02-30'"
+
     def test_dividend_outside_range(self, tmp_path):
         p, d = write_csvs(
             tmp_path,
@@ -348,7 +365,7 @@ class TestSynthesizePanel:
 
 # --- One-pass ingest against the row-by-row reference ------------------------
 
-TICKER_CHARS = "ABXYZ.,"  # ',' forces a quoted field
+TICKER_CHARS = "ABXYZ."
 
 
 def encode(text: str, quote: bool) -> str:
@@ -378,8 +395,7 @@ def valid_inputs(draw):
     record per line."""
     plain = draw(st.booleans())
     quote = st.just(False) if plain else st.booleans()
-    chars = TICKER_CHARS.replace(",", "") if plain else TICKER_CHARS
-    tickers = draw(st.lists(st.text(chars, min_size=1, max_size=4), min_size=1,
+    tickers = draw(st.lists(st.text(TICKER_CHARS, min_size=1, max_size=4), min_size=1,
                             max_size=4, unique=True))
     offsets = draw(st.lists(st.integers(0, 3000), min_size=1, max_size=5, unique=True))
     dates = [date(2001, 1, 2) + timedelta(days=o) for o in offsets]
@@ -685,18 +701,17 @@ def ingest_heap_peak(prices: Path, divs: Path) -> int:
 
 # --- A line break, a CRLF or a blank line at a chunk cut ---------------------
 
-QUOTED_TICKER = '"Q\n""X"'  # the ticker 'Q\n"X': a line break and a doubled quote
+QUOTED_TICKER = '"Q\n"'  # the ticker 'Q\n', read as 'Q': a line break in a quoted field
 
 
-def text_at_cut(newline: str, mark: str, at: int, quoted: bool = False, blank: bool = False
+def text_at_cut(newline: str, mark: str, at: int, quoted: str = "", blank: bool = False
                 ) -> str:
     """A price file of 8 tickers x 100 dates (about 22 KB), its lines
     joined by ``newline``, whose last ``mark`` before index ``at`` is moved
-    to ``at`` by leading spaces in the first close. ``quoted`` spells the
-    last ticker as ``QUOTED_TICKER``; ``blank`` adds a blank line before
-    the cut."""
+    to ``at`` by leading spaces in the first close. ``quoted``, when given,
+    spells the last ticker; ``blank`` adds a blank line before the cut."""
     lines = ["date,ticker,close"] + [
-        ",".join([d, QUOTED_TICKER if quoted and t == "T007" else t, c])
+        ",".join([d, quoted if quoted and t == "T007" else t, c])
         for d, t, c in price_rows(8, 100)]
     if blank:
         lines.insert(CHUNK // 40, "")
@@ -713,17 +728,17 @@ SPLIT_CUT = len("date,ticker,close\r\n") + CHUNK
 
 
 class TestCuts:
-    """A quoted field that holds a line break and a doubled quote, a CRLF
-    and a blank line, each at a chunk cut, read as the row-by-row reference
-    and ``csv.reader`` alone read them."""
+    """A quoted field that holds a line break, a CRLF and a blank line, each
+    at a chunk cut, read as the row-by-row reference and ``csv.reader`` alone
+    read them."""
 
     @pytest.mark.parametrize("text,splits", [
-        (text_at_cut("\n", '\n""', CHUNK, quoted=True), False),
-        (text_at_cut("\r\n", '\n""', CHUNK, quoted=True), False),
+        (text_at_cut("\n", '\n"', CHUNK, quoted=QUOTED_TICKER), False),
+        (text_at_cut("\r\n", '\n"', CHUNK, quoted=QUOTED_TICKER), False),
         (text_at_cut("\r\n", "\r\n", SPLIT_CUT - 1), True),
         (text_at_cut("\r\n", "\r\n", SPLIT_CUT), True),
-        (text_at_cut("\r\n", "\r\n", CHUNK - 1, quoted=True), False),
-        (text_at_cut("\r\n", "\r\n", CHUNK, quoted=True), False),
+        (text_at_cut("\r\n", "\r\n", CHUNK - 1, quoted=QUOTED_TICKER), False),
+        (text_at_cut("\r\n", "\r\n", CHUNK, quoted=QUOTED_TICKER), False),
         (text_at_cut("\n", "\n\n", CHUNK - 1, blank=True), False),
         (text_at_cut("\n", "\n\n", CHUNK, blank=True), False),
     ], ids=["quoted-field", "quoted-field-crlf", "crlf-split-lf-at-cut", "crlf-split-cr-at-cut",
@@ -740,6 +755,21 @@ class TestCuts:
         by_csv = read_outcome(
             lambda: _read_rows(files[0], io.StringIO(text, newline=""), HEADER, None))
         assert read_outcome(lambda: read_table(files[0], HEADER)) == by_csv
+
+    def test_doubled_quote_at_cut(self, tmp_path):
+        """A line break and then a doubled quote in a quoted field at the cut
+        read as ``csv.reader`` alone reads them. No output can carry the
+        ticker they spell, so ``ingest`` fails on its first row."""
+        ticker = 'Q\n"X'
+        text = text_at_cut("\n", '\n""', CHUNK, quoted=encode(ticker, True))
+        path = tmp_path / "prices.csv"
+        path.write_bytes(text.encode("utf-8"))
+        by_csv = read_outcome(lambda: _read_rows(path, io.StringIO(text, newline=""), HEADER, None))
+        assert read_outcome(lambda: read_table(path, HEADER)) == by_csv
+        with pytest.raises(DataError) as failed:
+            ingest(path, tmp_path / "dividends.csv")
+        line = text[: text.index('"Q')].count("\n") + 1
+        assert str(failed.value) == f"{path}:{line}: invalid ticker {ticker!r}"
 
 
 # --- A text split in its first chunks, then read by csv.reader -------------

@@ -14,7 +14,6 @@ from netfolio.correlation import DistanceMatrix
 from netfolio.neighbor_net import (
     NeighborNetError,
     SplitOperators,
-    adjacent_gaps,
     fit_split_weights,
     neighbornet_ordering,
     nn_clusters,
@@ -260,10 +259,11 @@ class TestArcClusters:
         ordering, _, dist = planted_split_system(rng, 7)
         assert nn_clusters(ordering, dist, 1).assignment == {t: 1 for t in ordering}
 
-    def test_adjacent_gaps_values(self):
+    def test_cuts_at_largest_adjacent_gaps(self):
+        # The gap before each position of (A, B, C), circularly: d(C, A) = 0.5,
+        # d(A, B) = 0.3 and d(B, C) = 0.4. Two cuts take the two largest.
         dist = matrix(["A", "B", "C"], {("A", "B"): 0.3, ("A", "C"): 0.5, ("B", "C"): 0.4})
-        gaps = adjacent_gaps(dist, ("A", "B", "C"))
-        assert gaps == [0.5, 0.3, 0.4]
+        assert nn_clusters(("A", "B", "C"), dist, 2).clusters() == {1: ("A", "B"), 2: ("C",)}
 
 
 class TestArcPairing:

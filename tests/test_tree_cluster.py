@@ -35,6 +35,11 @@ def matrix(tickers, entries):
     return DistanceMatrix(tuple(tickers), d)
 
 
+def between(dist: DistanceMatrix, a: str, b: str) -> float:
+    """The distance between two tickers, read from the matrix."""
+    return float(dist.d[dist.ticker_index(a), dist.ticker_index(b)])
+
+
 def sizes(assignment) -> tuple[int, ...]:
     """The member count of each cluster, by cluster id."""
     return tuple(len(assignment.members(c)) for c in range(1, assignment.k + 1))
@@ -49,7 +54,7 @@ def naive_average_linkage(dist: DistanceMatrix):
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
                 mean = np.mean(
-                    [dist.between(a, b) for a in clusters[i] for b in clusters[j]]
+                    [between(dist, a, b) for a in clusters[i] for b in clusters[j]]
                 )
                 key = (mean, tuple(sorted((min(clusters[i]), min(clusters[j])))), i, j)
                 if best is None or key < best:
@@ -217,7 +222,7 @@ class TestMinimumSpanningTree:
         dist = random_distance_matrix(rng, 8)
         tree = minimum_spanning_tree(dist)
         for a, b, w in tree.edges:
-            assert w == dist.between(a, b)
+            assert w == between(dist, a, b)
 
 
 class TestMstClusters:
@@ -269,6 +274,22 @@ class TestMstClusters:
         tree, dist = self.path_tree()
         with pytest.raises(ClusterError, match="smaller min_branch"):
             mst_clusters(tree, dist, 3, mode="hub", min_branch=2, hub="B")
+
+
+def test_default_hub_on_degree_tie_is_smaller_ticker():
+    # Two stars joined at their centres: B (over A, C, D) and E (over F, G,
+    # H) each have degree 4, so the default hub is B, the smaller ticker.
+    tickers = ["A", "B", "C", "D", "E", "F", "G", "H"]
+    entries = {(a, b): 1.8 for i, a in enumerate(tickers) for b in tickers[i + 1:]}
+    entries.update({("A", "B"): 0.3, ("B", "C"): 0.4, ("B", "D"): 0.5, ("B", "E"): 0.6,
+                    ("E", "F"): 0.3, ("E", "G"): 0.4, ("E", "H"): 0.5})
+    dist = matrix(tickers, entries)
+    tree = minimum_spanning_tree(dist)
+    degree = {t: sum(t in e[:2] for e in tree.edges) for t in tickers}
+    assert degree["B"] == degree["E"] == max(degree.values()) == 4
+    default = mst_clusters(tree, dist, 3, mode="hub", min_branch=1)
+    assert default == mst_clusters(tree, dist, 3, mode="hub", min_branch=1, hub="B")
+    assert default != mst_clusters(tree, dist, 3, mode="hub", min_branch=1, hub="E")
 
 
 class TestScipyLinkageOracle:
