@@ -8,6 +8,7 @@ nonzero.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -501,6 +502,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     path = args.report_csv
     stats: dict[tuple[str, int], StrategyStats] = {}
     for lineno, row in _rows(path, REPORT_COLUMNS):
+        # The name heads one cell of one line of the markdown table.
+        if any(c in row["strategy"] for c in "|\r\n"):
+            raise ConfigError(f"{path}:{lineno}: invalid strategy {row['strategy']!r}")
         s = StrategyStats(
             row["strategy"],
             _cell(path, lineno, row, "size", int),
@@ -577,5 +581,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def run() -> None:
+    """The program: ``main`` on the command line's arguments, then exit.
+
+    The collector is frozen before the exit, so the interpreter's shutdown
+    does not traverse the objects of numpy, the standard library and the
+    package to collect cycles that the ending process drops anyway.
+    Shutdown still clears the modules, runs the atexit handlers and flushes
+    the streams, and every output file is closed by then. ``main`` never
+    freezes: a process that calls it and goes on collects as before.
+    """
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -58,6 +58,9 @@ def _ingest_rows(price_file: Path, dividend_file: Path) -> PricePanel:
             ticker = row[1].strip()
             if not ticker:
                 raise DataError(f"{price_file}:{lineno}: empty ticker")
+            # The outputs write a ticker bare: no separator, quote, bracket or blank.
+            if any(c.isspace() or c in ",\"'()[]:;\\" for c in ticker):
+                raise DataError(f"{price_file}:{lineno}: invalid ticker {ticker!r}")
             close = _number(row[2])
             if not math.isfinite(close):
                 raise DataError(f"{price_file}:{lineno}: invalid price {row[2]!r}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import codecs
 import contextlib
+import gc
 import io
 import json
 import math
@@ -335,13 +336,18 @@ class TestReportCommand:
         ("mean", "abc"), ("mean", "-inf"), ("sd", "inf"), ("sd", "nan"), ("sharpe", "nan"),
         ("sharpe", "x1"), ("size", "2.5"), ("size", "two"), ("best_flag", "yes"),
         ("best_flag", ""),
+        # A name heads a column of the markdown table: a "|" would add a cell
+        # to the header row, and a line break would split it.
+        ("strategy", "A|B"), ("strategy", "|"), ("strategy", "A\nB"), ("strategy", "A\rB"),
     ])
     def test_bad_report_cell_located(self, tmp_path, capsys, column, value):
         good = dict(zip(cli.REPORT_COLUMNS, ("Random", "2", "1.5", "2.0", "0.25", "1")))
         bad = {**good, "strategy": "NN", column: value}
         path = tmp_path / "report.csv"
-        path.write_text("".join(",".join(r) + "\n" for r in (cli.REPORT_COLUMNS, good.values(),
-                                                           bad.values())))
+        rows = (cli.REPORT_COLUMNS, good.values(), bad.values())
+        # A cell with a line break is quoted.
+        path.write_text("".join(",".join(f'"{v}"' if {"\n", "\r"} & set(v) else v for v in r)
+                                + "\n" for r in rows), newline="")
         assert main(["report", "--report-csv", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {path}:3: invalid {column} {value!r}\n"
@@ -413,9 +419,15 @@ def report_inputs(draw):
                   for m in sizes]
     newline, valid = "\n", True
     for _ in range(draw(st.integers(0, 2))):
-        kind = draw(st.sampled_from(["cell", "short", "long", "repeat", "quote", "crlf"]))
+        kind = draw(st.sampled_from(["cell", "short", "long", "repeat", "quote", "crlf",
+                                     "strategy"]))
         if kind == "crlf":
             newline = "\r\n"
+            continue
+        if kind == "strategy":  # a name that the markdown table cannot hold
+            draw(st.sampled_from(report))[0] = draw(st.sampled_from(
+                ["A|B", "|", '"A\nB"', '"A\rB"', '"NN\r\n"']))
+            valid = False
             continue
         rows = draw(st.sampled_from([t for t in (report, levene) if t]))
         row = draw(st.sampled_from(rows))
@@ -1351,3 +1363,45 @@ def test_report_stdout_is_utf8_in_any_locale(tmp_path, capsys, strategy):
                            "--report-csv", str(path)], env=env, capture_output=True)
     assert (done.returncode, done.stderr, done.stdout) == (0, b"", want)
     assert strategy.encode("utf-8") in want
+
+
+# Registered before the program runs, so its handler runs after the
+# program's exit began: it prints how many objects the collector froze.
+FREEZE_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))\n"
+    "runpy.run_module('netfolio.cli', run_name='__main__', alter_sys=True)\n"
+)
+
+
+@pytest.mark.parametrize("command", ["returns", "report"])
+def test_program_exits_with_the_collector_frozen(workspace, capsys, command):
+    # ``python -m netfolio.cli`` exits through ``run``, which freezes the
+    # collector once ``main`` has returned, so the interpreter's shutdown
+    # does not collect the objects of every loaded module. ``main`` itself
+    # never freezes: a process that calls it goes on collecting. Both
+    # write the same bytes.
+    (workspace / "report.csv").write_text(REPORT_CSV)
+
+    def argv(out: str) -> list[str]:
+        if command == "report":
+            return ["report", "--report-csv", str(workspace / "report.csv")]
+        return ["returns", "--config", str(workspace / "config.json"),
+                "--out-dir", str(workspace / out)]
+
+    assert main(argv("main")) == 0
+    assert gc.get_freeze_count() == 0
+    want = capsys.readouterr().out.encode("utf-8")
+    src = Path(netfolio.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", FREEZE_PROBE, *argv("run")], env=env,
+                          capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stderr) > 0
+    if command == "report":
+        assert done.stdout == want
+    else:
+        files = sorted(p.name for p in (workspace / "main").iterdir())
+        assert files == sorted(p.name for p in (workspace / "run").iterdir())
+        assert files and all((workspace / "main" / name).read_bytes()
+                             == (workspace / "run" / name).read_bytes() for name in files)

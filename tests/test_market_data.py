@@ -471,7 +471,7 @@ def corrupt(draw, prices: list[list[str]], dividends: list[list[str]], shape) ->
     elif kind == "date":
         row[0] = draw(st.sampled_from(["2001-02-30", "01/02/2001", ""]))
     elif kind == "ticker":
-        row[1] = draw(st.sampled_from(["", "  "]))
+        row[1] = draw(st.sampled_from(["", "  ", "A B", "A;B", "(A)", "X:Y", "A\\B", "[A]"]))
     elif kind == "duplicate":  # a second row for a cell, leaving another one empty
         j = draw(st.integers(0, len(prices) - 1).filter(lambda j: j != i)) if len(prices) > 1 else i
         prices[i] = list(prices[j])
@@ -631,10 +631,10 @@ class TestChunkBoundaries:
         assert split == by_csv
 
     @pytest.mark.parametrize("corrupt", [
-        set_field(0, "2001-02-30"), set_field(1, " "), set_field(2, "abc"), set_field(2, "-1"),
-        duplicate_first_row, drop_late_row, widen_late_row,
-    ], ids=["invalid-date", "empty-ticker", "invalid-price", "non-positive-price",
-            "duplicate", "missing-cell", "wrong-width"])
+        set_field(0, "2001-02-30"), set_field(1, " "), set_field(1, "T0;1"), set_field(2, "abc"),
+        set_field(2, "-1"), duplicate_first_row, drop_late_row, widen_late_row,
+    ], ids=["invalid-date", "empty-ticker", "invalid-ticker", "invalid-price",
+            "non-positive-price", "duplicate", "missing-cell", "wrong-width"])
     def test_late_fault_gives_row_reader_message(self, tmp_path, corrupt):
         rows = [list(r) for r in self.ROWS]
         corrupt(rows)
