@@ -6,6 +6,8 @@ d_ij = sqrt(2 * (1 - rho_ij)), mapping rho in [-1, 1] to [0, 2].
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .record import Record
@@ -50,10 +52,18 @@ class DistanceMatrix(Record):
     def n(self) -> int:
         return len(self.tickers)
 
+    @cached_property
+    def _positions(self) -> dict[str, int]:
+        """Each ticker's first row, as ``tuple.index`` would find it."""
+        positions: dict[str, int] = {}
+        for i, t in enumerate(self.tickers):
+            positions.setdefault(t, i)
+        return positions
+
     def ticker_index(self, ticker: str) -> int:
         try:
-            return self.tickers.index(ticker)
-        except ValueError:
+            return self._positions[ticker]
+        except KeyError:
             raise CorrelationError(f"unknown ticker {ticker!r}") from None
 
 

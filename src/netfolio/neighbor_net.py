@@ -45,100 +45,139 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
         raise NeighborNetError("neighbor-Net needs at least 3 tickers")
 
     # A reduction turns three linked nodes into two, and the last chain has
-    # two nodes: n - 2 reductions make 2(n - 2) synthetic nodes.
-    nodes = 3 * n - 4
-    D = np.zeros((nodes, nodes))
+    # two nodes: n - 2 reductions make 2(n - 2) synthetic nodes. One more
+    # node, ``none``, stands in for the missing second node of a singleton
+    # component: its distances stay 0.0, so a sum over a component's two
+    # nodes adds 0.0 for a singleton, as a sum over its one node would.
+    none = 3 * n - 4
+    D = np.zeros((none + 1, none + 1))
     D[:n, :n] = dist.d
     # Labels enter only through comparisons, so each node keeps the rank of
     # its label among the tickers; a synthetic node takes the smaller rank.
-    rank = np.empty(nodes, dtype=np.intp)
-    rank[:n] = np.unique(np.array(dist.tickers), return_inverse=True)[1]
-    # The components, in order, as columns: first node, last node and
-    # smallest label rank of a chain of one or two linked nodes.
-    comps = np.stack([np.arange(n), np.arange(n), rank[:n]])
+    rank = np.unique(np.array(dist.tickers), return_inverse=True)[1].tolist()
+    # The components, in order: first node, second node (``none`` for a
+    # singleton), node count and smallest label rank of a chain of one or two
+    # linked nodes.
+    first, second, size, low = list(range(n)), [none] * n, [1.0] * n, rank[:n]
     reductions: list[tuple[int, int, int, int, int]] = []  # (u, v, x, y, z)
     next_id = n
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    # The strict lower triangle and the diagonal are never a candidate pair.
+    below = np.tril(np.full((n, n), np.inf))
 
     # Each value below comes from the same floating-point operations, in the
     # same order, as np.mean over the member distances (a left-to-right sum
     # divided by the count) and a left-to-right sum over the other components,
     # so every tie-break, and with it the ordering, is exact. The sums over
-    # components are cumsums: they add in order on every Python, where the
-    # builtin sum compensates its float additions from 3.12 on.
+    # components are cumsums (np.add.accumulate, np.cumsum without its
+    # wrapper): they add in order on every Python, where the builtin sum
+    # compensates its float additions from 3.12 on.
     # The component distance matrix is kept across merges: a merge deletes
     # the two merged components and appends the new one, so each entry keeps
     # the lower-numbered component as its row, as when it was computed. The
     # singletons' distances are the input's.
+    # A merge makes a fixed number of numpy calls: the m x m primary selection
+    # and O(m) rows gathered once; the few node-to-node distances within the
+    # merged chains are Python floats.
     cd = dist.d
-    while cd.shape[0] > 1:
-        m = cd.shape[0]
-        first, last, low = comps
-        two = first != last
-        size = two + 1.0
-        row = np.cumsum(cd, axis=1)[:, -1]
-        q = np.where(upper[:m, :m], (m - 2) * cd - row[:, None] - row, np.inf)
-        tied = np.flatnonzero(q == q.min())  # row-major, as the upper triangle runs
-        i, j = min((divmod(int(t), m) for t in tied),
-                   key=lambda ij: sorted((low[ij[0]], low[ij[1]])))
-        A = [int(first[i]), int(last[i])][: int(size[i])]
-        B = [int(first[j]), int(last[j])][: int(size[j])]
+    every = np.ones(n, dtype=bool)
+    while (m := len(first)) > 1:
+        row = np.add.accumulate(cd, axis=1)[:, -1]
+        q = (m - 2) * cd
+        q -= row[:, None]
+        q -= row
+        q += below[:m, :m]
+        tied = (q == q.min()).ravel().nonzero()[0].tolist()  # row-major, as the upper triangle runs
+        i, j = divmod(tied[0], m) if len(tied) == 1 else min(
+            (divmod(t, m) for t in tied), key=lambda ij: sorted((low[ij[0]], low[ij[1]])))
+        A = [first[i]] if second[i] == none else [first[i], second[i]]
+        B = [first[j]] if second[j] == none else [first[j], second[j]]
+        keep = every[:m].copy()
+        keep[i] = keep[j] = False
+        for column in (first, second, size, low):
+            del column[j], column[i]
+
+        # Each node of A and B against the nodes of the other components,
+        # first nodes then second ones: the only distances a merge reads
+        # beside those among A and B.
+        mo, ends = len(first), A + B
+        others = np.array(first + second, dtype=np.intp)
+        o_size = np.array(size)
+        rows = D.take(ends, axis=0)
+        near = rows.take(others, axis=1)
 
         # Secondary selection: endpoints of A against endpoints of B, with the
         # nodes of A and B treated as singleton units beside the other
-        # components. A and B hold only their endpoints, and each endpoint's
-        # sum over the units is taken once.
-        keep = np.ones(m, dtype=bool)
-        keep[[i, j]] = False
-        o_first, o_last, o_two, o_size = first[keep], last[keep], two[keep], size[keep]
-        m_hat = o_first.size + len(A) + len(B)
-        ends = np.array(A + B)
-        units = (D[np.ix_(ends, o_first)] + np.where(o_two, D[np.ix_(ends, o_last)], 0.0)) / o_size
-        own = D[ends[:, None], [[u for u in A + B if u != x] for x in ends.tolist()]]
-        unit_sum = dict(zip(ends.tolist(), np.cumsum(np.hstack([units, own]), axis=1)[:, -1]))
+        # components. Each endpoint's sum over the units is taken once: the
+        # other components' means left to right, then its own distances to
+        # the rest of A and B. Two singletons have one pair of endpoints.
+        if len(ends) > 2:
+            own = rows.take(ends, axis=1).tolist()
+            pair = {(x, w): own[r][c] for r, x in enumerate(ends) for c, w in enumerate(ends)}
+            # No other component is left at the last merge: the sums start
+            # with the first own distance.
+            units = [None] * len(ends)
+            if mo:
+                means = (near[:, :mo] + near[:, mo:]) / o_size
+                units = np.add.accumulate(means, axis=1)[:, -1].tolist()
+            unit_sum = {}
+            for x, total in zip(ends, units):
+                for w in ends:
+                    if w != x:
+                        total = pair[x, w] if total is None else total + pair[x, w]
+                unit_sum[x] = total
+            m_hat = mo + len(ends)
 
-        def node_key(xy: tuple[int, int]) -> tuple:
-            q_xy = (m_hat - 2) * D[xy] - unit_sum[xy[0]] - unit_sum[xy[1]]
-            return q_xy, sorted(rank[v] for v in xy)
+            def node_key(xy: tuple[int, int]) -> tuple:
+                q_xy = (m_hat - 2) * pair[xy] - unit_sum[xy[0]] - unit_sum[xy[1]]
+                return q_xy, sorted(rank[v] for v in xy)
 
-        x, y = min(((x, y) for x in A for y in B), key=node_key)  # first of ties
-
-        chain_a = A if A[-1] == x else A[::-1]
-        chain_b = B if B[0] == y else B[::-1]
-        chain = chain_a + chain_b
+            x, y = min(((x, y) for x in A for y in B), key=node_key)  # first of ties
+            chain_a = A if A[-1] == x else A[::-1]
+            chain_b = B if B[0] == y else B[::-1]
+            chain = chain_a + chain_b
+        else:
+            chain = ends
 
         # Every time the chain still exceeds two nodes, contract its leading
-        # three linked nodes into two synthetic ones.
-        other_nodes = np.concatenate([o_first, o_last[o_two]])
+        # three linked nodes into two synthetic ones. A node's distances to
+        # the other components' nodes are its row of ``near``, or the row its
+        # reduction made; only the last pair's distances are written into D.
+        vec = dict(zip(ends, near))
         while len(chain) > 2:
             cx, cy, cz = chain[0], chain[1], chain[2]
             u, v = next_id, next_id + 1
             next_id += 2
-            active = np.concatenate([other_nodes, np.array(chain[3:], dtype=np.intp)])
-            D[active, u] = D[u, active] = (2.0 * D[active, cx] + D[active, cy]) / 3.0
-            D[active, v] = D[v, active] = (D[active, cy] + 2.0 * D[active, cz]) / 3.0
-            D[u, v] = D[v, u] = (D[cx, cy] + D[cx, cz] + D[cy, cz]) / 3.0
-            rank[u], rank[v] = min(rank[cx], rank[cy]), min(rank[cy], rank[cz])
+            vec[u] = (2.0 * vec[cx] + vec[cy]) / 3.0
+            vec[v] = (vec[cy] + 2.0 * vec[cz]) / 3.0
+            for w in chain[3:]:
+                pair[w, u] = pair[u, w] = (2.0 * pair[w, cx] + pair[w, cy]) / 3.0
+                pair[w, v] = pair[v, w] = (pair[w, cy] + 2.0 * pair[w, cz]) / 3.0
+            pair[u, v] = pair[v, u] = (pair[cx, cy] + pair[cx, cz] + pair[cy, cz]) / 3.0
+            rank += [min(rank[cx], rank[cy]), min(rank[cy], rank[cz])]
             reductions.append((u, v, cx, cy, cz))
             chain = [u, v] + chain[3:]
-
-        # The new component, appended last, is a chain of two nodes f, l. Its
-        # distance to component t (the row) sums D[f_t, f], D[f_t, l],
-        # D[l_t, f] and D[l_t, l] left to right, the last two only when t has
-        # two nodes, and divides by the count of member pairs.
         f, l = chain
-        new = D[o_first, f] + D[o_first, l]
-        new = new + np.where(o_two, D[o_last, f], 0.0)
-        new = new + np.where(o_two, D[o_last, l], 0.0)
-        new = new / (o_size * 2.0)
-        grown = np.empty((m - 1, m - 1))
-        grown[:-1, :-1] = cd[keep][:, keep]
-        grown[:-1, -1] = grown[-1, :-1] = new
-        grown[-1, -1] = 0.0
-        cd = grown
-        comps = np.column_stack([comps[:, keep], (f, l, min(rank[f], rank[l]))])
+        vf, vl = vec[f], vec[l]
+        if f not in ends:  # the chain was reduced, to two new nodes
+            D[f, others] = D[others, f] = vf
+            D[l, others] = D[others, l] = vl
+            D[f, l] = D[l, f] = pair[f, l]
 
-    order = comps[:2, 0].tolist()
+        # The new component, appended last, is the chain f, l. Its distance
+        # to component t (the row) sums D[f_t, f], D[f_t, l], D[s_t, f] and
+        # D[s_t, l] left to right, the last two 0.0 when t is a singleton,
+        # and divides by the count of member pairs.
+        new = (vf[:mo] + vl[:mo] + vf[mo:] + vl[mo:]) / (o_size * 2.0)
+        cd, old = np.empty((m - 1, m - 1)), cd
+        cd[:-1, :-1] = old.compress(keep, axis=0).compress(keep, axis=1)
+        cd[:-1, -1] = cd[-1, :-1] = new
+        cd[-1, -1] = 0.0
+        first.append(f)
+        second.append(l)
+        size.append(2.0)
+        low.append(min(rank[f], rank[l]))
+
+    order = [first[0], second[0]]
     for u, v, x, y, z in reversed(reductions):
         pos = order.index(u)
         if pos + 1 < len(order) and order[pos + 1] == v:
@@ -238,10 +277,11 @@ def fit_split_weights(dist: DistanceMatrix, ordering: tuple[str, ...]) -> Circul
     top = np.argsort(-free, kind="stable")[: 2 * n]
     start = np.sort(top[free[top] > 0])
     w, residual = nnls_gram(ops.gram, ops.matvec, ops.rmatvec, b, 10 * n * n, start)
+    kept = np.flatnonzero(w >= PRUNE)
     splits = tuple(
-        Split(s, length, float(weight))
-        for s, length, weight in zip(ops.starts.tolist(), ops.lengths.tolist(), w)
-        if weight >= PRUNE
+        Split(s, length, weight)
+        for s, length, weight in zip(ops.starts[kept].tolist(), ops.lengths[kept].tolist(),
+                                     w[kept].tolist())
     )
     return CircularSplitSystem(tuple(ordering), splits, residual)
 
@@ -310,18 +350,19 @@ def write_nexus(dist: DistanceMatrix, system: CircularSplitSystem) -> str:
         out.append(f"[{i}] '{t}'")
     out += [";", "END; [Taxa]", "", "BEGIN Distances;", f"DIMENSIONS ntax={n};",
             "FORMAT labels=left diagonal triangle=both;", "MATRIX"]
-    for i, t in enumerate(dist.tickers):
-        row = " ".join(f"{dist.d[i, j]:.6f}" for j in range(n))
-        out.append(f"'{t}' {row}")
-    taxon_no = {t: i + 1 for i, t in enumerate(dist.tickers)}
-    cycle = " ".join(str(taxon_no[t]) for t in system.ordering)
+    # One % per row, over the row's Python floats: "%.6f" formats a float64
+    # exactly as its f-string does. Only one row is converted at a time.
+    row = "'%s'" + " %.6f" * n
+    out += [row % (t, *values.tolist()) for t, values in zip(dist.tickers, dist.d)]
+    taxon_no = {t: str(i) for i, t in enumerate(dist.tickers, start=1)}.__getitem__
+    cycle = " ".join(map(taxon_no, system.ordering))
     out += [";", "END; [Distances]", "", "BEGIN Splits;",
             f"DIMENSIONS ntax={n} nsplits={len(system.splits)};",
             "FORMAT labels=no weights=yes confidences=no intervals=no;",
             f"[fit: ordinary least squares with non-negativity; residual {system.residual:.6g}]",
             f"CYCLE {cycle};", "MATRIX"]
     for idx, split in enumerate(system.splits, start=1):
-        members = " ".join(str(taxon_no[t]) for t in system.arc_members(split))
+        members = " ".join(map(taxon_no, system.arc_members(split)))
         out.append(f"[{idx}] {split.weight:.8f} {members},")
     out += [";", "END; [Splits]"]
     return "\n".join(out) + "\n"

@@ -1,6 +1,6 @@
 """Golden outputs of the simulation engine and of Neighbor-Net.
 
-Six goldens live under tests/data/:
+Seven goldens live under tests/data/:
 
 - ``simulate_seed9/``: the report, Levene and markdown files that
   ``simulate --seed 9`` writes on the criterion-9 fixture, compared byte
@@ -21,6 +21,10 @@ Six goldens live under tests/data/:
 - ``neighbornet_scale.json``: the same record at n = 240, written by the
   one-split-per-step fit and the per-merge re-gathered ordering; the cycle
   and split set must match exactly, weights within 1e-6;
+- ``nexus_cases.json``: the sha256 of the text ``write_nexus`` gives for
+  each of the 40 ``neighbornet_cases`` distance matrices and the split
+  system its golden record holds (cycle, splits and residual as stored), so
+  the writer alone is held byte for byte;
 - ``clusters_ties.json``: the average-linkage merges (heights as ``repr``)
   and the hub-mode MST clusters for k in {2, 4} on 32 seeded distance
   matrices (n = 5..60) rounded to steps of 1/2, 1/4, 1/10 or 1/50, so most
@@ -35,6 +39,7 @@ only for an intended change of output.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -51,7 +56,13 @@ from netfolio.correlation import CorrelationError, DistanceMatrix
 from netfolio.inputs import StudyPeriod
 from netfolio.market_data import ReturnPanel
 from netfolio import neighbor_net, nnls
-from netfolio.neighbor_net import fit_split_weights, neighbornet_ordering
+from netfolio.neighbor_net import (
+    CircularSplitSystem,
+    Split,
+    fit_split_weights,
+    neighbornet_ordering,
+    write_nexus,
+)
 from netfolio.portfolio_sim import (
     DrawPlan,
     cluster_plan,
@@ -74,6 +85,7 @@ NN_LARGE_FILE = DATA / "neighbornet_large.json"
 NN_LARGE_SIZES = (64, 100)
 NN_SCALE_FILE = DATA / "neighbornet_scale.json"
 NN_SCALE_SIZE = 240
+NEXUS_FILE = DATA / "nexus_cases.json"
 TIES_FILE = DATA / "clusters_ties.json"
 TIE_CASES = 32
 TIE_STEPS = (2, 4, 10, 50)
@@ -211,6 +223,21 @@ def nn_scale_golden_text() -> str:
     return json.dumps({"cases": [nn_case(NN_SCALE_SIZE, nn_large_distance(NN_SCALE_SIZE))]}) + "\n"
 
 
+def nexus_digest(case: int, record: dict) -> str:
+    """sha256 of the Nexus text of case ``case`` for the split system that a
+    ``neighbornet_cases`` record holds."""
+    system = CircularSplitSystem(tuple(record["cycle"]),
+                                 tuple(Split(*s) for s in record["splits"]),
+                                 record["residual"])
+    return hashlib.sha256(write_nexus(nn_distance(case), system).encode()).hexdigest()
+
+
+def nexus_golden_text() -> str:
+    records = json.loads(NN_FILE.read_text())["cases"]
+    return json.dumps({"sha256": [nexus_digest(c, records[c]) for c in range(NN_CASES)]},
+                      indent=1) + "\n"
+
+
 def tie_distance(case: int) -> DistanceMatrix:
     """Seeded distance matrix of tie case ``case``: n runs 5..60; even cases are
     uniform noise, odd ones a block-factor correlation distance, all rounded to
@@ -294,6 +321,12 @@ def assert_nn_case_matches(got: dict, want: dict) -> None:
 @pytest.mark.parametrize("case", range(NN_CASES))
 def test_neighbornet_matches_golden(case, nn_golden):
     assert_nn_case_matches(nn_case(case), nn_golden[case])
+
+
+@pytest.mark.parametrize("case", range(NN_CASES))
+def test_write_nexus_matches_golden(case, nn_golden):
+    want = json.loads(NEXUS_FILE.read_text())["sha256"][case]
+    assert nexus_digest(case, nn_golden[case]) == want
 
 
 @pytest.mark.parametrize("index", range(len(NN_LARGE_SIZES)))
@@ -481,4 +514,5 @@ if __name__ == "__main__":
     NN_FILE.write_text(nn_golden_text())
     NN_LARGE_FILE.write_text(nn_large_golden_text())
     NN_SCALE_FILE.write_text(nn_scale_golden_text())
+    NEXUS_FILE.write_text(nexus_golden_text())
     TIES_FILE.write_text(ties_golden_text())

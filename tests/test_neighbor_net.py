@@ -207,6 +207,17 @@ class TestLoopReferences:
         dist = DistanceMatrix(tickers, d + d.T)
         assert neighbornet_ordering(dist) == loop_ordering(dist)
 
+    @pytest.mark.parametrize("n", (40, 48, 60))
+    @pytest.mark.parametrize("step", (0.5, 0.1, 0.01))
+    def test_ordering_equals_loop_at_bench_sizes(self, n, step):
+        # The bench runs the ordering at n = 30 and 48; the sizes above the
+        # draws of test_ordering_equals_loop, on the same tie-making grids.
+        rng = np.random.default_rng(4200 + n)
+        d = np.triu(np.round(rng.uniform(0.0, 2.0, size=(n, n)) / step) * step, 1)
+        tickers = tuple(f"Q{i:02d}" for i in rng.permutation(n))
+        dist = DistanceMatrix(tickers, d + d.T)
+        assert neighbornet_ordering(dist) == loop_ordering(dist)
+
 
 class TestArcClusters:
     def test_gap_cuts(self):
