@@ -27,7 +27,11 @@ def sharpe_ratio(mean_return: float, std_dev: float, rf_return: float) -> float:
     """(mean - rf) / sd, all in period-return percent."""
     if std_dev <= 0:
         raise AnalyticsError("Sharpe ratio requires a positive standard deviation")
-    return (mean_return - rf_return) / std_dev
+    ratio = (mean_return - rf_return) / std_dev
+    if not math.isfinite(ratio):
+        raise AnalyticsError(f"Sharpe ratio ({mean_return!r} - {rf_return!r}) / {std_dev!r} "
+                             "is not finite")
+    return ratio
 
 
 class LeveneResult(Record):

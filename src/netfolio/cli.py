@@ -22,6 +22,7 @@ from . import reference
 from .analytics import (
     LEVENE_COLUMNS,
     REPORT_COLUMNS,
+    AnalyticsError,
     LeveneResult,
     SimulationReport,
     StrategyStats,
@@ -96,8 +97,10 @@ CLUSTERING_RULES = {
                       "a JSON array of integers"),
 }
 SIMULATION_RULES = {
-    # The replication streams' spawn key is one uint32 word.
-    "reps": (1000, lambda v: _is_int(v) and 2 <= v <= 2**32, "an integer from 2 to 2**32"),
+    # The replication streams' spawn key is one uint32 word. Two replications
+    # deviate equally from their median, which leaves Levene's test no
+    # within-group spread.
+    "reps": (1000, lambda v: _is_int(v) and 3 <= v <= 2**32, "an integer from 3 to 2**32"),
     "sizes": ([2, 4, 8],
               lambda v: v != [] and _distinct_array(v, lambda m: _is_int(m) and m in (2, 4, 8)),
               "a non-empty JSON array of distinct integers from {2, 4, 8}"),
@@ -468,11 +471,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # test period.
     matrices = draw_matrices(plans, returns, sizes, sim["reps"], args.seed)
     draws = list(zip([_STRATEGY_LABELS[name] for m in sizes for name in names], matrices))
-    out = Path(args.out_dir)
+    # Every period is summarized before any is written, so a period whose
+    # statistics are degenerate leaves no report behind.
+    reports = {}
     for test_period in test_periods:
         runs = [score_period(name, columns, returns, test_period) for name, columns in draws]
-        rf = float(rf_table[test_period])
-        report = summarize(runs, rf, tuple(sim["levene_exclude"]))
+        try:
+            reports[test_period] = summarize(runs, float(rf_table[test_period]),
+                                             tuple(sim["levene_exclude"]))
+        except AnalyticsError as exc:
+            raise ConfigError(f"{args.config}: test period {test_period!r}: {exc}") from None
+    out = Path(args.out_dir)
+    for test_period, report in reports.items():
         tag = f"{model_period}_{test_period}"
         _atomic_write(out / f"report_{tag}.csv", render_report_csv(report))
         _atomic_write(out / f"levene_{tag}.csv", render_levene_csv(report))

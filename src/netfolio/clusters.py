@@ -89,24 +89,19 @@ def best_matching(k: int, score: Callable[[int, int], float]) -> tuple[tuple[int
     """Perfect matching of clusters 1..k (k even) maximizing the summed pair score.
 
     Matchings are enumerated by pairing the smallest remaining id with each
-    larger one in turn; the first matching found keeps a tie.
+    larger one in turn; the first matching found keeps a tie (as ``max``
+    does). Each total adds its scores in order along the recursion.
     """
-    best: tuple[tuple[int, int], ...] = ()
-    best_total = -np.inf
-
-    def search(remaining: list[int], chosen: list[tuple[int, int]], total: float) -> None:
-        nonlocal best, best_total
+    def matchings(remaining: list[int], chosen: list[tuple[int, int]], total: float):
         if not remaining:
-            if total > best_total:
-                best_total, best = total, tuple(chosen)
+            yield total, tuple(chosen)
             return
         first = remaining[0]
         for other in remaining[1:]:
             rest = [c for c in remaining if c not in (first, other)]
-            search(rest, chosen + [(first, other)], total + score(first, other))
+            yield from matchings(rest, chosen + [(first, other)], total + score(first, other))
 
-    search(list(range(1, k + 1)), [], 0.0)
-    return best
+    return max(matchings(list(range(1, k + 1)), [], 0.0), key=lambda found: found[0])[1]
 
 
 def pair_by_distance(assignment: ClusterAssignment, dist: DistanceMatrix) -> ClusterPairing:

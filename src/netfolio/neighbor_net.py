@@ -53,12 +53,12 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
     D = np.zeros((none + 1, none + 1))
     D[:n, :n] = dist.d
     # Labels enter only through comparisons, so each node keeps the rank of
-    # its label among the tickers; a synthetic node takes the smaller rank.
-    rank = np.unique(np.array(dist.tickers), return_inverse=True)[1].tolist()
-    # The components, in order: first node, second node (``none`` for a
-    # singleton), node count and smallest label rank of a chain of one or two
-    # linked nodes.
-    first, second, size, low = list(range(n)), [none] * n, [1.0] * n, rank[:n]
+    # its label among the tickers, at its id; a synthetic node takes the
+    # smaller rank of two, and ``none`` ranks after every ticker.
+    rank = np.unique(np.array(dist.tickers), return_inverse=True)[1].tolist() + [n] * (2 * n - 3)
+    # The components, in order: first node and second node (``none`` for a
+    # singleton) of a chain of one or two linked nodes.
+    first, second = list(range(n)), [none] * n
     reductions: list[tuple[int, int, int, int, int]] = []  # (u, v, x, y, z)
     next_id = n
     # The strict lower triangle and the diagonal are never a candidate pair.
@@ -88,20 +88,20 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
         q += below[:m, :m]
         tied = (q == q.min()).ravel().nonzero()[0].tolist()  # row-major, as the upper triangle runs
         i, j = divmod(tied[0], m) if len(tied) == 1 else min(
-            (divmod(t, m) for t in tied), key=lambda ij: sorted((low[ij[0]], low[ij[1]])))
+            (divmod(t, m) for t in tied),
+            key=lambda ij: sorted(min(rank[first[c]], rank[second[c]]) for c in ij))
         A = [first[i]] if second[i] == none else [first[i], second[i]]
         B = [first[j]] if second[j] == none else [first[j], second[j]]
         keep = every[:m].copy()
         keep[i] = keep[j] = False
-        for column in (first, second, size, low):
-            del column[j], column[i]
+        del first[j], first[i], second[j], second[i]
 
         # Each node of A and B against the nodes of the other components,
         # first nodes then second ones: the only distances a merge reads
         # beside those among A and B.
         mo, ends = len(first), A + B
         others = np.array(first + second, dtype=np.intp)
-        o_size = np.array(size)
+        o_size = 1.0 + (others[mo:] != none)
         rows = D.take(ends, axis=0)
         near = rows.take(others, axis=1)
 
@@ -153,7 +153,7 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
                 pair[w, u] = pair[u, w] = (2.0 * pair[w, cx] + pair[w, cy]) / 3.0
                 pair[w, v] = pair[v, w] = (pair[w, cy] + 2.0 * pair[w, cz]) / 3.0
             pair[u, v] = pair[v, u] = (pair[cx, cy] + pair[cx, cz] + pair[cy, cz]) / 3.0
-            rank += [min(rank[cx], rank[cy]), min(rank[cy], rank[cz])]
+            rank[u], rank[v] = min(rank[cx], rank[cy]), min(rank[cy], rank[cz])
             reductions.append((u, v, cx, cy, cz))
             chain = [u, v] + chain[3:]
         f, l = chain
@@ -174,8 +174,6 @@ def neighbornet_ordering(dist: DistanceMatrix) -> tuple[str, ...]:
         cd[-1, -1] = 0.0
         first.append(f)
         second.append(l)
-        size.append(2.0)
-        low.append(min(rank[f], rank[l]))
 
     order = [first[0], second[0]]
     for u, v, x, y, z in reversed(reductions):
@@ -212,8 +210,6 @@ class SplitOperators:
         self.starts, self.lengths = self.p + 1, self.q - self.p
         self.ends = self.starts + self.lengths
         self._upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        self._grid = np.empty((n + 2, n + 2))
-        self._out = np.empty((n, n))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A·x, the circular metric of arc weights x: arc [s, e) separates
@@ -225,13 +221,13 @@ class SplitOperators:
         return self._prefix_read(y, 1)
 
     def _prefix_read(self, values: np.ndarray, offset: int) -> np.ndarray:
-        n, grid, out = self.n, self._grid, self._out
-        grid.fill(0.0)
+        n = self.n
+        grid = np.zeros((n + 2, n + 2))
         grid[offset : offset + n, offset : offset + n][self._upper] = values
         np.cumsum(grid, axis=0, out=grid)
         np.cumsum(grid, axis=1, out=grid)
         diag, last = grid.diagonal()[1 : n + 1], grid[1 : n + 1, n + 1]
-        np.multiply(grid[1 : n + 1, 1 : n + 1], 2.0, out=out)
+        out = 2.0 * grid[1 : n + 1, 1 : n + 1]
         out += last - diag
         out -= (last + diag)[:, None]
         return out[self._upper]

@@ -32,6 +32,13 @@ class TestSharpe:
         with pytest.raises(AnalyticsError):
             sharpe_ratio(1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("mean,sd,rf", [(33.6, 0.5, 1e308), (1e308, 0.25, -1e308)])
+    def test_overflow_rejected(self, mean, sd, rf):
+        # A finite rate far from the returns overflows the ratio, which no
+        # report may hold.
+        with pytest.raises(AnalyticsError, match="is not finite"):
+            sharpe_ratio(mean, sd, rf)
+
 
 class TestFTail:
     def test_w_zero(self):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netfolio
@@ -485,6 +485,118 @@ def test_report_boundary_fuzz(inputs):
         for cell in line.strip("|").split("|")[1:]:
             text = cell.strip().rstrip("*")
             assert text in ("", "undefined") or math.isfinite(float(text)), line
+
+
+@pytest.fixture(scope="module")
+def fuzz_panels(tmp_path_factory):
+    """The input paths of two panels of 8 tickers (4 blocks of 2, one
+    industry group each) and 40 weekly closes in three periods, by whether
+    the panel is the low-volatility one: a twentieth of the other's
+    volatility, on which a finite risk-free rate far from the returns can
+    overflow a Sharpe ratio."""
+    panels = {}
+    for low in (False, True):
+        folder = tmp_path_factory.mktemp("low" if low else "normal")
+        vol = 0.0005 if low else 0.01
+        spec = BlockModelSpec(block_sizes=(2, 2, 2, 2), loadings=(0.9, 0.8, 0.7, 0.6),
+                              idio_vol=vol, factor_vol=8 * vol, weeks=39,
+                              block_drift=(0.004, 0.001, -0.001, 0.0025), dividend_every=13)
+        dates = write_panel_csvs(folder, spec).dates
+        (folder / "periods.json").write_text(json.dumps([
+            {"label": f"P{i + 1}", "start": dates[13 * i].isoformat(),
+             "end": dates[13 * i + 13].isoformat()} for i in range(3)]))
+        (folder / "industry.csv").write_text(
+            "ticker,group\n" + "".join(f"S{j:02d},{j // 2 + 1}\n" for j in range(8)))
+        panels[low] = {key: str(folder / name) for key, name in (
+            ("prices", "prices.csv"), ("dividends", "dividends.csv"),
+            ("periods", "periods.json"), ("industry_map", "industry.csv"))}
+    return panels
+
+
+FUZZ_LABELS = st.sampled_from(["P1", "P2", "P3", "P9"])  # P9 names no period
+HUGE = 1.7e308
+
+
+@st.composite
+def simulate_configs(draw):
+    """A ``simulation`` and a ``clustering`` object, each key present or not,
+    with values near the rule tables' edges and past them, and whether the
+    low-volatility panel runs."""
+    simulation = draw(st.fixed_dictionaries({}, optional={
+        "reps": st.integers(3, 6) | st.sampled_from([1, 2, 2.5, "4", True, None]),
+        "sizes": st.lists(st.sampled_from([2, 4, 8]), min_size=1, max_size=3, unique=True),
+        "strategies": st.lists(st.sampled_from(list(cli._STRATEGY_LABELS)), min_size=1,
+                               max_size=5, unique=True),
+        "levene_exclude": st.lists(st.sampled_from(NAMES), max_size=5, unique=True),
+        "model_period": FUZZ_LABELS,
+        "test_periods": st.lists(FUZZ_LABELS, max_size=4, unique=True),
+        "risk_free": st.dictionaries(
+            FUZZ_LABELS, st.sampled_from([-HUGE, HUGE, 1e308]) | st.floats(-HUGE, HUGE),
+            max_size=3),
+    }))
+    k = draw(st.sampled_from([2, 4]) | st.integers(1, 5))
+    clustering = draw(st.fixed_dictionaries({}, optional={
+        "k": st.just(k),
+        "mst_mode": st.sampled_from(["gap", "hub"]),
+        "min_branch": st.integers(1, 5),
+        "manual_breaks": (st.lists(st.integers(0, 7), min_size=k, max_size=k, unique=True)
+                          | st.lists(st.integers(-1, 8), max_size=5)),
+    }))
+    return simulation, clustering, draw(st.booleans())
+
+
+def run_quietly(argv: list[str]) -> tuple[int, str]:
+    """``main``'s exit status and stderr, with stdout discarded (``report``
+    writes bytes to it)."""
+    out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+@settings(max_examples=100, deadline=2000)
+@given(simulate_configs())
+@example(({"reps": 2}, {}, False))
+@example(({"risk_free": {"P1": 1e308}, "test_periods": ["P1"]}, {}, True))
+def test_simulate_config_fuzz(fuzz_panels, drawn):
+    """``simulate`` on a generated configuration either writes reports whose
+    every number is finite and that ``report`` reads back, or exits 2 naming
+    the config or an input file, and writes nothing."""
+    simulation, clustering, low = drawn
+    inputs = fuzz_panels[low]
+    with tempfile.TemporaryDirectory() as folder:
+        config, out = Path(folder, "config.json"), Path(folder, "out")
+        config.write_text(json.dumps({**inputs, "clustering": clustering,
+                                      "simulation": simulation}))
+        code, err = run_quietly(["simulate", "--config", str(config), "--out-dir", str(out)])
+        if code == 2:
+            assert any(err.startswith(f"error: {path}") for path in (config, *inputs.values())), err
+            assert not out.exists()
+            return
+        assert code == 0 and err == ""
+        for path in out.glob("*.csv"):
+            for row in path.read_text().splitlines()[1:]:
+                for cell in row.split(","):
+                    with contextlib.suppress(ValueError):
+                        assert math.isfinite(float(cell)), (path.name, row)
+        for path in out.glob("report_*.csv"):
+            levene = path.with_name(path.name.replace("report_", "levene_", 1))
+            assert run_quietly(["report", "--report-csv", str(path),
+                                "--levene-csv", str(levene)]) == (0, "")
+
+
+def test_unbounded_sharpe_ratio_located(fuzz_panels, tmp_path):
+    # A finite risk-free rate far above a low-volatility period's returns
+    # makes (mean - rf) / sd overflow: the period is named, and no report is
+    # written that ``report`` would refuse.
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps({**fuzz_panels[True], "simulation": {
+        "strategies": ["random", "industry"], "sizes": [2, 4], "model_period": "P1",
+        "test_periods": ["P2", "P1"], "risk_free": {"P1": 1e308}}}))
+    code, err = run_quietly(["simulate", "--config", str(config), "--out-dir", str(out)])
+    assert code == 2
+    assert err.startswith(f"error: {config}: test period 'P1': Sharpe ratio (")
+    assert err.endswith(" is not finite\n")
+    assert not out.exists()
 
 
 class TestConfigValidation:
@@ -1030,7 +1142,7 @@ class TestSimulateInputChecks:
             "which has no risk-free rate in simulation.risk_free or the built-in table\n")
         assert not (workspace / "out").exists()
 
-    @pytest.mark.parametrize("reps", [1, 0, -5, 2.5, "40", True, None])
+    @pytest.mark.parametrize("reps", [2, 1, 0, -5, 2.5, "40", True, None])
     def test_bad_reps_rejected_before_any_data(self, workspace, monkeypatch, capsys, reps):
         cfg = json.loads((workspace / "config.json").read_text())
         cfg["simulation"]["reps"] = reps
@@ -1039,7 +1151,7 @@ class TestSimulateInputChecks:
             monkeypatch.setattr(module, name, _forbidden)
         assert self.simulate(workspace / "bad_reps.json", workspace / "out") == 2
         err = capsys.readouterr().err
-        assert f"bad_reps.json: simulation.reps must be an integer from 2 to 2**32, not {reps!r}" in err
+        assert f"bad_reps.json: simulation.reps must be an integer from 3 to 2**32, not {reps!r}" in err
         assert not (workspace / "out").exists()
 
     @pytest.mark.parametrize("k", [3, 1, 8, 4.0, "4"])
@@ -1147,9 +1259,9 @@ def test_rule_table_defaults(rules):
         assert default is None or ok(default), key
     defaults = {key: default for key, (default, _, _) in rules.items()}
     assert cli.check_section("c.json", {}, "section", rules) == defaults
-    key = next(iter(rules))  # clustering.k or simulation.reps: 2 is valid for either
-    got = cli.check_section("c.json", {"section": {key: 2}}, "section", rules)
-    assert got == {**defaults, key: 2}
+    key = next(iter(rules))  # clustering.k or simulation.reps: 3 is valid for either
+    got = cli.check_section("c.json", {"section": {key: 3}}, "section", rules)
+    assert got == {**defaults, key: 3}
 
 
 class TestTickerCount:
