@@ -1,8 +1,9 @@
 """Command line pipeline: returns -> network -> simulate -> report.
 
-All subcommands are driven by a JSON run config and write their outputs
-atomically under --out-dir. Errors name the offending input and exit
-nonzero.
+Each command returns its output files and its stdout text, and ``main``
+alone writes them: the files atomically under --out-dir, once the command
+has made every one, so a command that fails writes nothing. Errors name the
+offending input and exit nonzero.
 """
 
 from __future__ import annotations
@@ -189,20 +190,23 @@ def load_periods(path: str | Path) -> list[StudyPeriod]:
     periods: list[StudyPeriod] = []
     for entry in raw:
         try:
-            where = f"{path}: period {entry['label']!r}"
-            if any(p.label == entry["label"] for p in periods):
+            label = entry["label"]
+            where = f"{path}: period {label!r}"
+            if extra := [key for key in entry if key not in ("label", "start", "end")]:
+                raise ConfigError(f"{where}: unknown key {extra[0]!r}")
+            if any(p.label == label for p in periods):
                 raise ConfigError(f"{where} listed twice")
             # The label is part of output file names, so it must not leave --out-dir.
-            label = entry["label"]
-            if not (isinstance(label, str) and label) or any(
-                    part in label for part in ("/", "\\", "..")):
+            if not (isinstance(label, str) and label) or any(s in label for s in ("/", "\\", "..")):
                 raise ConfigError(
                     f"{where}: label must be a non-empty string, without '/', '\\' or '..'")
+            if control := [c for c in label if c < " " or "\x7f" <= c <= "\x9f"]:
+                raise ConfigError(f"{where}: label holds control character U+{ord(control[0]):04X}")
             start = _parse_date(entry["start"], f"{where} start")
             end = _parse_date(entry["end"], f"{where} end")
             if start >= end:
                 raise ConfigError(f"{where}: start must precede end")
-            periods.append(StudyPeriod(entry["label"], start, end))
+            periods.append(StudyPeriod(label, start, end))
         except (KeyError, TypeError) as exc:
             raise ConfigError(f"{path}: bad period entry {entry!r}: {exc}") from None
     return periods
@@ -340,10 +344,8 @@ def pair_clusters(method: str, assignment: ClusterAssignment, structure: object,
 
 
 def clusters_csv(assignment: ClusterAssignment) -> str:
-    lines = ["ticker,cluster"]
-    for t in sorted(assignment.assignment):
-        lines.append(f"{t},{assignment.assignment[t]}")
-    return "\n".join(lines) + "\n"
+    clusters = assignment.assignment
+    return "ticker,cluster\n" + "".join(f"{t},{clusters[t]}\n" for t in sorted(clusters))
 
 
 def matrix_csv(tickers: tuple[str, ...], mat: np.ndarray) -> str:
@@ -353,21 +355,18 @@ def matrix_csv(tickers: tuple[str, ...], mat: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_returns(args: argparse.Namespace) -> int:
+def cmd_returns(args: argparse.Namespace) -> tuple[dict[str, str], str]:
     cfg = load_config(args.config)
     returns = compute_returns(cfg, load_periods(cfg["periods"]))
-    out = Path(args.out_dir)
+    files = {}
     for p in returns.periods:
-        lines = ["ticker,total_return_pct"]
         row = returns.returns_for(p.label)
-        for j, t in enumerate(returns.tickers):
-            lines.append(f"{t},{row[j]:.6f}")
-        _atomic_write(out / f"returns_{p.label}.csv", "\n".join(lines) + "\n")
-    print(f"wrote {len(returns.periods)} per-period return files to {out}")
-    return 0
+        files[f"returns_{p.label}.csv"] = "ticker,total_return_pct\n" + "".join(
+            f"{t},{row[j]:.6f}\n" for j, t in enumerate(returns.tickers))
+    return files, f"wrote {len(files)} per-period return files to {Path(args.out_dir)}\n"
 
 
-def cmd_network(args: argparse.Namespace) -> int:
+def cmd_network(args: argparse.Namespace) -> tuple[dict[str, str], str]:
     from .correlation import ultrametric_distance
 
     cfg = load_config(args.config)
@@ -376,34 +375,34 @@ def cmd_network(args: argparse.Namespace) -> int:
     check_ticker_count(args.config, cfg["prices"], len(returns.tickers),
                        "--method nnet" if args.method == "nnet" else None,
                        [("clustering.k", clustering["k"])])
-    out = Path(args.out_dir)
+    files = {}
     for p in returns.periods:
         corr = period_correlation(cfg, returns, p.label)
         dist = ultrametric_distance(corr)
         if args.dump_matrices:
-            _atomic_write(out / f"corr_{p.label}.csv", matrix_csv(corr.tickers, corr.rho))
-            _atomic_write(out / f"dist_{p.label}.csv", matrix_csv(dist.tickers, dist.d))
+            files[f"corr_{p.label}.csv"] = matrix_csv(corr.tickers, corr.rho)
+            files[f"dist_{p.label}.csv"] = matrix_csv(dist.tickers, dist.d)
         assignment, structure = build_clusters(args.method, dist, clustering,
                                                f"{args.config}: period {p.label!r}")
         if args.method == "nnet":  # the Nexus file holds the fitted splits
             from .neighbor_net import fit_split_weights
             structure = fit_split_weights(dist, structure)
-        _atomic_write(out / f"clusters_{args.method}_{p.label}.csv", clusters_csv(assignment))
+        files[f"clusters_{args.method}_{p.label}.csv"] = clusters_csv(assignment)
         if args.method == "hct":
             from .tree_cluster import to_newick
-            _atomic_write(out / f"hct_{p.label}.nwk", to_newick(structure))
+            files[f"hct_{p.label}.nwk"] = to_newick(structure)
         elif args.method == "mst":
             from .tree_cluster import edge_list_csv, to_dot
-            _atomic_write(out / f"mst_{p.label}.dot", to_dot(structure))
-            _atomic_write(out / f"mst_{p.label}.csv", edge_list_csv(structure))
+            files[f"mst_{p.label}.dot"] = to_dot(structure)
+            files[f"mst_{p.label}.csv"] = edge_list_csv(structure)
         else:
             from .neighbor_net import write_nexus
-            _atomic_write(out / f"nnet_{p.label}.nex", write_nexus(dist, structure))
-    print(f"wrote {args.method} outputs for {len(returns.periods)} periods to {out}")
-    return 0
+            files[f"nnet_{p.label}.nex"] = write_nexus(dist, structure)
+    return files, (f"wrote {args.method} outputs for {len(returns.periods)} periods "
+                   f"to {Path(args.out_dir)}\n")
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, str], str]:
     from .correlation import ultrametric_distance
     from .portfolio_sim import cluster_plan, draw_matrices, random_plan, score_period
     from .summary import summarize
@@ -427,17 +426,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
              + [("risk_free", t) for t in sim["risk_free"]])
     for key, label in named:
         if label not in labels:
-            raise ConfigError(
-                f"{args.config}: simulation {key} names {label!r}, "
-                f"which is not a period in {cfg['periods']}"
-            )
+            raise ConfigError(f"{args.config}: simulation {key} names {label!r}, "
+                              f"which is not a period in {cfg['periods']}")
     rf_table = {**reference.RISK_FREE_PCT, **sim["risk_free"]}
     for label in test_periods:
         if label not in rf_table:
-            raise ConfigError(
-                f"{args.config}: simulation test_periods names {label!r}, which has no "
-                "risk-free rate in simulation.risk_free or the built-in table"
-            )
+            raise ConfigError(f"{args.config}: simulation test_periods names {label!r}, "
+                              "which has no risk-free rate in simulation.risk_free or the "
+                              "built-in table")
     if "industry" in names:
         industry_source = cfg.get("industry_map") or "built-in Dow 30 industry map"
         industry = load_industry_map(cfg.get("industry_map"))
@@ -471,24 +467,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # test period.
     matrices = draw_matrices(plans, returns, sizes, sim["reps"], args.seed)
     draws = list(zip([_STRATEGY_LABELS[name] for m in sizes for name in names], matrices))
-    # Every period is summarized before any is written, so a period whose
-    # statistics are degenerate leaves no report behind.
-    reports = {}
+    files = {}
     for test_period in test_periods:
         runs = [score_period(name, columns, returns, test_period) for name, columns in draws]
         try:
-            reports[test_period] = summarize(runs, float(rf_table[test_period]),
-                                             tuple(sim["levene_exclude"]))
+            report = summarize(runs, float(rf_table[test_period]), tuple(sim["levene_exclude"]))
         except AnalyticsError as exc:
             raise ConfigError(f"{args.config}: test period {test_period!r}: {exc}") from None
-    out = Path(args.out_dir)
-    for test_period, report in reports.items():
         tag = f"{model_period}_{test_period}"
-        _atomic_write(out / f"report_{tag}.csv", render_report_csv(report))
-        _atomic_write(out / f"levene_{tag}.csv", render_levene_csv(report))
-        _atomic_write(out / f"report_{tag}.md", render_report(report))
-    print(f"wrote simulation reports for model period {model_period} to {out}")
-    return 0
+        files[f"report_{tag}.csv"] = render_report_csv(report)
+        files[f"levene_{tag}.csv"] = render_levene_csv(report)
+        files[f"report_{tag}.md"] = render_report(report)
+    return files, (f"wrote simulation reports for model period {model_period} "
+                   f"to {Path(args.out_dir)}\n")
 
 
 def _flag(text: str) -> bool:
@@ -508,7 +499,7 @@ def _cell(path: str, lineno: int, row: dict[str, str], column: str, kind=float):
     return value
 
 
-def cmd_report(args: argparse.Namespace) -> int:
+def cmd_report(args: argparse.Namespace) -> tuple[dict[str, str], str]:
     path = args.report_csv
     stats: dict[tuple[str, int], StrategyStats] = {}
     for lineno, row in _rows(path, REPORT_COLUMNS):
@@ -540,11 +531,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             if size in levene:
                 raise ConfigError(f"{path}:{lineno}: size {size} listed twice")
             levene[size] = (size, tuple(row["strategies"].split("+")), result)
-    report = SimulationReport(tuple(stats.values()), tuple(levene.values()))
-    # UTF-8 whatever the locale, as _atomic_write writes files.
-    sys.stdout.flush()
-    sys.stdout.buffer.write(render_report(report).encode("utf-8"))
-    return 0
+    return {}, render_report(SimulationReport(tuple(stats.values()), tuple(levene.values())))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -553,23 +540,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Correlation-network clustering and portfolio simulation pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    run = argparse.ArgumentParser(add_help=False)  # every command but report
+    run.add_argument("--config", required=True)
+    run.add_argument("--out-dir", default="out")
 
-    p_returns = sub.add_parser("returns", help="compute dividend-reinvested period returns")
-    p_returns.add_argument("--config", required=True)
-    p_returns.add_argument("--out-dir", default="out")
+    p_returns = sub.add_parser("returns", parents=[run],
+                               help="compute dividend-reinvested period returns")
     p_returns.set_defaults(func=cmd_returns)
 
-    p_net = sub.add_parser("network", help="build a clustering structure per period")
-    p_net.add_argument("--config", required=True)
+    p_net = sub.add_parser("network", parents=[run],
+                           help="build a clustering structure per period")
     p_net.add_argument("--method", required=True, choices=CLUSTER_METHODS)
-    p_net.add_argument("--out-dir", default="out")
     p_net.add_argument("--dump-matrices", action="store_true",
                        help="also write correlation and distance CSVs")
     p_net.set_defaults(func=cmd_network)
 
-    p_sim = sub.add_parser("simulate", help="run the Monte Carlo portfolio simulations")
-    p_sim.add_argument("--config", required=True)
-    p_sim.add_argument("--out-dir", default="out")
+    p_sim = sub.add_parser("simulate", parents=[run],
+                           help="run the Monte Carlo portfolio simulations")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--workers", type=int, default=1,
                        help="ignored: the engine is single-threaded")
@@ -578,17 +565,28 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("report", help="render a report CSV as a markdown table")
     p_rep.add_argument("--report-csv", required=True)
     p_rep.add_argument("--levene-csv", default=None)
-    p_rep.set_defaults(func=cmd_report)
+    p_rep.set_defaults(func=cmd_report, out_dir=".")  # it writes no file
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run a command, which returns its files by name and its stdout text,
+    and write them: nothing if it fails, which exits 2."""
     args = build_parser().parse_args(argv)
+    out = Path(args.out_dir)
     try:
-        return args.func(args)
-    except (ConfigError, DataError, ValueError, OSError) as exc:
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise ConfigError(f"--out-dir {out} is not a directory")
+        files, text = args.func(args)
+        for name, body in files.items():
+            _atomic_write(out / name, body)
+        # UTF-8 whatever the locale, as _atomic_write writes files.
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def run() -> None:

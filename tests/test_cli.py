@@ -800,6 +800,35 @@ class TestConfigValidation:
         )
         assert not (workspace / "out").exists()
 
+    def test_unknown_period_key_rejected_before_any_data(self, workspace, monkeypatch, capsys):
+        path = workspace / "periods.json"
+        periods = json.loads(path.read_text())
+        periods[0]["colour"] = "red"
+        path.write_text(json.dumps(periods))
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
+        assert main(["returns", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(workspace / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: period 'P1': unknown key 'colour'\n"
+        assert not (workspace / "out").exists()
+
+    @pytest.mark.parametrize("label", ["P\x002", "P\n2", "P\x1f2", "P\x7f2", "P\x852", "P\x9f2"],
+                             ids=["nul", "lf", "us", "del", "nel", "apc"])
+    def test_period_label_must_hold_no_control_character(self, workspace, monkeypatch, capsys,
+                                                         label):
+        # A NUL used to stop the first write after another period's file was
+        # written, and a LF to become part of a file name.
+        path = workspace / "periods.json"
+        periods = json.loads(path.read_text())
+        periods[1]["label"] = label
+        path.write_text(json.dumps(periods))
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
+        assert main(["returns", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(workspace / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: period {label!r}: label holds control character "
+            f"U+{ord(label[1]):04X}\n")
+        assert not (workspace / "out").exists()
+
     def test_industry_rule_checked_before_any_data(self, workspace, monkeypatch, capsys):
         path = workspace / "industry.csv"
         lines = path.read_text().splitlines()
@@ -1039,6 +1068,76 @@ def test_ticker_the_outputs_cannot_carry_fails_at_ingest(workspace, capsys):
 
 def _forbidden(*args, **kwargs):
     raise AssertionError("ran past the input checks")
+
+
+class TestOutputPath:
+    """``main`` writes a command's files once the command has made them all,
+    so a command that fails leaves --out-dir as it was."""
+
+    def hold_s04_constant_in_p3(self, workspace):
+        # Three periods, and S04 closes at 50 from P3's first close on and
+        # pays no dividend: only its P3 returns are all 0.
+        prices = workspace / "prices.csv"
+        header, *rows = prices.read_text().splitlines()
+        dates = sorted({row.split(",", 1)[0] for row in rows})
+        (workspace / "periods.json").write_text(json.dumps([
+            {"label": f"P{i + 1}", "start": dates[start], "end": dates[end]}
+            for i, (start, end) in enumerate([(0, 35), (35, 70), (70, -1)])]))
+        prices.write_text("\n".join([header] + [
+            row.rsplit(",", 1)[0] + ",50.000000" if ",S04," in row and row >= dates[70] else row
+            for row in rows]) + "\n")
+        dividends = workspace / "dividends.csv"
+        dividends.write_text("".join(line for line in dividends.read_text().splitlines(True)
+                                     if not line.startswith("S04,")))
+        return prices
+
+    @pytest.mark.parametrize("existing", [{}, {"clusters_hct_P1.csv": b"old\n", "notes": b"x"}],
+                             ids=["new-out-dir", "existing-out-dir"])
+    def test_late_period_failure_writes_nothing(self, workspace, capsys, existing):
+        # P1 and P2 are clustered before P3 fails; their files used to be
+        # written all the same.
+        prices = self.hold_s04_constant_in_p3(workspace)
+        out = workspace / "out"
+        if existing:
+            out.mkdir()
+            for name, data in existing.items():
+                (out / name).write_bytes(data)
+        assert main(["network", "--method", "hct", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {prices}: period 'P3': ticker S04 has zero-variance returns\n")
+        if existing:
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == existing
+        else:
+            assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", [["returns"], ["network", "--method", "hct"], ["simulate"]],
+                             ids=["returns", "network", "simulate"])
+    def test_out_dir_that_is_no_directory(self, workspace, monkeypatch, capsys, command, below):
+        # It used to fail at the first write, after the whole computation.
+        afile = workspace / "afile"
+        afile.write_text("kept\n")
+        before = sorted(workspace.iterdir())
+        out = afile / "sub" if below else afile
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
+        assert main(command + ["--config", str(workspace / "config.json"),
+                               "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --out-dir {out} is not a directory\n"
+        assert captured.out == "" and afile.read_text() == "kept\n"
+        assert sorted(workspace.iterdir()) == before
+
+    @pytest.mark.parametrize("command,line", [
+        (["returns"], "wrote 2 per-period return files to {out}"),
+        (["network", "--method", "hct"], "wrote hct outputs for 2 periods to {out}"),
+        (["simulate"], "wrote simulation reports for model period P1 to {out}"),
+    ], ids=["returns", "network", "simulate"])
+    def test_success_line(self, workspace, capsys, command, line):
+        out = workspace / "out"
+        assert main(command + ["--config", str(workspace / "config.json"),
+                               "--out-dir", str(out)]) == 0
+        assert capsys.readouterr() == (line.format(out=out) + "\n", "")
 
 
 # The steps that read or draw on data, each in the module the commands call it from.
