@@ -2,7 +2,9 @@
 
 Each command returns its output files and its stdout text, and ``main``
 alone writes them: the files atomically under --out-dir, once the command
-has made every one, so a command that fails writes nothing. Errors name the
+has made every one, so a command that fails writes nothing. A command that
+ingests the price panel also returns it as PANEL_FILE, which the next
+command on the same inputs and --out-dir loads instead. Errors name the
 offending input and exit nonzero.
 """
 
@@ -14,7 +16,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -50,12 +51,22 @@ class ConfigError(ValueError):
     pass
 
 
-def _atomic_write(path: Path, text: str) -> None:
+# The price panel a command ingested, saved for the next command; it is
+# derived from the inputs and is no contract file (see market_data.load_panel).
+PANEL_FILE = "price_panel.bin"
+
+
+def _atomic_write(path: Path, body: str | list) -> None:
+    """Write ``body``, a str as UTF-8 or a list of byte buffers one after
+    another, to a new file in ``path``'s directory, then rename it to
+    ``path``. The file is made with mode 0o666, so the umask applies to it
+    as to any new file."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines([body.encode("utf-8")] if isinstance(body, str) else body)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -279,15 +290,20 @@ def check_ticker_count(config: str, prices: str, n: int, nnet: str | None,
                               f"the number of tickers in {prices}, not {value}")
 
 
-def compute_returns(cfg: dict, periods: list[StudyPeriod]) -> ReturnPanel:
-    from .market_data import ingest, period_returns
+def compute_returns(cfg: dict, periods: list[StudyPeriod], out_dir: str
+                    ) -> tuple[ReturnPanel, dict[str, str | list]]:
+    """The period returns of the config's price panel, and the files to
+    write with the command's: the panel file, unless the one in ``out_dir``
+    was reused."""
+    from .market_data import load_panel, period_returns
 
-    panel = ingest(cfg["prices"], cfg["dividends"])
+    panel, saved = load_panel(cfg["prices"], cfg["dividends"], Path(out_dir) / PANEL_FILE)
     try:
-        return period_returns(panel, periods)
+        returns = period_returns(panel, periods)
     except DataError as exc:
         # ingest has checked every dividend date, so only a period boundary fails here.
         raise DataError(f"{cfg['periods']}: {exc}") from None
+    return returns, {} if saved is None else {PANEL_FILE: saved}
 
 
 def period_correlation(cfg: dict, returns: ReturnPanel, label: str) -> CorrelationMatrix:
@@ -355,27 +371,27 @@ def matrix_csv(tickers: tuple[str, ...], mat: np.ndarray) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_returns(args: argparse.Namespace) -> tuple[dict[str, str], str]:
+def cmd_returns(args: argparse.Namespace) -> tuple[dict[str, str | list], str]:
     cfg = load_config(args.config)
-    returns = compute_returns(cfg, load_periods(cfg["periods"]))
+    returns, panel_file = compute_returns(cfg, load_periods(cfg["periods"]), args.out_dir)
     files = {}
     for p in returns.periods:
         row = returns.returns_for(p.label)
         files[f"returns_{p.label}.csv"] = "ticker,total_return_pct\n" + "".join(
             f"{t},{row[j]:.6f}\n" for j, t in enumerate(returns.tickers))
-    return files, f"wrote {len(files)} per-period return files to {Path(args.out_dir)}\n"
+    text = f"wrote {len(files)} per-period return files to {Path(args.out_dir)}\n"
+    return {**files, **panel_file}, text
 
 
-def cmd_network(args: argparse.Namespace) -> tuple[dict[str, str], str]:
+def cmd_network(args: argparse.Namespace) -> tuple[dict[str, str | list], str]:
     from .correlation import ultrametric_distance
 
     cfg = load_config(args.config)
     clustering = check_section(args.config, cfg, "clustering", CLUSTERING_RULES)
-    returns = compute_returns(cfg, load_periods(cfg["periods"]))
+    returns, files = compute_returns(cfg, load_periods(cfg["periods"]), args.out_dir)
     check_ticker_count(args.config, cfg["prices"], len(returns.tickers),
                        "--method nnet" if args.method == "nnet" else None,
                        [("clustering.k", clustering["k"])])
-    files = {}
     for p in returns.periods:
         corr = period_correlation(cfg, returns, p.label)
         dist = ultrametric_distance(corr)
@@ -402,7 +418,7 @@ def cmd_network(args: argparse.Namespace) -> tuple[dict[str, str], str]:
                    f"to {Path(args.out_dir)}\n")
 
 
-def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, str], str]:
+def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, str | list], str]:
     from .correlation import ultrametric_distance
     from .portfolio_sim import cluster_plan, draw_matrices, random_plan, score_period
     from .summary import summarize
@@ -438,7 +454,7 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, str], str]:
         industry_source = cfg.get("industry_map") or "built-in Dow 30 industry map"
         industry = load_industry_map(cfg.get("industry_map"))
         check_plan_sizes(industry, sizes, industry_source)
-    returns = compute_returns(cfg, periods)
+    returns, files = compute_returns(cfg, periods, args.out_dir)
     nnet = f"{args.config}: simulation.strategies names 'nnet', which" if "nnet" in names else None
     check_ticker_count(args.config, cfg["prices"], len(returns.tickers), nnet,
                        [("clustering.k", clustering["k"])] * clustered
@@ -467,7 +483,6 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[dict[str, str], str]:
     # test period.
     matrices = draw_matrices(plans, returns, sizes, sim["reps"], args.seed)
     draws = list(zip([_STRATEGY_LABELS[name] for m in sizes for name in names], matrices))
-    files = {}
     for test_period in test_periods:
         runs = [score_period(name, columns, returns, test_period) for name, columns in draws]
         try:

@@ -79,13 +79,16 @@ def _line_ends(text: str) -> int:
     return ends
 
 
-def _read_text(path: str | Path) -> tuple[str, DataError | None]:
-    """A file's UTF-8 text, read once and without a leading byte order
-    mark, and the located error of the first byte that does not decode, if
-    one does not: then the text stops at the start of that byte's line. The
-    file's bytes are freed once decoded."""
-    with open(path, "rb") as fh:
-        data = fh.read().removeprefix(codecs.BOM_UTF8)
+def _read_text(path: str | Path, data: bytes | None = None) -> tuple[str, DataError | None]:
+    """A file's UTF-8 text, without a leading byte order mark, and the
+    located error of the first byte that does not decode, if one does not:
+    then the text stops at the start of that byte's line. ``data`` is the
+    file's bytes when the caller has read them; else the file is read once
+    here and its bytes are freed once decoded."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8"), None
     except UnicodeDecodeError as exc:
@@ -95,10 +98,11 @@ def _read_text(path: str | Path) -> tuple[str, DataError | None]:
                                f"0x{data[exc.start]:02x} as UTF-8 ({exc.reason})")
 
 
-def read_chunks(path: str | Path, header: tuple[str, ...]
+def read_chunks(path: str | Path, header: tuple[str, ...], data: bytes | None = None
                 ) -> tuple[int, Iterator[tuple[Sequence[int], tuple[list[str], ...],
                                               DataError | None]]]:
-    """Read a UTF-8 CSV file whose header must be ``header``, in one pass.
+    """Read a UTF-8 CSV file whose header must be ``header``, in one pass;
+    ``data`` is its bytes when the caller has read them (see ``_read_text``).
 
     Returns the most rows the file can hold (its count of line ends) and
     its chunks of rows: the file line each row starts on, one text list per
@@ -116,7 +120,7 @@ def read_chunks(path: str | Path, header: tuple[str, ...]
     fields, lone carriage returns and blank lines, and locates a wrong
     width or an overlong field.
     """
-    text, stop = _read_text(path)
+    text, stop = _read_text(path, data)
     if stop is not None and not text:
         raise stop
     return _line_ends(text), _chunks(path, text, header, stop)

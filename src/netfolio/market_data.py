@@ -4,11 +4,13 @@ Prices are weekly closes. A dividend is booked at the first close on or after
 its payment date and reinvested into the paying stock at that close,
 multiplying the share count by (1 + amount / close). Period returns are
 simple percentage returns of the resulting total-return index between two
-panel dates.
+panel dates. ``load_panel`` saves an ingested panel with its input bytes,
+and rebuilds it from that file while the inputs hold the same bytes.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import re
 from bisect import bisect_left
@@ -121,19 +123,20 @@ def _codes(texts: list[str], index: dict[str, int]) -> np.ndarray:
     return np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))
 
 
-def _read_coded(path: Path, header: tuple[str, str, str]
+def _read_coded(path: Path, header: tuple[str, str, str], data: bytes | None
                 ) -> tuple[Iterable[int], np.ndarray, np.ndarray, np.ndarray,
                            tuple[dict[str, int], dict[str, int]], str | None, DataError | None]:
     """A CSV file of two text columns and a number column, read a chunk of
     rows at a time into arrays: a code per row for each text column (its
     text's index in that column's dict of distinct texts, which takes each
-    new text at the next index) and the number's float.
+    new text at the next index) and the number's float. ``data`` is the
+    file's bytes when the caller has read them.
 
     Returns the file line of each row, the two code arrays, the floats, the
     two dicts, the text of the first number that is not finite (None when
     every one is) and the stop.
     """
-    most, chunks = read_chunks(path, header)
+    most, chunks = read_chunks(path, header, data)
     first, second, value = np.empty(most, np.int32), np.empty(most, np.int32), np.empty(most)
     indexes: tuple[dict[str, int], dict[str, int]] = ({}, {})
     bad = None
@@ -151,14 +154,16 @@ def _read_coded(path: Path, header: tuple[str, str, str]
     return chain.from_iterable(parts), first[:n], second[:n], value[:n], indexes, bad, stop
 
 
-def _read_prices(price_file: Path) -> tuple[tuple[date, ...], tuple[str, ...], np.ndarray]:
-    """The dates, tickers and (dates x tickers) closes of a price CSV.
+def _read_prices(price_file: Path, data: bytes | None
+                 ) -> tuple[tuple[date, ...], tuple[str, ...], np.ndarray]:
+    """The dates, tickers and (dates x tickers) closes of a price CSV, of
+    the bytes ``data`` when the caller has read them.
 
     The file becomes three arrays a chunk of rows at a time (``_read_coded``).
     The checks run on the codes through one entry per distinct text.
     """
     lines, date_code, ticker_code, close, (date_index, ticker_index), bad_close, stop = (
-        _read_coded(price_file, ("date", "ticker", "close")))
+        _read_coded(price_file, ("date", "ticker", "close"), data))
     n = len(close)
     # Per distinct text, in code order.
     parsed = [_date(text) for text in date_index]
@@ -208,8 +213,10 @@ def _read_prices(price_file: Path) -> tuple[tuple[date, ...], tuple[str, ...], n
     return dates, tickers, grid
 
 
-def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
-    """Read price and dividend CSVs, validating the schemas strictly.
+def ingest(price_file: str | Path, dividend_file: str | Path,
+           data: tuple[bytes, bytes] | None = None) -> PricePanel:
+    """Read price and dividend CSVs, validating the schemas strictly;
+    ``data`` is their bytes when the caller has read them.
 
     Price CSV: header ``date,ticker,close``; dividend CSV: header
     ``ticker,payment_date,amount``. Any missing (date, ticker) price cell,
@@ -218,10 +225,11 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
     Each dividend is added, in table order, to the panel's dividend cell of
     its ticker at the first close on or after its payment date.
     """
-    dates, tickers, close = _read_prices(Path(price_file))
+    price_data, dividend_data = data or (None, None)
+    dates, tickers, close = _read_prices(Path(price_file), price_data)
     dividend_file = Path(dividend_file)
     lines, payer, paid, amount, (payer_index, paid_index), bad_amount, stop = _read_coded(
-        dividend_file, ("ticker", "payment_date", "amount"))
+        dividend_file, ("ticker", "payment_date", "amount"), dividend_data)
     # Per distinct text, in code order: the payer's column (-1 if unknown),
     # and the payment's date and the row of the first close on or after it.
     ticker_pos = {t: j for j, t in enumerate(tickers)}
@@ -240,6 +248,80 @@ def ingest(price_file: str | Path, dividend_file: str | Path) -> PricePanel:
     dividends = np.zeros((len(dates), len(tickers)))
     np.add.at(dividends, (row[paid], column[payer]), amount)  # unbuffered: in table order
     return PricePanel(tickers, dates, close, dividends)
+
+
+# A panel file holds this line, then one JSON line (the tickers, the dates'
+# ordinals and the byte sizes of the two input files), then the closes and
+# the dividend grid as little-endian float64, then the exact bytes of the
+# price and dividend files the panel was ingested from.
+_PANEL_MAGIC = b"netfolio price panel 1\n"
+# Bytes of an input file compared with its copy at a time.
+_BLOCK = 1 << 20
+
+
+def _panel_file(panel: PricePanel, prices: bytes, dividends: bytes) -> list:
+    """The buffers, in order, of the panel file of a panel ingested from
+    these input bytes."""
+    head = json.dumps({"tickers": panel.tickers, "dates": [d.toordinal() for d in panel.dates],
+                       "prices": len(prices), "dividends": len(dividends)})
+    return [_PANEL_MAGIC + head.encode() + b"\n", panel.close.astype("<f8", copy=False),
+            panel.dividends.astype("<f8", copy=False), prices, dividends]
+
+
+def _holds(fh, path: str | Path, size: int) -> bool:
+    """Whether the next ``size`` bytes of the open file ``fh`` are exactly
+    the bytes of the file at ``path``, compared a block at a time."""
+    read = 0
+    with open(path, "rb") as src:
+        while block := src.read(_BLOCK):
+            read += len(block)
+            if fh.read(len(block)) != block:
+                return False
+    return read == size
+
+
+def _restore(panel_file: Path, price_file: str | Path, dividend_file: str | Path
+             ) -> PricePanel | None:
+    """The panel of the panel file at ``panel_file`` when it was saved from
+    exactly the bytes the two input files hold now, else None. A file that
+    is no panel file may raise OSError, ValueError, TypeError, KeyError or
+    OverflowError instead, and so does a panel that fails its checks."""
+    with open(panel_file, "rb") as fh:
+        if fh.readline() != _PANEL_MAGIC:
+            return None
+        head = json.loads(fh.readline())
+        tickers, dates = tuple(head["tickers"]), tuple(map(date.fromordinal, head["dates"]))
+        if list(tickers) != sorted(set(tickers)) or not all(map(_TICKER.fullmatch, tickers)):
+            return None
+        grids = np.empty((2, len(dates), len(tickers)), "<f8")
+        if not (fh.readinto(grids) == grids.nbytes
+                and _holds(fh, price_file, head["prices"])
+                and _holds(fh, dividend_file, head["dividends"]) and not fh.read(1)):
+            return None
+    close, dividend_grid = grids.astype(float, copy=False)
+    return PricePanel(tickers, dates, close, dividend_grid)
+
+
+def load_panel(price_file: str | Path, dividend_file: str | Path, panel_file: Path
+               ) -> tuple[PricePanel, list | None]:
+    """The panel of a price and a dividend CSV, and the buffers of the panel
+    file to save at ``panel_file``: None when the one there is reused.
+
+    The panel is rebuilt from the panel file at ``panel_file`` when that
+    holds exactly the two files' bytes, through every check a ``PricePanel``
+    runs. Otherwise (no panel file, one of other inputs, a truncated or a
+    foreign one) each file is read whole once and ingested from those
+    bytes, which the new panel file holds with the panel.
+    """
+    try:
+        panel = _restore(panel_file, price_file, dividend_file)
+    except (OSError, ValueError, TypeError, KeyError, OverflowError):
+        panel = None
+    if panel is not None:
+        return panel, None
+    data = Path(price_file).read_bytes(), Path(dividend_file).read_bytes()
+    panel = ingest(price_file, dividend_file, data)
+    return panel, _panel_file(panel, *data)
 
 
 def total_return_index(panel: PricePanel) -> np.ndarray:

@@ -263,6 +263,12 @@ class TestSimulateCommand:
         assert "sizes" in capsys.readouterr().err
 
 
+def contract_files(out: Path) -> dict[str, bytes]:
+    """The bytes of each file of an --out-dir but the panel file, which
+    holds the input bytes it was read from and is no contract file."""
+    return {path.name: path.read_bytes() for path in out.iterdir() if path.name != cli.PANEL_FILE}
+
+
 def test_byte_order_marks_are_dropped(workspace, capsys):
     """Every input that starts with a UTF-8 byte order mark reads as it does
     without one: the config, the periods, the price, dividend and industry
@@ -273,7 +279,7 @@ def test_byte_order_marks_are_dropped(workspace, capsys):
     report = ["report", "--report-csv", str(out / "report_P1_P2.csv"),
               "--levene-csv", str(out / "levene_P1_P2.csv")]
     assert main(argv) == 0 and main(report) == 0
-    want = {path.name: path.read_bytes() for path in out.iterdir()}, capsys.readouterr()
+    want = contract_files(out), capsys.readouterr()
     for name in ("config.json", "periods.json", "prices.csv", "dividends.csv", "industry.csv"):
         path = workspace / name
         path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
@@ -286,7 +292,7 @@ def test_byte_order_marks_are_dropped(workspace, capsys):
     for name in ("report_P1_P2.csv", "levene_P1_P2.csv"):
         path = out / name
         path.write_bytes(path.read_bytes().removeprefix(codecs.BOM_UTF8))
-    assert ({path.name: path.read_bytes() for path in out.iterdir()}, got) == want
+    assert (contract_files(out), got) == want
 
 
 class TestReportCommand:
@@ -1139,6 +1145,176 @@ class TestOutputPath:
                                "--out-dir", str(out)]) == 0
         assert capsys.readouterr() == (line.format(out=out) + "\n", "")
 
+    @pytest.mark.parametrize("state", ["miss", "hit"])
+    def test_late_period_failure_writes_no_panel(self, workspace, capsys, state):
+        # A panel file is there. The failing command ingests new prices (a
+        # miss) or reuses the panel of these prices (a hit), and leaves the
+        # panel file, as every other file, as it was.
+        out = workspace / "out"
+        config = str(workspace / "config.json")
+        if state == "hit":
+            self.hold_s04_constant_in_p3(workspace)
+        assert main(["returns", "--config", config, "--out-dir", str(out)]) == 0
+        if state == "miss":
+            self.hold_s04_constant_in_p3(workspace)
+        capsys.readouterr()
+        before = contract_files(out), (out / cli.PANEL_FILE).read_bytes()
+        inode = (out / cli.PANEL_FILE).stat().st_ino
+        assert main(["network", "--method", "hct", "--config", config,
+                     "--out-dir", str(out)]) == 2
+        assert "period 'P3': ticker S04 has zero-variance returns" in capsys.readouterr().err
+        assert (contract_files(out), (out / cli.PANEL_FILE).read_bytes()) == before
+        assert (out / cli.PANEL_FILE).stat().st_ino == inode
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_files_take_the_umask(self, workspace, capsys, umask, mode):
+        # Each file was made by tempfile.mkstemp, and so 0o600 under any umask.
+        out = workspace / "out"
+        old = os.umask(umask)
+        try:
+            assert main(["returns", "--config", str(workspace / "config.json"),
+                         "--out-dir", str(out)]) == 0
+        finally:
+            os.umask(old)
+        modes = {path.name: path.stat().st_mode & 0o777 for path in out.iterdir()}
+        assert sorted(modes) == sorted([cli.PANEL_FILE, "returns_P1.csv", "returns_P2.csv"])
+        assert set(modes.values()) == {mode}
+
+
+def counted_ingest(monkeypatch) -> list:
+    """Patch ``market_data.ingest`` to note each call; returns the notes."""
+    calls, real = [], market_data.ingest
+    monkeypatch.setattr(market_data, "ingest", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def edit_last_digit(path: Path, at: int, byte: bytes | None = None) -> int:
+    """Replace the last byte of the line of byte ``at`` (a number's last
+    digit) by ``byte``, or else by another nonzero digit, so the file keeps
+    its size; returns the line's number."""
+    data = bytearray(path.read_bytes())
+    end = data.index(b"\n", at) - 1
+    data[end:end + 1] = byte or str(int(chr(data[end])) % 9 + 1).encode()
+    path.write_bytes(bytes(data))
+    return data.count(b"\n", 0, end) + 1
+
+
+# Spellings of one price file, which read as the same panel.
+PRICE_SPELLINGS = {
+    "LF": lambda data: data,
+    "CRLF": lambda data: data.replace(b"\n", b"\r\n"),
+    "quoted": lambda data: b"".join(b'"' + line.replace(b",", b'","') + b'"\n'
+                                    for line in data.splitlines()),
+}
+
+
+class TestPanelReuse:
+    """A command that ingests saves the panel in --out-dir as PANEL_FILE,
+    with the exact bytes of the two input files; a later command whose
+    inputs hold those bytes rebuilds the panel from it and does not ingest.
+    Any other panel file, or none, is a miss: the command ingests as before
+    and saves its panel."""
+
+    def argv(self, workspace, command):
+        return command + ["--config", str(workspace / "config.json"),
+                          "--out-dir", str(workspace / "out")]
+
+    @pytest.mark.parametrize("spelling", PRICE_SPELLINGS)
+    @pytest.mark.parametrize("command", [
+        ["returns"], ["network", "--method", "hct"], ["network", "--method", "mst"],
+        ["network", "--method", "nnet"], ["simulate", "--seed", "3"],
+    ], ids=["returns", "hct", "mst", "nnet", "simulate"])
+    def test_hit_writes_what_a_cold_run_writes(self, workspace, monkeypatch, capsys, command,
+                                               spelling):
+        prices, out = workspace / "prices.csv", workspace / "out"
+        prices.write_bytes(PRICE_SPELLINGS[spelling](prices.read_bytes()))
+        argv = self.argv(workspace, command)
+        assert main(argv) == 0
+        cold = contract_files(out), capsys.readouterr()
+        panel = out / cli.PANEL_FILE
+        saved, inode = panel.read_bytes(), panel.stat().st_ino
+        for path in out.iterdir():
+            if path != panel:
+                path.unlink()
+        monkeypatch.setattr(market_data, "ingest", _forbidden)
+        assert main(argv) == 0
+        assert (contract_files(out), capsys.readouterr()) == cold
+        # A hit leaves the panel file as it is.
+        assert (panel.read_bytes(), panel.stat().st_ino) == (saved, inode)
+
+    def test_one_panel_serves_every_command(self, workspace, monkeypatch, capsys):
+        assert main(self.argv(workspace, ["returns"])) == 0
+        calls = counted_ingest(monkeypatch)
+        for command in (["network", "--method", method] for method in ("hct", "mst", "nnet")):
+            assert main(self.argv(workspace, command)) == 0
+        assert main(self.argv(workspace, ["simulate"])) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["prices.csv", "dividends.csv"])
+    def test_one_byte_edit_misses(self, workspace, monkeypatch, capsys, name):
+        # The edit keeps the file's size and changes one number.
+        out = workspace / "out"
+        argv = self.argv(workspace, ["returns"])
+        assert main(argv) == 0
+        old = contract_files(out), (out / cli.PANEL_FILE).read_bytes()
+        path = workspace / name
+        edit_last_digit(path, path.stat().st_size // 2)
+        calls = counted_ingest(monkeypatch)
+        assert main(argv) == 0
+        assert len(calls) == 1
+        got = contract_files(out), (out / cli.PANEL_FILE).read_bytes()
+        assert got[0] != old[0] and got[1] != old[1]
+        cold = workspace / "cold"
+        assert main(["returns", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(cold)]) == 0
+        assert got == (contract_files(cold), (cold / cli.PANEL_FILE).read_bytes())
+
+    @pytest.mark.parametrize("byte,problem", [(b"x", "invalid price '{field}'"),
+                                              (b"\xff", "cannot decode byte 0xff as UTF-8 "
+                                                        "(invalid start byte)")],
+                             ids=["invalid-price", "undecodable"])
+    def test_bad_price_byte_with_a_panel_present(self, workspace, capsys, byte, problem):
+        prices, out = workspace / "prices.csv", workspace / "out"
+        argv = self.argv(workspace, ["returns"])
+        assert main(argv) == 0
+        capsys.readouterr()
+        before = contract_files(out), (out / cli.PANEL_FILE).read_bytes()
+        inode = (out / cli.PANEL_FILE).stat().st_ino
+        line = edit_last_digit(prices, prices.stat().st_size // 2, byte)
+        field = prices.read_bytes().split(b"\n")[line - 1].rpartition(b",")[2].decode("latin-1")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {prices}:{line}: {problem.format(field=field)}\n"
+        assert (contract_files(out), (out / cli.PANEL_FILE).read_bytes()) == before
+        assert (out / cli.PANEL_FILE).stat().st_ino == inode
+        # A cold run fails the same way.
+        assert main(["returns", "--config", str(workspace / "config.json"),
+                     "--out-dir", str(workspace / "cold")]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("spoil", [
+        lambda data: data[:-1],
+        lambda data: data[:len(data) // 2],
+        lambda data: b"",
+        lambda data: data + b"\0",
+        lambda data: b"ticker,total_return_pct\nS00,1.0\n",
+        lambda data: data.replace(b'"tickers"', b'"tickerz"', 1),
+        lambda data: data.replace(b"\n", b"\n{", 1),
+        lambda data: data.replace(b'"S00"', b'"S,0"', 1),
+    ], ids=["one-byte-short", "half", "empty", "one-byte-long", "foreign", "renamed-key",
+            "bad-json", "bad-ticker"])
+    def test_bad_panel_file_is_ingested_again(self, workspace, monkeypatch, capsys, spoil):
+        out = workspace / "out"
+        argv = self.argv(workspace, ["network", "--method", "hct"])
+        assert main(argv) == 0
+        want = contract_files(out), capsys.readouterr(), (out / cli.PANEL_FILE).read_bytes()
+        (out / cli.PANEL_FILE).write_bytes(spoil(want[2]))
+        calls = counted_ingest(monkeypatch)
+        assert main(argv) == 0
+        assert len(calls) == 1
+        assert (contract_files(out), capsys.readouterr(),
+                (out / cli.PANEL_FILE).read_bytes()) == want
+
 
 # The steps that read or draw on data, each in the module the commands call it from.
 DATA_STEPS = ((market_data, "ingest"), (cli, "build_clusters"), (portfolio_sim, "draw_matrices"))
@@ -1557,6 +1733,32 @@ def test_command_loads_only_its_modules(workspace, argv, unloaded):
                   for name in unloaded}
     assert not loaded & forbidden
     assert "netfolio" in loaded
+
+
+@pytest.mark.parametrize("command", [["returns"], ["network", "--method", "hct"], ["simulate"]],
+                         ids=["returns", "network", "simulate"])
+def test_hit_loads_what_a_miss_loads(workspace, command):
+    # Two fresh interpreters run the command on one --out-dir: the first
+    # ingests and saves the panel file, the second reuses it (it does not
+    # replace the file).
+    code = (
+        "import json, sys\n"
+        "from netfolio.cli import main\n"
+        "assert main(json.loads(sys.argv[1])) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    out = workspace / "out"
+    argv = command + ["--config", str(workspace / "config.json"), "--out-dir", str(out)]
+    src = Path(netfolio.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    loaded, inodes = [], []
+    for _ in range(2):
+        done = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, check=True,
+                              capture_output=True, text=True)
+        loaded.append(json.loads(done.stdout.splitlines()[-1]))
+        inodes.append((out / cli.PANEL_FILE).stat().st_ino)
+    assert inodes[0] == inodes[1]
+    assert loaded[0] == loaded[1]
 
 
 @pytest.mark.parametrize("strategy", ["Random", "Élan"])

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from ingest_reference import _ingest_rows, _read_rows, _record_lines, read_table
 
+from netfolio import market_data
 from netfolio.cli import main
 from netfolio.inputs import (
     CHUNK,
@@ -170,6 +171,63 @@ class TestIngest:
         with pytest.raises(DataError) as exc:
             ingest(*files)
         assert str(exc.value) == f"{path}:{where} as UTF-8 (invalid start byte)"
+
+
+class TestPanelFile:
+    """``load_panel`` saves an ingested panel with its input bytes and
+    rebuilds it from that file, through the panel's checks."""
+
+    def files(self, tmp_path):
+        return write_csvs(tmp_path, [f"{WEEK1},AAA,10", f"{WEEK1},BBB,20", f"{WEEK2},AAA,11",
+                                     f"{WEEK2},BBB,21", f"{WEEK3},AAA,12", f"{WEEK3},BBB,22"],
+                          ["AAA,2001-01-09,0.5", "BBB,2001-01-10,0.25"])
+
+    @staticmethod
+    def fields(panel):
+        return panel.tickers, panel.dates, panel.close.tolist(), panel.dividends.tolist()
+
+    @staticmethod
+    def joined(buffers):
+        return b"".join(map(bytes, buffers))
+
+    def test_hit_rebuilds_the_ingested_panel(self, tmp_path):
+        p, d = self.files(tmp_path)
+        saved_at = tmp_path / "panel"
+        panel, saved = market_data.load_panel(p, d, saved_at)
+        assert self.fields(panel) == self.fields(ingest(p, d))
+        saved_at.write_bytes(self.joined(saved))
+        again, resaved = market_data.load_panel(p, d, saved_at)
+        assert resaved is None
+        assert self.fields(again) == self.fields(panel)
+        assert again.close.flags.writeable and again.close.dtype == panel.close.dtype
+
+    def test_bytes_moved_from_one_file_to_the_other_miss(self, tmp_path):
+        # The two files together hold the saved bytes, but the price file
+        # lost its last row to the head of the dividend file.
+        p, d = self.files(tmp_path)
+        saved_at = tmp_path / "panel"
+        saved_at.write_bytes(self.joined(market_data.load_panel(p, d, saved_at)[1]))
+        prices = p.read_bytes()
+        cut = prices.rindex(b"\n", 0, len(prices) - 1) + 1
+        p.write_bytes(prices[:cut])
+        d.write_bytes(prices[cut:] + d.read_bytes())
+        with pytest.raises(DataError, match=r"missing price cell \(2001-01-16, BBB\)"):
+            market_data.load_panel(p, d, saved_at)
+
+    def test_panel_checks_run_on_a_hit(self, tmp_path, monkeypatch):
+        # A first close of -1 in a panel file of these very input bytes
+        # fails PricePanel's check, so the files are ingested again.
+        p, d = self.files(tmp_path)
+        saved_at = tmp_path / "panel"
+        panel, saved = market_data.load_panel(p, d, saved_at)
+        saved = self.joined(saved)
+        at = saved.index(b"\n", len(market_data._PANEL_MAGIC)) + 1
+        saved_at.write_bytes(saved[:at] + np.array([-1.0], "<f8").tobytes() + saved[at + 8:])
+        calls = []
+        monkeypatch.setattr(market_data, "ingest", lambda *args: calls.append(args) or ingest(*args))
+        again, resaved = market_data.load_panel(p, d, saved_at)
+        assert len(calls) == 1
+        assert self.fields(again) == self.fields(panel) and self.joined(resaved) == saved
 
 
 def test_csv_row_bound_is_the_line_ends(tmp_path):
